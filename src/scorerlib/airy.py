@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contour import require_finite
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 
 __all__ = [
@@ -117,11 +118,6 @@ def ai_maclaurin(z: complex) -> AiryPair:
     return AiryPair(AI_ZERO * f + AIP_ZERO * g, AI_ZERO * fp + AIP_ZERO * gp)
 
 
-def _bi_maclaurin(z: complex) -> AiryPair:
-    f, g, fp, gp, _, _ = _maclaurin_fg(z)
-    return AiryPair(BI_ZERO * f + BIP_ZERO * g, BI_ZERO * fp + BIP_ZERO * gp)
-
-
 def ai_asymptotic(z: complex, max_terms: int = 25) -> AiryPair:
     """Ai and Ai' from the large-argument exponential expansion.
 
@@ -184,6 +180,7 @@ def _ai_gap(z: complex) -> tuple[AiryPair, int, float]:
 
 def _ai_info(z: complex) -> tuple[AiryPair, str, int, float]:
     """Dispatch Ai; returns (pair, method, integrand evaluations, error estimate)."""
+    z = require_finite(z)
     if z.imag < 0.0:
         pair, method, n_evals, err = _ai_info(z.conjugate())
         return pair.conjugate(), method, n_evals, err
@@ -208,7 +205,10 @@ def _ai_info(z: complex) -> tuple[AiryPair, str, int, float]:
 
 
 def ai_complex(z: complex) -> AiryPair:
-    """Ai(z) and Ai'(z) anywhere in the complex plane."""
+    """Ai(z) and Ai'(z) anywhere in the complex plane.
+
+    Raises :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``.
+    """
     return _ai_info(z)[0]
 
 
@@ -229,6 +229,7 @@ def airy_rotated(z: complex, j: int) -> AiryPair:
 
 def _bi_info(z: complex) -> tuple[AiryPair, str, int, float]:
     """Dispatch Bi; returns (pair, method, integrand evaluations, error estimate)."""
+    z = require_finite(z)
     if z.imag < 0.0:
         pair, method, n_evals, err = _bi_info(z.conjugate())
         return pair.conjugate(), method, n_evals, err
@@ -249,5 +250,8 @@ def _bi_info(z: complex) -> tuple[AiryPair, str, int, float]:
 
 
 def bi_complex(z: complex) -> AiryPair:
-    """Bi(z) and Bi'(z) anywhere in the complex plane."""
+    """Bi(z) and Bi'(z) anywhere in the complex plane.
+
+    Raises :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``.
+    """
     return _bi_info(z)[0]

@@ -136,6 +136,30 @@ def parse_phase(text: str) -> float:
     return coef * math.pi / denom
 
 
+#: Options whose value is a phase; a negative one may follow as its own token.
+_PHASE_OPTIONS = ("--phase", "--start", "--stop")
+
+
+def _attach_negative_phases(argv: list[str]) -> list[str]:
+    """Rewrite ``--start -pi`` as ``--start=-pi``.
+
+    argparse reads a separate token such as ``-pi`` or ``-5pi/6`` as an
+    unknown option rather than as the value of the preceding option.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _PHASE_OPTIONS and token.startswith("-"):
+            try:
+                parse_phase(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def _z_from_polar(radius: float, phase: float) -> complex:
     re_part = radius * math.cos(phase)
     im_part = radius * math.sin(phase)
@@ -603,7 +627,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_negative_phases(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0

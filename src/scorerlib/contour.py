@@ -37,6 +37,7 @@ __all__ = [
     "hi_path_v_of_u",
     "hi_phase_parts",
     "hi_saddle",
+    "require_finite",
     "stokes_path",
 ]
 
@@ -45,6 +46,14 @@ _SQRT3 = math.sqrt(3.0)
 
 class DomainError(ValueError):
     """A path function was called outside its sector of validity."""
+
+
+def require_finite(z: complex) -> complex:
+    """``z`` as a complex number, or :class:`DomainError` if it is NaN or infinite."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError("evaluation requires finite z")
+    return z
 
 
 @dataclass(frozen=True)

@@ -190,13 +190,6 @@ class ScorerResult:
     converged: bool = True
 
 
-def _require_finite(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise _contour.DomainError("evaluation requires finite z")
-    return z
-
-
 def _conjugated(result: ScorerResult) -> ScorerResult:
     return ScorerResult(
         result.value.conjugate(),
@@ -312,7 +305,9 @@ def _bracket_terms(r: float, max_terms: int) -> list[float]:
 def _asymptotic_core(
     z: complex, sign: float, n_terms: int | None, cfg: EngineConfig
 ) -> ScorerResult:
-    inv3 = 1.0 / (z * z * z)
+    # 1/z cubed underflows harmlessly where z cubed would overflow.
+    w = 1.0 / z
+    inv3 = w * w * w
     if 20.0 * abs(inv3) >= 1.0:
         warnings.warn(
             "large-argument expansion diverges from the first term at this |z|",
@@ -625,14 +620,14 @@ class ScorerEngine:
 
     def hi(self, z: complex) -> ScorerResult:
         """Evaluate Hi(z)."""
-        z = _require_finite(z)
+        z = _contour.require_finite(z)
         if z.imag < 0:
             return _conjugated(self._hi_upper(z.conjugate()))
         return self._hi_upper(z)
 
     def gi(self, z: complex) -> ScorerResult:
         """Evaluate Gi(z)."""
-        z = _require_finite(z)
+        z = _contour.require_finite(z)
         if z.imag < 0:
             return _conjugated(self._gi_upper(z.conjugate()))
         return self._gi_upper(z)
@@ -644,7 +639,7 @@ class ScorerEngine:
         ``Gi + Hi = Bi``, the pair costs one primary evaluation plus one Bi
         evaluation instead of two of each.
         """
-        z = _require_finite(z)
+        z = _contour.require_finite(z)
         if z.imag < 0:
             g, h = self.gi_hi_pair(z.conjugate())
             return _conjugated(g), _conjugated(h)

@@ -5,21 +5,22 @@ both estimates share the same 15 abscissae, so a panel costs exactly 15
 integrand evaluations and carries an embedded error estimate.  All abscissae
 are interior, so integrands may be (integrably) singular at panel endpoints.
 
-Refinement is pooled: an integral may be supplied as several pieces (for
-example the two sides of a corner, or a finite part plus a mapped tail) and
-the worst panel across *all* pieces is bisected until the combined error
-estimate meets the tolerance against the combined value.  This keeps pieces
-whose individual value is tiny from chasing an unreachable relative target.
+Refinement is pooled and runs in generations: an integral may be supplied as
+several pieces (for example the two sides of a corner, or a finite part plus
+a mapped tail), and each generation bisects, across *all* pieces, the fewest
+worst panels whose removal would bring the combined error estimate within
+the tolerance against the combined value.  This keeps pieces whose individual
+value is tiny from chasing an unreachable relative target.  A generation
+calls each distinct integrand once, on the flat array of every abscissa it
+needs, so integrands must be elementwise.
 
 Semi-infinite ranges are folded onto (0, 1) with the rational map
-``t = a + s/(1 - s)`` by default; a panel-doubling scan with a tail cut is
-available as an alternative strategy.
+``t = a + s/(1 - s)``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,7 +38,7 @@ __all__ = [
     "panel_rule",
 ]
 
-#: Vectorized integrand: maps an ndarray of real abscissae to values.
+#: Vectorized integrand: maps a 1-D ndarray of real abscissae to values.
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 _EPS = float(np.finfo(float).eps)
@@ -85,6 +86,8 @@ NODES = np.concatenate((-_XGK_HALF[:-1], _XGK_HALF[::-1]))
 KRONROD_WEIGHTS = np.concatenate((_WGK_HALF[:-1], _WGK_HALF[::-1]))
 GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1::2] = np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
+# Both rules as the columns of one (15, 2) matrix.
+_WEIGHTS = np.stack((KRONROD_WEIGHTS, GAUSS_WEIGHTS), axis=1).astype(complex)
 
 #: Largest abscissa the rational map will produce; beyond this the integrand
 #: is sampled at a fixed point, which is harmless for decaying integrands and
@@ -119,20 +122,14 @@ class QuadratureConfig:
         Absolute floor on the target, useful when the integral is genuinely
         zero.  The effective target is ``max(abs_tol, rel_tol * |value|)``.
     max_subdivisions : int
-        Maximum number of panel bisections across all pieces.
-    tail_cut_ratio : float
-        For the panel-doubling strategy: the scan stops once a block
-        contributes less than this fraction of the accumulated magnitude.
-    semi_infinite_strategy : str
-        ``"rational_map"`` folds ``[a, inf)`` onto ``(0, 1)``;
-        ``"doubling"`` scans blocks of doubling width and truncates.
+        Maximum number of panel bisections across all pieces and all
+        refinement generations; a generation that would exceed it bisects
+        only its worst panels up to the cap.
     """
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-300
     max_subdivisions: int = 200
-    tail_cut_ratio: float = 1e-18
-    semi_infinite_strategy: str = "rational_map"
 
 
 @dataclass
@@ -144,7 +141,7 @@ class QuadratureResult:
     value : complex
         The integral estimate (sum over all pieces).
     abs_error_estimate : float
-        Sum of per-panel error estimates, plus any truncation allowance.
+        Sum of per-panel error estimates.
     n_evaluations : int
         Exact number of integrand evaluations performed.
     converged : bool
@@ -157,29 +154,66 @@ class QuadratureResult:
     converged: bool
 
 
-def _eval_panel(f: Integrand, a: float, b: float) -> tuple[complex, float, int]:
-    half = 0.5 * (b - a)
-    center = 0.5 * (a + b)
-    x = center + half * NODES
-    fx = np.asarray(f(x), dtype=complex)
-    if fx.shape != x.shape:
-        raise ValueError("integrand must return one value per abscissa")
-    finite = np.isfinite(fx)
-    if not finite.all():
-        raise NonFiniteIntegrandError(float(x[~finite][0]))
-    resk = half * np.sum(KRONROD_WEIGHTS * fx)
-    resg = half * np.sum(GAUSS_WEIGHTS * fx)
-    resabs = abs(half) * float(np.sum(KRONROD_WEIGHTS * np.abs(fx)))
-    mean = resk / (b - a)
-    resasc = abs(half) * float(np.sum(KRONROD_WEIGHTS * np.abs(fx - mean)))
-    err = abs(resk - resg)
+def _gauss_kronrod(fx: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and error estimates of panels with half-widths ``half``.
+
+    ``fx`` holds each panel's 15 samples in a row.
+    """
+    sums = fx @ _WEIGHTS
+    kronrod = sums[:, 0]
+    err = np.abs(kronrod - sums[:, 1])
+    # The Kronrod weights sum to 2, so 0.5 * kronrod is the samples' mean.
+    spread = np.abs(np.concatenate((fx, fx - 0.5 * kronrod[:, None]))) @ KRONROD_WEIGHTS
+    resabs, resasc = spread.reshape(2, -1)
     # Sharpened estimate in the style of classic adaptive packages: the
     # Gauss/Kronrod difference is damped against the scale of variation.
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _TINY / (50.0 * _EPS):
-        err = max(err, 50.0 * _EPS * resabs)
-    return complex(resk), float(err), 15
+    varies = resasc != 0.0
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=varies)
+    err = np.where(varies, resasc * np.minimum(1.0, ratio**1.5), err)
+    scale = np.abs(half)
+    resabs = resabs * scale
+    floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+    return kronrod * half, np.maximum(err * scale, floor)
+
+
+def _evaluate(
+    funcs: Sequence[Integrand],
+    spans: Sequence[tuple[int, float, float, float]],
+    batch: Sequence[tuple[float, float, int]],
+) -> tuple[list[complex], list[float]]:
+    """Kronrod values and error estimates of a batch of panels.
+
+    ``batch`` holds ``(a, b, piece)`` sorted by piece, and ``spans[piece]``
+    starts with ``(integrand index, tail)``.  Pieces of one integrand are
+    numbered consecutively, so that each integrand's rows form one block and
+    it is called once, on the flat array of all its abscissae.  A piece with
+    a tail origin ``tail`` (NaN for a finite piece) lives in the variable
+    ``s`` of the rational map ``t = tail + s/(1 - s)`` of ``[tail, inf)``.
+    """
+    lo = np.array([panel[0] for panel in batch])
+    hi = np.array([panel[1] for panel in batch])
+    owners = [spans[panel[2]][0] for panel in batch]
+    tails = np.array([spans[panel[2]][1] for panel in batch])[:, None]
+    half = 0.5 * (hi - lo)
+    s = (0.5 * (lo + hi))[:, None] + half[:, None] * NODES
+    mapped = ~np.isnan(tails)
+    u = np.where(mapped, s, 0.0)  # rows of finite pieces see the identity
+    t = np.where(mapped, tails + np.minimum(u / (1.0 - u), MAP_CAP), s)
+    fx = np.empty(s.shape, dtype=complex)
+    for k, f in enumerate(funcs):
+        start, stop = bisect.bisect_left(owners, k), bisect.bisect_right(owners, k)
+        if start == stop:
+            continue
+        tk = t[start:stop].ravel()
+        fk = np.asarray(f(tk), dtype=complex)
+        if fk.shape != tk.shape:
+            raise ValueError("integrand must return one value per abscissa")
+        fx[start:stop] = fk.reshape(-1, 15)
+    if not np.isfinite(fx).all():
+        raise NonFiniteIntegrandError(float(t[~np.isfinite(fx)][0]))
+    fx /= (1.0 - u) ** 2
+    val, err = _gauss_kronrod(fx, half)
+    return val.tolist(), err.tolist()
 
 
 def panel_rule(f: Integrand, a: float, b: float) -> tuple[complex, float, int]:
@@ -209,36 +243,8 @@ def panel_rule(f: Integrand, a: float, b: float) -> tuple[complex, float, int]:
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("panel_rule requires finite endpoints")
-    return _eval_panel(f, a, b)
-
-
-def _mapped_tail(f: Integrand, a: float) -> Integrand:
-    def g(s: np.ndarray) -> np.ndarray:
-        onems = 1.0 - s
-        t = a + np.minimum(s / onems, MAP_CAP)
-        return f(t) / onems**2
-
-    return g
-
-
-def _doubling_scan(
-    f: Integrand, a: float, cfg: QuadratureConfig
-) -> tuple[list[float], int, float]:
-    """Find a finite truncation point by scanning blocks of doubling width."""
-    edges = [a]
-    left, width = a, 1.0
-    accum = 0.0
-    n_evals = 0
-    for _ in range(64):
-        right = left + width
-        val, _, ne = _eval_panel(f, left, right)
-        n_evals += ne
-        accum += abs(val)
-        edges.append(right)
-        if len(edges) > 2 and abs(val) <= cfg.tail_cut_ratio * max(accum, _TINY):
-            return edges, n_evals, abs(val)
-        left, width = right, 2.0 * width
-    raise ValueError("integrand does not decay on the semi-infinite range")
+    val, err = _evaluate([f], [(0, math.nan, a, b)], [(a, b, 0)])
+    return val[0], err[0], 15
 
 
 def integrate_piecewise(
@@ -251,8 +257,9 @@ def integrate_piecewise(
     ----------
     pieces : sequence of (f, a, b)
         Each piece contributes ``integral of f from a to b``; ``b`` may be
-        ``math.inf`` (handled per the configured semi-infinite strategy).
-        Pieces with ``a == b`` contribute nothing and cost nothing.
+        ``math.inf`` (folded onto ``(0, 1)`` by the rational map).  Pieces
+        with ``a == b`` contribute nothing and cost nothing.  Pieces that
+        pass the same integrand object share its calls.
     config : QuadratureConfig, optional
         Tolerances and limits; defaults are suitable for ~1e-12 relative
         accuracy on well-scaled integrals.
@@ -264,69 +271,60 @@ def integrate_piecewise(
         that nearly cancel or are individually tiny do not stall refinement.
     """
     cfg = config or QuadratureConfig()
-    extra_evals = 0
-    extra_err = 0.0
-    segments: list[tuple[Integrand, float, float]] = []
+    funcs: list[Integrand] = []
+    slots: dict[int, int] = {}
+    spans: list[tuple[int, float, float, float]] = []
     for f, a, b in pieces:
         if a == b:
             continue
-        if math.isinf(b):
-            if cfg.semi_infinite_strategy == "rational_map":
-                segments.append((_mapped_tail(f, a), 0.0, 1.0))
-            elif cfg.semi_infinite_strategy == "doubling":
-                edges, ne, tail = _doubling_scan(f, a, cfg)
-                extra_evals += ne
-                extra_err += tail
-                segments.extend(
-                    (f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])
-                )
-            else:
-                raise ValueError(
-                    f"unknown semi-infinite strategy {cfg.semi_infinite_strategy!r}"
-                )
-        elif not (math.isfinite(a) and math.isfinite(b)):
+        if not math.isfinite(a) or not (math.isfinite(b) or b == math.inf):
             raise ValueError("pieces must be [a, b] with finite a and b or b = inf")
-        else:
-            segments.append((f, a, b))
+        owner = slots.setdefault(id(f), len(funcs))
+        if owner == len(funcs):
+            funcs.append(f)
+        spans.append((owner, a, 0.0, 1.0) if b == math.inf else (owner, math.nan, a, b))
+    # Number the pieces of one integrand consecutively (see _evaluate).
+    spans.sort(key=lambda span: span[0])
 
-    counter = itertools.count()
-    heap: list[tuple[float, int, float, float, complex, float, Integrand]] = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    n_evals = extra_evals
-    for f, a, b in segments:
-        val, err, ne = _eval_panel(f, a, b)
-        total += val
-        total_err += err
-        n_evals += ne
-        heapq.heappush(heap, (-err, next(counter), a, b, val, err, f))
-
-    n_splits = 0
-    while heap:
+    batch = [(a, b, piece) for piece, (_, _, a, b) in enumerate(spans)]
+    # Panels that may still be bisected, as (err, value, a, b, piece).
+    pool: list[tuple[float, complex, float, float, int]] = []
+    settled_val, settled_err = 0j, 0.0
+    total, total_err, target = 0j, 0.0, cfg.abs_tol
+    n_evals = n_splits = 0
+    while batch:
+        vals, errs = _evaluate(funcs, spans, batch)
+        n_evals += 15 * len(batch)
+        for (a, b, piece), val, err in zip(batch, vals, errs):
+            if b - a > 100.0 * _EPS * max(abs(a), abs(b), 1.0):
+                pool.append((err, val, a, b, piece))
+            else:
+                # Too narrow to bisect meaningfully: counted, never refined.
+                settled_val += val
+                settled_err += err
+        total = settled_val + sum(panel[1] for panel in pool)
+        total_err = settled_err + sum(panel[0] for panel in pool)
         target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        # Splitting cannot reduce the truncation allowance, so once the
-        # refinable part is dominated by it there is nothing left to gain.
-        stop_at = max(target - extra_err, extra_err)
-        if total_err <= stop_at or n_splits >= cfg.max_subdivisions:
+        budget = cfg.max_subdivisions - n_splits
+        if total_err <= target or budget <= 0:
             break
-        _, _, a, b, val, err, f = heapq.heappop(heap)
-        if (b - a) <= 100.0 * _EPS * max(abs(a), abs(b), 1.0):
-            # Panel cannot be meaningfully refined; keep its error counted
-            # but stop revisiting it.
-            continue
-        mid = a + 0.5 * (b - a)
-        val1, err1, ne1 = _eval_panel(f, a, mid)
-        val2, err2, ne2 = _eval_panel(f, mid, b)
-        n_splits += 1
-        n_evals += ne1 + ne2
-        total += val1 + val2 - val
-        total_err += err1 + err2 - err
-        heapq.heappush(heap, (-err1, next(counter), a, mid, val1, err1, f))
-        heapq.heappush(heap, (-err2, next(counter), mid, b, val2, err2, f))
+        # Bisect the fewest worst panels whose removal would meet the target.
+        pool.sort(key=lambda panel: panel[0], reverse=True)
+        excess = total_err - target
+        count = removed = 0
+        for panel in pool[:budget]:
+            count += 1
+            removed += panel[0]
+            if removed >= excess:
+                break
+        parents, pool = sorted(pool[:count], key=lambda panel: panel[4]), pool[count:]
+        batch = []
+        for _, _, a, b, piece in parents:
+            mid = a + 0.5 * (b - a)
+            batch += [(a, mid, piece), (mid, b, piece)]
+        n_splits += count
 
-    total_err += extra_err
-    converged = total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total))
-    return QuadratureResult(complex(total), float(total_err), n_evals, converged)
+    return QuadratureResult(total, total_err, n_evals, total_err <= target)
 
 
 def integrate_finite(
@@ -341,9 +339,8 @@ def integrate_semi_infinite(
 ) -> QuadratureResult:
     """Adaptively integrate a decaying ``f`` over ``[a, inf)``.
 
-    The range is handled per ``config.semi_infinite_strategy``; integrands
-    must decay to zero (faster than 1/t**2 for the rational map to see a
-    bounded image, and fast enough for the tail cut to trigger under the
-    doubling scan).
+    The range is folded onto ``(0, 1)`` by ``t = a + s/(1 - s)`` and refined
+    in generations like any other piece; ``f`` must decay faster than
+    ``1/t**2`` for the mapped integrand to stay bounded.
     """
     return integrate_piecewise([(f, a, math.inf)], config)

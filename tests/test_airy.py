@@ -23,6 +23,7 @@ from scorerlib.airy import (
     bi_complex,
 )
 from scorerlib.airy import _ai_info, _bi_info
+from scorerlib.contour import DomainError
 
 # Reference values computed with mpmath at 35 significant digits and frozen.
 # Keys are z; rows are (Ai, Ai', Bi, Bi').
@@ -296,6 +297,15 @@ class TestRouting:
         pair, _, n_evals, err = _ai_info(5 + 0j)
         assert n_evals > 0
         assert 0.0 <= err < abs(pair.value)
+
+    @pytest.mark.parametrize(
+        "bad", [complex("nan"), complex(math.inf, 0.0), complex(1.0, -math.inf)]
+    )
+    def test_rejects_non_finite_argument(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ai_complex(bad)
+        with pytest.raises(DomainError, match="finite"):
+            bi_complex(bad)
 
 
 class TestConjugateSymmetry:

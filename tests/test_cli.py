@@ -92,6 +92,15 @@ class TestEvalCommand:
         cartesian = capsys.readouterr().out
         assert polar == cartesian
 
+    def test_negative_phase_as_separate_token(self, capsys):
+        base = ["eval", "--fn", "hi", "--r", "3", "--format", "json"]
+        assert main([*base, "--phase", "-5pi/6"]) == 0
+        separate = json.loads(capsys.readouterr().out)
+        assert main([*base, "--phase=-5pi/6"]) == 0
+        joined = json.loads(capsys.readouterr().out)
+        assert separate == joined
+        assert separate["z_im"] < 0.0
+
     def test_polar_snaps_axis_points(self, capsys):
         main(["eval", "--fn", "gi", "--r", "1", "--phase", "pi", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
@@ -121,6 +130,8 @@ class TestEvalCommand:
             ["eval", "--fn", "gi", "--r", "1", "--phase", "junk"],
             ["eval", "--fn", "nosuch", "--re", "1", "--im", "0"],
             ["eval", "--fn", "gi", "--re", "nan", "--im", "0"],
+            ["eval", "--fn", "ai", "--re", "nan", "--im", "0"],
+            ["eval", "--fn", "bi", "--re", "0", "--im", "inf"],
             ["nosuchcommand"],
             [],
         ],
@@ -177,6 +188,22 @@ class TestArcCommand:
         assert rc == 0
         assert out.startswith("phase,re_value,im_value")
         assert len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("start", [["--start", "-pi"], ["--start=-pi"]])
+    def test_negative_start_phase(self, start, capsys):
+        rc = main(["arc", "--fn", "gi", "--radius", "2", *start, "--stop", "pi",
+                   "--samples", "3"])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rc == 0
+        assert float(rows[0].split(",")[0]) == -math.pi
+        assert rows[0].split(",")[1:] == rows[-1].split(",")[1:]
+
+    def test_negative_stop_phase(self, capsys):
+        rc = main(["arc", "--fn", "hi", "--radius", "1", "--start", "0", "--stop",
+                   "-pi/2", "--samples", "2"])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rc == 0
+        assert float(rows[-1].split(",")[0]) == pytest.approx(-math.pi / 2.0, rel=1e-15)
 
     def test_rejects_single_sample(self, capsys):
         assert main(["arc", "--fn", "gi", "--radius", "1", "--samples", "1"]) == 1

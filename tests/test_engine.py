@@ -348,6 +348,15 @@ class TestAsymptotics:
         assert _rel(href - (-1.0 / (_PI * z)), -1.0 / (_PI * z)) < 1e-15
         assert _rel(gref - (1.0 / (_PI * (-z))), 1.0 / (_PI * (-z))) < 1e-15
 
+    @pytest.mark.parametrize("fn,z,sign", [(gi, 1e200 + 0j, 1.0), (hi, -1e200j, -1.0)])
+    def test_huge_argument_stays_finite(self, fn, z, sign):
+        # z**3 overflows here; the series must be built from 1/z instead.
+        res = fn(z)
+        leading = sign / (_PI * z)
+        assert cmath.isfinite(res.value)
+        assert math.isfinite(res.abs_error_estimate)
+        assert _rel(res.value - leading, leading) < 1e-15
+
     def test_three_term_truncation_error_shrinks_with_radius(self):
         # Same direction, growing radius: the truncated tail must shrink.
         direction = cmath.exp(1j * 5.0 * _PI / 6.0)

@@ -85,15 +85,6 @@ class TestClosedForms:
         assert true_err <= 10.0 * res.abs_error_estimate + 1e-13 * max(1.0, abs(exact))
         assert true_err <= 1e-11 * max(1.0, abs(exact))
 
-    @pytest.mark.parametrize(
-        "f,a,b,exact", [case for case in _CLOSED_FORMS if math.isinf(case[2])]
-    )
-    def test_doubling_strategy_agrees(self, f, a, b, exact):
-        cfg = QuadratureConfig(semi_infinite_strategy="doubling")
-        res = integrate_semi_infinite(f, a, cfg)
-        assert res.converged
-        assert abs(res.value - exact) <= 1e-11 * max(1.0, abs(exact))
-
 
 class TestLinearity:
     def test_additivity_over_subintervals(self):
@@ -142,17 +133,85 @@ class TestEvaluationCounting:
         res = integrate_semi_infinite(wrapped, 0.0)
         assert res.n_evaluations == count[0]
 
-    def test_doubling_count_exact(self):
-        wrapped, count = self._counting(lambda t: np.exp(-t))
-        cfg = QuadratureConfig(semi_infinite_strategy="doubling")
-        res = integrate_semi_infinite(wrapped, 0.0, cfg)
-        assert res.n_evaluations == count[0]
-
     def test_piecewise_count_pools_all_pieces(self):
         wrapped1, count1 = self._counting(lambda t: np.sin(t))
         wrapped2, count2 = self._counting(lambda t: np.exp(-t))
         res = integrate_piecewise([(wrapped1, 0.0, 1.0), (wrapped2, 1.0, math.inf)])
         assert res.n_evaluations == count1[0] + count2[0]
+
+
+class TestGenerationBatching:
+    """Each refinement generation calls each distinct integrand once."""
+
+    @staticmethod
+    def _recording(f):
+        calls = []
+
+        def wrapped(t):
+            calls.append(t)
+            return f(t)
+
+        return wrapped, calls
+
+    def test_integrand_receives_flat_batches(self):
+        wrapped, calls = self._recording(lambda t: np.exp(-t) * np.cos(5.0 * t))
+        res = integrate_semi_infinite(wrapped, 0.0)
+        assert res.converged
+        assert abs(res.value - 1.0 / 26.0) < 1e-13
+        assert all(t.ndim == 1 and t.size % 15 == 0 for t in calls)
+        assert sum(t.size for t in calls) == res.n_evaluations
+        panels = res.n_evaluations // 15
+        assert len(calls) * 5 < panels
+
+    def test_pieces_sharing_an_integrand_share_its_calls(self):
+        wrapped, calls = self._recording(lambda t: np.exp(-t) * np.cos(5.0 * t))
+        res = integrate_piecewise([(wrapped, 0.0, 0.7), (wrapped, 0.7, math.inf)])
+        assert res.converged
+        assert abs(res.value - 1.0 / 26.0) < 1e-13
+        assert calls[0].size == 30
+        assert sum(t.size for t in calls) == res.n_evaluations
+
+    def test_cap_inside_a_generation_spends_exactly_the_budget(self):
+        # Generation 1 bisects both pieces (2 splits); generation 2 wants
+        # more than the one split left and is cut to it.
+        wrapped, calls = self._recording(lambda t: np.cos(40.0 * t * t))
+        cfg = QuadratureConfig(rel_tol=1e-15, max_subdivisions=3)
+        res = integrate_piecewise([(wrapped, 0.0, 3.0), (wrapped, 3.0, 6.0)], cfg)
+        assert not res.converged
+        assert res.n_evaluations == 15 * (2 + 2 * 3)
+        assert [t.size for t in calls] == [30, 60, 30]
+
+    def test_nan_in_second_generation_reports_its_panel(self):
+        # A node of the left child [0, 0.5] that no first-generation node
+        # comes near: only the second generation can hit it.
+        bad = 0.25 + 0.25 * float(NODES[3])
+        assert np.min(np.abs(0.5 + 0.5 * NODES - bad)) > 1e-3
+        wrapped, calls = self._recording(
+            lambda t: np.where(np.abs(t - bad) < 1e-9, np.nan, np.cos(40.0 * t))
+        )
+        with pytest.raises(NonFiniteIntegrandError) as info:
+            integrate_finite(wrapped, 0.0, 1.0)
+        assert len(calls) == 2
+        assert 0.0 < info.value.abscissa < 0.5
+        assert abs(info.value.abscissa - bad) < 1e-9
+
+    def test_distinct_integrands_counted_per_integrand(self):
+        smooth, smooth_calls = self._recording(np.sin)
+        decaying, decaying_calls = self._recording(
+            lambda t: np.exp(-t) * np.cos(5.0 * t)
+        )
+        res = integrate_piecewise([(smooth, 0.0, 1.0), (decaying, 1.0, math.inf)])
+        assert res.converged
+        exact = (1.0 - math.cos(1.0)) + math.exp(-1.0) * (
+            math.cos(5.0) - 5.0 * math.sin(5.0)
+        ) / 26.0
+        assert abs(res.value - exact) < 1e-12
+        # One panel resolves sin on [0, 1]; only the tail is refined, and
+        # each integrand is called at most once per generation.
+        assert [t.size for t in smooth_calls] == [15]
+        assert decaying_calls[0].size == 15
+        assert len(decaying_calls) > 2
+        assert 15 + sum(t.size for t in decaying_calls) == res.n_evaluations
 
 
 class TestPiecewise:
@@ -182,11 +241,6 @@ class TestPiecewise:
         with pytest.raises(ValueError):
             integrate_piecewise([(np.sin, -math.inf, 0.0)])
 
-    def test_rejects_unknown_strategy(self):
-        cfg = QuadratureConfig(semi_infinite_strategy="magic")
-        with pytest.raises(ValueError, match="magic"):
-            integrate_semi_infinite(np.exp, 0.0, cfg)
-
 
 class TestFailureModes:
     def test_non_finite_integrand_reports_abscissa(self):
@@ -204,36 +258,6 @@ class TestFailureModes:
         res = integrate_finite(lambda t: np.cos(40.0 * t * t), 0.0, 6.0, cfg)
         assert not res.converged
         assert res.abs_error_estimate > 1e-15 * abs(res.value)
-
-    def test_doubling_rejects_non_decaying_integrand(self):
-        cfg = QuadratureConfig(semi_infinite_strategy="doubling")
-        with pytest.raises(ValueError, match="decay"):
-            integrate_semi_infinite(lambda t: 1.0 / (1.0 + t), 0.0, cfg)
-
-    def test_tail_cut_ratio_controls_truncation(self):
-        # A looser cut must come with a matching looser tolerance; then it
-        # truncates sooner and spends fewer evaluations.
-        loose = QuadratureConfig(
-            semi_infinite_strategy="doubling", tail_cut_ratio=1e-6, rel_tol=1e-5
-        )
-        tight = QuadratureConfig(semi_infinite_strategy="doubling", tail_cut_ratio=1e-18)
-        f = lambda t: np.exp(-t)  # noqa: E731
-        res_loose = integrate_semi_infinite(f, 0.0, loose)
-        res_tight = integrate_semi_infinite(f, 0.0, tight)
-        assert res_loose.converged
-        assert res_loose.n_evaluations < res_tight.n_evaluations
-        assert abs(res_loose.value - 1.0) < 1e-5
-        assert abs(res_tight.value - 1.0) < 1e-12
-
-    def test_truncation_allowance_limits_refinement(self):
-        # The discarded tail dominates the budget here: the scan allowance is
-        # ~1e-7 while the relative target asks for 1e-12, so refinement must
-        # stop early instead of burning the subdivision budget.
-        cfg = QuadratureConfig(semi_infinite_strategy="doubling", tail_cut_ratio=1e-6)
-        res = integrate_semi_infinite(lambda t: np.exp(-t), 0.0, cfg)
-        assert not res.converged
-        assert res.n_evaluations < 1000
-        assert abs(res.value - 1.0) <= 10.0 * res.abs_error_estimate
 
 
 class TestOscillatoryAccuracy:
