@@ -19,9 +19,7 @@ from .airy import (
     AIP_ZERO,
     BI_ZERO,
     BIP_ZERO,
-    AiryPair,
     ai_complex,
-    airy_rotated,
     bi_complex,
 )
 from .contour import DomainError
@@ -33,8 +31,6 @@ from .engine import (
     EngineConfig,
     ScorerEngine,
     ScorerResult,
-    SectorLabel,
-    classify_sector,
     gi,
     gi_asymptotic,
     gi_from_hi_rotations,
@@ -66,7 +62,6 @@ __all__ = [
     "AIP_ZERO",
     "BI_ZERO",
     "BIP_ZERO",
-    "AiryPair",
     "DomainError",
     "EngineConfig",
     "GI_AT_ZERO",
@@ -78,12 +73,9 @@ __all__ = [
     "QuadratureResult",
     "ScorerEngine",
     "ScorerResult",
-    "SectorLabel",
     "__version__",
     "ai_complex",
-    "airy_rotated",
     "bi_complex",
-    "classify_sector",
     "gi",
     "gi_asymptotic",
     "gi_from_hi_rotations",

@@ -5,7 +5,9 @@ Gaussian-damped integral representation in a middle annulus around the
 principal sector, the exponential large-argument expansions outside, and a
 one-step three-solution rotation identity that connects the principal sector
 to the rest of the plane.  The lower half-plane is served by conjugation,
-which also makes conjugate symmetry exact in floating point.
+which also makes conjugate symmetry exact in floating point.  Every
+evaluation returns a :class:`~scorerlib.contour.ScorerResult` that carries
+the derivative alongside the value.
 
 The series/integral seam sits at ``SERIES_RADIUS``; pushing the series much
 further loses digits to cancellation on and near the positive real axis,
@@ -16,15 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .contour import require_finite
+from .contour import ScorerResult, require_finite
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 
 __all__ = [
-    "AiryPair",
     "AI_ZERO",
     "AIP_ZERO",
     "BI_ZERO",
@@ -34,7 +33,6 @@ __all__ = [
     "ai_complex",
     "ai_maclaurin",
     "ai_asymptotic",
-    "airy_rotated",
     "bi_complex",
 ]
 
@@ -59,17 +57,6 @@ _ROT_MINUS = cmath.exp(-2j * math.pi / 3)
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 _GAP_QUAD = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=200)
-
-
-@dataclass(frozen=True)
-class AiryPair:
-    """An Airy function value together with its first derivative."""
-
-    value: complex
-    derivative: complex
-
-    def conjugate(self) -> "AiryPair":
-        return AiryPair(self.value.conjugate(), self.derivative.conjugate())
 
 
 def _maclaurin_fg(z: complex) -> tuple[complex, complex, complex, complex, float, int]:
@@ -107,18 +94,24 @@ def _maclaurin_fg(z: complex) -> tuple[complex, complex, complex, complex, float
     return f, g, fp, gp, term_abs, k + 1
 
 
-def ai_maclaurin(z: complex) -> AiryPair:
+def ai_maclaurin(z: complex) -> ScorerResult:
     """Ai and Ai' from the Maclaurin series.
 
     Accurate to roughly ``eps * exp((4/3)|z|**1.5)`` relative near the
     positive real axis, so intended for ``|z| <= SERIES_RADIUS``; converges
     (slowly, with cancellation) for any argument.
     """
-    f, g, fp, gp, _, _ = _maclaurin_fg(z)
-    return AiryPair(AI_ZERO * f + AIP_ZERO * g, AI_ZERO * fp + AIP_ZERO * gp)
+    f, g, fp, gp, term_abs, _ = _maclaurin_fg(z)
+    return ScorerResult(
+        AI_ZERO * f + AIP_ZERO * g,
+        "series",
+        4.0 * _EPS * term_abs * max(AI_ZERO, -AIP_ZERO),
+        0,
+        derivative=AI_ZERO * fp + AIP_ZERO * gp,
+    )
 
 
-def ai_asymptotic(z: complex, max_terms: int = 25) -> AiryPair:
+def ai_asymptotic(z: complex, max_terms: int = 25) -> ScorerResult:
     """Ai and Ai' from the large-argument exponential expansion.
 
     Terms are added until they stop decreasing or fall below roundoff, so
@@ -147,10 +140,12 @@ def ai_asymptotic(z: complex, max_terms: int = 25) -> AiryPair:
             break
     root4 = cmath.sqrt(cmath.sqrt(z))
     pref = cmath.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    return AiryPair(pref * s_val / root4, -pref * root4 * s_der)
+    value = pref * s_val / root4
+    err = _EPS * ((2.0 / 3.0) * abs(z) ** 1.5 + 4.0) * abs(value)
+    return ScorerResult(value, "asymptotic", err, 0, derivative=-pref * root4 * s_der)
 
 
-def _ai_gap(z: complex) -> tuple[AiryPair, int, float]:
+def _ai_gap(z: complex) -> ScorerResult:
     """Ai and Ai' from the damped integral representation.
 
     Valid on ``|ph z| <= 2*pi/3``; used in the annulus between the series
@@ -175,83 +170,92 @@ def _ai_gap(z: complex) -> tuple[AiryPair, int, float]:
         + r2.abs_error_estimate / (2.0 * abs(w))
         + _EPS * abs(zeta) * abs(r0.value)
     )
-    return AiryPair(value, deriv), r0.n_evaluations + r2.n_evaluations, err
+    return ScorerResult(
+        value,
+        "integral",
+        err,
+        r0.n_evaluations + r2.n_evaluations,
+        r0.converged and r2.converged,
+        deriv,
+    )
 
 
-def _ai_info(z: complex) -> tuple[AiryPair, str, int, float]:
-    """Dispatch Ai; returns (pair, method, integrand evaluations, error estimate)."""
+def _combined(
+    method: str,
+    value: complex,
+    deriv: complex,
+    a: ScorerResult,
+    b: ScorerResult,
+    rounding: float,
+) -> ScorerResult:
+    """A result built from two Ai results, inheriting their cost and status."""
+    return ScorerResult(
+        value,
+        method,
+        a.abs_error_estimate + b.abs_error_estimate + rounding,
+        a.n_evaluations + b.n_evaluations,
+        a.converged and b.converged,
+        deriv,
+    )
+
+
+def _ai_info(z: complex) -> ScorerResult:
+    """Dispatch Ai by region."""
     z = require_finite(z)
     if z.imag < 0.0:
-        pair, method, n_evals, err = _ai_info(z.conjugate())
-        return pair.conjugate(), method, n_evals, err
+        return _ai_info(z.conjugate()).conjugate()
     r = abs(z)
     if r <= SERIES_RADIUS:
-        f, g, fp, gp, term_abs, _ = _maclaurin_fg(z)
-        pair = AiryPair(AI_ZERO * f + AIP_ZERO * g, AI_ZERO * fp + AIP_ZERO * gp)
-        return pair, "series", 0, 4.0 * _EPS * term_abs * max(AI_ZERO, -AIP_ZERO)
+        return ai_maclaurin(z)
     if cmath.phase(z) > _TWO_THIRDS_PI + 1e-15:
         # One rotation lands both arguments inside the principal sector.
-        a_plus, _, n1, e1 = _ai_info(z * _ROT_PLUS)
-        a_minus, _, n2, e2 = _ai_info(z * _ROT_MINUS)
+        a_plus = _ai_info(z * _ROT_PLUS)
+        a_minus = _ai_info(z * _ROT_MINUS)
         value = -_ROT_MINUS * a_minus.value - _ROT_PLUS * a_plus.value
         deriv = -_ROT_PLUS * a_minus.derivative - _ROT_MINUS * a_plus.derivative
-        return AiryPair(value, deriv), "rotation", n1 + n2, e1 + e2 + _EPS * (abs(value))
+        return _combined("rotation", value, deriv, a_plus, a_minus, _EPS * abs(value))
     if r >= ASYMPTOTIC_RADIUS:
-        pair = ai_asymptotic(z)
-        zeta = (2.0 / 3.0) * r ** 1.5
-        return pair, "asymptotic", 0, _EPS * (zeta + 4.0) * abs(pair.value)
-    pair, n_evals, err = _ai_gap(z)
-    return pair, "integral", n_evals, err
+        return ai_asymptotic(z)
+    return _ai_gap(z)
 
 
-def ai_complex(z: complex) -> AiryPair:
-    """Ai(z) and Ai'(z) anywhere in the complex plane.
+def ai_complex(z: complex) -> ScorerResult:
+    """Ai(z), with Ai'(z) as ``derivative``, anywhere in the complex plane.
 
     Raises :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``.
     """
-    return _ai_info(z)[0]
+    return _ai_info(z)
 
 
-def airy_rotated(z: complex, j: int) -> AiryPair:
-    """The rotated solution Ai(z * exp(-2*pi*i*j/3)) with its derivative.
-
-    ``j`` must be -1, 0, or 1.  The derivative returned is with respect to
-    the rotated argument, not z.
-    """
-    if j == 0:
-        return ai_complex(z)
-    if j == 1:
-        return ai_complex(z * _ROT_MINUS)
-    if j == -1:
-        return ai_complex(z * _ROT_PLUS)
-    raise ValueError("rotation index must be -1, 0, or 1")
-
-
-def _bi_info(z: complex) -> tuple[AiryPair, str, int, float]:
-    """Dispatch Bi; returns (pair, method, integrand evaluations, error estimate)."""
+def _bi_info(z: complex) -> ScorerResult:
+    """Dispatch Bi by region."""
     z = require_finite(z)
     if z.imag < 0.0:
-        pair, method, n_evals, err = _bi_info(z.conjugate())
-        return pair.conjugate(), method, n_evals, err
+        return _bi_info(z.conjugate()).conjugate()
     if abs(z) <= SERIES_RADIUS:
         f, g, fp, gp, term_abs, _ = _maclaurin_fg(z)
-        pair = AiryPair(BI_ZERO * f + BIP_ZERO * g, BI_ZERO * fp + BIP_ZERO * gp)
-        return pair, "series", 0, 4.0 * _EPS * term_abs * BI_ZERO
+        return ScorerResult(
+            BI_ZERO * f + BIP_ZERO * g,
+            "series",
+            4.0 * _EPS * term_abs * BI_ZERO,
+            0,
+            derivative=BI_ZERO * fp + BIP_ZERO * gp,
+        )
     # Two rotated Ai values in the principal sector; no cancellation occurs
     # because the two terms carry conjugate-direction exponentials.
-    a_plus, _, n1, e1 = _ai_info(z * _ROT_PLUS)
-    a_minus, _, n2, e2 = _ai_info(z * _ROT_MINUS)
+    a_plus = _ai_info(z * _ROT_PLUS)
+    a_minus = _ai_info(z * _ROT_MINUS)
     rot1 = cmath.exp(1j * math.pi / 6)
     rot5 = cmath.exp(5j * math.pi / 6)
     value = rot1 * a_plus.value + rot1.conjugate() * a_minus.value
     deriv = rot5 * a_plus.derivative + rot5.conjugate() * a_minus.derivative
-    err = e1 + e2 + 2.0 * _EPS * (abs(a_plus.value) + abs(a_minus.value))
-    return AiryPair(value, deriv), "rotation_pair", n1 + n2, err
+    rounding = 2.0 * _EPS * (abs(a_plus.value) + abs(a_minus.value))
+    return _combined("rotation_pair", value, deriv, a_plus, a_minus, rounding)
 
 
-def bi_complex(z: complex) -> AiryPair:
-    """Bi(z) and Bi'(z) anywhere in the complex plane.
+def bi_complex(z: complex) -> ScorerResult:
+    """Bi(z), with Bi'(z) as ``derivative``, anywhere in the complex plane.
 
     Raises :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``.
     """
-    return _bi_info(z)[0]
+    return _bi_info(z)

@@ -136,19 +136,20 @@ def parse_phase(text: str) -> float:
     return coef * math.pi / denom
 
 
-#: Options whose value is a phase; a negative one may follow as its own token.
-_PHASE_OPTIONS = ("--phase", "--start", "--stop")
+#: Options whose value may be negative and may follow as its own token.
+_SIGNED_OPTIONS = ("--phase", "--start", "--stop", "--re", "--im")
 
 
-def _attach_negative_phases(argv: list[str]) -> list[str]:
-    """Rewrite ``--start -pi`` as ``--start=-pi``.
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--start -pi`` as ``--start=-pi`` and ``--re -1e3`` as
+    ``--re=-1e3``.
 
-    argparse reads a separate token such as ``-pi`` or ``-5pi/6`` as an
-    unknown option rather than as the value of the preceding option.
+    argparse reads a separate token such as ``-pi``, ``-5pi/6`` or ``-1e3``
+    as an unknown option rather than as the value of the preceding option.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _PHASE_OPTIONS and token.startswith("-"):
+        if out and out[-1] in _SIGNED_OPTIONS and token.startswith("-"):
             try:
                 parse_phase(token)
             except ValueError:
@@ -179,11 +180,9 @@ def _evaluate(function: str, z: complex) -> _engine.ScorerResult:
     if function == "hi":
         return _engine.hi(z)
     if function == "ai":
-        pair, method, n_evals, err = _airy._ai_info(complex(z))
-        return _engine.ScorerResult(pair.value, method, err, n_evals)
+        return _airy._ai_info(z)
     if function == "bi":
-        pair, method, n_evals, err = _airy._bi_info(complex(z))
-        return _engine.ScorerResult(pair.value, method, err, n_evals)
+        return _airy._bi_info(z)
     raise ValueError(f"unknown function {function!r}")
 
 
@@ -559,13 +558,12 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 def _hi_by_quadrature(z: complex) -> _engine.ScorerResult:
     """Hi by contour quadrature regardless of engine shortcuts, mirroring
-    the golden table's cost profile."""
-    phase = abs(math.atan2(z.imag, z.real))
-    if phase >= 2.0 * math.pi / 3.0 - 1e-12:
-        return _engine.hi_integral_principal(z)
-    if z.imag * z.imag >= 3.0 * z.real * z.real:
-        return _engine.hi_integral_upper(z)
-    return _engine.hi(z)
+    the golden table's cost profile: the contour route of a rotated Hi arm
+    in the route table, or the engine's own route where there is none."""
+    route = _engine._phase_route(z, "arm")
+    if route is None:
+        return _engine.hi(z)
+    return _engine._REPRESENTATIONS[route](z, None)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -628,7 +626,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(
-            _attach_negative_phases(sys.argv[1:] if argv is None else list(argv))
+            _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
         )
     except SystemExit as exc:
         code = exc.code
@@ -641,6 +639,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"scorerlib: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"scorerlib: overflow: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

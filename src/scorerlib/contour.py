@@ -12,11 +12,14 @@ All path functions are vectorized over the parameter and raise
 :class:`DomainError` naming the violated precondition when called outside
 their sector of validity.  Only the closed upper half-plane appears here;
 callers handle ``y < 0`` by conjugation.
+
+As the lowest module of the package it also holds what every layer shares:
+the :class:`ScorerResult` type, :class:`DomainError`, :func:`require_finite`
+and the ray tolerance :data:`RAY_TOL`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,6 +29,8 @@ __all__ = [
     "DomainError",
     "HiPathSpec",
     "PhaseParts",
+    "RAY_TOL",
+    "ScorerResult",
     "gi_jacobian_u",
     "gi_path_v_of_u",
     "gi_phase_parts",
@@ -36,12 +41,15 @@ __all__ = [
     "hi_path_u_of_v",
     "hi_path_v_of_u",
     "hi_phase_parts",
-    "hi_saddle",
     "require_finite",
     "stokes_path",
 ]
 
 _SQRT3 = math.sqrt(3.0)
+
+#: Phase distance (radians) within which ``z`` counts as lying on the Stokes
+#: ray ``2*pi/3`` or on the negative real axis.
+RAY_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -54,6 +62,54 @@ def require_finite(z: complex) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("evaluation requires finite z")
     return z
+
+
+@dataclass(frozen=True)
+class ScorerResult:
+    """A function value together with how it was obtained.
+
+    Attributes
+    ----------
+    value : complex
+        The computed function value.
+    method : str
+        Route tag.  Gi and Hi: ``series``, ``asymptotic``, ``hi_path_u``,
+        ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``, ``gi_real_axis``,
+        ``hi_rotation``, ``gi_rotation_pair``, ``bi_identity``, or
+        ``conjugate``.  Ai and Bi: ``series``, ``integral``, ``asymptotic``,
+        ``rotation``, or ``rotation_pair``.
+    abs_error_estimate : float
+        Estimated absolute error (quadrature estimates plus rounding terms).
+    n_evaluations : int
+        Exact count of quadrature integrand evaluations aggregated over
+        every integral that contributed, including Airy integrals.
+    converged : bool
+        False when some contributing quadrature missed its tolerance.
+    derivative : complex or None
+        The first derivative where the route computes one (Ai and Bi),
+        else None.
+    """
+
+    value: complex
+    method: str
+    abs_error_estimate: float
+    n_evaluations: int
+    converged: bool = True
+    derivative: complex | None = None
+
+    def conjugate(self, method: str | None = None) -> ScorerResult:
+        """The result at the conjugate argument: value and derivative
+        conjugated, every other field kept, the route tag too unless
+        ``method`` replaces it."""
+        d = self.derivative
+        return ScorerResult(
+            self.value.conjugate(),
+            self.method if method is None else method,
+            self.abs_error_estimate,
+            self.n_evaluations,
+            self.converged,
+            None if d is None else d.conjugate(),
+        )
 
 
 @dataclass(frozen=True)
@@ -185,11 +241,6 @@ def hi_path_u_of_v(v, x: float, y: float, branch: str = "near"):
     raise ValueError("branch must be 'near' or 'far'")
 
 
-def hi_saddle(z: complex) -> complex:
-    """Stationary point ``t = sqrt(z)`` of the growing-kernel exponent."""
-    return cmath.sqrt(z)
-
-
 def stokes_path(u, x: float):
     """Descent contour on the Stokes ray (phase of z exactly 2*pi/3).
 
@@ -255,27 +306,24 @@ class HiPathSpec:
         exactly 2*pi/3), or ``"interior"`` (strictly between).
     x, y : float
         Components of ``z`` after any conjugation by the caller.
-    corner_u : float or None
-        For ``"stokes"``: the parameter of the saddle corner, else None.
     """
 
     kind: str
     x: float
     y: float
-    corner_u: float | None = None
 
 
-def hi_path_spec(z: complex, phase_tol: float = 1e-12) -> HiPathSpec:
+def hi_path_spec(z: complex) -> HiPathSpec:
     """Classify ``z`` for the principal growing-kernel contour.
 
-    Requires the phase of ``z`` in ``[2*pi/3, pi]`` up to ``phase_tol``.
+    Requires the phase of ``z`` in ``[2*pi/3, pi]`` up to :data:`RAY_TOL`.
     """
     x, y = z.real, abs(z.imag)
     ph = math.atan2(y, x)
-    if ph < 2.0 * math.pi / 3.0 - phase_tol or abs(z) == 0.0:
+    if ph < 2.0 * math.pi / 3.0 - RAY_TOL or abs(z) == 0.0:
         raise DomainError("hi_path_spec requires the phase of z in [2*pi/3, pi]")
-    if ph <= 2.0 * math.pi / 3.0 + phase_tol:
-        return HiPathSpec("stokes", x, y, corner_u=math.sqrt(-x / 2.0))
-    if y <= abs(x) * phase_tol:
+    if ph <= 2.0 * math.pi / 3.0 + RAY_TOL:
+        return HiPathSpec("stokes", x, y)
+    if y <= abs(x) * RAY_TOL:
         return HiPathSpec("real_axis", x, 0.0)
     return HiPathSpec("interior", x, y)

@@ -14,12 +14,16 @@ a representation that is stable in its sector:
   is integrated along its descent contour for phases in ``[2pi/3, pi]``, the
   oscillatory kernel ``exp(i(zt + t**3/3))`` along its contour for phases in
   ``[0, 2pi/3)`` (plus an Airy term);
-* one-step rotation connections and the relation ``Gi = Bi - Hi`` cover the
+* one-step rotation connections and the relation ``Gi + Hi = Bi`` cover the
   remaining sectors without cancellation;
 * conjugation serves the lower half-plane exactly.
 
-Every result reports the route taken, an error estimate, and the exact
-number of integrand evaluations spent.
+One route table (``_PHASE_ROWS``, after the series and asymptotic gates)
+makes every routing decision: for ``gi``, ``hi`` and ``gi_hi_pair``, for
+the Hi values inside the rotation formulas, and for the CLI's quadrature
+benchmark.  Every result reports the route taken, an error estimate, the
+exact number of integrand evaluations spent, and whether every contributing
+quadrature converged.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from . import airy as _airy
 from . import contour as _contour
+from .contour import RAY_TOL, ScorerResult
 from .quadrature import QuadratureConfig, integrate_piecewise
 
 __all__ = [
@@ -46,8 +50,6 @@ __all__ = [
     "STOKES_BAND",
     "ScorerEngine",
     "ScorerResult",
-    "SectorLabel",
-    "classify_sector",
     "gi",
     "gi_asymptotic",
     "gi_from_hi_rotations",
@@ -89,47 +91,6 @@ NEAR_AXIS_PHASE = 0.05
 STOKES_BAND = 0.05
 
 
-class SectorLabel(Enum):
-    """Phase sectors that select the evaluation route."""
-
-    ORIGIN = "origin"
-    PRINCIPAL = "principal"
-    UPPER_MIDDLE = "upper_middle"
-    STOKES_UPPER = "stokes_upper"
-    UPPER_LEFT = "upper_left"
-    NEGATIVE_AXIS = "negative_axis"
-    LOWER_MIDDLE = "lower_middle"
-    STOKES_LOWER = "stokes_lower"
-    LOWER_LEFT = "lower_left"
-
-
-def classify_sector(z: complex, phase_tol: float = 1e-12) -> SectorLabel:
-    """Assign ``z`` to the sector that owns it.
-
-    Boundary ownership is deterministic: the origin wins over everything;
-    the negative real axis and the rays at phase ``+-2*pi/3`` own a band of
-    ``phase_tol`` radians; the rays at exactly ``+-pi/3`` belong to the
-    middle sectors, not the principal one.
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise _contour.DomainError("classify_sector requires finite z")
-    if z == 0:
-        return SectorLabel.ORIGIN
-    ph = cmath.phase(z)
-    if abs(ph) >= _PI - phase_tol:
-        return SectorLabel.NEGATIVE_AXIS
-    if abs(ph - _TWO_THIRDS_PI) <= phase_tol:
-        return SectorLabel.STOKES_UPPER
-    if abs(ph + _TWO_THIRDS_PI) <= phase_tol:
-        return SectorLabel.STOKES_LOWER
-    if abs(ph) < _PI / 3.0:
-        return SectorLabel.PRINCIPAL
-    if ph > 0:
-        return SectorLabel.UPPER_MIDDLE if ph < _TWO_THIRDS_PI else SectorLabel.UPPER_LEFT
-    return SectorLabel.LOWER_MIDDLE if ph > -_TWO_THIRDS_PI else SectorLabel.LOWER_LEFT
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Tunable thresholds of the evaluation engine.
@@ -162,44 +123,6 @@ class EngineConfig:
 _DEFAULT_CONFIG = EngineConfig()
 
 
-@dataclass(frozen=True)
-class ScorerResult:
-    """A function value together with how it was obtained.
-
-    Attributes
-    ----------
-    value : complex
-        The computed function value.
-    method : str
-        Route tag: ``series``, ``asymptotic``, ``hi_path_u``, ``hi_path_v``,
-        ``hi_path_upper``, ``gi_path_u``, ``gi_real_axis``, ``hi_rotation``,
-        ``gi_rotation_pair``, ``bi_identity``, or ``conjugate``.
-    abs_error_estimate : float
-        Estimated absolute error (quadrature estimates plus rounding terms).
-    n_evaluations : int
-        Exact count of quadrature integrand evaluations aggregated over
-        every integral that contributed, including Airy integrals.
-    converged : bool
-        False when some contributing quadrature missed its tolerance.
-    """
-
-    value: complex
-    method: str
-    abs_error_estimate: float
-    n_evaluations: int
-    converged: bool = True
-
-
-def _conjugated(result: ScorerResult) -> ScorerResult:
-    return ScorerResult(
-        result.value.conjugate(),
-        "conjugate",
-        result.abs_error_estimate,
-        result.n_evaluations,
-        result.converged,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Series representation
 
@@ -229,39 +152,6 @@ def _series_scorer(z: complex, c0: float, c1: float, c2: float) -> tuple[complex
     return total, 4.0 * _EPS * term_abs
 
 
-def _series_scorer_derivatives(
-    z: complex, c0: float, c1: float, c2: float
-) -> tuple[complex, complex, complex]:
-    """Value, first, and second derivative by term-wise differentiated sums.
-
-    Each derivative is summed independently, so the identity
-    ``w'' - z w = 2 c2`` holds only up to rounding; test code uses this to
-    probe the differential equation without circular arithmetic.
-    """
-    if z == 0:
-        return complex(c0), complex(c1), complex(2.0 * c2)
-    p = complex(c0)
-    q = c1 * z
-    t = c2 * z * z
-    w = p + q + t
-    w1 = (q + 2.0 * t) / z
-    w2 = 2.0 * t / (z * z)
-    z3 = z * z * z
-    for m in range(1, 400):
-        p *= z3 / ((3 * m) * (3 * m - 1))
-        q *= z3 / ((3 * m + 1) * (3 * m))
-        t *= z3 / ((3 * m + 2) * (3 * m + 1))
-        kp, kq, kt = 3 * m, 3 * m + 1, 3 * m + 2
-        w += p + q + t
-        w1 += (kp * p + kq * q + kt * t) / z
-        w2 += (kp * (kp - 1) * p + kq * (kq - 1) * q + kt * (kt - 1) * t) / (z * z)
-        # The second-derivative terms carry an extra k**2 / |z|**2 factor.
-        step = (abs(p) + abs(q) + abs(t)) * kt * kt / abs(z * z)
-        if step <= 0.25 * _EPS * (abs(w2) + 1e-300) and m >= 2:
-            break
-    return w, w1, w2
-
-
 def _check_series_radius(z: complex, config: EngineConfig | None) -> EngineConfig:
     cfg = config or _DEFAULT_CONFIG
     if abs(z) > cfg.series_radius:
@@ -287,19 +177,6 @@ def hi_series(z: complex, config: EngineConfig | None = None) -> ScorerResult:
 
 # ---------------------------------------------------------------------------
 # Large-argument expansions
-
-
-def _bracket_terms(r: float, max_terms: int) -> list[float]:
-    """Magnitudes of the corrections ``b_s r**(-3(s+1))``, ``b_0 = 2``,
-    ``b_{s+1} = b_s (3s+4)(3s+5)``."""
-    out = []
-    coeff = 2.0
-    power = r**-3
-    for s in range(max_terms):
-        out.append(coeff * power)
-        coeff *= (3 * s + 4) * (3 * s + 5)
-        power *= r**-3
-    return out
 
 
 def _asymptotic_core(
@@ -382,13 +259,20 @@ def _asymptotic_eligible(z: complex, kind: str, cfg: EngineConfig) -> bool:
         exponent = -(2.0 / 3.0) * r**1.5 * math.cos(1.5 * theta)
     if _SQRT_PI * r**0.75 * math.exp(exponent) > tol:
         return False
-    return min(_bracket_terms(r, cfg.asymptotic_max_terms)) <= tol
+    # Some correction b_s r**(-3(s+1)), b_0 = 2, b_{s+1} = b_s (3s+4)(3s+5),
+    # must fall below the target.
+    coeff = 2.0
+    power = r**-3
+    for s in range(cfg.asymptotic_max_terms):
+        if coeff * power <= tol:
+            return True
+        coeff *= (3 * s + 4) * (3 * s + 5)
+        power *= r**-3
+    return False
 
 
 # ---------------------------------------------------------------------------
-# Contour-integral representations.  All take any z and conjugate into the
-# upper half-plane internally (the defining integrals are conjugate
-# symmetric), so the geometry only ever sees y >= 0.
+# Contour-integral representations
 
 
 def _masked_exp(decay: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -512,7 +396,7 @@ def hi_integral_upper(z: complex, config: EngineConfig | None = None) -> ScorerR
     """
     cfg = config or _DEFAULT_CONFIG
     x, y = z.real, abs(z.imag)
-    if y * y < 3.0 * x * x:
+    if math.atan2(y, x) < _PI / 3.0:
         raise _contour.DomainError(
             "hi_integral_upper requires |phase(z)| between pi/3 and 2*pi/3"
         )
@@ -533,13 +417,17 @@ def hi_integral_upper(z: complex, config: EngineConfig | None = None) -> ScorerR
     else:
         pieces = [(f, 0.0, math.inf)]
     qr = integrate_piecewise(pieces, cfg.quad)
-    apair, _, n_airy, airy_err = _airy._ai_info(z_up * _ROT_DOWN)
-    value = qr.value / _PI + 2.0 * cmath.exp(-1j * _PI / 6.0) * apair.value
+    ai = _airy._ai_info(z_up * _ROT_DOWN)
+    value = qr.value / _PI + 2.0 * cmath.exp(-1j * _PI / 6.0) * ai.value
     if z.imag < 0:
         value = value.conjugate()
-    err = qr.abs_error_estimate / _PI + 2.0 * airy_err + 2.0 * _EPS * abs(value)
+    err = qr.abs_error_estimate / _PI + 2.0 * ai.abs_error_estimate + 2.0 * _EPS * abs(value)
     return ScorerResult(
-        value, "hi_path_upper", err, qr.n_evaluations + n_airy, qr.converged
+        value,
+        "hi_path_upper",
+        err,
+        qr.n_evaluations + ai.n_evaluations,
+        qr.converged and ai.converged,
     )
 
 
@@ -567,12 +455,18 @@ def gi_integral(z: complex, config: EngineConfig | None = None) -> ScorerResult:
         return _masked_exp(parts.decay, g)
 
     qr = integrate_piecewise([(f, 0.0, math.inf)], cfg.quad)
-    apair, _, n_airy, airy_err = _airy._ai_info(z_up)
-    value = qr.value / (1j * _PI) + 1j * apair.value
+    ai = _airy._ai_info(z_up)
+    value = qr.value / (1j * _PI) + 1j * ai.value
     if z.imag < 0:
         value = value.conjugate()
-    err = qr.abs_error_estimate / _PI + airy_err + 2.0 * _EPS * abs(value)
-    return ScorerResult(value, "gi_path_u", err, qr.n_evaluations + n_airy, qr.converged)
+    err = qr.abs_error_estimate / _PI + ai.abs_error_estimate + 2.0 * _EPS * abs(value)
+    return ScorerResult(
+        value,
+        "gi_path_u",
+        err,
+        qr.n_evaluations + ai.n_evaluations,
+        qr.converged and ai.converged,
+    )
 
 
 def gi_real_positive(x: float, config: EngineConfig | None = None) -> ScorerResult:
@@ -600,132 +494,7 @@ def gi_real_positive(x: float, config: EngineConfig | None = None) -> ScorerResu
 
 
 # ---------------------------------------------------------------------------
-# Engine
-
-
-class ScorerEngine:
-    """Dispatches Gi/Hi evaluations to sector-appropriate representations.
-
-    Parameters
-    ----------
-    config : EngineConfig, optional
-        Thresholds and quadrature settings; defaults target about ten
-        significant digits.
-    """
-
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config or _DEFAULT_CONFIG
-
-    # -- public API ---------------------------------------------------------
-
-    def hi(self, z: complex) -> ScorerResult:
-        """Evaluate Hi(z)."""
-        z = _contour.require_finite(z)
-        if z.imag < 0:
-            return _conjugated(self._hi_upper(z.conjugate()))
-        return self._hi_upper(z)
-
-    def gi(self, z: complex) -> ScorerResult:
-        """Evaluate Gi(z)."""
-        z = _contour.require_finite(z)
-        if z.imag < 0:
-            return _conjugated(self._gi_upper(z.conjugate()))
-        return self._gi_upper(z)
-
-    def gi_hi_pair(self, z: complex) -> tuple[ScorerResult, ScorerResult]:
-        """Evaluate Gi(z) and Hi(z) together, sharing the expensive parts.
-
-        In sectors where one function is obtained from the other through
-        ``Gi + Hi = Bi``, the pair costs one primary evaluation plus one Bi
-        evaluation instead of two of each.
-        """
-        z = _contour.require_finite(z)
-        if z.imag < 0:
-            g, h = self.gi_hi_pair(z.conjugate())
-            return _conjugated(g), _conjugated(h)
-        cfg = self.config
-        if abs(z) <= cfg.series_radius:
-            return gi_series(z, cfg), hi_series(z, cfg)
-        ph = cmath.phase(z)
-        if ph >= _TWO_THIRDS_PI - STOKES_BAND:
-            h = self._hi_upper(z)
-            g = self._identity_complement(z, h)
-            return g, h
-        if ph <= _PI / 3.0:
-            g = self._gi_upper(z)
-            h = self._identity_complement(z, g)
-            return g, h
-        return self._gi_upper(z), self._hi_upper(z)
-
-    # -- internal dispatch (arguments are in the closed upper half-plane) ----
-
-    def _identity_complement(self, z: complex, other: ScorerResult) -> ScorerResult:
-        bpair, _, n_bi, bi_err = _airy._bi_info(z)
-        value = bpair.value - other.value
-        err = bi_err + other.abs_error_estimate + 2.0 * _EPS * (
-            abs(bpair.value) + abs(value)
-        )
-        return ScorerResult(
-            value,
-            "bi_identity",
-            err,
-            n_bi + other.n_evaluations,
-            other.converged,
-        )
-
-    def _hi_upper(self, z: complex) -> ScorerResult:
-        cfg = self.config
-        if abs(z) <= cfg.series_radius:
-            return hi_series(z, cfg)
-        if _asymptotic_eligible(z, "hi", cfg):
-            return hi_asymptotic(z, None, cfg)
-        label = classify_sector(z)
-        if label in (
-            SectorLabel.STOKES_UPPER,
-            SectorLabel.UPPER_LEFT,
-            SectorLabel.NEGATIVE_AXIS,
-        ):
-            return hi_integral_principal(z, cfg)
-        if label is SectorLabel.UPPER_MIDDLE:
-            return hi_connection(z, "upper", cfg)
-        # Principal sector: Hi is the dominant part of Bi there, so the
-        # complement loses nothing to cancellation.
-        return self._identity_complement(z, self._gi_upper(z))
-
-    def _gi_upper(self, z: complex) -> ScorerResult:
-        cfg = self.config
-        if abs(z) <= cfg.series_radius:
-            return gi_series(z, cfg)
-        if _asymptotic_eligible(z, "gi", cfg):
-            return gi_asymptotic(z, None, cfg)
-        ph = cmath.phase(z)
-        if ph == 0.0:
-            return gi_real_positive(z.real, cfg)
-        if ph < NEAR_AXIS_PHASE:
-            return gi_from_hi_rotations(z, cfg)
-        if ph < _TWO_THIRDS_PI - STOKES_BAND:
-            return gi_integral(z, cfg)
-        # Near and beyond the 2*pi/3 ray Gi carries the dominant exponential
-        # of Bi, so the complement is cancellation-free.
-        return self._identity_complement(z, self._hi_upper(z))
-
-
-def _hi_rotated_arm(w: complex, cfg: EngineConfig) -> ScorerResult:
-    """Hi at a rotated argument with ``|phase(w)| > pi/3``, without entering
-    the engine's connection routes (keeps rotation formulas one level deep).
-
-    Conjugates into the upper half-plane, then picks series, certified
-    asymptotics, the principal descent contour, or the left-valley contour.
-    """
-    if w.imag < 0:
-        return _conjugated(_hi_rotated_arm(w.conjugate(), cfg))
-    if abs(w) <= cfg.series_radius:
-        return hi_series(w, cfg)
-    if _asymptotic_eligible(w, "hi", cfg):
-        return hi_asymptotic(w, None, cfg)
-    if cmath.phase(w) >= _TWO_THIRDS_PI - 1e-12:
-        return hi_integral_principal(w, cfg)
-    return hi_integral_upper(w, cfg)
+# Rotation connections
 
 
 def hi_connection(
@@ -735,24 +504,27 @@ def hi_connection(
 
     With ``sign="upper"``,
     ``Hi(z) = e^{2i pi/3} Hi(z e^{2i pi/3}) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``;
-    ``sign="lower"`` mirrors both rotations.  For phases strictly between
-    ``pi/3`` and ``2*pi/3`` the upper-sign rotation lands in the sector
-    served by the principal descent contour and the Airy term is recessive,
-    so no cancellation occurs; the lower sign serves the conjugate strip.
+    ``sign="lower"`` is its mirror image, the conjugate of the upper-sign
+    connection at ``conj(z)``.  For phases strictly between ``pi/3`` and
+    ``2*pi/3`` the upper-sign rotation lands in the sector served by the
+    principal descent contour and the Airy term is recessive, so no
+    cancellation occurs; the lower sign serves the conjugate strip.
     """
-    cfg = config or _DEFAULT_CONFIG
     if sign not in ("upper", "lower"):
         raise ValueError("sign must be 'upper' or 'lower'")
     if sign == "lower":
-        rot, airy_rot, phase_factor = _ROT_DOWN, _ROT_UP, cmath.exp(1j * _PI / 6.0)
-    else:
-        rot, airy_rot, phase_factor = _ROT_UP, _ROT_DOWN, cmath.exp(-1j * _PI / 6.0)
-    inner = _hi_rotated_arm(z * rot, cfg)
-    apair, _, n_airy, airy_err = _airy._ai_info(z * airy_rot)
-    value = rot * inner.value + 2.0 * phase_factor * apair.value
-    err = inner.abs_error_estimate + 2.0 * airy_err + 2.0 * _EPS * abs(value)
+        return hi_connection(complex(z).conjugate(), "upper", config).conjugate()
+    cfg = config or _DEFAULT_CONFIG
+    inner = _evaluate(z * _ROT_UP, "arm", cfg)
+    ai = _airy._ai_info(z * _ROT_DOWN)
+    value = _ROT_UP * inner.value + 2.0 * cmath.exp(-1j * _PI / 6.0) * ai.value
+    err = inner.abs_error_estimate + 2.0 * ai.abs_error_estimate + 2.0 * _EPS * abs(value)
     return ScorerResult(
-        value, "hi_rotation", err, inner.n_evaluations + n_airy, inner.converged
+        value,
+        "hi_rotation",
+        err,
+        inner.n_evaluations + ai.n_evaluations,
+        inner.converged and ai.converged,
     )
 
 
@@ -765,8 +537,8 @@ def gi_from_hi_rotations(z: complex, config: EngineConfig | None = None) -> Scor
     size, so the combination is stable.
     """
     cfg = config or _DEFAULT_CONFIG
-    up = _hi_rotated_arm(z * _ROT_UP, cfg)
-    down = _hi_rotated_arm(z * _ROT_DOWN, cfg)
+    up = _evaluate(z * _ROT_UP, "arm", cfg)
+    down = _evaluate(z * _ROT_DOWN, "arm", cfg)
     value = -0.5 * (_ROT_UP * up.value + _ROT_DOWN * down.value)
     err = 0.5 * (up.abs_error_estimate + down.abs_error_estimate) + 2.0 * _EPS * abs(value)
     return ScorerResult(
@@ -778,25 +550,158 @@ def gi_from_hi_rotations(z: complex, config: EngineConfig | None = None) -> Scor
     )
 
 
-_DEFAULT_ENGINE = ScorerEngine()
+def _bi_complement(z: complex, other: ScorerResult) -> ScorerResult:
+    """The other Scorer function at ``z`` from ``Gi + Hi = Bi``."""
+    bi = _airy._bi_info(z)
+    value = bi.value - other.value
+    err = bi.abs_error_estimate + other.abs_error_estimate + 2.0 * _EPS * (
+        abs(bi.value) + abs(value)
+    )
+    return ScorerResult(
+        value,
+        "bi_identity",
+        err,
+        bi.n_evaluations + other.n_evaluations,
+        other.converged and bi.converged,
+    )
 
 
-def _engine_for(config: EngineConfig | None) -> ScorerEngine:
-    return _DEFAULT_ENGINE if config is None else ScorerEngine(config)
+# ---------------------------------------------------------------------------
+# Routing
+
+#: Phase rows of the route table for ``z`` in the closed upper half-plane,
+#: consulted after the series and asymptotic gates.  A row serves the phases
+#: below its bound; its cells name the route of Gi, of Hi, and of a rotated
+#: Hi arm (the Hi value inside a rotation formula, which never rotates or
+#: complements again).  ``bi_identity`` evaluates the other function and
+#: complements it through ``Gi + Hi = Bi``; it is used only where that other
+#: function carries the dominant exponential of Bi, so nothing cancels.  An
+#: arm has no contour route below ``pi/3`` (None).  The first bound is the
+#: least positive double, so that row holds the positive real axis alone.
+_PHASE_ROWS = (
+    # phase bound                  Gi                  Hi             rotated Hi arm
+    (math.ulp(0.0),                "gi_real_axis",     "bi_identity", None),
+    (NEAR_AXIS_PHASE,              "gi_rotation_pair", "bi_identity", None),
+    (_PI / 3.0,                    "gi_path_u",        "bi_identity", None),
+    (_TWO_THIRDS_PI - STOKES_BAND, "gi_path_u",        "hi_rotation", "hi_path_upper"),
+    (_TWO_THIRDS_PI - RAY_TOL,     "bi_identity",      "hi_rotation", "hi_path_upper"),
+    (math.inf,                     "bi_identity",      "hi_path_u",   "hi_path_u"),
+)
+_COLUMNS = {"gi": 1, "hi": 2, "arm": 3}
+
+#: The representation behind each phase-row route tag.
+_REPRESENTATIONS = {
+    "gi_real_axis": lambda z, cfg: gi_real_positive(z.real, cfg),
+    "gi_rotation_pair": gi_from_hi_rotations,
+    "gi_path_u": gi_integral,
+    "hi_rotation": lambda z, cfg: hi_connection(z, "upper", cfg),
+    "hi_path_u": hi_integral_principal,
+    "hi_path_upper": hi_integral_upper,
+}
+
+
+def _phase_route(z: complex, fn: str) -> str | None:
+    """The phase-row route of ``fn`` ("gi", "hi" or "arm") at ``z``."""
+    ph = abs(cmath.phase(z))
+    for row in _PHASE_ROWS:
+        if ph < row[0]:
+            break
+    return row[_COLUMNS[fn]]
+
+
+def _route(z: complex, fn: str, cfg: EngineConfig) -> str | None:
+    """The route of ``fn`` at ``z``: the series gate, the asymptotic gate,
+    then the phase rows."""
+    if abs(z) <= cfg.series_radius:
+        return "series"
+    if _asymptotic_eligible(z, "gi" if fn == "gi" else "hi", cfg):
+        return "asymptotic"
+    return _phase_route(z, fn)
+
+
+def _along(z: complex, fn: str, route: str | None, cfg: EngineConfig) -> ScorerResult:
+    """Evaluate ``fn`` at ``z`` (closed upper half-plane) along ``route``."""
+    if route == "series":
+        return (gi_series if fn == "gi" else hi_series)(z, cfg)
+    if route == "asymptotic":
+        return (gi_asymptotic if fn == "gi" else hi_asymptotic)(z, None, cfg)
+    if route == "bi_identity":
+        other = "hi" if fn == "gi" else "gi"
+        return _bi_complement(z, _along(z, other, _route(z, other, cfg), cfg))
+    if route is None:
+        raise _contour.DomainError("a rotated Hi argument needs |phase| >= pi/3")
+    return _REPRESENTATIONS[route](z, cfg)
+
+
+def _evaluate(z: complex, fn: str, cfg: EngineConfig) -> ScorerResult:
+    """Evaluate ``fn`` at any finite ``z``; the lower half-plane by conjugation."""
+    z = _contour.require_finite(z)
+    if z.imag < 0:
+        z = z.conjugate()
+        return _along(z, fn, _route(z, fn, cfg), cfg).conjugate("conjugate")
+    return _along(z, fn, _route(z, fn, cfg), cfg)
+
+
+def _pair(z: complex, cfg: EngineConfig) -> tuple[ScorerResult, ScorerResult]:
+    """Gi and Hi at any finite ``z``, each by its own cell of the table."""
+    z = _contour.require_finite(z)
+    if z.imag < 0:
+        g, h = _pair(z.conjugate(), cfg)
+        return g.conjugate("conjugate"), h.conjugate("conjugate")
+    g_route, h_route = _route(z, "gi", cfg), _route(z, "hi", cfg)
+    # Where one cell complements the other, evaluate the other once.
+    if g_route == "bi_identity":
+        h = _along(z, "hi", h_route, cfg)
+        return _bi_complement(z, h), h
+    if h_route == "bi_identity":
+        g = _along(z, "gi", g_route, cfg)
+        return g, _bi_complement(z, g)
+    return _along(z, "gi", g_route, cfg), _along(z, "hi", h_route, cfg)
+
+
+class ScorerEngine:
+    """Evaluates Gi and Hi with fixed thresholds and quadrature settings.
+
+    Parameters
+    ----------
+    config : EngineConfig, optional
+        Thresholds and quadrature settings; defaults target about ten
+        significant digits.
+    """
+
+    def __init__(self, config: EngineConfig | None = None) -> None:
+        self.config = config or _DEFAULT_CONFIG
+
+    def hi(self, z: complex) -> ScorerResult:
+        """Evaluate Hi(z)."""
+        return _evaluate(z, "hi", self.config)
+
+    def gi(self, z: complex) -> ScorerResult:
+        """Evaluate Gi(z)."""
+        return _evaluate(z, "gi", self.config)
+
+    def gi_hi_pair(self, z: complex) -> tuple[ScorerResult, ScorerResult]:
+        """Evaluate Gi(z) and Hi(z) together, sharing the expensive parts.
+
+        Where the route table obtains one function from the other through
+        ``Gi + Hi = Bi``, the pair costs one primary evaluation plus one Bi
+        evaluation instead of two of each.
+        """
+        return _pair(z, self.config)
 
 
 def gi(z: complex, config: EngineConfig | None = None) -> ScorerResult:
     """Evaluate Gi(z)."""
-    return _engine_for(config).gi(z)
+    return _evaluate(z, "gi", config or _DEFAULT_CONFIG)
 
 
 def hi(z: complex, config: EngineConfig | None = None) -> ScorerResult:
     """Evaluate Hi(z)."""
-    return _engine_for(config).hi(z)
+    return _evaluate(z, "hi", config or _DEFAULT_CONFIG)
 
 
 def gi_hi_pair(
     z: complex, config: EngineConfig | None = None
 ) -> tuple[ScorerResult, ScorerResult]:
     """Evaluate Gi(z) and Hi(z) together, sharing work where possible."""
-    return _engine_for(config).gi_hi_pair(z)
+    return _pair(z, config or _DEFAULT_CONFIG)

@@ -296,7 +296,7 @@ def integrate_piecewise(
         vals, errs = _evaluate(funcs, spans, batch)
         n_evals += 15 * len(batch)
         for (a, b, piece), val, err in zip(batch, vals, errs):
-            if b - a > 100.0 * _EPS * max(abs(a), abs(b), 1.0):
+            if abs(b - a) > 100.0 * _EPS * max(abs(a), abs(b), 1.0):
                 pool.append((err, val, a, b, piece))
             else:
                 # Too narrow to bisect meaningfully: counted, never refined.

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+import scorerlib.airy
 from scorerlib.cli import _CSV_HEADER, main, parse_phase
 from scorerlib.engine import gi, hi
 
@@ -100,6 +102,40 @@ class TestEvalCommand:
         joined = json.loads(capsys.readouterr().out)
         assert separate == joined
         assert separate["z_im"] < 0.0
+
+    def test_negative_cartesian_parts_as_separate_tokens(self, capsys):
+        base = ["eval", "--fn", "gi", "--format", "json"]
+        assert main([*base, "--re", "-1e3", "--im", "-2"]) == 0
+        separate = json.loads(capsys.readouterr().out)
+        assert main([*base, "--re=-1e3", "--im=-2"]) == 0
+        joined = json.loads(capsys.readouterr().out)
+        assert separate == joined
+        assert (separate["z_re"], separate["z_im"]) == (-1e3, -2.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--fn", "gi", "--re", "0", "--im", "1e200"],
+            ["--fn", "hi", "--re", "200", "--im", "0"],
+            ["--fn", "gi", "--re=-1e300", "--im", "0"],
+            ["--fn", "gi", "--r", "1e6", "--phase", "2pi/3"],
+        ],
+    )
+    def test_overflow_is_a_numerical_failure(self, argv, capsys):
+        # No traceback: one diagnostic line and exit code 2.
+        assert main(["eval", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scorerlib: ")
+        assert captured.err.count("\n") == 1
+
+    def test_airy_non_convergence_exits_2(self, monkeypatch, capsys):
+        gap = scorerlib.airy._GAP_QUAD
+        monkeypatch.setattr(
+            scorerlib.airy, "_GAP_QUAD", dataclasses.replace(gap, max_subdivisions=0)
+        )
+        assert main(["eval", "--fn", "ai", "--re", "5", "--im", "0"]) == 2
+        capsys.readouterr()
 
     def test_polar_snaps_axis_points(self, capsys):
         main(["eval", "--fn", "gi", "--r", "1", "--phase", "pi", "--format", "json"])

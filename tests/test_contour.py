@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from scorerlib.contour import (
+    RAY_TOL,
     DomainError,
     PhaseParts,
     gi_jacobian_u,
@@ -20,7 +22,6 @@ from scorerlib.contour import (
     hi_path_u_of_v,
     hi_path_v_of_u,
     hi_phase_parts,
-    hi_saddle,
     stokes_path,
 )
 
@@ -195,7 +196,7 @@ class TestStokesRayPath:
         u0 = math.sqrt(-x / 2.0)
         v0, _ = stokes_path(np.array([u0]), x)
         z = complex(x, -_SQRT3 * x)
-        saddle = hi_saddle(z)
+        saddle = cmath.sqrt(z)
         assert abs(complex(u0, float(v0[0])) - saddle) < 1e-12
 
     def test_rejects_nonnegative_x(self):
@@ -270,7 +271,6 @@ class TestPathClassification:
     def test_interior_point(self):
         spec = hi_path_spec(complex(-2.0, 1.0))
         assert spec.kind == "interior"
-        assert spec.corner_u is None
         assert (spec.x, spec.y) == (-2.0, 1.0)
 
     def test_negative_axis_point(self):
@@ -282,8 +282,6 @@ class TestPathClassification:
         z = 4.0 * complex(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0))
         spec = hi_path_spec(z)
         assert spec.kind == "stokes"
-        assert spec.corner_u is not None
-        assert math.isclose(spec.corner_u, math.sqrt(-z.real / 2.0), rel_tol=1e-12)
 
     def test_lower_half_plane_is_folded_up(self):
         spec = hi_path_spec(complex(-2.0, -1.0))
@@ -296,11 +294,10 @@ class TestPathClassification:
             hi_path_spec(0j)
 
     def test_phase_tolerance_widens_stokes_ray(self):
-        z = 4.0 * complex(
-            math.cos(2.0 * math.pi / 3.0 + 1e-6), math.sin(2.0 * math.pi / 3.0 + 1e-6)
-        )
+        z = cmath.rect(4.0, 2.0 * math.pi / 3.0 + 1e-6)
         assert hi_path_spec(z).kind == "interior"
-        assert hi_path_spec(z, phase_tol=1e-5).kind == "stokes"
+        z = cmath.rect(4.0, 2.0 * math.pi / 3.0 + 0.5 * RAY_TOL)
+        assert hi_path_spec(z).kind == "stokes"
 
 
 class TestPhaseParts:
@@ -324,8 +321,3 @@ class TestPhaseParts:
         parts = gi_phase_parts(t.real, t.imag, z.real, z.imag)
         direct = 1j * (z * t + t**3 / 3.0)
         assert abs(direct - complex(-parts.decay, parts.oscillation)) < 1e-14
-
-    def test_saddle_is_square_root(self):
-        z = complex(-3.0, 4.0)
-        s = hi_saddle(z)
-        assert abs(s * s - z) < 1e-14

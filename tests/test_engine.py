@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import scorerlib.airy
 import scorerlib.contour
 from scorerlib.airy import BI_ZERO, BIP_ZERO, ai_complex, bi_complex
 from scorerlib.contour import DomainError
@@ -18,8 +20,8 @@ from scorerlib.engine import (
     HI_DERIV_AT_ZERO,
     EngineConfig,
     ScorerEngine,
-    SectorLabel,
-    classify_sector,
+    NEAR_AXIS_PHASE,
+    STOKES_BAND,
     gi,
     gi_asymptotic,
     gi_from_hi_rotations,
@@ -35,7 +37,6 @@ from scorerlib.engine import (
     hi_integral_v_form,
     hi_series,
 )
-from scorerlib.engine import _series_scorer_derivatives
 from scorerlib.quadrature import QuadratureConfig
 
 _PI = math.pi
@@ -214,6 +215,39 @@ def _points(keys):
     return sorted(keys, key=lambda w: (abs(w), w.real, w.imag))
 
 
+def _series_scorer_derivatives(
+    z: complex, c0: float, c1: float, c2: float
+) -> tuple[complex, complex, complex]:
+    """Value, first, and second derivative by term-wise differentiated sums.
+
+    Each derivative is summed independently, so the identity
+    ``w'' - z w = 2 c2`` holds only up to rounding; this probes the
+    differential equation without circular arithmetic.
+    """
+    if z == 0:
+        return complex(c0), complex(c1), complex(2.0 * c2)
+    p = complex(c0)
+    q = c1 * z
+    t = c2 * z * z
+    w = p + q + t
+    w1 = (q + 2.0 * t) / z
+    w2 = 2.0 * t / (z * z)
+    z3 = z * z * z
+    for m in range(1, 400):
+        p *= z3 / ((3 * m) * (3 * m - 1))
+        q *= z3 / ((3 * m + 1) * (3 * m))
+        t *= z3 / ((3 * m + 2) * (3 * m + 1))
+        kp, kq, kt = 3 * m, 3 * m + 1, 3 * m + 2
+        w += p + q + t
+        w1 += (kp * p + kq * q + kt * t) / z
+        w2 += (kp * (kp - 1) * p + kq * (kq - 1) * q + kt * (kt - 1) * t) / (z * z)
+        # The second-derivative terms carry an extra k**2 / |z|**2 factor.
+        step = (abs(p) + abs(q) + abs(t)) * kt * kt / abs(z * z)
+        if step <= 0.25 * np.finfo(float).eps * (abs(w2) + 1e-300) and m >= 2:
+            break
+    return w, w1, w2
+
+
 class TestFrozenReferenceValues:
     @pytest.mark.parametrize("z", _points(_REFERENCE))
     def test_oscillatory_solution_matches_reference(self, z):
@@ -290,38 +324,6 @@ class TestSeries:
     def test_series_radius_is_configurable(self):
         cfg = EngineConfig(series_radius=4.0)
         assert gi_series(3.5 + 0j, cfg).method == "series"
-
-
-class TestSectorClassification:
-    @pytest.mark.parametrize(
-        "z,expected",
-        [
-            (0j, SectorLabel.ORIGIN),
-            (1 + 0j, SectorLabel.PRINCIPAL),
-            (cmath.exp(0.9j), SectorLabel.PRINCIPAL),
-            (cmath.exp(1j * _PI / 3.0), SectorLabel.UPPER_MIDDLE),
-            (3j, SectorLabel.UPPER_MIDDLE),
-            (cmath.exp(2j * _PI / 3.0), SectorLabel.STOKES_UPPER),
-            (cmath.exp(2.3j), SectorLabel.UPPER_LEFT),
-            (-1 + 0j, SectorLabel.NEGATIVE_AXIS),
-            (-3j, SectorLabel.LOWER_MIDDLE),
-            (cmath.exp(-2j * _PI / 3.0), SectorLabel.STOKES_LOWER),
-            (cmath.exp(-2.3j), SectorLabel.LOWER_LEFT),
-            (cmath.exp(-1j * _PI / 3.0), SectorLabel.LOWER_MIDDLE),
-        ],
-    )
-    def test_sector_table(self, z, expected):
-        assert classify_sector(z) is expected
-
-    def test_phase_tolerance_controls_stokes_membership(self):
-        z = cmath.exp(1j * (2.0 * _PI / 3.0 + 1e-8))
-        assert classify_sector(z) is SectorLabel.UPPER_LEFT
-        assert classify_sector(z, phase_tol=1e-6) is SectorLabel.STOKES_UPPER
-
-    @pytest.mark.parametrize("bad", [complex("nan"), complex(math.inf, 0.0), complex(0.0, -math.inf)])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(DomainError):
-            classify_sector(bad)
 
 
 class TestAsymptotics:
@@ -554,13 +556,53 @@ class TestDispatchBoundaries:
         rhs = bi_complex(z).value - gi_integral(z).value
         assert _rel(lhs.value - rhs, rhs) < 1e-10
 
+    @pytest.mark.parametrize("radius", [3.5, 5.0, 10.0])
+    def test_rotation_arm_on_the_pi_over_3_ray(self, radius):
+        # A rotated Hi argument that lands exactly on ph = pi/3 takes the
+        # left-valley contour, which the route table assigns to that ray.
+        z = cmath.rect(radius, _PI / 3.0)
+        direct = gi_integral(z)
+        assert _rel(gi_from_hi_rotations(z).value - direct.value, direct.value) < 1e-10
+        lower = hi_connection(z, "lower")
+        assert _rel(lower.value - hi(z).value, hi(z).value) < 1e-10
+
 
 class TestEngineObject:
-    def test_pair_shares_work_and_matches_singles(self):
-        z = 3 + 1j
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("radius", [5.0, 20.0])
+    @pytest.mark.parametrize(
+        "phase",
+        [0.0, NEAR_AXIS_PHASE, _PI / 3.0, 2.0 * _PI / 3.0 - STOKES_BAND, 2.0 * _PI / 3.0, _PI],
+    )
+    def test_pair_shares_work_and_matches_singles(self, phase, radius, lower):
+        z = cmath.rect(radius, phase)
+        if lower:
+            z = z.conjugate()
         g, h = gi_hi_pair(z)
-        assert g.value == gi(z).value
-        assert h.value == hi(z).value
+        for pair_result, single in ((g, gi(z)), (h, hi(z))):
+            assert pair_result.value == single.value
+            assert pair_result.method == single.method
+            assert pair_result.n_evaluations == single.n_evaluations
+
+    def test_every_route_is_reached(self):
+        phases = (0.0, 0.02, 0.5, _PI / 2.0, 2.0 * _PI / 3.0 - 0.02, 2.5, _PI, -1.0)
+        methods = {
+            fn(cmath.rect(radius, phase)).method
+            for fn in (gi, hi)
+            for radius in (1.0, 5.0, 40.0)
+            for phase in phases
+        }
+        assert methods == {
+            "series",
+            "asymptotic",
+            "gi_real_axis",
+            "gi_rotation_pair",
+            "gi_path_u",
+            "bi_identity",
+            "hi_path_u",
+            "hi_rotation",
+            "conjugate",
+        }
 
     def test_engine_instances_accept_config(self):
         cfg = EngineConfig(
@@ -585,6 +627,25 @@ class TestEngineObject:
             hi(bad)
         with pytest.raises(DomainError):
             gi_hi_pair(bad)
+
+    def test_airy_non_convergence_is_reported(self, monkeypatch):
+        # Stop the Airy annulus integral after its first panel: every route
+        # that adds such an Ai or Bi term must report it.
+        gap = scorerlib.airy._GAP_QUAD
+        monkeypatch.setattr(
+            scorerlib.airy, "_GAP_QUAD", dataclasses.replace(gap, max_subdivisions=0)
+        )
+        assert not ai_complex(5.0).converged
+        assert not bi_complex(5.0).converged
+        assert not gi(5.0 * cmath.exp(1j)).converged  # gi_path_u
+        assert not gi(5.0 * cmath.exp(-1j)).converged  # conjugate
+        assert not hi(5j).converged  # hi_rotation
+        assert not hi(5.0).converged  # bi_identity
+        assert not hi_integral_upper(5j).converged
+        g, h = gi_hi_pair(5.0)
+        assert g.converged and not h.converged
+        # Away from the annulus nothing changes.
+        assert hi(-5.0).converged
 
     def test_results_report_route_and_cost(self):
         res = hi(-5 + 0j)

@@ -111,6 +111,17 @@ class TestLinearity:
         rev = integrate_finite(np.exp, 1.0, 0.0)
         assert abs(fwd.value + rev.value) < 1e-12
 
+    def test_reversed_range_is_refined(self):
+        # A reversed panel has b - a < 0 and must still be bisected like
+        # its forward mirror, not settled as too narrow.
+        f = lambda t: np.cos(40.0 * t)  # noqa: E731
+        fwd = integrate_finite(f, 0.0, 1.0)
+        rev = integrate_finite(f, 1.0, 0.0)
+        assert rev.converged
+        assert rev.n_evaluations == fwd.n_evaluations == 465
+        assert abs(rev.value + fwd.value) <= fwd.abs_error_estimate
+        assert abs(rev.value + math.sin(40.0) / 40.0) < 1e-15
+
 
 class TestEvaluationCounting:
     def _counting(self, f):
