@@ -9,7 +9,7 @@ expansions once they are certifiably accurate.
 
 >>> from scorerlib import gi, hi
 >>> hi(-1.0).value.real
-0.22066961...
+0.220669606...
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .engine import (
     GI_DERIV_AT_ZERO,
     HI_AT_ZERO,
     HI_DERIV_AT_ZERO,
-    EngineConfig,
-    ScorerEngine,
     ScorerResult,
     gi,
     gi_asymptotic,
@@ -63,7 +61,6 @@ __all__ = [
     "BI_ZERO",
     "BIP_ZERO",
     "DomainError",
-    "EngineConfig",
     "GI_AT_ZERO",
     "GI_DERIV_AT_ZERO",
     "HI_AT_ZERO",
@@ -71,7 +68,6 @@ __all__ = [
     "NonFiniteIntegrandError",
     "QuadratureConfig",
     "QuadratureResult",
-    "ScorerEngine",
     "ScorerResult",
     "__version__",
     "ai_complex",

@@ -57,6 +57,8 @@ _ROT_MINUS = cmath.exp(-2j * math.pi / 3)
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 _GAP_QUAD = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=200)
+#: Cap on the terms of the large-argument expansion.
+_ASYMPTOTIC_MAX_TERMS = 25
 
 
 def _maclaurin_fg(z: complex) -> tuple[complex, complex, complex, complex, float, int]:
@@ -111,7 +113,7 @@ def ai_maclaurin(z: complex) -> ScorerResult:
     )
 
 
-def ai_asymptotic(z: complex, max_terms: int = 25) -> ScorerResult:
+def ai_asymptotic(z: complex) -> ScorerResult:
     """Ai and Ai' from the large-argument exponential expansion.
 
     Terms are added until they stop decreasing or fall below roundoff, so
@@ -126,7 +128,7 @@ def ai_asymptotic(z: complex, max_terms: int = 25) -> ScorerResult:
     v = 1.0
     sign = 1.0
     prev = math.inf
-    for k in range(max_terms):
+    for k in range(_ASYMPTOTIC_MAX_TERMS):
         u = u * (6 * k + 1) * (6 * k + 3) * (6 * k + 5) / (216.0 * (k + 1) * (2 * k + 1))
         v = -u * (6 * k + 7) / (6 * k + 5)
         sign = -sign
@@ -207,7 +209,8 @@ def _ai_info(z: complex) -> ScorerResult:
     r = abs(z)
     if r <= SERIES_RADIUS:
         return ai_maclaurin(z)
-    if cmath.phase(z) > _TWO_THIRDS_PI + 1e-15:
+    # abs: a negative-zero imaginary part puts the negative axis at -pi.
+    if abs(cmath.phase(z)) > _TWO_THIRDS_PI + 1e-15:
         # One rotation lands both arguments inside the principal sector.
         a_plus = _ai_info(z * _ROT_PLUS)
         a_minus = _ai_info(z * _ROT_MINUS)

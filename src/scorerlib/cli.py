@@ -118,8 +118,8 @@ def parse_phase(text: str) -> float:
 
     Forms like ``pi``, ``-pi``, ``2pi/3``, ``0.5pi`` parse exactly as the
     corresponding float multiple of ``math.pi``; anything else must be a
-    plain float.  Exact 'pi' spelling keeps special rays within the sector
-    classifier's tolerance.
+    plain float.  Exact 'pi' spelling keeps special rays, such as the Stokes
+    ray ``2pi/3``, within the route table's ``contour.RAY_TOL``.
     """
     squeezed = text.strip().lower().replace(" ", "")
     m = _PI_FORM.match(squeezed)
@@ -137,12 +137,12 @@ def parse_phase(text: str) -> float:
 
 
 #: Options whose value may be negative and may follow as its own token.
-_SIGNED_OPTIONS = ("--phase", "--start", "--stop", "--re", "--im")
+_SIGNED_OPTIONS = ("--phase", "--phases", "--start", "--stop", "--re", "--im")
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--start -pi`` as ``--start=-pi`` and ``--re -1e3`` as
-    ``--re=-1e3``.
+    """Rewrite ``--start -pi`` as ``--start=-pi``, ``--re -1e3`` as
+    ``--re=-1e3`` and ``--phases -pi,pi`` as ``--phases=-pi,pi``.
 
     argparse reads a separate token such as ``-pi``, ``-5pi/6`` or ``-1e3``
     as an unknown option rather than as the value of the preceding option.
@@ -151,7 +151,8 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     for token in argv:
         if out and out[-1] in _SIGNED_OPTIONS and token.startswith("-"):
             try:
-                parse_phase(token)
+                for part in token.split(","):
+                    parse_phase(part)
             except ValueError:
                 pass
             else:
@@ -493,7 +494,7 @@ def _selftest_checks() -> list[tuple[str, str]]:
             return f"u-form vs v-form disagree: {abs(a - b) / abs(a):.2e}"
         z = complex(0.0, 2.0)
         a = _engine.hi_integral_upper(z).value
-        b = _engine.hi_connection(z, "upper").value
+        b = _engine.hi_connection(z).value
         if abs(a - b) > 1e-9 * abs(a):
             return f"valley vs connection disagree: {abs(a - b) / abs(a):.2e}"
         z = complex(1.0, 0.2)
@@ -559,11 +560,14 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 def _hi_by_quadrature(z: complex) -> _engine.ScorerResult:
     """Hi by contour quadrature regardless of engine shortcuts, mirroring
     the golden table's cost profile: the contour route of a rotated Hi arm
-    in the route table, or the engine's own route where there is none."""
+    in the route table, or the engine's own route where there is none.
+    Evaluated at ``|ph z|``: the representations take the upper half-plane
+    only, and the reported cost is the same at ``conj z``."""
+    z = complex(z.real, abs(z.imag))
     route = _engine._phase_route(z, "arm")
     if route is None:
         return _engine.hi(z)
-    return _engine._REPRESENTATIONS[route](z, None)
+    return _engine._REPRESENTATIONS[route](z)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -10,8 +10,9 @@ over the real parameter back into the contour integral.
 
 All path functions are vectorized over the parameter and raise
 :class:`DomainError` naming the violated precondition when called outside
-their sector of validity.  Only the closed upper half-plane appears here;
-callers handle ``y < 0`` by conjugation.
+their sector of validity.  Only the closed upper half-plane appears here:
+``y < 0`` (a negative-zero ``y`` on the negative real axis too) is rejected,
+and the engine's entry points serve it by conjugation.
 
 As the lowest module of the package it also holds what every layer shares:
 the :class:`ScorerResult` type, :class:`DomainError`, :func:`require_finite`
@@ -305,7 +306,7 @@ class HiPathSpec:
         ``"real_axis"`` (z on the negative real axis), ``"stokes"`` (phase
         exactly 2*pi/3), or ``"interior"`` (strictly between).
     x, y : float
-        Components of ``z`` after any conjugation by the caller.
+        Components of ``z``.
     """
 
     kind: str
@@ -316,9 +317,10 @@ class HiPathSpec:
 def hi_path_spec(z: complex) -> HiPathSpec:
     """Classify ``z`` for the principal growing-kernel contour.
 
-    Requires the phase of ``z`` in ``[2*pi/3, pi]`` up to :data:`RAY_TOL`.
+    Requires the phase of ``z`` in ``[2*pi/3, pi]`` up to :data:`RAY_TOL`,
+    so ``z`` in the closed upper half-plane.
     """
-    x, y = z.real, abs(z.imag)
+    x, y = z.real, z.imag
     ph = math.atan2(y, x)
     if ph < 2.0 * math.pi / 3.0 - RAY_TOL or abs(z) == 0.0:
         raise DomainError("hi_path_spec requires the phase of z in [2*pi/3, pi]")

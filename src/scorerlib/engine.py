@@ -6,7 +6,7 @@ Direct numerical integration of their defining integrals fails off the real
 axis because the integrands oscillate; instead each evaluation is routed to
 a representation that is stable in its sector:
 
-* a Maclaurin series inside ``series_radius``;
+* a Maclaurin series for ``|z| <= 2.5``;
 * the optimally truncated large-argument expansion, used only when both its
   smallest term and an explicit bound on the neglected exponentially small
   contribution meet the accuracy target;
@@ -16,7 +16,8 @@ a representation that is stable in its sector:
   ``[0, 2pi/3)`` (plus an Airy term);
 * one-step rotation connections and the relation ``Gi + Hi = Bi`` cover the
   remaining sectors without cancellation;
-* conjugation serves the lower half-plane exactly.
+* conjugation serves the lower half-plane exactly; it happens once, at
+  the entry, and everything below it sees the closed upper half-plane.
 
 One route table (``_PHASE_ROWS``, after the series and asymptotic gates)
 makes every routing decision: for ``gi``, ``hi`` and ``gi_hi_pair``, for
@@ -31,24 +32,21 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import airy as _airy
 from . import contour as _contour
 from .contour import RAY_TOL, ScorerResult
-from .quadrature import QuadratureConfig, integrate_piecewise
+from .quadrature import integrate_piecewise
 
 __all__ = [
-    "EngineConfig",
     "GI_AT_ZERO",
     "GI_DERIV_AT_ZERO",
     "HI_AT_ZERO",
     "HI_DERIV_AT_ZERO",
     "NEAR_AXIS_PHASE",
     "STOKES_BAND",
-    "ScorerEngine",
     "ScorerResult",
     "gi",
     "gi_asymptotic",
@@ -91,36 +89,14 @@ NEAR_AXIS_PHASE = 0.05
 STOKES_BAND = 0.05
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Tunable thresholds of the evaluation engine.
-
-    Parameters
-    ----------
-    quad : QuadratureConfig
-        Settings shared by all contour integrations.
-    series_radius : float
-        Use the Maclaurin series for ``|z|`` up to this radius.
-    asymptotic_radius : float
-        Never use the large-argument expansions below this radius.
-    asymptotic_max_terms : int
-        Cap on correction terms of the large-argument expansions.
-    target_rel_accuracy : float
-        Accuracy goal used by the asymptotic eligibility gate.
-    """
-
-    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
-    series_radius: float = 2.5
-    asymptotic_radius: float = 15.0
-    asymptotic_max_terms: int = 10
-    target_rel_accuracy: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not self.series_radius < self.asymptotic_radius:
-            raise ValueError("series_radius must be below asymptotic_radius")
-
-
-_DEFAULT_CONFIG = EngineConfig()
+# Thresholds of the route table's two gates.  The series serves |z| up to
+# _SERIES_RADIUS; the large-argument expansions are never used below
+# _ASYMPTOTIC_RADIUS, sum at most _ASYMPTOTIC_MAX_TERMS corrections, and
+# must reach a tenth of _TARGET_REL_ACCURACY.
+_SERIES_RADIUS = 2.5
+_ASYMPTOTIC_RADIUS = 15.0
+_ASYMPTOTIC_MAX_TERMS = 10
+_TARGET_REL_ACCURACY = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -152,25 +128,23 @@ def _series_scorer(z: complex, c0: float, c1: float, c2: float) -> tuple[complex
     return total, 4.0 * _EPS * term_abs
 
 
-def _check_series_radius(z: complex, config: EngineConfig | None) -> EngineConfig:
-    cfg = config or _DEFAULT_CONFIG
-    if abs(z) > cfg.series_radius:
+def _check_series_radius(z: complex) -> None:
+    if abs(z) > _SERIES_RADIUS:
         raise _contour.DomainError(
-            f"series requires |z| <= {cfg.series_radius} (cancellation beyond)"
+            f"series requires |z| <= {_SERIES_RADIUS} (cancellation beyond)"
         )
-    return cfg
 
 
-def gi_series(z: complex, config: EngineConfig | None = None) -> ScorerResult:
-    """Gi by Maclaurin series; requires ``|z| <= series_radius``."""
-    _check_series_radius(z, config)
+def gi_series(z: complex) -> ScorerResult:
+    """Gi by Maclaurin series; requires ``|z| <= 2.5``."""
+    _check_series_radius(z)
     value, err = _series_scorer(z, GI_AT_ZERO, GI_DERIV_AT_ZERO, -0.5 / _PI)
     return ScorerResult(value, "series", err, 0)
 
 
-def hi_series(z: complex, config: EngineConfig | None = None) -> ScorerResult:
-    """Hi by Maclaurin series; requires ``|z| <= series_radius``."""
-    _check_series_radius(z, config)
+def hi_series(z: complex) -> ScorerResult:
+    """Hi by Maclaurin series; requires ``|z| <= 2.5``."""
+    _check_series_radius(z)
     value, err = _series_scorer(z, HI_AT_ZERO, HI_DERIV_AT_ZERO, 0.5 / _PI)
     return ScorerResult(value, "series", err, 0)
 
@@ -179,9 +153,26 @@ def hi_series(z: complex, config: EngineConfig | None = None) -> ScorerResult:
 # Large-argument expansions
 
 
-def _asymptotic_core(
-    z: complex, sign: float, n_terms: int | None, cfg: EngineConfig
-) -> ScorerResult:
+def _neglected_exponential(r: float, theta: float, kind: str) -> float:
+    """Relative size of the exponentially small contribution that the
+    large-argument expansion of ``kind`` ("gi" or "hi") omits at
+    ``|z| = r``, ``|phase(z)| = theta``.
+
+    It carries ``exp((2/3) r**1.5 cos(1.5 theta))`` for the growing kernel
+    (clamped at the ray where the switched-on term stops growing) and the
+    mirrored exponent for the oscillatory kernel; the prefactor
+    ``sqrt(pi) r**0.75`` was calibrated against high-precision references.
+    Outside the expansion's sector the exponent is positive; it is capped
+    below the overflow of ``exp``, so the bound is then huge or infinite.
+    """
+    if kind == "hi":
+        exponent = (2.0 / 3.0) * r**1.5 * math.cos(1.5 * min(theta, _TWO_THIRDS_PI))
+    else:
+        exponent = -(2.0 / 3.0) * r**1.5 * math.cos(1.5 * theta)
+    return _SQRT_PI * r**0.75 * math.exp(min(exponent, 709.0))
+
+
+def _asymptotic_core(z: complex, kind: str, n_terms: int | None) -> ScorerResult:
     # 1/z cubed underflows harmlessly where z cubed would overflow.
     w = 1.0 / z
     inv3 = w * w * w
@@ -195,7 +186,7 @@ def _asymptotic_core(
     coeff = 2.0
     total = 1.0 + 0.0j
     smallest = math.inf
-    limit = cfg.asymptotic_max_terms if n_terms is None else n_terms
+    limit = _ASYMPTOTIC_MAX_TERMS if n_terms is None else n_terms
     for s in range(limit):
         term = coeff * power
         if n_terms is None and abs(term) >= smallest:
@@ -204,66 +195,52 @@ def _asymptotic_core(
         smallest = min(smallest, abs(term))
         coeff *= (3 * s + 4) * (3 * s + 5)
         power *= inv3
-    value = sign / (_PI * z) * total
+    value = (-1.0 if kind == "hi" else 1.0) / (_PI * z) * total
     rel_trunc = min(smallest, coeff * abs(power))
-    err = abs(value) * (rel_trunc + 4.0 * _EPS)
+    neglected = _neglected_exponential(abs(z), abs(cmath.phase(z)), kind)
+    err = abs(value) * (rel_trunc + 4.0 * _EPS + neglected)
     return ScorerResult(value, "asymptotic", err, 0)
 
 
-def hi_asymptotic(
-    z: complex, n_terms: int | None = None, config: EngineConfig | None = None
-) -> ScorerResult:
+def hi_asymptotic(z: complex, n_terms: int | None = None) -> ScorerResult:
     """Hi by its large-argument expansion ``-(1/(pi z)) (1 + corrections)``.
 
     Valid for phases of ``z`` between ``pi/3`` and ``pi`` in absolute value
     and large ``|z|``.  ``n_terms`` fixes the number of correction terms
     (``n_terms=3`` keeps contributions through ``1/z**10``); ``None``
-    truncates optimally at the smallest term.
+    truncates optimally at the smallest term.  The error estimate includes
+    the omitted exponentially small contribution.
     """
-    return _asymptotic_core(z, -1.0, n_terms, config or _DEFAULT_CONFIG)
+    return _asymptotic_core(z, "hi", n_terms)
 
 
-def gi_asymptotic(
-    z: complex, n_terms: int | None = None, config: EngineConfig | None = None
-) -> ScorerResult:
+def gi_asymptotic(z: complex, n_terms: int | None = None) -> ScorerResult:
     """Gi by its large-argument expansion ``+(1/(pi z)) (1 + corrections)``.
 
     Valid for ``|phase(z)| < pi/3`` and large ``|z|``; the bracket is the
     same as in the Hi expansion.
     """
-    return _asymptotic_core(z, 1.0, n_terms, config or _DEFAULT_CONFIG)
+    return _asymptotic_core(z, "gi", n_terms)
 
 
-def _asymptotic_eligible(z: complex, kind: str, cfg: EngineConfig) -> bool:
+def _asymptotic_eligible(z: complex, kind: str) -> bool:
     """Gate: both the smallest term and the neglected exponentially small
-    contribution must sit below a tenth of the accuracy target.
-
-    The neglected contribution carries ``exp((2/3)|z|**1.5 cos(1.5 theta))``
-    for the growing kernel (clamped at the ray where the switched-on term
-    stops growing) and the mirrored exponent for the oscillatory kernel;
-    the prefactor ``sqrt(pi) |z|**0.75`` was calibrated against
-    high-precision references.
-    """
+    contribution (:func:`_neglected_exponential`) must sit below a tenth of
+    the accuracy target."""
     r = abs(z)
-    if r < cfg.asymptotic_radius:
+    if r < _ASYMPTOTIC_RADIUS:
         return False
     theta = abs(cmath.phase(z))
-    tol = 0.1 * cfg.target_rel_accuracy
-    if kind == "hi":
-        if theta < _PI / 3.0:
-            return False
-        exponent = (2.0 / 3.0) * r**1.5 * math.cos(1.5 * min(theta, _TWO_THIRDS_PI))
-    else:
-        if theta > _PI / 3.0:
-            return False
-        exponent = -(2.0 / 3.0) * r**1.5 * math.cos(1.5 * theta)
-    if _SQRT_PI * r**0.75 * math.exp(exponent) > tol:
+    if (theta < _PI / 3.0) if kind == "hi" else (theta > _PI / 3.0):
+        return False
+    tol = 0.1 * _TARGET_REL_ACCURACY
+    if _neglected_exponential(r, theta, kind) > tol:
         return False
     # Some correction b_s r**(-3(s+1)), b_0 = 2, b_{s+1} = b_s (3s+4)(3s+5),
     # must fall below the target.
     coeff = 2.0
     power = r**-3
-    for s in range(cfg.asymptotic_max_terms):
+    for s in range(_ASYMPTOTIC_MAX_TERMS):
         if coeff * power <= tol:
             return True
         coeff *= (3 * s + 4) * (3 * s + 5)
@@ -289,15 +266,17 @@ def _masked_exp(decay: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return out
 
 
-def hi_integral_principal(z: complex, config: EngineConfig | None = None) -> ScorerResult:
+def hi_integral_principal(z: complex) -> ScorerResult:
     """Hi by quadrature of the growing kernel on its descent contour.
 
-    Valid for ``|phase(z)|`` in ``[2*pi/3, pi]``.  On the ray at ``2*pi/3``
-    the contour is a straight run into the saddle followed by a hyperbolic
-    branch; on the negative real axis it is the real axis itself; strictly
-    between, a single smooth level line through the origin.
+    Valid for ``phase(z)`` in ``[2*pi/3, pi]``; like every integral
+    representation here it takes ``z`` in the closed upper half-plane only
+    and raises :class:`~scorerlib.contour.DomainError` below it (``gi`` and
+    ``hi`` serve the lower half-plane by conjugation).  On the ray at
+    ``2*pi/3`` the contour is a straight run into the saddle followed by a
+    hyperbolic branch; on the negative real axis it is the real axis
+    itself; strictly between, a single smooth level line through the origin.
     """
-    cfg = config or _DEFAULT_CONFIG
     spec = _contour.hi_path_spec(z)
     x, y = spec.x, spec.y
 
@@ -329,25 +308,23 @@ def hi_integral_principal(z: complex, config: EngineConfig | None = None) -> Sco
 
         pieces = [(f_interior, 0.0, math.inf)]
 
-    qr = integrate_piecewise(pieces, cfg.quad)
+    qr = integrate_piecewise(pieces)
     value = qr.value / _PI
-    if z.imag < 0:
-        value = value.conjugate()
     err = qr.abs_error_estimate / _PI + 2.0 * _EPS * abs(value)
     return ScorerResult(value, "hi_path_u", err, qr.n_evaluations, qr.converged)
 
 
-def hi_integral_v_form(z: complex, config: EngineConfig | None = None) -> ScorerResult:
+def hi_integral_v_form(z: complex) -> ScorerResult:
     """Hi by the height-parameterized form of the descent contour.
 
     The contour is written as two ``u(v)`` branches meeting at the fold
     point; the substitution ``v = v1 - w**2`` removes the inverse
-    square-root behavior of the Jacobian at the fold.  Valid strictly
-    between the ray at ``2*pi/3`` and the negative real axis; primarily an
-    independent cross-check of :func:`hi_integral_principal`.
+    square-root behavior of the Jacobian at the fold.  Valid for ``z`` in
+    the upper half-plane strictly between the ray at ``2*pi/3`` and the
+    negative real axis; primarily an independent cross-check of
+    :func:`hi_integral_principal`.
     """
-    cfg = config or _DEFAULT_CONFIG
-    x, y = z.real, abs(z.imag)
+    x, y = z.real, z.imag
     v1, _ = _contour.hi_branch_point(x, y)
     d = math.sqrt(x * x - y * y / 3.0)
     v1sq = 1.5 * (-x - d)
@@ -376,31 +353,26 @@ def hi_integral_v_form(z: complex, config: EngineConfig | None = None) -> Scorer
 
         return f
 
-    qr = integrate_piecewise(
-        [(make("near"), 0.0, w_max), (make("far"), 0.0, w_max)], cfg.quad
-    )
+    qr = integrate_piecewise([(make("near"), 0.0, w_max), (make("far"), 0.0, w_max)])
     value = qr.value / _PI
-    if z.imag < 0:
-        value = value.conjugate()
     err = qr.abs_error_estimate / _PI + 2.0 * _EPS * abs(value)
     return ScorerResult(value, "hi_path_v", err, qr.n_evaluations, qr.converged)
 
 
-def hi_integral_upper(z: complex, config: EngineConfig | None = None) -> ScorerResult:
+def hi_integral_upper(z: complex) -> ScorerResult:
     """Hi by the left-valley contour plus one recessive Airy term.
 
-    For ``|phase(z)|`` in ``[pi/3, 2*pi/3]`` the descent contour from the
-    origin drains into the left valley; the missing saddle contribution is
-    exactly twice a rotated (recessive) Ai value.  An integrable Jacobian
-    kink at the height of the fold is handled by splitting the range there.
+    For ``phase(z)`` in ``[pi/3, 2*pi/3]`` (upper half-plane only) the
+    descent contour from the origin drains into the left valley; the
+    missing saddle contribution is exactly twice a rotated (recessive) Ai
+    value.  An integrable Jacobian kink at the height of the fold is
+    handled by splitting the range there.
     """
-    cfg = config or _DEFAULT_CONFIG
-    x, y = z.real, abs(z.imag)
+    x, y = z.real, z.imag
     if math.atan2(y, x) < _PI / 3.0:
         raise _contour.DomainError(
-            "hi_integral_upper requires |phase(z)| between pi/3 and 2*pi/3"
+            "hi_integral_upper requires phase(z) between pi/3 and 2*pi/3"
         )
-    z_up = complex(x, y)
 
     def f(v: np.ndarray) -> np.ndarray:
         shifted = x + v * v / 3.0
@@ -416,11 +388,9 @@ def hi_integral_upper(z: complex, config: EngineConfig | None = None) -> ScorerR
         pieces = [(f, 0.0, v_star), (f, v_star, math.inf)]
     else:
         pieces = [(f, 0.0, math.inf)]
-    qr = integrate_piecewise(pieces, cfg.quad)
-    ai = _airy._ai_info(z_up * _ROT_DOWN)
+    qr = integrate_piecewise(pieces)
+    ai = _airy._ai_info(z * _ROT_DOWN)
     value = qr.value / _PI + 2.0 * cmath.exp(-1j * _PI / 6.0) * ai.value
-    if z.imag < 0:
-        value = value.conjugate()
     err = qr.abs_error_estimate / _PI + 2.0 * ai.abs_error_estimate + 2.0 * _EPS * abs(value)
     return ScorerResult(
         value,
@@ -431,22 +401,20 @@ def hi_integral_upper(z: complex, config: EngineConfig | None = None) -> ScorerR
     )
 
 
-def gi_integral(z: complex, config: EngineConfig | None = None) -> ScorerResult:
+def gi_integral(z: complex) -> ScorerResult:
     """Gi by quadrature of the oscillatory kernel on its descent contour,
     plus ``i Ai(z)``.
 
-    Valid for ``0 < |phase(z)| <= 2*pi/3``; accuracy and cost degrade as the
-    phase approaches 0 (near-vertical contour start) or ``2*pi/3`` (Jacobian
-    spike near the growing-kernel fold), where the engine prefers other
-    routes.
+    Valid for ``0 < phase(z) <= 2*pi/3`` (upper half-plane only); accuracy
+    and cost degrade as the phase approaches 0 (near-vertical contour
+    start) or ``2*pi/3`` (Jacobian spike near the growing-kernel fold),
+    where the engine prefers other routes.
     """
-    cfg = config or _DEFAULT_CONFIG
-    x, y = z.real, abs(z.imag)
+    x, y = z.real, z.imag
     if y == 0.0:
         raise _contour.DomainError(
             "gi_integral requires z off the real axis; use gi_real_positive"
         )
-    z_up = complex(x, y)
 
     def f(u: np.ndarray) -> np.ndarray:
         v = _contour.gi_path_v_of_u(u, x, y)
@@ -454,11 +422,9 @@ def gi_integral(z: complex, config: EngineConfig | None = None) -> ScorerResult:
         g = _contour.gi_jacobian_u(u, v, x, y)
         return _masked_exp(parts.decay, g)
 
-    qr = integrate_piecewise([(f, 0.0, math.inf)], cfg.quad)
-    ai = _airy._ai_info(z_up)
+    qr = integrate_piecewise([(f, 0.0, math.inf)])
+    ai = _airy._ai_info(z)
     value = qr.value / (1j * _PI) + 1j * ai.value
-    if z.imag < 0:
-        value = value.conjugate()
     err = qr.abs_error_estimate / _PI + ai.abs_error_estimate + 2.0 * _EPS * abs(value)
     return ScorerResult(
         value,
@@ -469,7 +435,7 @@ def gi_integral(z: complex, config: EngineConfig | None = None) -> ScorerResult:
     )
 
 
-def gi_real_positive(x: float, config: EngineConfig | None = None) -> ScorerResult:
+def gi_real_positive(x: float) -> ScorerResult:
     """Gi on the nonnegative real axis by two monotone real integrals.
 
     The oscillatory kernel's contour runs straight up to height ``sqrt(x)``
@@ -478,7 +444,6 @@ def gi_real_positive(x: float, config: EngineConfig | None = None) -> ScorerResu
     """
     if x < 0.0:
         raise _contour.DomainError("gi_real_positive requires x >= 0")
-    cfg = config or _DEFAULT_CONFIG
     sx = math.sqrt(x)
 
     def f_rise(v: np.ndarray) -> np.ndarray:
@@ -487,7 +452,7 @@ def gi_real_positive(x: float, config: EngineConfig | None = None) -> ScorerResu
     def f_ridge(v: np.ndarray) -> np.ndarray:
         return _masked_exp((8.0 / 3.0) * v**3 - 2.0 * x * v, np.ones_like(v) + 0.0j)
 
-    qr = integrate_piecewise([(f_rise, 0.0, sx), (f_ridge, sx, math.inf)], cfg.quad)
+    qr = integrate_piecewise([(f_rise, 0.0, sx), (f_ridge, sx, math.inf)])
     value = qr.value / _PI
     err = qr.abs_error_estimate / _PI + 2.0 * _EPS * abs(value)
     return ScorerResult(value, "gi_real_axis", err, qr.n_evaluations, qr.converged)
@@ -497,25 +462,17 @@ def gi_real_positive(x: float, config: EngineConfig | None = None) -> ScorerResu
 # Rotation connections
 
 
-def hi_connection(
-    z: complex, sign: str = "upper", config: EngineConfig | None = None
-) -> ScorerResult:
-    """Hi by the one-step rotation connection.
+def hi_connection(z: complex) -> ScorerResult:
+    """Hi by the one-step rotation connection
 
-    With ``sign="upper"``,
-    ``Hi(z) = e^{2i pi/3} Hi(z e^{2i pi/3}) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``;
-    ``sign="lower"`` is its mirror image, the conjugate of the upper-sign
-    connection at ``conj(z)``.  For phases strictly between ``pi/3`` and
-    ``2*pi/3`` the upper-sign rotation lands in the sector served by the
-    principal descent contour and the Airy term is recessive, so no
-    cancellation occurs; the lower sign serves the conjugate strip.
+    ``Hi(z) = e^{2i pi/3} Hi(z e^{2i pi/3}) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``.
+
+    For phases strictly between ``pi/3`` and ``2*pi/3`` the rotation lands
+    in the sector served by the principal descent contour and the Airy term
+    is recessive, so no cancellation occurs.  ``hi`` serves the conjugate
+    strip by conjugation.
     """
-    if sign not in ("upper", "lower"):
-        raise ValueError("sign must be 'upper' or 'lower'")
-    if sign == "lower":
-        return hi_connection(complex(z).conjugate(), "upper", config).conjugate()
-    cfg = config or _DEFAULT_CONFIG
-    inner = _evaluate(z * _ROT_UP, "arm", cfg)
+    (inner,) = _evaluate(z * _ROT_UP, "arm")
     ai = _airy._ai_info(z * _ROT_DOWN)
     value = _ROT_UP * inner.value + 2.0 * cmath.exp(-1j * _PI / 6.0) * ai.value
     err = inner.abs_error_estimate + 2.0 * ai.abs_error_estimate + 2.0 * _EPS * abs(value)
@@ -528,7 +485,7 @@ def hi_connection(
     )
 
 
-def gi_from_hi_rotations(z: complex, config: EngineConfig | None = None) -> ScorerResult:
+def gi_from_hi_rotations(z: complex) -> ScorerResult:
     """Gi from two rotated Hi values.
 
     ``Gi(z) = -(e^{2i pi/3} Hi(z e^{2i pi/3}) + e^{-2i pi/3} Hi(z e^{-2i pi/3}))/2``;
@@ -536,9 +493,8 @@ def gi_from_hi_rotations(z: complex, config: EngineConfig | None = None) -> Scor
     positive real axis, and all three quantities share the same algebraic
     size, so the combination is stable.
     """
-    cfg = config or _DEFAULT_CONFIG
-    up = _evaluate(z * _ROT_UP, "arm", cfg)
-    down = _evaluate(z * _ROT_DOWN, "arm", cfg)
+    (up,) = _evaluate(z * _ROT_UP, "arm")
+    (down,) = _evaluate(z * _ROT_DOWN, "arm")
     value = -0.5 * (_ROT_UP * up.value + _ROT_DOWN * down.value)
     err = 0.5 * (up.abs_error_estimate + down.abs_error_estimate) + 2.0 * _EPS * abs(value)
     return ScorerResult(
@@ -591,10 +547,10 @@ _COLUMNS = {"gi": 1, "hi": 2, "arm": 3}
 
 #: The representation behind each phase-row route tag.
 _REPRESENTATIONS = {
-    "gi_real_axis": lambda z, cfg: gi_real_positive(z.real, cfg),
+    "gi_real_axis": lambda z: gi_real_positive(z.real),
     "gi_rotation_pair": gi_from_hi_rotations,
     "gi_path_u": gi_integral,
-    "hi_rotation": lambda z, cfg: hi_connection(z, "upper", cfg),
+    "hi_rotation": hi_connection,
     "hi_path_u": hi_integral_principal,
     "hi_path_upper": hi_integral_upper,
 }
@@ -609,99 +565,78 @@ def _phase_route(z: complex, fn: str) -> str | None:
     return row[_COLUMNS[fn]]
 
 
-def _route(z: complex, fn: str, cfg: EngineConfig) -> str | None:
+def _route(z: complex, fn: str) -> str | None:
     """The route of ``fn`` at ``z``: the series gate, the asymptotic gate,
     then the phase rows."""
-    if abs(z) <= cfg.series_radius:
+    if abs(z) <= _SERIES_RADIUS:
         return "series"
-    if _asymptotic_eligible(z, "gi" if fn == "gi" else "hi", cfg):
+    if _asymptotic_eligible(z, "gi" if fn == "gi" else "hi"):
         return "asymptotic"
     return _phase_route(z, fn)
 
 
-def _along(z: complex, fn: str, route: str | None, cfg: EngineConfig) -> ScorerResult:
+def _along(z: complex, fn: str, route: str | None) -> ScorerResult:
     """Evaluate ``fn`` at ``z`` (closed upper half-plane) along ``route``."""
     if route == "series":
-        return (gi_series if fn == "gi" else hi_series)(z, cfg)
+        return (gi_series if fn == "gi" else hi_series)(z)
     if route == "asymptotic":
-        return (gi_asymptotic if fn == "gi" else hi_asymptotic)(z, None, cfg)
+        return (gi_asymptotic if fn == "gi" else hi_asymptotic)(z)
     if route == "bi_identity":
         other = "hi" if fn == "gi" else "gi"
-        return _bi_complement(z, _along(z, other, _route(z, other, cfg), cfg))
+        return _bi_complement(z, _along(z, other, _route(z, other)))
     if route is None:
         raise _contour.DomainError("a rotated Hi argument needs |phase| >= pi/3")
-    return _REPRESENTATIONS[route](z, cfg)
+    return _REPRESENTATIONS[route](z)
 
 
-def _evaluate(z: complex, fn: str, cfg: EngineConfig) -> ScorerResult:
-    """Evaluate ``fn`` at any finite ``z``; the lower half-plane by conjugation."""
-    z = _contour.require_finite(z)
-    if z.imag < 0:
-        z = z.conjugate()
-        return _along(z, fn, _route(z, fn, cfg), cfg).conjugate("conjugate")
-    return _along(z, fn, _route(z, fn, cfg), cfg)
-
-
-def _pair(z: complex, cfg: EngineConfig) -> tuple[ScorerResult, ScorerResult]:
-    """Gi and Hi at any finite ``z``, each by its own cell of the table."""
-    z = _contour.require_finite(z)
-    if z.imag < 0:
-        g, h = _pair(z.conjugate(), cfg)
-        return g.conjugate("conjugate"), h.conjugate("conjugate")
-    g_route, h_route = _route(z, "gi", cfg), _route(z, "hi", cfg)
+def _pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
+    """Gi and Hi at ``z`` (closed upper half-plane), each by its own cell of
+    the table."""
+    g_route, h_route = _route(z, "gi"), _route(z, "hi")
     # Where one cell complements the other, evaluate the other once.
     if g_route == "bi_identity":
-        h = _along(z, "hi", h_route, cfg)
+        h = _along(z, "hi", h_route)
         return _bi_complement(z, h), h
     if h_route == "bi_identity":
-        g = _along(z, "gi", g_route, cfg)
+        g = _along(z, "gi", g_route)
         return g, _bi_complement(z, g)
-    return _along(z, "gi", g_route, cfg), _along(z, "hi", h_route, cfg)
+    return _along(z, "gi", g_route), _along(z, "hi", h_route)
 
 
-class ScorerEngine:
-    """Evaluates Gi and Hi with fixed thresholds and quadrature settings.
+def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
+    """``fn`` ("gi", "hi", "arm", or "pair" for both Gi and Hi) at any
+    finite ``z``.
 
-    Parameters
-    ----------
-    config : EngineConfig, optional
-        Thresholds and quadrature settings; defaults target about ten
-        significant digits.
+    The one place that conjugates: the route table and the representations
+    see the closed upper half-plane only, so below it ``fn`` is evaluated at
+    ``conj z`` and each result is conjugated back and tagged ``conjugate``.
+    ``abs`` also folds a negative-zero imaginary part, which would put the
+    negative real axis at phase ``-pi``.
     """
-
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config or _DEFAULT_CONFIG
-
-    def hi(self, z: complex) -> ScorerResult:
-        """Evaluate Hi(z)."""
-        return _evaluate(z, "hi", self.config)
-
-    def gi(self, z: complex) -> ScorerResult:
-        """Evaluate Gi(z)."""
-        return _evaluate(z, "gi", self.config)
-
-    def gi_hi_pair(self, z: complex) -> tuple[ScorerResult, ScorerResult]:
-        """Evaluate Gi(z) and Hi(z) together, sharing the expensive parts.
-
-        Where the route table obtains one function from the other through
-        ``Gi + Hi = Bi``, the pair costs one primary evaluation plus one Bi
-        evaluation instead of two of each.
-        """
-        return _pair(z, self.config)
+    z = _contour.require_finite(z)
+    up = complex(z.real, abs(z.imag))
+    results = _pair(up) if fn == "pair" else (_along(up, fn, _route(up, fn)),)
+    if z.imag < 0:
+        return tuple(r.conjugate("conjugate") for r in results)
+    return results
 
 
-def gi(z: complex, config: EngineConfig | None = None) -> ScorerResult:
+def gi(z: complex) -> ScorerResult:
     """Evaluate Gi(z)."""
-    return _evaluate(z, "gi", config or _DEFAULT_CONFIG)
+    return _evaluate(z, "gi")[0]
 
 
-def hi(z: complex, config: EngineConfig | None = None) -> ScorerResult:
+def hi(z: complex) -> ScorerResult:
     """Evaluate Hi(z)."""
-    return _evaluate(z, "hi", config or _DEFAULT_CONFIG)
+    return _evaluate(z, "hi")[0]
 
 
-def gi_hi_pair(
-    z: complex, config: EngineConfig | None = None
-) -> tuple[ScorerResult, ScorerResult]:
-    """Evaluate Gi(z) and Hi(z) together, sharing work where possible."""
-    return _pair(z, config or _DEFAULT_CONFIG)
+def gi_hi_pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
+    """Evaluate Gi(z) and Hi(z) together, sharing the expensive parts.
+
+    Where the route table obtains one function from the other through
+    ``Gi + Hi = Bi``, the pair costs one primary evaluation plus one Bi
+    evaluation instead of two of each.
+    """
+    g, h = _evaluate(z, "pair")
+    return g, h

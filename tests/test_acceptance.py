@@ -302,7 +302,7 @@ def test_criterion_6_cross_representation_agreement():
     a, b = hi_integral_principal(z).value, hi_integral_v_form(z).value
     checks.append(abs(a - b) / abs(a))
     z = 3j
-    a, b = hi_integral_upper(z).value, hi_connection(z, "upper").value
+    a, b = hi_integral_upper(z).value, hi_connection(z).value
     checks.append(abs(a - b) / abs(a))
     z = 1 + 0.2j
     a, b = gi_integral(z).value, gi_from_hi_rotations(z).value

@@ -312,6 +312,14 @@ class TestConjugateSymmetry:
             assert ai_complex(complex(x, 0.0)).value.imag == 0.0
             assert bi_complex(complex(x, 0.0)).value.imag == 0.0
 
+    @pytest.mark.parametrize("x", [-20.0, -9.0, -5.0, -2.0, 5.0, 11.0])
+    def test_negative_zero_imaginary_part_is_the_axis(self, x):
+        for fn in (ai_complex, bi_complex):
+            above, below = fn(complex(x, 0.0)), fn(complex(x, -0.0))
+            assert below.value == above.value
+            assert below.derivative == above.derivative
+            assert below.method == above.method
+
 
 class TestScipyCrossSweep:
     def test_seeded_sweep_against_scipy(self):

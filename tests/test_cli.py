@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -289,6 +290,17 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out
+
+    def test_negative_phases_as_separate_token(self, capsys):
+        # Conjugate phases cost the same, and a separate token whose parts
+        # all parse is the option's value, not an unknown option.
+        rc = main(["bench", "--radii", "1,10", "--phases", "-5pi/6,5pi/6,-2pi/3,2pi/3"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        for line in out.splitlines()[2:4]:
+            counts = [int(tok) for tok in re.findall(r"(\d+) \(", line)]
+            assert counts[0] == counts[1] and counts[2] == counts[3]
+            assert counts[2] > counts[0]
 
     def test_rejects_bad_radius_list(self, capsys):
         assert main(["bench", "--radii", "1,zebra"]) == 1

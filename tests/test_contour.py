@@ -284,8 +284,12 @@ class TestPathClassification:
         assert spec.kind == "stokes"
 
     def test_lower_half_plane_is_folded_up(self):
-        spec = hi_path_spec(complex(-2.0, -1.0))
-        assert spec.y == 1.0
+        # Folding belongs to the engine's entry points; the spec itself
+        # rejects the lower half-plane, a negative-zero y included.
+        with pytest.raises(DomainError):
+            hi_path_spec(complex(-2.0, -1.0))
+        with pytest.raises(DomainError):
+            hi_path_spec(complex(-3.0, -0.0))
 
     def test_rejects_phase_outside_principal_range(self):
         with pytest.raises(DomainError):

@@ -18,8 +18,6 @@ from scorerlib.engine import (
     GI_DERIV_AT_ZERO,
     HI_AT_ZERO,
     HI_DERIV_AT_ZERO,
-    EngineConfig,
-    ScorerEngine,
     NEAR_AXIS_PHASE,
     STOKES_BAND,
     gi,
@@ -37,7 +35,6 @@ from scorerlib.engine import (
     hi_integral_v_form,
     hi_series,
 )
-from scorerlib.quadrature import QuadratureConfig
 
 _PI = math.pi
 _ROT_UP = cmath.exp(2j * _PI / 3.0)
@@ -321,10 +318,6 @@ class TestSeries:
         with pytest.raises(DomainError):
             hi_series(-3j)
 
-    def test_series_radius_is_configurable(self):
-        cfg = EngineConfig(series_radius=4.0)
-        assert gi_series(3.5 + 0j, cfg).method == "series"
-
 
 class TestAsymptotics:
     def test_warns_when_expansion_cannot_converge(self):
@@ -383,6 +376,32 @@ class TestAsymptotics:
         assert _rel(auto.value - ref, ref) < _rel(forced.value - ref, ref)
         assert auto.abs_error_estimate >= abs(auto.value - ref)
 
+    @pytest.mark.parametrize(
+        "fn,z,ref",
+        [
+            # Frozen mpmath references, dps 50 and 90 agreeing: scorerhi, and
+            # airybi - scorerhi for Gi.
+            (hi, 6.4704761275630185 + 24.148145657226706j,
+             -0.0032961992963253337 + 0.012297138734757457j),
+            (gi, 14.562305898749054 + 10.580134541264517j,
+             0.01430164906578656 - 0.010397870183205257j),
+        ],
+    )
+    def test_error_bar_covers_neglected_exponential(self, fn, z, ref):
+        # hi(25 e^{5 pi i/12}) and gi(18 e^{i pi/5}): the expansion is
+        # eligible, but the exponentially small part it omits (about 3e-13
+        # and 8e-13 relative) dominates the truncation error.
+        res = fn(z)
+        assert res.method == "asymptotic"
+        assert abs(res.value - ref) <= res.abs_error_estimate < 1e-11 * abs(ref)
+
+    def test_error_bar_outside_the_expansion_sector(self):
+        # Direct calls off the expansion's sector omit an exponentially
+        # large part; the estimate says so instead of overflowing.
+        assert hi_asymptotic(40.0).abs_error_estimate > 1e60
+        assert hi_asymptotic(1000.0).abs_error_estimate == math.inf
+        assert gi_asymptotic(1000j).abs_error_estimate == math.inf
+
     def test_dispatch_refuses_growing_solution_on_positive_axis(self):
         # The algebraic expansion omits an exponentially LARGE part there;
         # the gate must route elsewhere no matter the radius.
@@ -404,7 +423,7 @@ class TestCrossRepresentationAgreement:
     def test_valley_contour_vs_rotation_connection(self):
         z = 3j
         a = hi_integral_upper(z)
-        b = hi_connection(z, "upper")
+        b = hi_connection(z)
         assert a.method == "hi_path_upper"
         assert b.method == "hi_rotation"
         assert _rel(a.value - b.value, a.value) < 1e-11
@@ -495,15 +514,6 @@ class TestConnectionFormulas:
         scale = max(abs(lhs), abs(up), abs(down))
         assert abs(lhs + 0.5 * (up + down)) / scale < 1e-11
 
-    def test_lower_sign_mirrors_upper(self):
-        z = 1 - 1j
-        res = hi_connection(z, "lower")
-        assert _rel(res.value - hi(z).value, hi(z).value) < 1e-11
-
-    def test_rejects_unknown_sign(self):
-        with pytest.raises(ValueError, match="sign"):
-            hi_connection(1 + 1j, "sideways")
-
 
 class TestConjugateSymmetry:
     @pytest.mark.parametrize(
@@ -514,10 +524,40 @@ class TestConjugateSymmetry:
         assert hi(z.conjugate()).value == hi(z).value.conjugate()
         assert gi(z.conjugate()).method == "conjugate"
 
+    @pytest.mark.parametrize("x", [-20.0, -9.0, -3.0, 3.0, 5.0, 10.0, 30.0])
+    def test_negative_zero_imaginary_part_is_the_axis(self, x):
+        # complex(x, -0.0) lies on the real axis, not below it: same value,
+        # route and cost as complex(x, 0.0).
+        above, below = complex(x, 0.0), complex(x, -0.0)
+        pairs = [(gi(above), gi(below)), (hi(above), hi(below))]
+        pairs += zip(gi_hi_pair(above), gi_hi_pair(below))
+        for a, b in pairs:
+            assert a.value == b.value
+            assert a.method == b.method
+            assert a.n_evaluations == b.n_evaluations
+
     def test_real_axis_values_are_real(self):
         for x in (-9.0, -1.0, 0.0, 1.5, 4.0, 30.0):
             assert gi(complex(x, 0.0)).value.imag == 0.0
             assert hi(complex(x, 0.0)).value.imag == 0.0
+
+
+class TestUpperHalfPlaneContract:
+    @pytest.mark.parametrize(
+        "fn,z",
+        [
+            (hi_integral_principal, -5.0 + 2.0j),
+            (hi_integral_principal, -3.0 + 0.0j),  # conjugate: imag -0.0
+            (hi_integral_v_form, -5.0 + 2.0j),
+            (hi_integral_upper, 3j),
+            (gi_integral, 3j),
+        ],
+    )
+    def test_representations_reject_the_lower_half_plane(self, fn, z):
+        # The entry points conjugate; a representation refuses to.
+        assert fn(z).converged
+        with pytest.raises(DomainError):
+            fn(z.conjugate())
 
 
 class TestDispatchBoundaries:
@@ -563,8 +603,8 @@ class TestDispatchBoundaries:
         z = cmath.rect(radius, _PI / 3.0)
         direct = gi_integral(z)
         assert _rel(gi_from_hi_rotations(z).value - direct.value, direct.value) < 1e-10
-        lower = hi_connection(z, "lower")
-        assert _rel(lower.value - hi(z).value, hi(z).value) < 1e-10
+        lower = hi_connection(z.conjugate()).value.conjugate()
+        assert _rel(lower - hi(z).value, hi(z).value) < 1e-10
 
 
 class TestEngineObject:
@@ -603,21 +643,6 @@ class TestEngineObject:
             "hi_rotation",
             "conjugate",
         }
-
-    def test_engine_instances_accept_config(self):
-        cfg = EngineConfig(
-            quad=QuadratureConfig(rel_tol=1e-10),
-            series_radius=2.0,
-            asymptotic_radius=18.0,
-        )
-        engine = ScorerEngine(cfg)
-        res = engine.gi(1 + 1j)
-        ref, _ = _REFERENCE[1 + 1j]
-        assert _rel(res.value - ref, ref) < 1e-10
-
-    def test_config_rejects_inverted_radii(self):
-        with pytest.raises(ValueError, match="series_radius"):
-            EngineConfig(series_radius=16.0, asymptotic_radius=15.0)
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex(0.0, math.inf)])
     def test_rejects_non_finite_argument(self, bad):
