@@ -1,17 +1,19 @@
 """Complex Airy functions Ai and Bi with first derivatives.
 
 Evaluation is dispatched by region: a Maclaurin series near the origin, a
-Gaussian-damped integral representation in a middle annulus around the
-principal sector, the exponential large-argument expansions outside, and a
-one-step three-solution rotation identity that connects the principal sector
-to the rest of the plane.  The lower half-plane is served by conjugation,
-which also makes conjugate symmetry exact in floating point.  Every
-evaluation returns a :class:`~scorerlib.contour.ScorerResult` that carries
-the derivative alongside the value.
+fixed 40-node Gauss-Laguerre rule on the non-oscillating Laplace form of Ai
+everywhere else in the principal sector ``|ph z| <= 2*pi/3``, and a
+one-step three-solution rotation identity that connects the principal
+sector to the rest of the plane.  The lower half-plane is served by
+conjugation, which also makes conjugate symmetry exact in floating point.
+Every evaluation returns a :class:`~scorerlib.contour.ScorerResult` that
+carries the derivative alongside the value.
 
-The series/integral seam sits at ``SERIES_RADIUS``; pushing the series much
+The series/rule seam sits at ``SERIES_RADIUS``; pushing the series much
 further loses digits to cancellation on and near the positive real axis,
-where the sum is exponentially smaller than its largest term.
+where the sum is exponentially smaller than its largest term, and the rule
+loses digits inside it as the singularity at ``t = -2 zeta`` of its
+integrand nears the nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ import math
 import numpy as np
 
 from .contour import ScorerResult, require_finite
-from .quadrature import QuadratureConfig, integrate_semi_infinite
+
+# Not used here: the name stays because perfbench's tracer wraps
+# ``airy.integrate_semi_infinite`` and stops when it is missing.
+from .quadrature import integrate_semi_infinite  # noqa: F401
 
 __all__ = [
     "AI_ZERO",
@@ -29,10 +34,8 @@ __all__ = [
     "BI_ZERO",
     "BIP_ZERO",
     "SERIES_RADIUS",
-    "ASYMPTOTIC_RADIUS",
     "ai_complex",
     "ai_maclaurin",
-    "ai_asymptotic",
     "bi_complex",
 ]
 
@@ -48,17 +51,49 @@ BIP_ZERO = 0.4482883573538263579148237103988283908668
 #: Outside this radius the Maclaurin series is abandoned (cancellation near
 #: the positive real axis costs about exp((4/3)|z|**1.5) in relative error).
 SERIES_RADIUS = 3.5
-#: Inside this radius the large-argument expansions are not yet at full
-#: double accuracy; the integral representation covers the gap.
-ASYMPTOTIC_RADIUS = 9.0
 
 _ROT_PLUS = cmath.exp(2j * math.pi / 3)
 _ROT_MINUS = cmath.exp(-2j * math.pi / 3)
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+_HALF_PI = 0.5 * math.pi
 
-_GAP_QUAD = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=200)
-#: Cap on the terms of the large-argument expansion.
-_ASYMPTOTIC_MAX_TERMS = 25
+# The generalized Gauss-Laguerre rule for exp(-t) t**(-1/6) on [0, inf),
+# 40 nodes, ascending; printed by tools/laguerre_rule.py.
+_NODES = np.array([
+    0.028389141799456768, 0.17098537886003493, 0.4358716783417705,
+    0.8235182579130309, 1.3345254325422737, 1.9696829320643507,
+    2.7299813400285995, 3.616621619161009, 4.631026110526541,
+    5.774851718305477, 7.050005686302187, 8.458664375132377,
+    10.00329552427494, 11.686684594772242, 13.511965934469355,
+    15.482659695937715, 17.602715680806913, 19.876565602278546,
+    22.30918567739628, 24.906172021297422, 27.67383207394972,
+    30.619296329508412, 33.750656085024, 37.07713497083912,
+    40.609304969434135, 44.35936195160668, 48.34148224345282,
+    52.572291707850496, 57.07149458398093, 61.86273503855476,
+    66.97480787736505, 72.44341162998353, 78.31377964843566,
+    84.64480548222755, 91.51587398018528, 99.0389948551728,
+    107.38247629566553, 116.8236917656583, 127.89374484316458,
+    141.96078859906348,
+])
+_WEIGHTS = np.array([
+    0.14372040880331385, 0.2304075592418809, 0.24225304552132762,
+    0.20363663910344082, 0.1437606306229214, 0.08691288347060781,
+    0.04541750018329159, 0.02061180312060695, 0.00814278821268607,
+    0.0028026607566337767, 0.0008403374416217194, 0.0002193037329077657,
+    4.974016590092524e-05, 9.785080959209777e-06, 1.665428246036952e-06,
+    2.4450273679965773e-07, 3.085370342362143e-08, 3.3329607293728215e-09,
+    3.0678189236537724e-10, 2.3933130990901165e-11, 1.5729470767628715e-12,
+    8.649360130178674e-14, 3.948198167006651e-15, 1.4827117304810828e-16,
+    4.533903748150563e-18, 1.1154798045203585e-19, 2.177666605892262e-21,
+    3.318788910579756e-23, 3.872847904397466e-25, 3.381185924262449e-27,
+    2.1469906189326257e-29, 9.574538399305471e-32, 2.8687783450264734e-34,
+    5.452034672917572e-37, 6.0821280065410676e-40, 3.571351222207245e-43,
+    9.375169717620775e-47, 8.418177761921027e-51, 1.5547776242720715e-55,
+    1.6257265818523536e-61,
+])
+_WEIGHTS_NODES = _WEIGHTS * _NODES
+#: 1 / (sqrt(pi) 48**(1/6) Gamma(5/6)), the Laplace form's normalization.
+_LAPLACE_NORM = 1.0 / (math.sqrt(math.pi) * 48.0 ** (1.0 / 6.0) * math.gamma(5.0 / 6.0))
 
 
 def _maclaurin_fg(z: complex) -> tuple[complex, complex, complex, complex, float, int]:
@@ -113,73 +148,45 @@ def ai_maclaurin(z: complex) -> ScorerResult:
     )
 
 
-def ai_asymptotic(z: complex) -> ScorerResult:
-    """Ai and Ai' from the large-argument exponential expansion.
+def _ai_laguerre(z: complex) -> ScorerResult:
+    """Ai and Ai' from the non-oscillating Laplace form, by the fixed rule.
 
-    Terms are added until they stop decreasing or fall below roundoff, so
-    the result is the optimally truncated sum.  Intended for
-    ``|ph z| <= 2*pi/3`` (elsewhere the omitted second exponential is not
-    uniformly negligible) and ``|z| >= ASYMPTOTIC_RADIUS``.
+    ``Ai(z) = exp(-zeta) zeta**(-1/6) / (sqrt(pi) 48**(1/6) Gamma(5/6)) * I``
+    with ``zeta = (2/3) z**1.5`` and
+    ``I = int_0^inf exp(-t) t**(-1/6) (2 + t/zeta)**(-1/6) dt``; the 40-node
+    rule sums ``I`` and, on the same nodes, ``dI/dzeta``.  Valid for
+    ``|ph z| <= 2*pi/3`` and ``|z| > SERIES_RADIUS``.  For
+    ``|ph zeta| > pi/2`` the path turns by ``theta`` away from the
+    singularity at ``t = -2 zeta``: ``t = s (1 + i tan theta)`` keeps the
+    weight ``exp(-s) s**(-1/6)`` and adds the factor ``exp(-i s tan theta)``.
     """
-    zeta = (2.0 / 3.0) * z * cmath.sqrt(z)
-    s_val = 1.0 + 0.0j
-    s_der = 1.0 + 0.0j
-    u = 1.0
-    v = 1.0
-    sign = 1.0
-    prev = math.inf
-    for k in range(_ASYMPTOTIC_MAX_TERMS):
-        u = u * (6 * k + 1) * (6 * k + 3) * (6 * k + 5) / (216.0 * (k + 1) * (2 * k + 1))
-        v = -u * (6 * k + 7) / (6 * k + 5)
-        sign = -sign
-        term = sign * u / zeta ** (k + 1)
-        if abs(term) >= prev:
-            break
-        s_val += term
-        s_der += sign * v / zeta ** (k + 1)
-        prev = abs(term)
-        if prev <= 0.25 * _EPS * abs(s_val):
-            break
-    root4 = cmath.sqrt(cmath.sqrt(z))
-    pref = cmath.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    value = pref * s_val / root4
-    err = _EPS * ((2.0 / 3.0) * abs(z) ** 1.5 + 4.0) * abs(value)
-    return ScorerResult(value, "asymptotic", err, 0, derivative=-pref * root4 * s_der)
-
-
-def _ai_gap(z: complex) -> ScorerResult:
-    """Ai and Ai' from the damped integral representation.
-
-    Valid on ``|ph z| <= 2*pi/3``; used in the annulus between the series
-    and asymptotic regions, where both alternatives lose digits.
-    """
-    w = cmath.sqrt(z)
-    zeta = (2.0 / 3.0) * z * w
-
-    def damped(t: np.ndarray) -> np.ndarray:
-        return np.exp(-w * t * t) * np.cos(t * t * t / 3.0)
-
-    def damped_t2(t: np.ndarray) -> np.ndarray:
-        return t * t * np.exp(-w * t * t) * np.cos(t * t * t / 3.0)
-
-    r0 = integrate_semi_infinite(damped, 0.0, _GAP_QUAD)
-    r2 = integrate_semi_infinite(damped_t2, 0.0, _GAP_QUAD)
-    pref = cmath.exp(-zeta) / math.pi
-    value = pref * r0.value
-    deriv = -pref * (w * r0.value + r2.value / (2.0 * w))
-    err = abs(pref) * (
-        r0.abs_error_estimate * (1.0 + abs(w))
-        + r2.abs_error_estimate / (2.0 * abs(w))
-        + _EPS * abs(zeta) * abs(r0.value)
+    # From atan2, not the phase of zeta, which wraps to -pi on the 2*pi/3 ray.
+    phase = 1.5 * math.atan2(z.imag, z.real)
+    modulus = (2.0 / 3.0) * abs(z) ** 1.5
+    zeta = cmath.rect(modulus, phase)
+    tan = 0.0
+    if abs(phase) > _HALF_PI:
+        tan = math.tan(math.copysign(0.5 * (abs(phase) - _HALF_PI), phase))
+    tilt = complex(1.0, tan)
+    q = 2.0 + (tilt / zeta) * _NODES
+    g = np.power(q, -1.0 / 6.0)
+    if tan:
+        g *= np.exp((-1j * tan) * _NODES)
+    # The turned path's dt and t**(-1/6) give tilt**(5/6); dI/dzeta has one
+    # more factor t.
+    scale = tilt ** (5.0 / 6.0)
+    s0 = scale * complex(g.dot(_WEIGHTS))
+    s1 = scale * tilt * complex((g / q).dot(_WEIGHTS_NODES))
+    # exp(-zeta) zeta**(-1/6) as one exponential.
+    pref = _LAPLACE_NORM * cmath.exp(
+        complex(-zeta.real - math.log(modulus) / 6.0, -zeta.imag - phase / 6.0)
     )
-    return ScorerResult(
-        value,
-        "integral",
-        err,
-        r0.n_evaluations + r2.n_evaluations,
-        r0.converged and r2.converged,
-        deriv,
-    )
+    value = pref * s0
+    ds = s1 / (6.0 * zeta * zeta) - (1.0 + 1.0 / (6.0 * zeta)) * s0
+    # The rounding of exp(-zeta) dominates: the relative error of zeta
+    # becomes an absolute error of the exponent.
+    err = _EPS * (4.0 * modulus + 8.0) * abs(value)
+    return ScorerResult(value, "integral", err, _NODES.size, True, pref * cmath.sqrt(z) * ds)
 
 
 def _combined(
@@ -217,9 +224,7 @@ def _ai_info(z: complex) -> ScorerResult:
         value = -_ROT_MINUS * a_minus.value - _ROT_PLUS * a_plus.value
         deriv = -_ROT_PLUS * a_minus.derivative - _ROT_MINUS * a_plus.derivative
         return _combined("rotation", value, deriv, a_plus, a_minus, _EPS * abs(value))
-    if r >= ASYMPTOTIC_RADIUS:
-        return ai_asymptotic(z)
-    return _ai_gap(z)
+    return _ai_laguerre(z)
 
 
 def ai_complex(z: complex) -> ScorerResult:

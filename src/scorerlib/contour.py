@@ -77,13 +77,14 @@ class ScorerResult:
         Route tag.  Gi and Hi: ``series``, ``asymptotic``, ``hi_path_u``,
         ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``, ``gi_real_axis``,
         ``hi_rotation``, ``gi_rotation_pair``, ``bi_identity``, or
-        ``conjugate``.  Ai and Bi: ``series``, ``integral``, ``asymptotic``,
-        ``rotation``, or ``rotation_pair``.
+        ``conjugate``.  Ai and Bi: ``series``, ``integral``, ``rotation``,
+        or ``rotation_pair``.
     abs_error_estimate : float
         Estimated absolute error (quadrature estimates plus rounding terms).
     n_evaluations : int
         Exact count of quadrature integrand evaluations aggregated over
-        every integral that contributed, including Airy integrals.
+        every integral that contributed, including the 40 nodes of each
+        Airy rule evaluation.
     converged : bool
         False when some contributing quadrature missed its tolerance.
     derivative : complex or None

@@ -164,11 +164,13 @@ def _neglected_exponential(r: float, theta: float, kind: str) -> float:
     ``sqrt(pi) r**0.75`` was calibrated against high-precision references.
     Outside the expansion's sector the exponent is positive; it is capped
     below the overflow of ``exp``, so the bound is then huge or infinite.
+    ``r * sqrt(r)`` saturates to infinity where ``r**1.5`` would raise
+    (``r`` above about 1e205).
     """
     if kind == "hi":
-        exponent = (2.0 / 3.0) * r**1.5 * math.cos(1.5 * min(theta, _TWO_THIRDS_PI))
+        exponent = (2.0 / 3.0) * r * math.sqrt(r) * math.cos(1.5 * min(theta, _TWO_THIRDS_PI))
     else:
-        exponent = -(2.0 / 3.0) * r**1.5 * math.cos(1.5 * theta)
+        exponent = -(2.0 / 3.0) * r * math.sqrt(r) * math.cos(1.5 * theta)
     return _SQRT_PI * r**0.75 * math.exp(min(exponent, 709.0))
 
 

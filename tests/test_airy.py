@@ -12,16 +12,14 @@ import scipy.special
 from scorerlib.airy import (
     AI_ZERO,
     AIP_ZERO,
-    ASYMPTOTIC_RADIUS,
     BI_ZERO,
     BIP_ZERO,
     SERIES_RADIUS,
-    ai_asymptotic,
     ai_complex,
     ai_maclaurin,
     bi_complex,
 )
-from scorerlib.airy import _ai_info, _bi_info
+from scorerlib.airy import _NODES, _WEIGHTS, _ai_info, _bi_info
 from scorerlib.contour import DomainError
 
 # Reference values computed with mpmath at 35 significant digits and frozen.
@@ -235,7 +233,7 @@ class TestRotationIdentity:
 
 
 class TestMethodSeams:
-    @pytest.mark.parametrize("radius", [SERIES_RADIUS, ASYMPTOTIC_RADIUS])
+    @pytest.mark.parametrize("radius", [SERIES_RADIUS])
     def test_dispatch_switches_continuously_at_the_seam(self, radius):
         z = radius * cmath.exp(0.4j)
         info_in = _ai_info(z * 0.999999)
@@ -253,12 +251,6 @@ class TestMethodSeams:
         direct = ai_complex(z)
         assert _rel(series.value - direct.value, direct.value) < 1e-12
 
-    def test_asymptotic_and_integral_overlap(self):
-        z = ASYMPTOTIC_RADIUS * cmath.exp(0.3j)
-        asym = ai_asymptotic(z)
-        direct = ai_complex(z)
-        assert _rel(asym.value - direct.value, direct.value) < 1e-12
-
 
 class TestRouting:
     @pytest.mark.parametrize(
@@ -267,7 +259,7 @@ class TestRouting:
             (1 + 0.5j, "series"),
             (2 - 1j, "series"),
             (5 + 0j, "integral"),
-            (20 + 0j, "asymptotic"),
+            (20 + 0j, "integral"),
             (-20 + 0j, "rotation"),
             (6 * cmath.exp(2.8j), "rotation"),
         ],
@@ -283,6 +275,11 @@ class TestRouting:
         assert info.n_evaluations > 0
         assert 0.0 <= info.abs_error_estimate < abs(info.value)
 
+    def test_rule_costs_forty_evaluations_at_every_radius(self):
+        for r in (3.6, 9.0, 80.0, 1e6):
+            assert _ai_info(cmath.rect(r, 0.4)).n_evaluations == 40
+        assert _bi_info(20 + 0j).n_evaluations == 80
+
     @pytest.mark.parametrize(
         "bad", [complex("nan"), complex(math.inf, 0.0), complex(1.0, -math.inf)]
     )
@@ -291,6 +288,21 @@ class TestRouting:
             ai_complex(bad)
         with pytest.raises(DomainError, match="finite"):
             bi_complex(bad)
+
+
+class TestLaguerreRule:
+    def test_embedded_rule_matches_scipy(self):
+        nodes, weights = scipy.special.roots_genlaguerre(40, -1.0 / 6.0)
+        np.testing.assert_allclose(_NODES, nodes, rtol=1e-14, atol=0.0)
+        # Below about 1e-20 scipy's own weights stray from 90-digit values by
+        # up to 2.3e-13 relative; they are weighed against the whole sum.
+        np.testing.assert_allclose(
+            _WEIGHTS, weights, rtol=1e-14, atol=1e-14 * weights.sum()
+        )
+
+    def test_weights_sum_to_the_weight_integral(self):
+        # The integral of exp(-t) t**(-1/6) over [0, inf) is Gamma(5/6).
+        assert math.isclose(_WEIGHTS.sum(), math.gamma(5.0 / 6.0), rel_tol=1e-15)
 
 
 class TestConjugateSymmetry:

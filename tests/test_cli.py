@@ -117,6 +117,8 @@ class TestEvalCommand:
         "argv",
         [
             ["--fn", "gi", "--re", "0", "--im", "1e200"],
+            ["--fn", "gi", "--re", "0", "--im", "1e250"],
+            ["--fn", "ai", "--re", "0", "--im", "1e250"],
             ["--fn", "hi", "--re", "200", "--im", "0"],
             ["--fn", "gi", "--re=-1e300", "--im", "0"],
             ["--fn", "gi", "--r", "1e6", "--phase", "2pi/3"],
@@ -131,9 +133,11 @@ class TestEvalCommand:
         assert captured.err.count("\n") == 1
 
     def test_airy_non_convergence_exits_2(self, monkeypatch, capsys):
-        gap = scorerlib.airy._GAP_QUAD
+        rule = scorerlib.airy._ai_laguerre
         monkeypatch.setattr(
-            scorerlib.airy, "_GAP_QUAD", dataclasses.replace(gap, max_subdivisions=0)
+            scorerlib.airy,
+            "_ai_laguerre",
+            lambda z: dataclasses.replace(rule(z), converged=False),
         )
         assert main(["eval", "--fn", "ai", "--re", "5", "--im", "0"]) == 2
         capsys.readouterr()

@@ -343,9 +343,19 @@ class TestAsymptotics:
         assert _rel(href - (-1.0 / (_PI * z)), -1.0 / (_PI * z)) < 1e-15
         assert _rel(gref - (1.0 / (_PI * (-z))), 1.0 / (_PI * (-z))) < 1e-15
 
-    @pytest.mark.parametrize("fn,z,sign", [(gi, 1e200 + 0j, 1.0), (hi, -1e200j, -1.0)])
+    @pytest.mark.parametrize(
+        "fn,z,sign",
+        [
+            (gi, 1e200 + 0j, 1.0),
+            (hi, -1e200j, -1.0),
+            (hi, -1e300 + 0j, -1.0),
+            (hi, -1e210 + 0j, -1.0),
+            (gi, 1e300 + 0j, 1.0),
+        ],
+    )
     def test_huge_argument_stays_finite(self, fn, z, sign):
         # z**3 overflows here; the series must be built from 1/z instead.
+        # Beyond |z| = 1e205 so does |z|**1.5 in the gate's exponential bound.
         res = fn(z)
         leading = sign / (_PI * z)
         assert cmath.isfinite(res.value)
@@ -654,11 +664,13 @@ class TestEngineObject:
             gi_hi_pair(bad)
 
     def test_airy_non_convergence_is_reported(self, monkeypatch):
-        # Stop the Airy annulus integral after its first panel: every route
-        # that adds such an Ai or Bi term must report it.
-        gap = scorerlib.airy._GAP_QUAD
+        # Make the Airy rule report non-convergence: every route that adds
+        # an Ai or Bi term from it must report it.
+        rule = scorerlib.airy._ai_laguerre
         monkeypatch.setattr(
-            scorerlib.airy, "_GAP_QUAD", dataclasses.replace(gap, max_subdivisions=0)
+            scorerlib.airy,
+            "_ai_laguerre",
+            lambda z: dataclasses.replace(rule(z), converged=False),
         )
         assert not ai_complex(5.0).converged
         assert not bi_complex(5.0).converged
@@ -669,7 +681,7 @@ class TestEngineObject:
         assert not hi_integral_upper(5j).converged
         g, h = gi_hi_pair(5.0)
         assert g.converged and not h.converged
-        # Away from the annulus nothing changes.
+        # Without an Airy term nothing changes.
         assert hi(-5.0).converged
 
     def test_results_report_route_and_cost(self):
