@@ -22,7 +22,7 @@ import cmath
 import math
 import numpy as np
 
-from .contour import ScorerResult, require_finite
+from .contour import ScorerResult, combine, require_finite
 
 # Not used here: the name stays because perfbench's tracer wraps
 # ``airy.integrate_semi_infinite`` and stops when it is missing.
@@ -184,28 +184,11 @@ def _ai_laguerre(z: complex) -> ScorerResult:
     value = pref * s0
     ds = s1 / (6.0 * zeta * zeta) - (1.0 + 1.0 / (6.0 * zeta)) * s0
     # The rounding of exp(-zeta) dominates: the relative error of zeta
-    # becomes an absolute error of the exponent.
-    err = _EPS * (4.0 * modulus + 8.0) * abs(value)
+    # becomes an absolute error of the exponent.  The coefficient of |zeta|
+    # also covers a rotated argument z e^{+-2 pi i/3}, whose rounding moves
+    # zeta by 1.5 |zeta| times its relative error.
+    err = _EPS * (6.0 * modulus + 8.0) * abs(value)
     return ScorerResult(value, "integral", err, _NODES.size, True, pref * cmath.sqrt(z) * ds)
-
-
-def _combined(
-    method: str,
-    value: complex,
-    deriv: complex,
-    a: ScorerResult,
-    b: ScorerResult,
-    rounding: float,
-) -> ScorerResult:
-    """A result built from two Ai results, inheriting their cost and status."""
-    return ScorerResult(
-        value,
-        method,
-        a.abs_error_estimate + b.abs_error_estimate + rounding,
-        a.n_evaluations + b.n_evaluations,
-        a.converged and b.converged,
-        deriv,
-    )
 
 
 def _ai_info(z: complex) -> ScorerResult:
@@ -221,9 +204,8 @@ def _ai_info(z: complex) -> ScorerResult:
         # One rotation lands both arguments inside the principal sector.
         a_plus = _ai_info(z * _ROT_PLUS)
         a_minus = _ai_info(z * _ROT_MINUS)
-        value = -_ROT_MINUS * a_minus.value - _ROT_PLUS * a_plus.value
         deriv = -_ROT_PLUS * a_minus.derivative - _ROT_MINUS * a_plus.derivative
-        return _combined("rotation", value, deriv, a_plus, a_minus, _EPS * abs(value))
+        return combine("rotation", [(-_ROT_MINUS, a_minus), (-_ROT_PLUS, a_plus)], deriv)
     return _ai_laguerre(z)
 
 
@@ -255,10 +237,8 @@ def _bi_info(z: complex) -> ScorerResult:
     a_minus = _ai_info(z * _ROT_MINUS)
     rot1 = cmath.exp(1j * math.pi / 6)
     rot5 = cmath.exp(5j * math.pi / 6)
-    value = rot1 * a_plus.value + rot1.conjugate() * a_minus.value
     deriv = rot5 * a_plus.derivative + rot5.conjugate() * a_minus.derivative
-    rounding = 2.0 * _EPS * (abs(a_plus.value) + abs(a_minus.value))
-    return _combined("rotation_pair", value, deriv, a_plus, a_minus, rounding)
+    return combine("rotation_pair", [(rot1, a_plus), (rot1.conjugate(), a_minus)], deriv)
 
 
 def bi_complex(z: complex) -> ScorerResult:

@@ -25,6 +25,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -72,9 +73,6 @@ _ASYMPTOTIC_REFERENCE: dict[tuple[float, str], tuple[float, float | None]] = {
     (100.0, "5pi/6"): (2.7566477e-3, 1.5915439e-3),
     (100.0, "2pi/3"): (1.5915526e-3, 2.7566500e-3),
 }
-
-_PHASE_LABELS = ("pi", "5pi/6", "2pi/3")
-
 
 @dataclass(frozen=True)
 class OutputRecord:
@@ -305,50 +303,54 @@ def _format_cell(value: float | None) -> str:
     return "  --          " if value is None else f"{value: .7e}"
 
 
-def _cmd_table41(args: argparse.Namespace) -> int:
-    failures = 0
-    print("Hi by descent-contour quadrature vs stored 8-digit reference")
-    print("radius  phase   part   computed        reference       |diff|     evals")
-    start = time.perf_counter()
-    asymptotic_rows = []
-    for (radius, label), (ref_re, ref_im) in _QUADRATURE_REFERENCE.items():
-        z = _z_from_polar(radius, parse_phase(label))
-        result = _engine.hi_integral_principal(z)
-        checks = [("Re", result.value.real, ref_re)]
-        if ref_im is not None:
-            checks.append(("Im", result.value.imag, ref_im))
-        for part, computed, reference in checks:
-            diff = abs(computed - reference)
-            ok = diff <= 0.5 * _printed_ulp(reference) and result.converged
-            failures += 0 if ok else 1
-            flag = "" if ok else "  MISMATCH"
-            print(
-                f"{radius:6g}  {label:6s}  {part}   {computed: .7e}"
-                f"  {_format_cell(reference)}  {diff:.1e}  {result.n_evaluations:5d}"
-                f"{flag}"
-            )
-        if (radius, label) in _ASYMPTOTIC_REFERENCE:
-            asymptotic_rows.append((radius, label, z))
-    elapsed = time.perf_counter() - start
+def _golden_rows(asymptotic: bool):
+    """Compare one golden table, part by part.
 
-    print()
-    print("Large-argument expansion (three correction terms) vs reference")
-    print("radius  phase   part   computed        reference       |diff|")
-    for radius, label, z in asymptotic_rows:
-        ref_re, ref_im = _ASYMPTOTIC_REFERENCE[(radius, label)]
-        result = _engine.hi_asymptotic(z, n_terms=3)
+    Yields ``(radius, label, part, computed, reference, diff, ok,
+    n_evaluations)`` for the quadrature table (``hi_integral_principal``;
+    a cell passes within half a printed ulp and when the quadrature
+    converged) or, with ``asymptotic``, for the expansion table
+    (``hi_asymptotic`` with three corrections; the stored prints carry up
+    to one ulp of decimal rounding slop).
+    """
+    if asymptotic:
+        table, slack = _ASYMPTOTIC_REFERENCE, 1.0
+        evaluate = functools.partial(_engine.hi_asymptotic, n_terms=3)
+    else:
+        table, slack, evaluate = _QUADRATURE_REFERENCE, 0.5, _engine.hi_integral_principal
+    for (radius, label), (ref_re, ref_im) in table.items():
+        result = evaluate(_z_from_polar(radius, parse_phase(label)))
         checks = [("Re", result.value.real, ref_re)]
         if ref_im is not None:
             checks.append(("Im", result.value.imag, ref_im))
         for part, computed, reference in checks:
             diff = abs(computed - reference)
-            # The stored prints carry up to one ulp of decimal rounding slop.
-            ok = diff <= 1.0 * _printed_ulp(reference)
+            ok = diff <= slack * _printed_ulp(reference) and result.converged
+            yield radius, label, part, computed, reference, diff, ok, result.n_evaluations
+
+
+def _cmd_table41(args: argparse.Namespace) -> int:
+    sections = (
+        ("Hi by descent-contour quadrature vs stored 8-digit reference", "     evals"),
+        ("Large-argument expansion (three correction terms) vs reference", ""),
+    )
+    failures = 0
+    start = time.perf_counter()
+    for asymptotic, (title, evals_head) in enumerate(sections):
+        if asymptotic:
+            elapsed = time.perf_counter() - start
+            print()
+        print(title)
+        print("radius  phase   part   computed        reference       |diff|" + evals_head)
+        for radius, label, part, computed, reference, diff, ok, evals in _golden_rows(
+            bool(asymptotic)
+        ):
             failures += 0 if ok else 1
-            flag = "" if ok else "  MISMATCH"
             print(
                 f"{radius:6g}  {label:6s}  {part}   {computed: .7e}"
-                f"  {_format_cell(reference)}  {diff:.1e}{flag}"
+                f"  {_format_cell(reference)}  {diff:.1e}"
+                + ("" if asymptotic else f"  {evals:5d}")
+                + ("" if ok else "  MISMATCH")
             )
 
     print()
@@ -462,28 +464,10 @@ def _selftest_checks() -> list[tuple[str, str]]:
             worst = max(worst, abs(on_axis - direct) / abs(direct))
         return "" if worst <= 1e-9 else f"rotation-pair residual {worst:.2e}"
 
-    def check_table() -> str:
-        for (radius, label), (ref_re, ref_im) in _QUADRATURE_REFERENCE.items():
-            z = _z_from_polar(radius, parse_phase(label))
-            value = _engine.hi_integral_principal(z).value
-            if abs(value.real - ref_re) > 0.5 * _printed_ulp(ref_re):
-                return f"radius {radius} phase {label} Re off reference"
-            if ref_im is not None and abs(value.imag - ref_im) > 0.5 * _printed_ulp(
-                ref_im
-            ):
-                return f"radius {radius} phase {label} Im off reference"
-        return ""
-
-    def check_asymptotic() -> str:
-        for (radius, label), (ref_re, ref_im) in _ASYMPTOTIC_REFERENCE.items():
-            z = _z_from_polar(radius, parse_phase(label))
-            value = _engine.hi_asymptotic(z, n_terms=3).value
-            if abs(value.real - ref_re) > 1.0 * _printed_ulp(ref_re):
-                return f"radius {radius} phase {label} Re off reference"
-            if ref_im is not None and abs(value.imag - ref_im) > 1.0 * _printed_ulp(
-                ref_im
-            ):
-                return f"radius {radius} phase {label} Im off reference"
+    def check_golden(asymptotic: bool) -> str:
+        for radius, label, part, *_, ok, _ in _golden_rows(asymptotic):
+            if not ok:
+                return f"radius {radius} phase {label} {part} off reference"
         return ""
 
     def check_cross_routes() -> str:
@@ -534,8 +518,8 @@ def _selftest_checks() -> list[tuple[str, str]]:
     run("sum_identity", check_sum_identity)
     run("rotation_connection", check_connection)
     run("rotation_pair_vs_contour", check_rotation_pair)
-    run("golden_table_quadrature", check_table)
-    run("golden_table_asymptotic", check_asymptotic)
+    run("golden_table_quadrature", lambda: check_golden(False))
+    run("golden_table_asymptotic", lambda: check_golden(True))
     run("cross_route_agreement", check_cross_routes)
     run("quadrature_closed_forms", check_quadrature)
     run("airy_wronskian", check_wronskian)

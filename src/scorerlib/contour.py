@@ -6,7 +6,11 @@ along a useful contour while the imaginary part stays constant (no
 oscillation).  This module provides those level-line contours explicitly,
 ``v`` as a function of ``u`` or ``u`` as a function of ``v``, together with
 the complex Jacobian factors ``dt/du`` and ``dt/dv`` that convert an integral
-over the real parameter back into the contour integral.
+over the real parameter back into the contour integral, and the decay
+``-Re(exponent)`` that the integrands need.  The substitution ``t -> i t``
+maps the oscillatory kernel ``exp(i(z t + t**3/3))`` onto the growing kernel
+``exp(z t - t**3/3)``, so the growing kernel's left-valley contour is the
+oscillatory kernel's contour turned by ``i``; the engine uses one for both.
 
 All path functions are vectorized over the parameter and raise
 :class:`DomainError` naming the violated precondition when called outside
@@ -15,7 +19,8 @@ their sector of validity.  Only the closed upper half-plane appears here:
 and the engine's entry points serve it by conjugation.
 
 As the lowest module of the package it also holds what every layer shares:
-the :class:`ScorerResult` type, :class:`DomainError`, :func:`require_finite`
+the :class:`ScorerResult` type and :func:`combine`, the one rule that builds
+a result from weighted parts, :class:`DomainError`, :func:`require_finite`
 and the ray tolerance :data:`RAY_TOL`.
 """
 
@@ -29,24 +34,25 @@ import numpy as np
 __all__ = [
     "DomainError",
     "HiPathSpec",
-    "PhaseParts",
     "RAY_TOL",
     "ScorerResult",
+    "combine",
+    "gi_decay",
     "gi_jacobian_u",
     "gi_path_v_of_u",
-    "gi_phase_parts",
     "hi_branch_point",
+    "hi_decay",
     "hi_jacobian_u",
-    "hi_jacobian_v",
     "hi_path_spec",
     "hi_path_u_of_v",
     "hi_path_v_of_u",
-    "hi_phase_parts",
     "require_finite",
     "stokes_path",
 ]
 
 _SQRT3 = math.sqrt(3.0)
+_EPS = float(np.finfo(float).eps)
+_TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 #: Phase distance (radians) within which ``z`` counts as lying on the Stokes
 #: ray ``2*pi/3`` or on the negative real axis.
@@ -114,39 +120,47 @@ class ScorerResult:
         )
 
 
-@dataclass(frozen=True)
-class PhaseParts:
-    """Real decay part and imaginary (oscillation) part of an exponent."""
+def combine(method: str, terms, derivative: complex | None = None) -> ScorerResult:
+    """The result ``sum c * part`` over ``terms``, a list of ``(c, part)``.
 
-    decay: np.ndarray | float
-    oscillation: np.ndarray | float
-
-
-def hi_phase_parts(u, v, x: float, y: float) -> PhaseParts:
-    """Split the exponent of the growing-kernel integrand on ``t = u + iv``.
-
-    The integrand is ``exp(z t - t**3/3) = exp(-decay) * exp(-i*oscillation)``.
-    A valid contour keeps ``oscillation`` constant while ``decay`` increases.
+    A part is a :class:`ScorerResult` or a quadrature result; both carry
+    ``value``, ``abs_error_estimate``, ``n_evaluations`` and ``converged``.
+    The error is the weighted sum of the parts' errors plus the rounding of
+    the weighted sum, the cost is the parts' total, and the result has
+    converged when every part has.  The sum starts from the first term, so a
+    signed zero survives a single term.
     """
-    decay = u**3 / 3.0 - u * v * v - x * u + y * v
-    oscillation = u * u * v - v**3 / 3.0 - x * v - y * u
-    return PhaseParts(decay, oscillation)
+    value = None
+    err = magnitude = 0.0
+    n_evaluations = 0
+    converged = True
+    for c, part in terms:
+        term = c * part.value
+        value = term if value is None else value + term
+        err += abs(c) * part.abs_error_estimate
+        magnitude += abs(term)
+        n_evaluations += part.n_evaluations
+        converged = converged and part.converged
+    err += 2.0 * _EPS * (magnitude + abs(value))
+    return ScorerResult(value, method, err, n_evaluations, converged, derivative)
 
 
-def gi_phase_parts(u, v, x: float, y: float) -> PhaseParts:
-    """Split the exponent of the oscillatory-kernel integrand.
+def hi_decay(u, v, x: float, y: float):
+    """``-Re(z t - t**3/3)`` at ``t = u + iv``: the growing kernel has
+    modulus ``exp(-decay)``, and along a valid contour the decay increases."""
+    return u**3 / 3.0 - u * v * v - x * u + y * v
 
-    The integrand is ``exp(i(z t + t**3/3)) = exp(-decay) * exp(i*oscillation)``.
-    """
-    decay = x * v + y * u + u * u * v - v**3 / 3.0
-    oscillation = x * u - y * v + u**3 / 3.0 - u * v * v
-    return PhaseParts(decay, oscillation)
+
+def gi_decay(u, v, x: float, y: float):
+    """``-Re(i(z t + t**3/3))`` at ``t = u + iv``, the same for the
+    oscillatory kernel."""
+    return x * v + y * u + u * u * v - v**3 / 3.0
 
 
 def hi_path_v_of_u(u, x: float, y: float):
     """Height of the zero-oscillation contour of the growing kernel.
 
-    Solves ``oscillation(u, v) = 0`` for the branch through the origin, valid
+    Solves ``Im(z t - t**3/3) = 0`` for the branch through the origin, valid
     in the open sector where the contour runs from the origin to ``+infinity
     * e^{i*pi/6}``-like directions without meeting the saddle.
 
@@ -186,17 +200,6 @@ def hi_jacobian_u(u, v, x: float, y: float):
     return 1.0 + 1j * (2.0 * u * v - y) / den
 
 
-def hi_jacobian_v(u, v, x: float, y: float):
-    """``dt/dv`` along a zero-oscillation contour parameterized by ``v``.
-
-    Equals ``du/dv + i``; the reciprocal slope of :func:`hi_jacobian_u`.
-    """
-    den = 2.0 * u * v - y
-    if np.any(np.asarray(den) == 0.0):
-        raise DomainError("hi_jacobian_v is singular where 2*u*v - y = 0")
-    return (v * v - u * u + x) / den + 1j
-
-
 def hi_branch_point(x: float, y: float) -> tuple[float, float]:
     """Fold point ``(v1, u1)`` where the two ``u(v)`` branches meet.
 
@@ -207,40 +210,50 @@ def hi_branch_point(x: float, y: float) -> tuple[float, float]:
         raise DomainError("hi_branch_point requires x < 0 and 3*x**2 > y**2")
     if not y > 0.0:
         raise DomainError("hi_branch_point requires y > 0")
-    d = math.sqrt(x * x - y * y / 3.0)
-    v1 = math.sqrt(1.5 * (-x - d))
+    # 1.5 (-x - d) without the cancellation that rounds it to 0 near the axis.
+    v1 = y / math.sqrt(2.0 * (math.sqrt(x * x - y * y / 3.0) - x))
     return v1, y / (2.0 * v1)
 
 
 def hi_path_u_of_v(v, x: float, y: float, branch: str = "near"):
-    """The two ``u > 0`` solutions of the zero-oscillation condition.
+    """The two ``u > 0`` solutions of the zero-oscillation condition, with
+    the Jacobian ``dt/dv``.
 
     Valid for ``0 <= v <= v1`` (see :func:`hi_branch_point`).  The ``"near"``
     branch passes through the origin; the ``"far"`` branch comes in from
     ``u = +infinity`` as ``v`` decreases.  Both are written against the
     discriminant in factored form so that rounding can never make it
-    negative inside the domain.
+    negative inside the domain.  Returns ``(u, dt_dv)`` with
+    ``dt/dv = du/dv + i``; the slope ``du/dv = (v**2 - u**2 + x) / (-+r)``
+    has the discriminant's root ``r`` as its denominator, which vanishes
+    only at the fold, where the slope is infinite and is returned as 0 (a
+    caller integrating up to the fold must cancel it by a substitution).
     """
     if not (x < 0.0 and 3.0 * x * x > y * y):
         raise DomainError("hi_path_u_of_v requires x < 0 and 3*x**2 > y**2")
     if not y > 0.0:
         raise DomainError("hi_path_u_of_v requires y > 0")
+    if branch not in ("near", "far"):
+        raise ValueError("branch must be 'near' or 'far'")
     v = np.asarray(v, dtype=float)
     if np.any(v < 0.0):
         raise DomainError("hi_path_u_of_v requires v >= 0")
     d = math.sqrt(x * x - y * y / 3.0)
-    v1sq = 1.5 * (-x - d)
+    v1sq = 0.5 * y * y / (d - x)
     v2sq = 1.5 * (-x + d)
-    if np.any(v * v > v1sq * (1.0 + 64.0 * np.finfo(float).eps)):
+    if np.any(v * v > v1sq * (1.0 + 64.0 * _EPS)):
         raise DomainError("hi_path_u_of_v requires v <= v1 (below the fold point)")
     vsq = v * v
     r = np.sqrt((4.0 / 3.0) * np.maximum(v1sq - vsq, 0.0) * (v2sq - vsq))
-    if branch == "near":
-        return -2.0 * v * (x + vsq / 3.0) / (y + r)
-    if branch == "far":
-        with np.errstate(divide="ignore"):
-            return (y + r) / (2.0 * v)
-    raise ValueError("branch must be 'near' or 'far'")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if branch == "near":
+            u = -2.0 * v * (x + vsq / 3.0) / (y + r)
+            den = -r
+        else:
+            u = (y + r) / (2.0 * v)
+            den = r
+        slope = (vsq - u * u + x) / np.where(r == 0.0, np.inf, den)
+    return u, slope + 1j
 
 
 def stokes_path(u, x: float):
@@ -269,15 +282,16 @@ def stokes_path(u, x: float):
 def gi_path_v_of_u(u, x: float, y: float):
     """Height of the zero-oscillation contour of the oscillatory kernel.
 
-    Solves ``oscillation(u, v) = 0`` for the branch through the origin,
+    Solves ``Re(z t + t**3/3) = 0`` for the branch through the origin,
     written in rationalized form so it stays stable as ``y`` tends to zero.
-    Valid when ``x >= 0``, or ``x < 0`` with ``y**2 >= 3*x**2`` (phase of z
-    in ``[0, 2*pi/3]``); requires ``y >= 0`` and ``u >= 0``.
+    Valid for the phase of z in ``[0, 2*pi/3]`` up to :data:`RAY_TOL`;
+    requires ``y >= 0`` and ``u >= 0``.  Turned by ``i`` it is also the
+    growing kernel's left-valley contour: ``u_Hi(v) = -v_Gi(v)``.
     """
     if y < 0.0:
         raise DomainError("gi_path_v_of_u requires y >= 0; use conjugation below the axis")
-    if x < 0.0 and y * y < 3.0 * x * x:
-        raise DomainError("gi_path_v_of_u requires x >= 0 or y**2 >= 3*x**2")
+    if x < 0.0 and math.atan2(y, x) > _TWO_THIRDS_PI + RAY_TOL:
+        raise DomainError("gi_path_v_of_u requires the phase of z in [0, 2*pi/3]")
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0):
         raise DomainError("gi_path_v_of_u requires u >= 0")

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import airy as _airy
 from . import contour as _contour
-from .contour import RAY_TOL, ScorerResult
+from .contour import RAY_TOL, ScorerResult, combine
 from .quadrature import integrate_piecewise
 
 __all__ = [
@@ -70,6 +70,8 @@ _TWO_THIRDS_PI = 2.0 * _PI / 3.0
 _SQRT_PI = math.sqrt(_PI)
 _ROT_UP = cmath.exp(2j * _PI / 3)
 _ROT_DOWN = cmath.exp(-2j * _PI / 3)
+#: The Airy coefficient 2 e^{-i pi/6} of the Hi rotation connection.
+_TWO_ROT_SIXTH = 2.0 * cmath.exp(-1j * _PI / 6.0)
 _EXP_CLIP = 745.0
 
 # Values at the origin: Gi(0) = Bi(0)/3 = 1/(3**(7/6) Gamma(2/3)),
@@ -199,8 +201,10 @@ def _asymptotic_core(z: complex, kind: str, n_terms: int | None) -> ScorerResult
         power *= inv3
     value = (-1.0 if kind == "hi" else 1.0) / (_PI * z) * total
     rel_trunc = min(smallest, coeff * abs(power))
+    # Twice the calibrated neglected part and 8 eps of rounding leave the
+    # bar a margin on the Stokes ray, where the switched-on term is largest.
     neglected = _neglected_exponential(abs(z), abs(cmath.phase(z)), kind)
-    err = abs(value) * (rel_trunc + 4.0 * _EPS + neglected)
+    err = abs(value) * (rel_trunc + 8.0 * _EPS + 2.0 * neglected)
     return ScorerResult(value, "asymptotic", err, 0)
 
 
@@ -284,36 +288,32 @@ def hi_integral_principal(z: complex) -> ScorerResult:
 
     if spec.kind == "real_axis":
 
-        def f_axis(u: np.ndarray) -> np.ndarray:
+        def f(u: np.ndarray) -> np.ndarray:
             return _masked_exp(u**3 / 3.0 - x * u, np.ones_like(u) + 0.0j)
 
-        pieces = [(f_axis, 0.0, math.inf)]
     elif spec.kind == "stokes":
         y_ray = -math.sqrt(3.0) * x
+        # In w = u / (2 u0) the slope corner at the saddle u0 sits at s = 1/3
+        # of the mapped variable s = w / (1 + w), and bisection keeps it at
+        # 1/3 or 2/3 of its panel, where the Gauss and Kronrod rules both see
+        # the jump; no split at the corner, so the ray stays the costliest
+        # direction.
+        scale = 2.0 * math.sqrt(-x / 2.0)
 
-        def f_stokes(u: np.ndarray) -> np.ndarray:
+        def f(w: np.ndarray) -> np.ndarray:
+            u = scale * w
             v, dv = _contour.stokes_path(u, x)
-            parts = _contour.hi_phase_parts(u, v, x, y_ray)
-            return _masked_exp(parts.decay, 1.0 + 1j * dv)
+            return _masked_exp(_contour.hi_decay(u, v, x, y_ray), scale * (1.0 + 1j * dv))
 
-        # One curve, one piece: the slope corner where the straight saddle
-        # run meets the hyperbolic branch is left to the adaptive refinement,
-        # which is what makes the Stokes ray measurably costlier.
-        pieces = [(f_stokes, 0.0, math.inf)]
     else:
 
-        def f_interior(u: np.ndarray) -> np.ndarray:
+        def f(u: np.ndarray) -> np.ndarray:
             v = _contour.hi_path_v_of_u(u, x, y)
-            parts = _contour.hi_phase_parts(u, v, x, y)
             h = _contour.hi_jacobian_u(u, v, x, y)
-            return _masked_exp(parts.decay, h)
+            return _masked_exp(_contour.hi_decay(u, v, x, y), h)
 
-        pieces = [(f_interior, 0.0, math.inf)]
-
-    qr = integrate_piecewise(pieces)
-    value = qr.value / _PI
-    err = qr.abs_error_estimate / _PI + 2.0 * _EPS * abs(value)
-    return ScorerResult(value, "hi_path_u", err, qr.n_evaluations, qr.converged)
+    qr = integrate_piecewise([(f, 0.0, math.inf)])
+    return combine("hi_path_u", [(1.0 / _PI, qr)])
 
 
 def hi_integral_v_form(z: complex) -> ScorerResult:
@@ -328,37 +328,40 @@ def hi_integral_v_form(z: complex) -> ScorerResult:
     """
     x, y = z.real, z.imag
     v1, _ = _contour.hi_branch_point(x, y)
-    d = math.sqrt(x * x - y * y / 3.0)
-    v1sq = 1.5 * (-x - d)
-    v2sq = 1.5 * (-x + d)
-    w_max = math.sqrt(v1)
 
     def make(branch: str):
         # The near branch runs away from the fold as w grows, the far branch
         # is traversed toward it; orientation gives the far piece a minus.
-        out_sign = 1.0 if branch == "near" else -1.0
-        den_sign = -1.0 if branch == "near" else 1.0
+        out_sign = 2.0 if branch == "near" else -2.0
 
         def f(w: np.ndarray) -> np.ndarray:
             v = v1 - w * w
-            vsq = v * v
-            r = np.sqrt((4.0 / 3.0) * np.maximum(v1sq - vsq, 0.0) * (v2sq - vsq))
-            if branch == "near":
-                u = -2.0 * v * (x + vsq / 3.0) / (y + r)
-            else:
-                with np.errstate(divide="ignore"):
-                    u = (y + r) / (2.0 * v)
-            decay = u**3 / 3.0 - u * vsq - x * u + y * v
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = (vsq - u * u + x) / np.where(r == 0.0, np.inf, den_sign * r) + 1j
-            return out_sign * _masked_exp(decay, h * 2.0 * w)
+            u, h = _contour.hi_path_u_of_v(v, x, y, branch)
+            return _masked_exp(_contour.hi_decay(u, v, x, y), out_sign * w * h)
 
         return f
 
+    w_max = math.sqrt(v1)
     qr = integrate_piecewise([(make("near"), 0.0, w_max), (make("far"), 0.0, w_max)])
-    value = qr.value / _PI
-    err = qr.abs_error_estimate / _PI + 2.0 * _EPS * abs(value)
-    return ScorerResult(value, "hi_path_v", err, qr.n_evaluations, qr.converged)
+    return combine("hi_path_v", [(1.0 / _PI, qr)])
+
+
+def _gi_integrand(x: float, y: float):
+    """The oscillatory kernel on its descent contour ``v = v_Gi(u)`` at
+    ``z = x + iy``: ``exp(-gi_decay) dt/du``.
+
+    Turned by ``i`` the same contour is the growing kernel's left-valley
+    contour: with ``u_Hi(v) = -v_Gi(v)`` the two exponents agree and
+    ``dt_Hi/dv = i dt_Gi/du``, so this integrand times ``i`` is the Hi
+    integrand in the height ``v``.
+    """
+
+    def f(u: np.ndarray) -> np.ndarray:
+        v = _contour.gi_path_v_of_u(u, x, y)
+        g = _contour.gi_jacobian_u(u, v, x, y)
+        return _masked_exp(_contour.gi_decay(u, v, x, y), g)
+
+    return f
 
 
 def hi_integral_upper(z: complex) -> ScorerResult:
@@ -367,24 +370,17 @@ def hi_integral_upper(z: complex) -> ScorerResult:
     For ``phase(z)`` in ``[pi/3, 2*pi/3]`` (upper half-plane only) the
     descent contour from the origin drains into the left valley; the
     missing saddle contribution is exactly twice a rotated (recessive) Ai
-    value.  An integrable Jacobian kink at the height of the fold is
-    handled by splitting the range there.
+    value.  The contour is :func:`gi_integral`'s, turned by ``i``.  An
+    integrable Jacobian kink at the height of the fold is handled by
+    splitting the range there.
     """
     x, y = z.real, z.imag
-    if math.atan2(y, x) < _PI / 3.0:
+    ph = math.atan2(y, x)
+    if ph < _PI / 3.0 or ph > _TWO_THIRDS_PI + RAY_TOL:
         raise _contour.DomainError(
             "hi_integral_upper requires phase(z) between pi/3 and 2*pi/3"
         )
-
-    def f(v: np.ndarray) -> np.ndarray:
-        shifted = x + v * v / 3.0
-        r = np.sqrt(np.maximum(y * y + 4.0 * v * v * shifted, 0.0))
-        u = -2.0 * v * shifted / (y + r)
-        decay = u**3 / 3.0 - u * v * v - x * u + y * v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = (v * v - u * u + x) / np.where(r == 0.0, np.inf, -r) + 1j
-        return _masked_exp(decay, h)
-
+    f = _gi_integrand(x, y)
     if x < 0.0:
         v_star = math.sqrt(-1.5 * x)
         pieces = [(f, 0.0, v_star), (f, v_star, math.inf)]
@@ -392,15 +388,7 @@ def hi_integral_upper(z: complex) -> ScorerResult:
         pieces = [(f, 0.0, math.inf)]
     qr = integrate_piecewise(pieces)
     ai = _airy._ai_info(z * _ROT_DOWN)
-    value = qr.value / _PI + 2.0 * cmath.exp(-1j * _PI / 6.0) * ai.value
-    err = qr.abs_error_estimate / _PI + 2.0 * ai.abs_error_estimate + 2.0 * _EPS * abs(value)
-    return ScorerResult(
-        value,
-        "hi_path_upper",
-        err,
-        qr.n_evaluations + ai.n_evaluations,
-        qr.converged and ai.converged,
-    )
+    return combine("hi_path_upper", [(1j / _PI, qr), (_TWO_ROT_SIXTH, ai)])
 
 
 def gi_integral(z: complex) -> ScorerResult:
@@ -417,24 +405,9 @@ def gi_integral(z: complex) -> ScorerResult:
         raise _contour.DomainError(
             "gi_integral requires z off the real axis; use gi_real_positive"
         )
-
-    def f(u: np.ndarray) -> np.ndarray:
-        v = _contour.gi_path_v_of_u(u, x, y)
-        parts = _contour.gi_phase_parts(u, v, x, y)
-        g = _contour.gi_jacobian_u(u, v, x, y)
-        return _masked_exp(parts.decay, g)
-
-    qr = integrate_piecewise([(f, 0.0, math.inf)])
+    qr = integrate_piecewise([(_gi_integrand(x, y), 0.0, math.inf)])
     ai = _airy._ai_info(z)
-    value = qr.value / (1j * _PI) + 1j * ai.value
-    err = qr.abs_error_estimate / _PI + ai.abs_error_estimate + 2.0 * _EPS * abs(value)
-    return ScorerResult(
-        value,
-        "gi_path_u",
-        err,
-        qr.n_evaluations + ai.n_evaluations,
-        qr.converged and ai.converged,
-    )
+    return combine("gi_path_u", [(-1j / _PI, qr), (1j, ai)])
 
 
 def gi_real_positive(x: float) -> ScorerResult:
@@ -455,9 +428,7 @@ def gi_real_positive(x: float) -> ScorerResult:
         return _masked_exp((8.0 / 3.0) * v**3 - 2.0 * x * v, np.ones_like(v) + 0.0j)
 
     qr = integrate_piecewise([(f_rise, 0.0, sx), (f_ridge, sx, math.inf)])
-    value = qr.value / _PI
-    err = qr.abs_error_estimate / _PI + 2.0 * _EPS * abs(value)
-    return ScorerResult(value, "gi_real_axis", err, qr.n_evaluations, qr.converged)
+    return combine("gi_real_axis", [(1.0 / _PI, qr)])
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +447,7 @@ def hi_connection(z: complex) -> ScorerResult:
     """
     (inner,) = _evaluate(z * _ROT_UP, "arm")
     ai = _airy._ai_info(z * _ROT_DOWN)
-    value = _ROT_UP * inner.value + 2.0 * cmath.exp(-1j * _PI / 6.0) * ai.value
-    err = inner.abs_error_estimate + 2.0 * ai.abs_error_estimate + 2.0 * _EPS * abs(value)
-    return ScorerResult(
-        value,
-        "hi_rotation",
-        err,
-        inner.n_evaluations + ai.n_evaluations,
-        inner.converged and ai.converged,
-    )
+    return combine("hi_rotation", [(_ROT_UP, inner), (_TWO_ROT_SIXTH, ai)])
 
 
 def gi_from_hi_rotations(z: complex) -> ScorerResult:
@@ -497,31 +460,12 @@ def gi_from_hi_rotations(z: complex) -> ScorerResult:
     """
     (up,) = _evaluate(z * _ROT_UP, "arm")
     (down,) = _evaluate(z * _ROT_DOWN, "arm")
-    value = -0.5 * (_ROT_UP * up.value + _ROT_DOWN * down.value)
-    err = 0.5 * (up.abs_error_estimate + down.abs_error_estimate) + 2.0 * _EPS * abs(value)
-    return ScorerResult(
-        value,
-        "gi_rotation_pair",
-        err,
-        up.n_evaluations + down.n_evaluations,
-        up.converged and down.converged,
-    )
+    return combine("gi_rotation_pair", [(-0.5 * _ROT_UP, up), (-0.5 * _ROT_DOWN, down)])
 
 
 def _bi_complement(z: complex, other: ScorerResult) -> ScorerResult:
     """The other Scorer function at ``z`` from ``Gi + Hi = Bi``."""
-    bi = _airy._bi_info(z)
-    value = bi.value - other.value
-    err = bi.abs_error_estimate + other.abs_error_estimate + 2.0 * _EPS * (
-        abs(bi.value) + abs(value)
-    )
-    return ScorerResult(
-        value,
-        "bi_identity",
-        err,
-        bi.n_evaluations + other.n_evaluations,
-        other.converged and bi.converged,
-    )
+    return combine("bi_identity", [(1.0, _airy._bi_info(z)), (-1.0, other)])
 
 
 # ---------------------------------------------------------------------------

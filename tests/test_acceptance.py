@@ -20,13 +20,13 @@ from scorerlib.cli import (
     parse_phase,
 )
 from scorerlib.contour import (
+    gi_decay,
     gi_jacobian_u,
     gi_path_v_of_u,
-    gi_phase_parts,
     hi_branch_point,
+    hi_decay,
     hi_path_u_of_v,
     hi_path_v_of_u,
-    hi_phase_parts,
     stokes_path,
 )
 from scorerlib.engine import (
@@ -221,6 +221,15 @@ def test_criterion_5_contour_geometry_suite():
     def osc_scale(u, v, x, y):
         return np.abs(u) ** 3 / 3.0 + np.abs(x * u) + np.abs(y * v) + 1.0
 
+    # The oscillation straight from the exponent: Im(z t - t**3/3) for the
+    # growing kernel, Re(z t + t**3/3) for the oscillatory one.
+    def exponent(u, v, x, y, sign):
+        t = u + 1j * v
+        return complex(x, y) * t + sign * t * t * t / 3.0
+
+    def hi_level(u, v, x, y):
+        return float(np.max(np.abs(exponent(u, v, x, y, -1.0).imag) / osc_scale(u, v, x, y)))
+
     worst_level = 0.0
     worst_desc = 0.0
     for _ in range(20):
@@ -229,42 +238,31 @@ def test_criterion_5_contour_geometry_suite():
         x, y = r * math.cos(ph), r * math.sin(ph)
         u = np.linspace(0.0, 8.0, 81)
         v = hi_path_v_of_u(u, x, y)
-        parts = hi_phase_parts(u, v, x, y)
-        worst_level = max(
-            worst_level, float(np.max(np.abs(parts.oscillation) / osc_scale(u, v, x, y)))
-        )
-        worst_desc = max(worst_desc, -float(np.min(np.diff(np.asarray(parts.decay)))))
+        worst_level = max(worst_level, hi_level(u, v, x, y))
+        worst_desc = max(worst_desc, -float(np.min(np.diff(hi_decay(u, v, x, y)))))
     for _ in range(20):
         ph = rng.uniform(0.0, 2.0 * _PI / 3.0 - 0.02)
         r = rng.uniform(0.3, 30.0)
         x, y = r * math.cos(ph), r * math.sin(ph)
         u = np.linspace(0.0, 8.0, 81)
         v = gi_path_v_of_u(u, x, y)
-        parts = gi_phase_parts(u, v, x, y)
         worst_level = max(
-            worst_level, float(np.max(np.abs(parts.oscillation) / osc_scale(u, v, x, y)))
+            worst_level,
+            float(np.max(np.abs(exponent(u, v, x, y, 1.0).real) / osc_scale(u, v, x, y))),
         )
-        worst_desc = max(worst_desc, -float(np.min(np.diff(np.asarray(parts.decay)))))
+        worst_desc = max(worst_desc, -float(np.min(np.diff(gi_decay(u, v, x, y)))))
     worst_stokes = 0.0
     for x in (-0.5, -2.0, -50.0):
         u0 = math.sqrt(-x / 2.0)
         u = np.concatenate([np.linspace(0.0, u0, 30), np.linspace(u0, u0 + 8.0, 40)])
         v, _ = stokes_path(u, x)
-        y = -math.sqrt(3.0) * x
-        parts = hi_phase_parts(u, v, x, y)
-        worst_stokes = max(
-            worst_stokes, float(np.max(np.abs(parts.oscillation) / osc_scale(u, v, x, y)))
-        )
+        worst_stokes = max(worst_stokes, hi_level(u, v, x, -math.sqrt(3.0) * x))
     for x, y in ((-3.0, 1.0), (-8.0, 2.5)):
         v1, _ = hi_branch_point(x, y)
         vs = np.linspace(0.0, v1, 31)[1:-1]
         for branch in ("near", "far"):
-            us = hi_path_u_of_v(vs, x, y, branch=branch)
-            parts = hi_phase_parts(us, vs, x, y)
-            worst_level = max(
-                worst_level,
-                float(np.max(np.abs(parts.oscillation) / osc_scale(us, vs, x, y))),
-            )
+            us, _ = hi_path_u_of_v(vs, x, y, branch=branch)
+            worst_level = max(worst_level, hi_level(us, vs, x, y))
 
     worst_jac = 0.0
     for _ in range(10):

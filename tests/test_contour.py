@@ -11,19 +11,20 @@ import pytest
 from scorerlib.contour import (
     RAY_TOL,
     DomainError,
-    PhaseParts,
+    ScorerResult,
+    combine,
+    gi_decay,
     gi_jacobian_u,
     gi_path_v_of_u,
-    gi_phase_parts,
     hi_branch_point,
+    hi_decay,
     hi_jacobian_u,
-    hi_jacobian_v,
     hi_path_spec,
     hi_path_u_of_v,
     hi_path_v_of_u,
-    hi_phase_parts,
     stokes_path,
 )
+from scorerlib.quadrature import QuadratureResult
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -32,6 +33,19 @@ def _osc_scale(u, v, x, y):
     # Natural size of the individual phase terms; residuals are compared
     # against it so huge |z| does not mask genuine path errors.
     return np.abs(u) ** 3 / 3.0 + np.abs(x * u) + np.abs(y * v) + 1.0
+
+
+def _hi_oscillation(u, v, x, y):
+    # Im(z t - t**3/3), straight from the exponent: an independent check of
+    # the level-line formulas.
+    t = np.asarray(u) + 1j * np.asarray(v)
+    return np.imag(complex(x, y) * t - t * t * t / 3.0)
+
+
+def _gi_oscillation(u, v, x, y):
+    # Re(z t + t**3/3), the oscillation of the oscillatory kernel.
+    t = np.asarray(u) + 1j * np.asarray(v)
+    return np.real(complex(x, y) * t + t * t * t / 3.0)
 
 
 def _seeded_hi_points(n):
@@ -59,15 +73,14 @@ class TestGrowingKernelPath:
     def test_oscillation_vanishes_along_path(self, x, y):
         u = np.linspace(0.0, 8.0, 81)
         v = hi_path_v_of_u(u, x, y)
-        parts = hi_phase_parts(u, v, x, y)
-        residual = np.abs(parts.oscillation) / _osc_scale(u, v, x, y)
+        residual = np.abs(_hi_oscillation(u, v, x, y)) / _osc_scale(u, v, x, y)
         assert float(residual.max()) < 1e-12
 
     @pytest.mark.parametrize("x,y", _seeded_hi_points(8))
     def test_decay_increases_monotonically(self, x, y):
         u = np.linspace(0.0, 10.0, 201)
         v = hi_path_v_of_u(u, x, y)
-        decay = np.asarray(hi_phase_parts(u, v, x, y).decay)
+        decay = np.asarray(hi_decay(u, v, x, y))
         assert decay[0] == 0.0
         assert np.all(np.diff(decay) > 0.0)
 
@@ -102,38 +115,46 @@ class TestFoldedPath:
         v1, u1 = hi_branch_point(x, y)
         v = np.linspace(0.0, v1, 41)[1:-1]
         for branch in ("near", "far"):
-            u = hi_path_u_of_v(v, x, y, branch=branch)
-            parts = hi_phase_parts(u, v, x, y)
-            residual = np.abs(parts.oscillation) / _osc_scale(u, v, x, y)
+            u, _ = hi_path_u_of_v(v, x, y, branch=branch)
+            residual = np.abs(_hi_oscillation(u, v, x, y)) / _osc_scale(u, v, x, y)
             assert float(residual.max()) < 1e-12
 
     @pytest.mark.parametrize("x,y", [(-3.0, 1.0), (-8.0, 2.5), (-20.0, 9.0)])
     def test_branches_meet_at_fold_point(self, x, y):
         v1, u1 = hi_branch_point(x, y)
-        near = float(np.asarray(hi_path_u_of_v(v1, x, y, branch="near")))
-        far = float(np.asarray(hi_path_u_of_v(v1, x, y, branch="far")))
+        near = float(hi_path_u_of_v(v1, x, y, branch="near")[0])
+        far = float(hi_path_u_of_v(v1, x, y, branch="far")[0])
         assert abs(near - u1) < 1e-7 * max(u1, 1.0)
         assert abs(far - u1) < 1e-7 * max(u1, 1.0)
+
+    @pytest.mark.parametrize("x,y", [(-0.5, 6.123233995736766e-17), (-3.0, 1e-10)])
+    def test_fold_point_just_above_the_negative_axis(self, x, y):
+        # 1.5 (-x - d) rounds to 0 there when written as a difference, and the
+        # fold point raised ZeroDivisionError.
+        v1, u1 = hi_branch_point(x, y)
+        assert v1 > 0.0
+        assert abs(float(_hi_oscillation(u1, v1, x, y))) < 1e-12 * _osc_scale(u1, v1, x, y)
+        u, _ = hi_path_u_of_v(np.array([0.5 * v1]), x, y, branch="far")
+        assert np.all(np.isfinite(u))
 
     def test_fold_point_sits_on_level_line(self):
         x, y = -5.0, 2.0
         v1, u1 = hi_branch_point(x, y)
-        parts = hi_phase_parts(u1, v1, x, y)
-        assert abs(float(np.asarray(parts.oscillation))) < 1e-12 * _osc_scale(u1, v1, x, y)
+        residual = abs(float(_hi_oscillation(u1, v1, x, y)))
+        assert residual < 1e-12 * _osc_scale(u1, v1, x, y)
 
     def test_jacobian_v_matches_finite_differences(self):
+        # dt/dv = du/dv + i, with du/dv the slope of the returned u(v).
         x, y = -4.0, 1.2
         v1, _ = hi_branch_point(x, y)
-        for frac in (0.2, 0.5, 0.8):
-            v = frac * v1
-            dv = 1e-7 * max(v, 1.0)
-            u = [
-                float(np.asarray(hi_path_u_of_v(w, x, y, branch="near")))
-                for w in (v - dv, v, v + dv)
-            ]
-            fd = (u[2] - u[0]) / (2.0 * dv) + 1j
-            jac = complex(np.asarray(hi_jacobian_v(u[1], v, x, y)))
-            assert abs(jac - fd) / max(abs(jac), 1.0) < 1e-7
+        for branch in ("near", "far"):
+            for frac in (0.2, 0.5, 0.8):
+                v = frac * v1
+                dv = 1e-7 * max(v, 1.0)
+                grid = np.array([v - dv, v, v + dv])
+                u, jac = hi_path_u_of_v(grid, x, y, branch=branch)
+                fd = (u[2] - u[0]) / (2.0 * dv) + 1j
+                assert abs(jac[1] - fd) / max(abs(jac[1]), 1.0) < 1e-7
 
     def test_rejects_height_above_fold(self):
         x, y = -3.0, 1.0
@@ -161,8 +182,7 @@ class TestStokesRayPath:
         )
         v, _ = stokes_path(u, x)
         y = -_SQRT3 * x  # phase of z exactly 2*pi/3
-        parts = hi_phase_parts(u, v, x, y)
-        residual = np.abs(parts.oscillation) / _osc_scale(u, v, x, y)
+        residual = np.abs(_hi_oscillation(u, v, x, y)) / _osc_scale(u, v, x, y)
         assert float(residual.max()) < 1e-11
 
     def test_straight_segment_has_exact_slope(self):
@@ -211,8 +231,7 @@ class TestOscillatoryKernelPath:
     def test_oscillation_vanishes_along_path(self, x, y):
         u = np.linspace(0.0, 8.0, 81)
         v = gi_path_v_of_u(u, x, y)
-        parts = gi_phase_parts(u, v, x, y)
-        residual = np.abs(parts.oscillation) / _osc_scale(u, v, x, y)
+        residual = np.abs(_gi_oscillation(u, v, x, y)) / _osc_scale(u, v, x, y)
         assert float(residual.max()) < 1e-12
 
     @pytest.mark.parametrize("x,y", _seeded_gi_points(8))
@@ -221,7 +240,7 @@ class TestOscillatoryKernelPath:
             y = 1e-12
         u = np.linspace(0.0, 10.0, 201)
         v = gi_path_v_of_u(u, x, y)
-        decay = np.asarray(gi_phase_parts(u, v, x, y).decay)
+        decay = np.asarray(gi_decay(u, v, x, y))
         assert np.all(np.diff(decay) > 0.0)
 
     def test_stable_on_the_positive_real_axis(self):
@@ -230,8 +249,8 @@ class TestOscillatoryKernelPath:
         u = np.linspace(0.0, 5.0, 21)
         v = gi_path_v_of_u(u, 2.0, 0.0)
         assert np.all(np.isfinite(v))
-        assert float(np.abs(np.asarray(gi_phase_parts(u, v, 2.0, 0.0).oscillation) /
-                            _osc_scale(u, v, 2.0, 0.0)).max()) < 1e-12
+        residual = np.abs(_gi_oscillation(u, v, 2.0, 0.0)) / _osc_scale(u, v, 2.0, 0.0)
+        assert float(residual.max()) < 1e-12
 
     @pytest.mark.parametrize("x,y", _seeded_gi_points(6))
     def test_jacobian_matches_finite_differences(self, x, y):
@@ -257,10 +276,6 @@ class TestJacobianSingularities:
         # v**2 - u**2 + x = 0 is the saddle of the exponent.
         with pytest.raises(DomainError, match="saddle"):
             hi_jacobian_u(1.0, 1.0, 0.0, 1.0)
-
-    def test_parameter_swap_jacobian_rejects_its_singularity(self):
-        with pytest.raises(DomainError):
-            hi_jacobian_v(1.0, 0.5, -3.0, 1.0)
 
     def test_oscillatory_jacobian_rejects_its_singularity(self):
         with pytest.raises(DomainError):
@@ -305,23 +320,48 @@ class TestPathClassification:
 
 
 class TestPhaseParts:
-    def test_dataclass_is_frozen(self):
-        parts = PhaseParts(1.0, 2.0)
-        with pytest.raises(AttributeError):
-            parts.decay = 3.0
-
     def test_growing_kernel_exponent_reconstruction(self):
-        # exp(z t - t**3/3) must equal exp(-decay - i*oscillation).
+        # |exp(z t - t**3/3)| must equal exp(-decay).
         z = complex(-1.3, 0.7)
         t = complex(0.8, 0.5)
-        parts = hi_phase_parts(t.real, t.imag, z.real, z.imag)
         direct = z * t - t**3 / 3.0
-        assert abs(direct - complex(-parts.decay, -parts.oscillation)) < 1e-14
+        assert abs(direct.real + hi_decay(t.real, t.imag, z.real, z.imag)) < 1e-14
 
     def test_oscillatory_kernel_exponent_reconstruction(self):
-        # exp(i(z t + t**3/3)) must equal exp(-decay + i*oscillation).
+        # |exp(i(z t + t**3/3))| must equal exp(-decay).
         z = complex(0.9, 1.1)
         t = complex(0.6, 0.4)
-        parts = gi_phase_parts(t.real, t.imag, z.real, z.imag)
         direct = 1j * (z * t + t**3 / 3.0)
-        assert abs(direct - complex(-parts.decay, parts.oscillation)) < 1e-14
+        assert abs(direct.real + gi_decay(t.real, t.imag, z.real, z.imag)) < 1e-14
+
+
+class TestCombine:
+    def _parts(self):
+        a = ScorerResult(1.0 + 2.0j, "a", 1e-14, 30, True)
+        b = QuadratureResult(-3.0 + 0.5j, 4e-13, 45, True)
+        return a, b
+
+    def test_value_is_the_weighted_sum(self):
+        a, b = self._parts()
+        res = combine("sum", [(2.0, a), (-1j, b)], derivative=5j)
+        assert res.value == 2.0 * a.value - 1j * b.value
+        assert res.method == "sum"
+        assert res.derivative == 5j
+
+    def test_error_covers_the_weighted_part_errors(self):
+        a, b = self._parts()
+        res = combine("sum", [(2.0, a), (-1j, b)])
+        assert res.abs_error_estimate >= 2.0 * 1e-14 + 4e-13
+        assert res.abs_error_estimate <= 2.0 * 1e-14 + 4e-13 + 1e-14
+
+    def test_cost_and_convergence_add_up(self):
+        a, b = self._parts()
+        assert combine("sum", [(1.0, a), (1.0, b)]).n_evaluations == 75
+        assert combine("sum", [(1.0, a), (1.0, b)]).converged
+        stalled = QuadratureResult(b.value, b.abs_error_estimate, 45, False)
+        assert not combine("sum", [(1.0, a), (1.0, stalled)]).converged
+        assert not combine("one", [(0.5, stalled)]).converged
+
+    def test_single_term_keeps_a_negative_zero(self):
+        res = combine("one", [(1.0, ScorerResult(complex(-0.0, 1.0), "a", 0.0, 0))])
+        assert math.copysign(1.0, res.value.real) == -1.0

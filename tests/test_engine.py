@@ -430,6 +430,13 @@ class TestCrossRepresentationAgreement:
         assert b.method == "hi_path_v"
         assert _rel(a.value - b.value, a.value) < 1e-11
 
+    def test_folded_form_just_above_the_negative_axis(self):
+        z = complex(-3.0, 1e-10)
+        a = hi_integral_principal(z)
+        b = hi_integral_v_form(z)
+        assert b.converged
+        assert _rel(a.value - b.value, a.value) < 1e-12
+
     def test_valley_contour_vs_rotation_connection(self):
         z = 3j
         a = hi_integral_upper(z)
@@ -437,6 +444,23 @@ class TestCrossRepresentationAgreement:
         assert a.method == "hi_path_upper"
         assert b.method == "hi_rotation"
         assert _rel(a.value - b.value, a.value) < 1e-11
+
+    @pytest.mark.parametrize("r", [3.111003, 10.0])
+    def test_valley_contour_on_the_stokes_ray(self, r):
+        z = cmath.rect(r, 2.0 * _PI / 3.0)
+        a = hi_integral_upper(z)
+        assert a.converged
+        assert _rel(a.value - hi_integral_principal(z).value, a.value) < 1e-12
+
+    @pytest.mark.parametrize(
+        "z", [cmath.rect(5.0, 0.95 * _PI), cmath.rect(10.0, 0.8 * _PI), -4.0 + 0j]
+    )
+    def test_valley_contour_rejects_phases_beyond_the_stokes_ray(self, z):
+        # Beyond 2*pi/3 the valley contour misses the saddle contribution;
+        # it returned wrong values with converged=True there (relative error
+        # 6.9e5 at r = 5, ph = 0.95 pi).
+        with pytest.raises(DomainError, match="hi_integral_upper"):
+            hi_integral_upper(z)
 
     def test_oscillatory_contour_vs_rotation_pair(self):
         z = 1 + 0.2j

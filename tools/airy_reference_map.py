@@ -5,8 +5,11 @@ Two tables, both from mpmath:
 * ``AI_MAP``: Ai and Ai' on 3.5 < |z| <= 80 over every phase, with the
   rays ph z = +-2*pi/3, the negative real axis with +0.0 and -0.0 imaginary
   parts, and radii just above the series seam, plus seeded random points;
-* ``SCORER_POINTS``: Gi and Hi at the arguments where the error bar of the
-  ``bi_identity`` and ``hi_rotation`` routes once fell short.
+* ``SCORER_POINTS``: Gi, Hi, Ai and Bi at the arguments where an error bar
+  once fell short: the ``bi_identity`` and ``hi_rotation`` routes, Ai and Bi
+  at a rotated argument, and the large-argument expansion of Hi;
+* ``STOKES_POINTS``: Gi and Hi on the Stokes ray ph z = 2*pi/3, at radii
+  where the descent contour through the saddle was once wrong.
 
 A reference is kept only where mpmath at 50 and at 90 digits agree to
 1e-15 relative (and, for Gi and Hi, where Gi + Hi = Bi holds to the same
@@ -39,13 +42,45 @@ PHASES = (
 SEED = 20261018
 N_RANDOM = 24
 #: The three worst bi_identity misses of Gi among the benchmark's plane
-#: points (seed 901), the first also rounded, and the one hi_rotation miss.
+#: points (seed 901), the first also rounded, and the one hi_rotation miss;
+#: the bi_identity point of plane seed 903 where Ai and Bi at the rotated
+#: arguments missed; two points on the Stokes ray at |z| = 15.1 and one off
+#: it where the expansion of Hi missed or nearly did.
 SCORER_ARGS = (
     complex(-18.94, 21.22),
     complex(-18.937817627573, 21.220590789660122),
     complex(-29.487195832009398, 11.200390790237055),
     complex(-28.75322354246329, -21.00291573277629),
     complex(6.062260361550146, 11.003536305567714),
+    complex(-28.651082456429194, 23.78807789490457),
+    complex(-7.549999999999996, 13.076983597145023),
+    complex(-7.558748540975543, 13.09213651460677),
+    complex(8.78765690811102, 26.12764578874171),
+)
+#: Radii on the Stokes ray: the two of the original defect report, the
+#: twelve where a scan of 600 log-spaced radii in [1, 40] found Hi wrong by
+#: more than 1e-10, and a spread from the series disc to the expansion.
+STOKES_RADII = (
+    3.111003,
+    3.988159,
+    2.745537901180265,
+    2.9379714877885075,
+    3.029844672965056,
+    3.1633137401141096,
+    3.302662313907379,
+    3.7586326328083337,
+    3.8287195227413755,
+    3.9973801896182595,
+    4.720505527863526,
+    5.713467950569995,
+    6.305110713186432,
+    6.6235249643260925,
+    1.0,
+    2.6,
+    8.0,
+    12.0,
+    20.0,
+    40.0,
 )
 
 
@@ -94,20 +129,34 @@ def main() -> None:
         ai, aip = (complex(v) for v in row)
         print(f"    ({_literal(z)}, {ai!r}, {aip!r}),")
     print("]")
-    scorer = (mpmath.scorergi, mpmath.scorerhi, mpmath.airybi)
+    scorer = (mpmath.scorergi, mpmath.scorerhi, mpmath.airyai, mpmath.airybi)
     print("SCORER_POINTS = [")
     for z in SCORER_ARGS:
-        row = _converged(z, scorer)
+        row = _scorer_row(z, scorer)
         if row is not None:
-            gi, hi, bi = row
-            with mpmath.workdps(90):
-                if abs(gi + hi - bi) > AGREE_REL * min(abs(gi), abs(hi)):
-                    row = None
-        if row is None:
-            print(f"dropped: Gi/Hi at {z!r}", file=sys.stderr)
-            continue
-        print(f"    ({_literal(z)}, {complex(gi)!r}, {complex(hi)!r}),")
+            print(f"    ({_literal(z)}, {', '.join(repr(complex(v)) for v in row)}),")
     print("]")
+    print("STOKES_POINTS = [")
+    for r in STOKES_RADII:
+        z = cmath.rect(r, 2.0 * math.pi / 3.0)
+        row = _scorer_row(z, scorer[:2] + scorer[3:])
+        if row is not None:
+            print(f"    ({_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")
+    print("]")
+
+
+def _scorer_row(z: complex, fns) -> list | None:
+    """Converged values of ``fns`` (Gi, Hi, ..., Bi last) at ``z``, or None
+    where the precisions disagree or Gi + Hi = Bi fails."""
+    row = _converged(z, fns)
+    if row is not None:
+        gi, hi, bi = row[0], row[1], row[-1]
+        with mpmath.workdps(90):
+            if abs(gi + hi - bi) > AGREE_REL * min(abs(gi), abs(hi)):
+                row = None
+    if row is None:
+        print(f"dropped: Gi/Hi at {z!r}", file=sys.stderr)
+    return row
 
 
 if __name__ == "__main__":
