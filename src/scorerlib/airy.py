@@ -92,6 +92,9 @@ _WEIGHTS = np.array([
     1.6257265818523536e-61,
 ])
 _WEIGHTS_NODES = _WEIGHTS * _NODES
+#: Above this |zeta| (|z| above about 1.3e100) the rule is not evaluated
+#: inside |ph z| < pi/3, where Ai and Ai' underflow to 0.
+_ZETA_CAP = 1e150
 #: 1 / (sqrt(pi) 48**(1/6) Gamma(5/6)), the Laplace form's normalization.
 _LAPLACE_NORM = 1.0 / (math.sqrt(math.pi) * 48.0 ** (1.0 / 6.0) * math.gamma(5.0 / 6.0))
 
@@ -162,7 +165,17 @@ def _ai_laguerre(z: complex) -> ScorerResult:
     """
     # From atan2, not the phase of zeta, which wraps to -pi on the 2*pi/3 ray.
     phase = 1.5 * math.atan2(z.imag, z.real)
-    modulus = (2.0 / 3.0) * abs(z) ** 1.5
+    try:
+        modulus = (2.0 / 3.0) * abs(z) ** 1.5
+    except OverflowError:  # |z| above about 3e205
+        modulus = math.inf
+    if modulus > _ZETA_CAP:
+        # Inside |ph z| < pi/3, Re zeta > 1e-16 |zeta| and Ai, Ai' underflow
+        # to 0; the rule's zeta * zeta would overflow into a NaN derivative.
+        if abs(phase) < _HALF_PI:
+            return ScorerResult(0j, "integral", 0.0, _NODES.size, True, 0j)
+        if modulus == math.inf:
+            raise OverflowError(f"Ai: zeta = (2/3) z**1.5 overflows at |z| = {abs(z):.3g}")
     zeta = cmath.rect(modulus, phase)
     tan = 0.0
     if abs(phase) > _HALF_PI:
@@ -212,7 +225,11 @@ def _ai_info(z: complex) -> ScorerResult:
 def ai_complex(z: complex) -> ScorerResult:
     """Ai(z), with Ai'(z) as ``derivative``, anywhere in the complex plane.
 
-    Raises :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``.
+    Inside ``|ph z| < pi/3`` beyond ``|z|`` of about 1e100, where both
+    underflow, they are returned as 0 with a zero error bar.  Raises
+    :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``, and
+    ``OverflowError`` where a value or an intermediate leaves the double
+    range.
     """
     return _ai_info(z)
 

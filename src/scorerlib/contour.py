@@ -180,12 +180,14 @@ def hi_path_v_of_u(u, x: float, y: float):
     if not 3.0 * x * x > y * y:
         raise DomainError("hi_path_v_of_u requires 3*x**2 > y**2 (inside the Stokes ray)")
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
+    if np.count_nonzero(u < 0.0):
         raise DomainError("hi_path_v_of_u requires u >= 0")
     q = u * u - x
-    ratio = 1.5 * y * u / (q * np.sqrt(q))
-    ratio = np.clip(ratio, -1.0, 1.0)
-    return 2.0 * np.sqrt(q) * np.sin(np.arcsin(ratio) / 3.0)
+    root = np.sqrt(q)
+    # The ratio is >= 0 (y >= 0, u >= 0, q > 0); only rounding can lift it
+    # above 1.
+    ratio = np.minimum(1.5 * y * u / (q * root), 1.0)
+    return 2.0 * root * np.sin(np.arcsin(ratio) / 3.0)
 
 
 def hi_jacobian_u(u, v, x: float, y: float):
@@ -195,7 +197,7 @@ def hi_jacobian_u(u, v, x: float, y: float):
     differentiation of the constant-oscillation condition.
     """
     den = v * v - u * u + x
-    if np.any(np.asarray(den) == 0.0):
+    if np.count_nonzero(den) < np.size(den):
         raise DomainError("hi_jacobian_u is singular where v**2 - u**2 + x = 0 (saddle)")
     return 1.0 + 1j * (2.0 * u * v - y) / den
 
@@ -236,12 +238,12 @@ def hi_path_u_of_v(v, x: float, y: float, branch: str = "near"):
     if branch not in ("near", "far"):
         raise ValueError("branch must be 'near' or 'far'")
     v = np.asarray(v, dtype=float)
-    if np.any(v < 0.0):
+    if np.count_nonzero(v < 0.0):
         raise DomainError("hi_path_u_of_v requires v >= 0")
     d = math.sqrt(x * x - y * y / 3.0)
     v1sq = 0.5 * y * y / (d - x)
     v2sq = 1.5 * (-x + d)
-    if np.any(v * v > v1sq * (1.0 + 64.0 * _EPS)):
+    if np.count_nonzero(v * v > v1sq * (1.0 + 64.0 * _EPS)):
         raise DomainError("hi_path_u_of_v requires v <= v1 (below the fold point)")
     vsq = v * v
     r = np.sqrt((4.0 / 3.0) * np.maximum(v1sq - vsq, 0.0) * (v2sq - vsq))
@@ -268,15 +270,16 @@ def stokes_path(u, x: float):
     if not x < 0.0:
         raise DomainError("stokes_path requires x < 0")
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
+    if np.count_nonzero(u < 0.0):
         raise DomainError("stokes_path requires u >= 0")
     u0 = math.sqrt(-x / 2.0)
-    s = np.sqrt(3.0 * u * u - 12.0 * x)
-    v_hyp = 0.5 * (-_SQRT3 * u + s)
-    dv_hyp = 0.5 * (-_SQRT3 + 3.0 * u / s)
-    v = np.where(u <= u0, _SQRT3 * u, v_hyp)
-    dv = np.where(u <= u0, _SQRT3, dv_hyp)
-    return v, dv
+    three_u = 3.0 * u
+    s = np.sqrt(three_u * u - 12.0 * x)
+    v_line = _SQRT3 * u
+    v_hyp = 0.5 * (s - v_line)
+    dv_hyp = 0.5 * (-_SQRT3 + three_u / s)
+    run_in = u <= u0
+    return np.where(run_in, v_line, v_hyp), np.where(run_in, _SQRT3, dv_hyp)
 
 
 def gi_path_v_of_u(u, x: float, y: float):
@@ -293,20 +296,21 @@ def gi_path_v_of_u(u, x: float, y: float):
     if x < 0.0 and math.atan2(y, x) > _TWO_THIRDS_PI + RAY_TOL:
         raise DomainError("gi_path_v_of_u requires the phase of z in [0, 2*pi/3]")
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
+    if np.count_nonzero(u < 0.0):
         raise DomainError("gi_path_v_of_u requires u >= 0")
     shifted = x + u * u / 3.0
     r = np.sqrt(np.maximum(y * y + 4.0 * u * u * shifted, 0.0))
     den = y + r
-    with np.errstate(invalid="ignore"):
-        v = np.where(den > 0.0, 2.0 * u * shifted / np.where(den > 0.0, den, 1.0), 0.0)
-    return v
+    if y > 0.0:  # then den >= y > 0 everywhere
+        return 2.0 * u * shifted / den
+    rises = den > 0.0
+    return np.where(rises, 2.0 * u * shifted / np.where(rises, den, 1.0), 0.0)
 
 
 def gi_jacobian_u(u, v, x: float, y: float):
     """``dt/du`` along the oscillatory-kernel contour, ``1 + i * dv/du``."""
     den = 2.0 * u * v + y
-    if np.any(np.asarray(den) == 0.0):
+    if np.count_nonzero(den) < np.size(den):
         raise DomainError("gi_jacobian_u is singular where 2*u*v + y = 0")
     return 1.0 + 1j * (u * u - v * v + x) / den
 

@@ -258,17 +258,17 @@ def _asymptotic_eligible(z: complex, kind: str) -> bool:
 # Contour-integral representations
 
 
-def _masked_exp(decay: np.ndarray, factor: np.ndarray) -> np.ndarray:
+def _masked_exp(decay: np.ndarray, factor: np.ndarray | complex) -> np.ndarray:
     """``exp(-decay) * factor`` with overflowed lanes forced to zero.
 
     Lanes where ``decay`` exceeds the double-precision exponent range would
-    evaluate ``0 * factor``; masking keeps spurious infinities or NaNs in
-    ``factor`` at such lanes from contaminating the panel.
+    evaluate ``0 * factor``; the product skips them, so that spurious
+    infinities or NaNs in ``factor`` there neither contaminate the panel
+    nor raise floating-point warnings.  A NaN ``decay`` stays NaN.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.where(
-            decay > _EXP_CLIP, 0.0, np.exp(-np.minimum(decay, _EXP_CLIP)) * factor
-        )
+    out = np.zeros(np.shape(decay), dtype=complex)
+    kept = ~(decay > _EXP_CLIP)
+    np.multiply(np.exp(-np.minimum(decay, _EXP_CLIP)), factor, out=out, where=kept)
     return out
 
 
@@ -289,7 +289,7 @@ def hi_integral_principal(z: complex) -> ScorerResult:
     if spec.kind == "real_axis":
 
         def f(u: np.ndarray) -> np.ndarray:
-            return _masked_exp(u**3 / 3.0 - x * u, np.ones_like(u) + 0.0j)
+            return _masked_exp(u**3 / 3.0 - x * u, 1.0 + 0.0j)
 
     elif spec.kind == "stokes":
         y_ray = -math.sqrt(3.0) * x
@@ -425,7 +425,7 @@ def gi_real_positive(x: float) -> ScorerResult:
         return np.exp(-x * v + v**3 / 3.0) + 0.0j
 
     def f_ridge(v: np.ndarray) -> np.ndarray:
-        return _masked_exp((8.0 / 3.0) * v**3 - 2.0 * x * v, np.ones_like(v) + 0.0j)
+        return _masked_exp((8.0 / 3.0) * v**3 - 2.0 * x * v, 1.0 + 0.0j)
 
     qr = integrate_piecewise([(f_rise, 0.0, sx), (f_ridge, sx, math.inf)])
     return combine("gi_real_axis", [(1.0 / _PI, qr)])

@@ -16,6 +16,14 @@ needs, so integrands must be elementwise.
 
 Semi-infinite ranges are folded onto (0, 1) with the rational map
 ``t = a + s/(1 - s)``.
+
+Cost model: a generation costs a fixed number of small-array operations
+(about 25 in the kernel, plus the integrand's own), nearly independent of
+how many panels it holds, because its arrays have only 15 to a few hundred
+elements and each numpy call costs about a microsecond of overhead.  So the
+panel count matters less than the number of generations, and an integrand
+should be elementwise and use few operations: each numpy call it makes is
+paid once per generation.
 """
 
 from __future__ import annotations
@@ -154,32 +162,46 @@ class QuadratureResult:
     converged: bool
 
 
-def _gauss_kronrod(fx: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and error estimates of panels with half-widths ``half``.
+def _gauss_kronrod(
+    fx: np.ndarray, halves: Sequence[float]
+) -> tuple[list[complex], list[float]]:
+    """Kronrod values and error estimates of panels with half-widths ``halves``.
 
-    ``fx`` holds each panel's 15 samples in a row.
+    ``fx`` holds each panel's 15 samples in a row.  The error estimate of a
+    panel is the Gauss/Kronrod difference ``err``, sharpened in the style of
+    classic adaptive packages against the scale of variation ``resasc``:
+    ``resasc * min(1, (200 err / resasc)**1.5)`` where ``resasc != 0``,
+    scaled by the half-width and floored at ``50 eps`` times the integral of
+    ``|f|``.  The sums and absolute values are array operations; the
+    sharpening runs per panel on Python floats, all but the power, which
+    stays in numpy: numpy's ``power`` and ``abs`` differ from Python's in
+    the last bit on some inputs.
     """
-    sums = fx @ _WEIGHTS
+    sums = fx.dot(_WEIGHTS)
     kronrod = sums[:, 0]
-    err = np.abs(kronrod - sums[:, 1])
     # The Kronrod weights sum to 2, so 0.5 * kronrod is the samples' mean.
-    spread = np.abs(np.concatenate((fx, fx - 0.5 * kronrod[:, None]))) @ KRONROD_WEIGHTS
-    resabs, resasc = spread.reshape(2, -1)
-    # Sharpened estimate in the style of classic adaptive packages: the
-    # Gauss/Kronrod difference is damped against the scale of variation.
-    varies = resasc != 0.0
-    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=varies)
-    err = np.where(varies, resasc * np.minimum(1.0, ratio**1.5), err)
-    scale = np.abs(half)
-    resabs = resabs * scale
-    floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
-    return kronrod * half, np.maximum(err * scale, floor)
+    spread = np.abs(np.concatenate((fx, fx - 0.5 * kronrod[:, None]))).dot(KRONROD_WEIGHTS)
+    n = len(halves)
+    gaps = np.abs(kronrod - sums[:, 1]).tolist()
+    resabs, resasc = spread[:n].tolist(), spread[n:].tolist()
+    ratios = [200.0 * e / r if r != 0.0 else 0.0 for e, r in zip(gaps, resasc)]
+    damping = np.power(ratios, 1.5).tolist()
+    vals, errs = [], []
+    for k, e, ra, rs, d, h in zip(kronrod.tolist(), gaps, resabs, resasc, damping, halves):
+        if rs != 0.0:
+            e = rs * min(d, 1.0)
+        scale = abs(h)
+        ra *= scale
+        vals.append(k * h)
+        errs.append(max(e * scale, 50.0 * _EPS * ra if ra > _TINY / (50.0 * _EPS) else 0.0))
+    return vals, errs
 
 
 def _evaluate(
     funcs: Sequence[Integrand],
     spans: Sequence[tuple[int, float, float, float]],
     batch: Sequence[tuple[float, float, int]],
+    mapped: bool | None,
 ) -> tuple[list[complex], list[float]]:
     """Kronrod values and error estimates of a batch of panels.
 
@@ -189,31 +211,48 @@ def _evaluate(
     it is called once, on the flat array of all its abscissae.  A piece with
     a tail origin ``tail`` (NaN for a finite piece) lives in the variable
     ``s`` of the rational map ``t = tail + s/(1 - s)`` of ``[tail, inf)``.
+    ``mapped`` says whether every piece (True), none (False) or some (None)
+    is such a tail; only a mix needs the rows told apart.
     """
-    lo = np.array([panel[0] for panel in batch])
-    hi = np.array([panel[1] for panel in batch])
-    owners = [spans[panel[2]][0] for panel in batch]
-    tails = np.array([spans[panel[2]][1] for panel in batch])[:, None]
-    half = 0.5 * (hi - lo)
-    s = (0.5 * (lo + hi))[:, None] + half[:, None] * NODES
-    mapped = ~np.isnan(tails)
-    u = np.where(mapped, s, 0.0)  # rows of finite pieces see the identity
-    t = np.where(mapped, tails + np.minimum(u / (1.0 - u), MAP_CAP), s)
-    fx = np.empty(s.shape, dtype=complex)
-    for k, f in enumerate(funcs):
-        start, stop = bisect.bisect_left(owners, k), bisect.bisect_right(owners, k)
-        if start == stop:
-            continue
-        tk = t[start:stop].ravel()
-        fk = np.asarray(f(tk), dtype=complex)
-        if fk.shape != tk.shape:
-            raise ValueError("integrand must return one value per abscissa")
-        fx[start:stop] = fk.reshape(-1, 15)
-    if not np.isfinite(fx).all():
-        raise NonFiniteIntegrandError(float(t[~np.isfinite(fx)][0]))
-    fx /= (1.0 - u) ** 2
-    val, err = _gauss_kronrod(fx, half)
-    return val.tolist(), err.tolist()
+    # Midpoints, half-widths and tail origins as the columns of one array.
+    halves = [0.5 * (b - a) for a, b, _ in batch]
+    columns = [0.5 * (a + b) for a, b, _ in batch] + halves
+    columns += [spans[piece][1] for _, _, piece in batch]
+    mid, half, tails = np.array(columns).reshape(3, -1, 1)
+    s = mid + half * NODES
+    t = u = s
+    if mapped is not False:
+        if mapped is None:
+            is_tail = ~np.isnan(tails)
+            u = np.where(is_tail, s, 0.0)  # rows of finite pieces see the identity
+        w = 1.0 - u
+        t = tails + np.minimum(u / w, MAP_CAP)
+        if mapped is None:
+            t = np.where(is_tail, t, s)
+    if len(funcs) == 1:
+        fx = _call(funcs[0], t)
+    else:
+        fx = np.empty(s.shape, dtype=complex)
+        owners = [spans[piece][0] for _, _, piece in batch]
+        for k, f in enumerate(funcs):
+            start, stop = bisect.bisect_left(owners, k), bisect.bisect_right(owners, k)
+            if start < stop:
+                fx[start:stop] = _call(f, t[start:stop])
+    finite = np.isfinite(fx)
+    if np.count_nonzero(finite) < finite.size:
+        raise NonFiniteIntegrandError(float(t[~finite][0]))
+    if mapped is not False:
+        fx = fx / (w * w)
+    return _gauss_kronrod(fx, halves)
+
+
+def _call(f: Integrand, t: np.ndarray) -> np.ndarray:
+    """``f`` on the rows of abscissae ``t``, as rows of complex values."""
+    flat = t.ravel()
+    out = np.asarray(f(flat), dtype=complex)
+    if out.shape != flat.shape:
+        raise ValueError("integrand must return one value per abscissa")
+    return out.reshape(t.shape)
 
 
 def panel_rule(f: Integrand, a: float, b: float) -> tuple[complex, float, int]:
@@ -243,7 +282,7 @@ def panel_rule(f: Integrand, a: float, b: float) -> tuple[complex, float, int]:
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("panel_rule requires finite endpoints")
-    val, err = _evaluate([f], [(0, math.nan, a, b)], [(a, b, 0)])
+    val, err = _evaluate([f], [(0, math.nan, a, b)], [(a, b, 0)], False)
     return val[0], err[0], 15
 
 
@@ -285,6 +324,8 @@ def integrate_piecewise(
         spans.append((owner, a, 0.0, 1.0) if b == math.inf else (owner, math.nan, a, b))
     # Number the pieces of one integrand consecutively (see _evaluate).
     spans.sort(key=lambda span: span[0])
+    n_tails = sum(1 for span in spans if not math.isnan(span[1]))
+    mapped = None if 0 < n_tails < len(spans) else n_tails > 0
 
     batch = [(a, b, piece) for piece, (_, _, a, b) in enumerate(spans)]
     # Panels that may still be bisected, as (err, value, a, b, piece).
@@ -293,7 +334,7 @@ def integrate_piecewise(
     total, total_err, target = 0j, 0.0, cfg.abs_tol
     n_evals = n_splits = 0
     while batch:
-        vals, errs = _evaluate(funcs, spans, batch)
+        vals, errs = _evaluate(funcs, spans, batch, mapped)
         n_evals += 15 * len(batch)
         for (a, b, piece), val, err in zip(batch, vals, errs):
             if abs(b - a) > 100.0 * _EPS * max(abs(a), abs(b), 1.0):

@@ -305,6 +305,35 @@ class TestLaguerreRule:
         assert math.isclose(_WEIGHTS.sum(), math.gamma(5.0 / 6.0), rel_tol=1e-15)
 
 
+class TestHugeArgument:
+    """Beyond |zeta| = 1e150 the rule is not evaluated inside |ph z| < pi/3."""
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            1e250,
+            cmath.rect(1e250, 0.5),
+            cmath.rect(1e250, -1.0),
+            complex(1e300, -0.0),
+            1e205,
+            cmath.rect(1e150, 0.5),  # zeta * zeta overflowed into a NaN Ai'
+            cmath.rect(1e103, -1.0),
+        ],
+    )
+    def test_ai_underflows_to_zero_inside_the_sector(self, z):
+        info = ai_complex(z)
+        assert info.value == 0.0 and info.derivative == 0.0
+        assert info.abs_error_estimate == 0.0
+        assert (info.method, info.n_evaluations, info.converged) == ("integral", 40, True)
+
+    @pytest.mark.parametrize(
+        "z", [cmath.rect(1e250, math.pi / 3.0), cmath.rect(1e250, 1.5), 1e250j, -1e250]
+    )
+    def test_overflow_stands_from_the_pi_over_3_ray_on(self, z):
+        with pytest.raises(OverflowError):
+            ai_complex(z)
+
+
 class TestConjugateSymmetry:
     @pytest.mark.parametrize(
         "z", [1 + 1j, -2 + 3j, 4 - 2j, -6 - 1j, 0.3 + 7j, 12 + 5j]

@@ -132,6 +132,13 @@ class TestEvalCommand:
         assert captured.err.startswith("scorerlib: ")
         assert captured.err.count("\n") == 1
 
+    def test_ai_underflow_is_a_result(self, capsys):
+        argv = ["eval", "--fn", "ai", "--re", "1e250", "--im", "0", "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["value_re"], payload["value_im"]) == (0.0, 0.0)
+        assert payload["method"] == "integral"
+
     def test_airy_non_convergence_exits_2(self, monkeypatch, capsys):
         rule = scorerlib.airy._ai_laguerre
         monkeypatch.setattr(

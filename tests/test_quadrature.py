@@ -225,6 +225,146 @@ class TestGenerationBatching:
         assert 15 + sum(t.size for t in decaying_calls) == res.n_evaluations
 
 
+class TestGenerationKernel:
+    """The batched generation kernel against a plain per-panel rule.
+
+    Every batch kind is covered: all panels finite, all in mapped tails, and
+    a mix (the finite piece plus mapped tail of one integrand that
+    ``engine.hi_integral_upper`` hands over, next to a second integrand).
+    """
+
+    @staticmethod
+    def _panel(f, a, b, tail):
+        """One 15-point Gauss-Kronrod panel on ``[a, b]``, computed alone;
+        with a tail origin, ``[a, b]`` lies in the variable ``s`` of
+        ``t = tail + s/(1 - s)``.  The error estimate is sharpened as the
+        kernel's docstring states it."""
+        half, s = 0.5 * (b - a), 0.5 * (a + b) + 0.5 * (b - a) * NODES
+        if tail is None:
+            fx = np.asarray(f(s), dtype=complex)
+        else:
+            fx = np.asarray(f(tail + s / (1.0 - s)), dtype=complex) / (1.0 - s) ** 2
+        kronrod, gauss = np.sum(KRONROD_WEIGHTS * fx), np.sum(GAUSS_WEIGHTS * fx)
+        err = abs(kronrod - gauss)
+        resabs = np.sum(KRONROD_WEIGHTS * np.abs(fx))
+        resasc = np.sum(KRONROD_WEIGHTS * np.abs(fx - 0.5 * kronrod))
+        if resasc != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        eps = np.finfo(float).eps
+        return kronrod * half, max(err * abs(half), 50.0 * eps * resabs * abs(half))
+
+    def _reference(self, pieces, splits):
+        """Value and error after one generation (``splits=0``) or after the
+        worst bisectable panel's two halves (``splits=1``)."""
+        panels = [
+            (f, 0.0, 1.0, a) if b == math.inf else (f, a, b, None) for f, a, b in pieces
+        ]
+        rules = [self._panel(*panel) for panel in panels]
+        if splits:
+            eps = np.finfo(float).eps
+            wide = [
+                k for k, (_, a, b, _) in enumerate(panels)
+                if b - a > 100.0 * eps * max(abs(a), abs(b), 1.0)
+            ]
+            worst = max(wide, key=lambda k: rules[k][1])
+            f, a, b, tail = panels[worst]
+            mid = a + 0.5 * (b - a)
+            rules[worst:worst + 1] = [self._panel(f, a, mid, tail), self._panel(f, mid, b, tail)]
+        return sum(r[0] for r in rules), sum(r[1] for r in rules)
+
+    @staticmethod
+    def _batches():
+        from scorerlib.engine import _gi_integrand
+
+        z = 6.0 * np.exp(1.9j)
+        valley = _gi_integrand(z.real, z.imag)
+        v_star = math.sqrt(-1.5 * z.real)
+        decaying = lambda t: np.exp(-t) * np.cos(3.0 * t)  # noqa: E731
+        wavy = lambda t: np.exp(1j * t) / (1.0 + t * t)  # noqa: E731
+        return {
+            # The third piece is a narrow panel: settled, never bisected.
+            "finite": [(wavy, 0.0, 2.0), (decaying, 0.5, 4.0), (wavy, 5.0, 5.0 + 1e-13)],
+            "mapped": [(decaying, 0.0, math.inf), (wavy, 1.5, math.inf)],
+            "mixed": [(valley, 0.0, v_star), (valley, v_star, math.inf), (wavy, 0.0, 3.0)],
+        }
+
+    @pytest.mark.parametrize("kind", ["finite", "mapped", "mixed"])
+    @pytest.mark.parametrize("splits", [0, 1])
+    def test_panels_match_the_plain_rule(self, kind, splits):
+        pieces = self._batches()[kind]
+        cfg = QuadratureConfig(max_subdivisions=splits)
+        res = integrate_piecewise(pieces, cfg)
+        value, err = self._reference(pieces, splits)
+        assert res.n_evaluations == 15 * (len(pieces) + 2 * splits)
+        assert abs(res.value - value) <= 1e-14 * abs(value)
+        # The Gauss/Kronrod difference cancels: its rounding depends on the
+        # order of summation, so the bars agree to 1e-8, not to eps.
+        assert math.isclose(res.abs_error_estimate, err, rel_tol=1e-8)
+        assert err > 0.0
+
+    @pytest.mark.parametrize(
+        "f,b",
+        [
+            (lambda t: 3.0 * t * t + 1.0, 2.0),
+            # Mapped, 1/(1 + t)**2 is the constant 1 in s.
+            (lambda t: 1.0 / (1.0 + t) ** 2, math.inf),
+        ],
+    )
+    def test_exact_panel_gets_the_rounding_floor(self, f, b):
+        res = integrate_piecewise([(f, 0.0, b)], QuadratureConfig(max_subdivisions=0))
+        value, err = self._reference([(f, 0.0, b)], 0)
+        resabs = abs(value)  # the integrand is positive
+        assert math.isclose(res.abs_error_estimate, err, rel_tol=1e-12)
+        assert math.isclose(err, 50.0 * np.finfo(float).eps * resabs, rel_tol=1e-12)
+
+    def test_narrow_panel_is_never_bisected(self):
+        # The narrow panel has by far the largest error estimate, yet the
+        # one bisection allowed goes to the wide piece.
+        narrow_calls, wide_calls = [], []
+
+        def narrow(t):
+            narrow_calls.append(t)
+            return 1e30 * np.sqrt(np.abs(t - 5.0 - 3.7e-14))
+
+        def wide(t):
+            wide_calls.append(t)
+            return np.cos(3.0 * t)
+
+        cfg = QuadratureConfig(max_subdivisions=1)
+        res = integrate_piecewise([(narrow, 5.0, 5.0 + 1e-13), (wide, 0.0, 4.0)], cfg)
+        assert len(narrow_calls) == 1
+        assert [t.size for t in wide_calls] == [15, 30]
+        assert res.n_evaluations == 60
+
+    @pytest.mark.parametrize("kind", ["finite", "mapped", "mixed"])
+    def test_non_finite_sample_reports_the_integrands_abscissa(self, kind):
+        seen = []
+
+        def poisoned(f):
+            def g(t):
+                seen.append(t.copy())
+                out = np.asarray(f(t), dtype=complex)
+                return np.where(t > 0.8, np.nan, out)
+
+            return g
+
+        wrapped = {}
+        pieces = [
+            (wrapped.setdefault(id(f), poisoned(f)), a, b)
+            for f, a, b in self._batches()[kind]
+        ]
+        with pytest.raises(NonFiniteIntegrandError) as info:
+            integrate_piecewise(pieces)
+        t = np.concatenate(seen)
+        assert info.value.abscissa == t[t > 0.8][0]
+
+    @pytest.mark.parametrize("kind", ["finite", "mapped", "mixed"])
+    def test_wrong_shape_raises(self, kind):
+        pieces = [(lambda t: np.ones(3), a, b) for _, a, b in self._batches()[kind]]
+        with pytest.raises(ValueError, match="one value per abscissa"):
+            integrate_piecewise(pieces)
+
+
 class TestPiecewise:
     def test_empty_piece_costs_nothing(self):
         res = integrate_piecewise([(np.sin, 1.0, 1.0)])
