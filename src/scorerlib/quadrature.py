@@ -24,6 +24,16 @@ elements and each numpy call costs about a microsecond of overhead.  So the
 panel count matters less than the number of generations, and an integrand
 should be elementwise and use few operations: each numpy call it makes is
 paid once per generation.
+
+Start partition: the first generation evaluates each piece on its four
+dyadic quarter panels, reached by two rounds of the same bisection that
+refinement uses.  Nearly every integral of the library bisects its whole
+piece and then both halves before any panel is left alone, so starting
+from one panel spent two generations (and 45 evaluations per piece) on
+estimates that never reached the result.  Panels stay dyadic, so the leaf
+panels are those the one-panel start would reach.  A piece too narrow to
+bisect stays one panel, and the start's bisections count against
+``max_subdivisions``, spent level by level across the pieces.
 """
 
 from __future__ import annotations
@@ -102,6 +112,10 @@ _WEIGHTS = np.stack((KRONROD_WEIGHTS, GAUSS_WEIGHTS), axis=1).astype(complex)
 #: keeps powers like t**3 finite in double precision.
 MAP_CAP = 1e30
 
+# Bisection levels of the start partition: 2 gives each piece four quarter
+# panels.
+_START_DEPTH = 2
+
 
 class NonFiniteIntegrandError(ValueError):
     """Raised when an integrand returns NaN or infinity at an abscissa.
@@ -131,8 +145,10 @@ class QuadratureConfig:
         zero.  The effective target is ``max(abs_tol, rel_tol * |value|)``.
     max_subdivisions : int
         Maximum number of panel bisections across all pieces and all
-        refinement generations; a generation that would exceed it bisects
-        only its worst panels up to the cap.
+        generations.  The start partition spends the first of them: up to
+        three per piece, the first level of every piece before the second,
+        so ``0`` leaves one panel per piece.  A refinement generation that
+        would exceed the cap bisects only its worst panels up to it.
     """
 
     rel_tol: float = 1e-12
@@ -255,6 +271,18 @@ def _call(f: Integrand, t: np.ndarray) -> np.ndarray:
     return out.reshape(t.shape)
 
 
+def _bisectable(a: float, b: float) -> bool:
+    """Whether ``[a, b]`` is wide enough to bisect meaningfully; a narrower
+    panel is evaluated and counted but never refined."""
+    return abs(b - a) > 100.0 * _EPS * max(abs(a), abs(b), 1.0)
+
+
+def _halves(a: float, b: float, piece: int) -> list[tuple[float, float, int]]:
+    """The two halves of the panel ``[a, b]`` of ``piece``."""
+    mid = a + 0.5 * (b - a)
+    return [(a, mid, piece), (mid, b, piece)]
+
+
 def panel_rule(f: Integrand, a: float, b: float) -> tuple[complex, float, int]:
     """Apply the 15-point Gauss-Kronrod rule once on ``[a, b]``.
 
@@ -328,16 +356,28 @@ def integrate_piecewise(
     mapped = None if 0 < n_tails < len(spans) else n_tails > 0
 
     batch = [(a, b, piece) for piece, (_, _, a, b) in enumerate(spans)]
+    # Start at the depth-2 dyadic partition, spending the bisection budget
+    # level by level across the pieces (see the module docstring).
+    n_splits = 0
+    for _ in range(_START_DEPTH):
+        level = []
+        for a, b, piece in batch:
+            if n_splits < cfg.max_subdivisions and _bisectable(a, b):
+                level += _halves(a, b, piece)
+                n_splits += 1
+            else:
+                level.append((a, b, piece))
+        batch = level
     # Panels that may still be bisected, as (err, value, a, b, piece).
     pool: list[tuple[float, complex, float, float, int]] = []
     settled_val, settled_err = 0j, 0.0
     total, total_err, target = 0j, 0.0, cfg.abs_tol
-    n_evals = n_splits = 0
+    n_evals = 0
     while batch:
         vals, errs = _evaluate(funcs, spans, batch, mapped)
         n_evals += 15 * len(batch)
         for (a, b, piece), val, err in zip(batch, vals, errs):
-            if abs(b - a) > 100.0 * _EPS * max(abs(a), abs(b), 1.0):
+            if _bisectable(a, b):
                 pool.append((err, val, a, b, piece))
             else:
                 # Too narrow to bisect meaningfully: counted, never refined.
@@ -359,10 +399,7 @@ def integrate_piecewise(
             if removed >= excess:
                 break
         parents, pool = sorted(pool[:count], key=lambda panel: panel[4]), pool[count:]
-        batch = []
-        for _, _, a, b, piece in parents:
-            mid = a + 0.5 * (b - a)
-            batch += [(a, mid, piece), (mid, b, piece)]
+        batch = [half for _, _, a, b, piece in parents for half in _halves(a, b, piece)]
         n_splits += count
 
     return QuadratureResult(total, total_err, n_evals, total_err <= target)

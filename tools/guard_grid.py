@@ -17,10 +17,13 @@ Run from the root of a checkout::
 
 ``--against`` dumps this checkout's ``src/`` and DIR's ``src/`` in two
 fresh interpreters, side by side, prints every field that differs (an error estimate or a
-value part also with its distance in ulps) and a summary line with the
+value part also with its distance in ulps), a summary line with the
 number of lower-half-plane points where ``f(conj z) == conj f(z)`` fails
-bit for bit in this checkout.  It exits with status 1 if any field differs
-or that count is not zero.
+bit for bit in this checkout, and one line per differing field: how many
+results differ in it, the largest ulp distance for ``value``,
+``derivative`` and ``abs_error_estimate``, and for ``n_evaluations`` how
+many rose and fell and the totals on both sides.  It exits with status 1
+if any field differs or that count is not zero.
 """
 
 from __future__ import annotations
@@ -106,21 +109,58 @@ def _collect(proc: subprocess.Popen) -> dict[str, dict]:
     return dict(json.loads(line) for line in out.splitlines())
 
 
-def _ulps(a: str, b: str) -> str:
-    """Distance in ulps of two ``float.hex`` strings."""
+def _ulps(a: str, b: str) -> float | None:
+    """Distance in ulps of two ``float.hex`` strings; None when they are
+    equal or either is not finite."""
     x, y = float.fromhex(a), float.fromhex(b)
     if x == y or not (math.isfinite(x) and math.isfinite(y)):
-        return ""
-    return f"  ({abs(x - y) / math.ulp(max(abs(x), abs(y))):.0f} ulp)"
+        return None
+    return abs(x - y) / math.ulp(max(abs(x), abs(y)))
+
+
+def _field_ulps(field: str, mine, theirs) -> list[float | None]:
+    """Distances in ulps of the parts of a float field, if it is one."""
+    if field == "abs_error_estimate":
+        return [_ulps(theirs, mine)]
+    if field in ("value", "derivative") and mine is not None and theirs is not None:
+        return [_ulps(t, m) for t, m in zip(theirs, mine)]
+    return []
 
 
 def _describe(key: str, field: str, mine, theirs) -> str:
     line = f"{key}: {field}: {theirs} -> {mine}"
-    if field == "abs_error_estimate":
-        line += _ulps(theirs, mine)
-    elif field in ("value", "derivative") and mine is not None and theirs is not None:
-        line += "".join(_ulps(t, m) for t, m in zip(theirs, mine))
-    return line
+    return line + "".join(
+        f"  ({d:.0f} ulp)" for d in _field_ulps(field, mine, theirs) if d is not None
+    )
+
+
+def _summary(mine: dict[str, dict], theirs: dict[str, dict], diffs) -> list[str]:
+    """One line per differing field: how many results differ in it, the
+    largest ulp distance of a float field, and for ``n_evaluations`` how
+    many rose and fell and the totals over the results both sides have."""
+    lines = []
+    for field in sorted({field for _, field in diffs}):
+        keys = [key for key, f in diffs if f == field]
+        line = f"{field}: {len(keys)} differ"
+        if field == "n_evaluations":
+            pairs = [(theirs[key].get(field), mine[key].get(field))
+                     for key in mine.keys() & theirs.keys()]
+            pairs = [(t, m) for t, m in pairs if t is not None and m is not None]
+            rose = sum(1 for t, m in pairs if m > t)
+            fell = sum(1 for t, m in pairs if m < t)
+            line += (f" ({rose} rose, {fell} fell); total "
+                     f"{sum(t for t, _ in pairs)} -> {sum(m for _, m in pairs)}")
+        else:
+            distances = [
+                d for key in keys
+                for d in _field_ulps(field, mine.get(key, {}).get(field),
+                                     theirs.get(key, {}).get(field))
+                if d is not None
+            ]
+            if distances:
+                line += f", at most {max(distances):.0f} ulp"
+        lines.append(line)
+    return lines
 
 
 def _conjugate_mismatches(results: dict[str, dict]) -> int:
@@ -155,17 +195,19 @@ def main(argv: list[str] | None = None) -> int:
     # The two dumps run side by side.
     procs = [_start_dump(ROOT / "src"), _start_dump(Path(args.against).resolve() / "src")]
     mine, theirs = (_collect(proc) for proc in procs)
-    differing = 0
+    diffs = []
     for key in sorted(mine.keys() | theirs.keys()):
         a, b = mine.get(key, {}), theirs.get(key, {})
         for field in sorted(a.keys() | b.keys()):
             if a.get(field) != b.get(field):
-                differing += 1
+                diffs.append((key, field))
                 print(_describe(key, field, a.get(field), b.get(field)))
     conj = _conjugate_mismatches(mine)
-    print(f"{len(mine)} results, {differing} differing fields, "
+    print(f"{len(mine)} results, {len(diffs)} differing fields, "
           f"{conj} conjugate-symmetry mismatches")
-    return 1 if differing or conj else 0
+    for line in _summary(mine, theirs, diffs):
+        print(line)
+    return 1 if diffs or conj else 0
 
 
 if __name__ == "__main__":
