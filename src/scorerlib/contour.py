@@ -48,6 +48,7 @@ __all__ = [
     "hi_path_v_of_u",
     "require_finite",
     "stokes_path",
+    "tangent",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -199,7 +200,7 @@ def hi_jacobian_u(u, v, x: float, y: float):
     den = v * v - u * u + x
     if np.count_nonzero(den) < np.size(den):
         raise DomainError("hi_jacobian_u is singular where v**2 - u**2 + x = 0 (saddle)")
-    return 1.0 + 1j * (2.0 * u * v - y) / den
+    return tangent(1.0, (2.0 * u * v - y) * (1.0 / den))
 
 
 def hi_branch_point(x: float, y: float) -> tuple[float, float]:
@@ -312,7 +313,24 @@ def gi_jacobian_u(u, v, x: float, y: float):
     den = 2.0 * u * v + y
     if np.count_nonzero(den) < np.size(den):
         raise DomainError("gi_jacobian_u is singular where 2*u*v + y = 0")
-    return 1.0 + 1j * (u * u - v * v + x) / den
+    return tangent(1.0, (u * u - v * v + x) * (1.0 / den))
+
+
+def tangent(real: float, imag):
+    """``real + 1j * imag`` for a real array (or float) ``imag``.
+
+    Contour tangents such as ``dt/du = 1 + i dv/du`` are assembled from
+    real parts: numpy's complex arithmetic costs several times a real
+    operation on the short arrays of a quadrature generation.  Multiplying
+    by the reciprocal, ``num * (1.0 / den)``, is how numpy divides a complex
+    array by a real one, so callers that used to write
+    ``1.0 + 1j * num / den`` get the same bits (up to the sign of a zero
+    imaginary part).
+    """
+    out = np.empty(np.shape(imag), dtype=complex)
+    out.real = real
+    out.imag = imag
+    return out
 
 
 @dataclass(frozen=True)
