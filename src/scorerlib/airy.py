@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
+
 import numpy as np
 
 from .contour import ScorerResult, combine, require_finite
@@ -172,7 +174,12 @@ def _ai_laguerre(z: complex) -> ScorerResult:
     if modulus > _ZETA_CAP:
         # Inside |ph z| < pi/3, Re zeta > 1e-16 |zeta| and Ai, Ai' underflow
         # to 0; the rule's zeta * zeta would overflow into a NaN derivative.
-        if abs(phase) < _HALF_PI:
+        # 1.5 * atan2 rounds to pi/2 on both sides of the pi/3 ray, on which
+        # no double lies: there the side is decided exactly.  Either way
+        # |Re zeta| is far beyond the exponent range.
+        if abs(phase) == _HALF_PI and Fraction(z.imag) ** 2 >= 3 * Fraction(z.real) ** 2:
+            raise OverflowError(f"Ai: exp(-zeta) overflows at z = {z!r}")
+        if abs(phase) <= _HALF_PI:
             return ScorerResult(0j, "integral", 0.0, _NODES.size, True, 0j)
         if modulus == math.inf:
             raise OverflowError(f"Ai: zeta = (2/3) z**1.5 overflows at |z| = {abs(z):.3g}")

@@ -317,15 +317,14 @@ def gi_jacobian_u(u, v, x: float, y: float):
 
 
 def tangent(real: float, imag):
-    """``real + 1j * imag`` for a real array (or float) ``imag``.
+    """``real + 1j * imag`` for a real array (or float) ``imag``, such as
+    the contour tangent ``dt/du = 1 + i dv/du``, built from real parts.
 
-    Contour tangents such as ``dt/du = 1 + i dv/du`` are assembled from
-    real parts: numpy's complex arithmetic costs several times a real
-    operation on the short arrays of a quadrature generation.  Multiplying
-    by the reciprocal, ``num * (1.0 / den)``, is how numpy divides a complex
-    array by a real one, so callers that used to write
-    ``1.0 + 1j * num / den`` get the same bits (up to the sign of a zero
-    imaginary part).
+    numpy's complex arithmetic costs several times a real operation on the
+    short arrays of a quadrature generation.  A slope ``num / den`` passed
+    as ``num * (1.0 / den)``, which is how numpy divides a complex array by
+    a real one, gives the bits of ``1.0 + 1j * num / den`` up to the sign
+    of a zero imaginary part.
     """
     out = np.empty(np.shape(imag), dtype=complex)
     out.real = real

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -305,6 +306,12 @@ class TestLaguerreRule:
         assert math.isclose(_WEIGHTS.sum(), math.gamma(5.0 / 6.0), rel_tol=1e-15)
 
 
+def _above_the_ray(r):
+    """A double just above the pi/3 ray at radius ``r``."""
+    z = cmath.rect(r, math.pi / 3.0)
+    return complex(z.real, z.imag * (1.0 + 4e-16))
+
+
 class TestHugeArgument:
     """Beyond |zeta| = 1e150 the rule is not evaluated inside |ph z| < pi/3."""
 
@@ -318,6 +325,13 @@ class TestHugeArgument:
             1e205,
             cmath.rect(1e150, 0.5),  # zeta * zeta overflowed into a NaN Ai'
             cmath.rect(1e103, -1.0),
+            # The double nearest the pi/3 ray lies below it at each of these
+            # radii, where 1.5 * atan2 rounds to pi/2 on both sides.  The
+            # first two returned a NaN Ai', the last two raised.
+            cmath.rect(1e150, math.pi / 3.0),
+            cmath.rect(1e200, math.pi / 3.0),
+            cmath.rect(1e250, math.pi / 3.0),
+            cmath.rect(1e300, math.pi / 3.0),
         ],
     )
     def test_ai_underflows_to_zero_inside_the_sector(self, z):
@@ -327,9 +341,18 @@ class TestHugeArgument:
         assert (info.method, info.n_evaluations, info.converged) == ("integral", 40, True)
 
     @pytest.mark.parametrize(
-        "z", [cmath.rect(1e250, math.pi / 3.0), cmath.rect(1e250, 1.5), 1e250j, -1e250]
+        "z",
+        [
+            _above_the_ray(1e250),
+            cmath.rect(1e250, 1.5),
+            1e250j,
+            -1e250,
+            _above_the_ray(1e104),
+            _above_the_ray(1e150),
+        ],
     )
     def test_overflow_stands_from_the_pi_over_3_ray_on(self, z):
+        assert Fraction(z.imag) ** 2 >= 3 * Fraction(z.real) ** 2 or z.real <= 0.0
         with pytest.raises(OverflowError):
             ai_complex(z)
 
