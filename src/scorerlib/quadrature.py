@@ -27,12 +27,13 @@ paid once per generation.
 
 Start partition: the first generation evaluates each piece on its four
 dyadic quarter panels, reached by two rounds of the same bisection that
-refinement uses.  Nearly every integral of the library bisects its whole
-piece and then both halves before any panel is left alone, so starting
-from one panel spent two generations (and 45 evaluations per piece) on
-estimates that never reached the result.  Panels stay dyadic, so the leaf
-panels are those the one-panel start would reach.  A piece too narrow to
-bisect stays one panel, and the start's bisections count against
+refinement uses.  Nearly every integral of the library would bisect its
+whole piece and then both halves before leaving any panel alone, and the
+one- and two-panel estimates on the way never reach the result: starting
+at the quarters saves those two generations and 45 evaluations per piece.
+Panels stay dyadic, so the leaf panels are those a one-panel start would
+reach wherever it bisects both halves.  A piece too narrow to bisect
+stays one panel, and the start's bisections count against
 ``max_subdivisions``, spent level by level across the pieces.
 """
 
