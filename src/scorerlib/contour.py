@@ -48,7 +48,6 @@ __all__ = [
     "hi_path_v_of_u",
     "require_finite",
     "stokes_path",
-    "tangent",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -200,7 +199,7 @@ def hi_jacobian_u(u, v, x: float, y: float):
     den = v * v - u * u + x
     if np.count_nonzero(den) < np.size(den):
         raise DomainError("hi_jacobian_u is singular where v**2 - u**2 + x = 0 (saddle)")
-    return tangent(1.0, (2.0 * u * v - y) * (1.0 / den))
+    return _tangent(1.0, (2.0 * u * v - y) * (1.0 / den))
 
 
 def hi_branch_point(x: float, y: float) -> tuple[float, float]:
@@ -313,12 +312,13 @@ def gi_jacobian_u(u, v, x: float, y: float):
     den = 2.0 * u * v + y
     if np.count_nonzero(den) < np.size(den):
         raise DomainError("gi_jacobian_u is singular where 2*u*v + y = 0")
-    return tangent(1.0, (u * u - v * v + x) * (1.0 / den))
+    return _tangent(1.0, (u * u - v * v + x) * (1.0 / den))
 
 
-def tangent(real: float, imag):
-    """``real + 1j * imag`` for a real array (or float) ``imag``, such as
-    the contour tangent ``dt/du = 1 + i dv/du``, built from real parts.
+def _tangent(real: float, imag):
+    """``real + 1j * imag`` for a real array ``imag``, such as the contour
+    tangent ``dt/du = 1 + i dv/du``, built from real parts; a complex for
+    a float ``imag``.
 
     numpy's complex arithmetic costs several times a real operation on the
     short arrays of a quadrature generation.  A slope ``num / den`` passed
@@ -326,6 +326,8 @@ def tangent(real: float, imag):
     a real one, gives the bits of ``1.0 + 1j * num / den`` up to the sign
     of a zero imaginary part.
     """
+    if np.ndim(imag) == 0:
+        return complex(real, imag)
     out = np.empty(np.shape(imag), dtype=complex)
     out.real = real
     out.imag = imag

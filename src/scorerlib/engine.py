@@ -303,7 +303,7 @@ def hi_integral_principal(z: complex) -> ScorerResult:
         def f(w: np.ndarray) -> np.ndarray:
             u = scale * w
             v, dv = _contour.stokes_path(u, x)
-            dt_dw = _contour.tangent(scale, scale * dv)
+            dt_dw = _contour._tangent(scale, scale * dv)
             return _masked_exp(_contour.hi_decay(u, v, x, y_ray), dt_dw)
 
     else:

@@ -34,7 +34,9 @@ at the quarters saves those two generations and 45 evaluations per piece.
 Panels stay dyadic, so the leaf panels are those a one-panel start would
 reach wherever it bisects both halves.  A piece too narrow to bisect
 stays one panel, and the start's bisections count against
-``max_subdivisions``, spent level by level across the pieces.
+``max_subdivisions``, spent level by level across the pieces.  The price
+is a floor of 60 evaluations per piece: an integrand that one panel would
+resolve costs four.
 """
 
 from __future__ import annotations
@@ -321,6 +323,11 @@ def integrate_piecewise(
 ) -> QuadratureResult:
     """Integrate a sum of pieces with one pooled adaptive refinement.
 
+    Every piece starts on its four dyadic quarter panels (see the module
+    docstring), so a piece wide enough to bisect costs at least 60
+    evaluations while ``max_subdivisions`` leaves the start its three
+    bisections per piece.
+
     Parameters
     ----------
     pieces : sequence of (f, a, b)
@@ -409,7 +416,12 @@ def integrate_piecewise(
 def integrate_finite(
     f: Integrand, a: float, b: float, config: QuadratureConfig | None = None
 ) -> QuadratureResult:
-    """Adaptively integrate ``f`` over the finite interval ``[a, b]``."""
+    """Adaptively integrate ``f`` over the finite interval ``[a, b]``.
+
+    The interval starts on its four quarter panels, so it costs at least 60
+    evaluations when it is wide enough to bisect and ``max_subdivisions`` is
+    at least 3 (see :func:`integrate_piecewise`).
+    """
     return integrate_piecewise([(f, a, b)], config)
 
 
@@ -419,7 +431,8 @@ def integrate_semi_infinite(
     """Adaptively integrate a decaying ``f`` over ``[a, inf)``.
 
     The range is folded onto ``(0, 1)`` by ``t = a + s/(1 - s)`` and refined
-    in generations like any other piece; ``f`` must decay faster than
-    ``1/t**2`` for the mapped integrand to stay bounded.
+    in generations like any other piece, from its four quarter panels (at
+    least 60 evaluations); ``f`` must decay faster than ``1/t**2`` for the
+    mapped integrand to stay bounded.
     """
     return integrate_piecewise([(f, a, math.inf)], config)

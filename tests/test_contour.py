@@ -282,6 +282,20 @@ class TestJacobianSingularities:
             gi_jacobian_u(1.0, -0.5, 1.0, 1.0)
 
 
+class TestJacobianTypes:
+    @pytest.mark.parametrize("jacobian", [hi_jacobian_u, gi_jacobian_u])
+    def test_floats_give_a_complex_and_arrays_an_array(self, jacobian):
+        # dt/du = 1 + i*slope at (u, v) = (1, 1/2), x = 2, y = 1: hi's slope
+        # (2uv - y)/(v^2 - u^2 + x) is 0 over 5/4, gi's (u^2 - v^2 + x)/(2uv + y)
+        # is (11/4)/2 = 11/8, both exact in doubles.
+        jac = jacobian(1.0, 0.5, 2.0, 1.0)
+        assert type(jac) is complex
+        assert jac == 1.0 + 1j * (0.0 if jacobian is hi_jacobian_u else 11.0 / 8.0)
+        arr = jacobian(np.array([1.0, 1.0]), np.array([0.5, 0.5]), 2.0, 1.0)
+        assert arr.dtype == complex and arr.shape == (2,)
+        assert np.all(arr == jac)
+
+
 class TestPathClassification:
     def test_interior_point(self):
         spec = hi_path_spec(complex(-2.0, 1.0))
