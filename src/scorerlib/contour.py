@@ -82,6 +82,7 @@ class ScorerResult:
     method : str
         Route tag.  Gi and Hi: ``series``, ``asymptotic``, ``hi_path_u``,
         ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``, ``gi_real_axis``,
+        ``hi_laplace``, ``gi_laplace``, ``hi_upper_laplace``,
         ``hi_rotation``, ``gi_rotation_pair``, ``bi_identity``, or
         ``conjugate``.  Ai and Bi: ``series``, ``integral``, ``rotation``,
         or ``rotation_pair``.
@@ -89,8 +90,8 @@ class ScorerResult:
         Estimated absolute error (quadrature estimates plus rounding terms).
     n_evaluations : int
         Exact count of quadrature integrand evaluations aggregated over
-        every integral that contributed, including the 40 nodes of each
-        Airy rule evaluation.
+        every integral that contributed, including the 60 nodes of each
+        Laplace rule and the 40 nodes of each Airy rule evaluation.
     converged : bool
         False when some contributing quadrature missed its tolerance.
     derivative : complex or None

@@ -10,7 +10,7 @@ import re
 import pytest
 
 import scorerlib.airy
-from scorerlib.cli import _CSV_HEADER, main, parse_phase
+from scorerlib.cli import _CSV_HEADER, _hi_by_quadrature, _z_from_polar, main, parse_phase
 from scorerlib.engine import gi, hi
 
 
@@ -312,6 +312,20 @@ class TestBenchCommand:
             counts = [int(tok) for tok in re.findall(r"(\d+) \(", line)]
             assert counts[0] == counts[1] and counts[2] == counts[3]
             assert counts[2] > counts[0]
+
+    def test_bench_measures_the_adaptive_contours_alone(self, capsys):
+        # hi takes the fixed Laplace rule at rect(10, 5pi/6); bench keeps the
+        # adaptive contour there and its counts on the Stokes ray.
+        z = _z_from_polar(10.0, parse_phase("5pi/6"))
+        adaptive, routed = _hi_by_quadrature(z), hi(z)
+        assert (adaptive.method, adaptive.n_evaluations) == ("hi_path_u", 60)
+        assert (routed.method, routed.n_evaluations) == ("hi_laplace", 60)
+        rc = main(["bench", "--radii", "1,10,100", "--phases", "5pi/6,2pi/3"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        rows = [[int(tok) for tok in re.findall(r"(\d+) \(", line)]
+                for line in out.splitlines()[2:5]]
+        assert rows == [[210, 1410], [60, 570], [210, 330]]
 
     def test_rejects_bad_radius_list(self, capsys):
         assert main(["bench", "--radii", "1,zebra"]) == 1

@@ -35,8 +35,18 @@ from scorerlib.engine import (
     hi_integral_v_form,
     hi_series,
 )
+from scorerlib.engine import _NODES as _LAPLACE_NODES
+from scorerlib.engine import (
+    _REPRESENTATIONS,
+    _evaluate,
+    _laplace_roots,
+    _laplace_sum,
+    _route,
+    _saddle_distance,
+)
 
 _PI = math.pi
+_EPS = float(np.finfo(float).eps)
 _ROT_UP = cmath.exp(2j * _PI / 3.0)
 _ROT_DOWN = cmath.exp(-2j * _PI / 3.0)
 
@@ -200,6 +210,9 @@ _KNOWN_METHODS = {
     "hi_rotation",
     "gi_rotation_pair",
     "bi_identity",
+    "hi_laplace",
+    "gi_laplace",
+    "hi_upper_laplace",
     "conjugate",
 }
 
@@ -672,8 +685,10 @@ class TestEngineObject:
             "gi_real_axis",
             "gi_rotation_pair",
             "gi_path_u",
+            "gi_laplace",
             "bi_identity",
             "hi_path_u",
+            "hi_laplace",
             "hi_rotation",
             "conjugate",
         }
@@ -709,10 +724,15 @@ class TestEngineObject:
         assert hi(-5.0).converged
 
     def test_results_report_route_and_cost(self):
-        res = hi(-5 + 0j)
+        # rho = 0.84 keeps the adaptive contour, whose cost is whole panels.
+        res = hi(cmath.rect(5.0, 0.8 * _PI))
         assert res.method == "hi_path_u"
         assert res.n_evaluations > 0
         assert res.n_evaluations % 15 == 0
+        assert res.converged
+        res = hi(-5 + 0j)
+        assert res.method == "hi_laplace"
+        assert res.n_evaluations == 60
         assert res.converged
         res = gi(1 + 0j)
         assert res.method == "series"
@@ -727,14 +747,17 @@ class TestRouteSelection:
             (gi, 10 + 0j, "gi_real_axis"),
             (gi, 20 + 0j, "asymptotic"),
             (gi, 3j, "gi_path_u"),
+            (gi, 5j, "gi_laplace"),
             (gi, 5 * cmath.exp(0.01j), "gi_rotation_pair"),
             (gi, 5 * cmath.exp(1j * (2 * _PI / 3 - 0.01)), "bi_identity"),
             (gi, -4 + 0j, "bi_identity"),
             (gi, 1 - 1j, "conjugate"),
             (hi, 2j, "series"),
             (hi, 3j, "hi_rotation"),
-            (hi, -5 + 0j, "hi_path_u"),
-            (hi, 10 * cmath.exp(1j * 5 * _PI / 6), "hi_path_u"),
+            (hi, -5 + 0j, "hi_laplace"),
+            (hi, 10 * cmath.exp(1j * 5 * _PI / 6), "hi_laplace"),
+            (hi, cmath.rect(5.0, 0.8 * _PI), "hi_path_u"),
+            (hi, cmath.rect(10.0, 0.75 * _PI), "hi_path_u"),
             (hi, 5 + 0j, "bi_identity"),
             (hi, 40 * cmath.exp(2.9j), "asymptotic"),
             (hi, 1.2 - 0.9j, "conjugate"),
@@ -742,3 +765,98 @@ class TestRouteSelection:
     )
     def test_expected_route(self, fn, z, expected):
         assert fn(z).method == expected
+
+
+#: One ray per contour cell that the Laplace gate serves: the function, the
+#: engine column and the phase.
+_GATED_RAYS = (("hi", 0.9 * _PI), ("gi", _PI / 2.0), ("arm", 1.4))
+_ADAPTIVE_ROUTE = {"hi": "hi_path_u", "gi": "gi_path_u", "arm": "hi_path_upper"}
+_LAPLACE_ROUTE = {"hi": "hi_laplace", "gi": "gi_laplace", "arm": "hi_upper_laplace"}
+
+
+def _radius_at_rho(rho: float, phase: float) -> float:
+    """The radius on the ray ``phase`` where the saddle distance is ``rho``
+    (it grows like ``|z|**0.75``)."""
+    return (rho / _saddle_distance(cmath.rect(1.0, phase))) ** (4.0 / 3.0)
+
+
+class TestLaplaceGate:
+    @pytest.mark.parametrize("fn,phase", _GATED_RAYS)
+    def test_gate_opens_at_rho_one(self, fn, phase):
+        r1 = _radius_at_rho(1.0, phase)
+        below, above = cmath.rect(r1 * (1 - 1e-9), phase), cmath.rect(r1 * (1 + 1e-9), phase)
+        assert _saddle_distance(below) < 1.0 <= _saddle_distance(above)
+        assert _evaluate(below, fn)[0].method == _ADAPTIVE_ROUTE[fn]
+        assert _evaluate(above, fn)[0].method == _LAPLACE_ROUTE[fn]
+
+    def test_gate_declines_above_1e100(self):
+        # Cardano's z**3 overflows near |z| = 1.9e102.
+        assert _route(cmath.rect(1e100, _PI / 2.0), "gi") == "gi_laplace"
+        assert _route(cmath.rect(1.0000001e100, _PI / 2.0), "gi") == "gi_path_u"
+
+    def test_saddle_distance_vanishes_where_a_contour_meets_its_saddle(self):
+        assert _saddle_distance(cmath.rect(50.0, 2.0 * _PI / 3.0)) < 1e-12
+        assert _saddle_distance(complex(50.0, 0.0)) == 0.0
+        # On the negative axis 3 theta / 4 = 3 pi / 4: cos and sin tie.
+        expected = math.sqrt(2.0 / 3.0) * 9**0.75 * math.sqrt(0.5)
+        assert _saddle_distance(-9.0 + 0j) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("fn,phase", _GATED_RAYS)
+    def test_rule_matches_the_adaptive_contour(self, fn, phase, rho):
+        z = cmath.rect(_radius_at_rho(rho, phase) * (1 + 1e-9), phase)
+        laplace = _evaluate(z, fn)[0]
+        adaptive = _REPRESENTATIONS[_ADAPTIVE_ROUTE[fn]](z)
+        assert laplace.method == _LAPLACE_ROUTE[fn]
+        assert laplace.converged
+        diff = abs(laplace.value - adaptive.value)
+        assert diff <= 1e-13 * abs(adaptive.value)
+        assert diff <= laplace.abs_error_estimate + adaptive.abs_error_estimate
+        # 60 nodes, plus the Airy rule's 40 beyond its series disc.
+        airy = 40 if fn != "hi" and abs(z) > 3.5 else 0
+        assert laplace.n_evaluations == 60 + airy
+        assert laplace.n_evaluations <= adaptive.n_evaluations
+
+    @pytest.mark.parametrize("end,phases", [(1.0, (0.7 * _PI, 0.85 * _PI, _PI)),
+                                            (_ROT_UP, (0.1, _PI / 3.0, 0.6 * _PI))])
+    @pytest.mark.parametrize("radius", [4.0, 30.0, 1e3])
+    def test_roots_are_cardanos_nearest_the_end(self, end, phases, radius):
+        for phase in phases:
+            z = cmath.rect(radius, phase)
+            roots = _laplace_roots(z, end)
+            for sigma, t in zip(_LAPLACE_NODES, roots):
+                cubic = np.roots([1.0, 0.0, -3.0 * z, -3.0 * sigma])
+                angle = np.abs(np.angle(cubic / end))
+                nearest = cubic[np.argmin(angle)]
+                assert abs(t - nearest) <= 1e-9 * max(abs(nearest), 1.0)
+                # Cardano's t = C + z/C carries an absolute error of a few
+                # eps sqrt|z|; the cubic's slope 3 t**2 - 3 z scales it.
+                slack = (abs(t) + math.sqrt(abs(z))) * abs(3.0 * t * t - 3.0 * z) + 3.0 * sigma
+                assert abs(t**3 - 3.0 * z * t - 3.0 * sigma) <= 16.0 * _EPS * slack
+
+    @pytest.mark.parametrize("radius", [1e5, 1e20, 1e99, 1e100])
+    @pytest.mark.parametrize("end,phase", [(1.0, 0.9 * _PI), (_ROT_UP, _PI / 2.0),
+                                           (_ROT_UP, _PI / 3.0 + 1e-6)])
+    def test_huge_argument_sums_to_minus_one_over_z(self, end, phase, radius):
+        # S = -(1/z) (1 + 2/z**3 + 40/z**6 + ...) on both contours; the
+        # root near 0 is cancelled to rounding noise, harmless in t**2 - z.
+        z = cmath.rect(radius, phase)
+        s = _laplace_sum(z, end)
+        expected = -(1.0 + 2.0 / z**3) / z
+        assert abs(s.value - expected) <= 4.0 * _EPS / radius
+        assert abs(s.value - expected) <= s.abs_error_estimate
+
+    @pytest.mark.parametrize("radius", [1e99, 1e101, 1e120])
+    def test_outcomes_past_the_overflow_edge(self, radius):
+        # Hi on its descent ray and the arm are the expansion's out there,
+        # before the gate is asked; Gi on pi/2 overflows in its Airy term
+        # whether or not the gate took the contour.  No RuntimeWarning
+        # either way (tier-1 turns one into a failure).
+        hi_res = hi(cmath.rect(radius, 0.9 * _PI))
+        z = cmath.rect(radius, 1.4)
+        (arm,) = _evaluate(z, "arm")
+        for res, w in ((hi_res, cmath.rect(radius, 0.9 * _PI)), (arm, z)):
+            assert res.method == "asymptotic"
+            assert _rel(res.value + 1.0 / (_PI * w), res.value) < 1e-15
+        with pytest.raises(OverflowError):
+            gi(cmath.rect(radius, _PI / 2.0))

@@ -9,7 +9,10 @@ Two tables, both from mpmath:
   once fell short: the ``bi_identity`` and ``hi_rotation`` routes, Ai and Bi
   at a rotated argument, and the large-argument expansion of Hi;
 * ``STOKES_POINTS``: Gi and Hi on the Stokes ray ph z = 2*pi/3, at radii
-  where the descent contour through the saddle was once wrong.
+  where the descent contour through the saddle was once wrong;
+* ``GATE_POINTS``: Gi and Hi on both sides of the engine's Laplace-rule
+  gate, at saddle distances rho in ``GATE_RHOS`` on rays through each
+  contour cell the gate serves.
 
 A reference is kept only where mpmath at 50 and at 90 digits agree to
 1e-15 relative (and, for Gi and Hi, where Gi + Hi = Bi holds to the same
@@ -83,6 +86,39 @@ STOKES_RADII = (
     40.0,
 )
 
+#: Saddle distances rho = sqrt(2/3) |z|**0.75 min(|cos(3 theta/4)|,
+#: |sin(3 theta/4)|) on both sides of the gate at rho = 1.
+GATE_RHOS = (0.9, 0.98, 1.02, 1.2, 2.0, 5.0)
+#: Rays through the gated cells, labelled by the engine column that takes
+#: the contour there: Hi's descent contour on [2*pi/3, pi], Gi's on
+#: (0.05, 2*pi/3 - 0.05), and the rotated Hi arm's left-valley contour on
+#: (pi/3, 2*pi/3).
+GATE_RAYS = (
+    ("hi", 0.8 * math.pi),
+    ("hi", 0.9 * math.pi),
+    ("hi", math.pi),
+    ("gi", 0.3),
+    ("gi", 0.7),
+    ("gi", 1.6),
+    ("arm", 1.4),
+    ("arm", 1.8),
+)
+#: Points inside the engine's series disc are left out: no gate there.
+SERIES_RADIUS = 2.5
+
+
+def gate_points() -> list[tuple[str, complex]]:
+    points = []
+    for column, phase in GATE_RAYS:
+        theta = 0.75 * phase
+        unit = math.sqrt(2.0 / 3.0) * min(abs(math.cos(theta)), abs(math.sin(theta)))
+        for rho in GATE_RHOS:
+            r = (rho / unit) ** (4.0 / 3.0)
+            if r > SERIES_RADIUS:
+                z = complex(-r, 0.0) if phase == math.pi else cmath.rect(r, phase)
+                points.append((column, z))
+    return points
+
 
 def map_points() -> list[complex]:
     points = []
@@ -142,6 +178,12 @@ def main() -> None:
         row = _scorer_row(z, scorer[:2] + scorer[3:])
         if row is not None:
             print(f"    ({_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")
+    print("]")
+    print("GATE_POINTS = [")
+    for column, z in gate_points():
+        row = _scorer_row(z, scorer[:2] + scorer[3:])
+        if row is not None:
+            print(f"    ({column!r}, {_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")
     print("]")
 
 

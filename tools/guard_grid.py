@@ -22,7 +22,9 @@ number of lower-half-plane points where ``f(conj z) == conj f(z)`` fails
 bit for bit in this checkout, and one line per differing field: how many
 results differ in it, the largest ulp distance for ``value``,
 ``derivative`` and ``abs_error_estimate``, and for ``n_evaluations`` how
-many rose and fell and the totals on both sides.  It exits with status 1
+many rose and fell and the totals on both sides; a differing ``method``
+is followed by one line per route transition with its count, such as
+``method: hi_path_u -> hi_laplace 412``.  It exits with status 1
 if any field differs or that count is not zero.
 """
 
@@ -35,6 +37,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,12 +139,19 @@ def _describe(key: str, field: str, mine, theirs) -> str:
 
 def _summary(mine: dict[str, dict], theirs: dict[str, dict], diffs) -> list[str]:
     """One line per differing field: how many results differ in it, the
-    largest ulp distance of a float field, and for ``n_evaluations`` how
-    many rose and fell and the totals over the results both sides have."""
+    largest ulp distance of a float field, for ``n_evaluations`` how many
+    rose and fell and the totals over the results both sides have, and for
+    ``method`` one more line per transition with its count."""
     lines = []
     for field in sorted({field for _, field in diffs}):
         keys = [key for key, f in diffs if f == field]
         line = f"{field}: {len(keys)} differ"
+        if field == "method":
+            moves = Counter((theirs.get(key, {}).get(field), mine.get(key, {}).get(field))
+                            for key in keys)
+            lines.append(line)
+            lines += [f"method: {old} -> {new} {n}" for (old, new), n in sorted(moves.items())]
+            continue
         if field == "n_evaluations":
             pairs = [(theirs[key].get(field), mine[key].get(field))
                      for key in mine.keys() & theirs.keys()]
