@@ -37,7 +37,7 @@ import numpy as np
 
 from . import airy as _airy
 from . import engine as _engine
-from .contour import DomainError
+from .contour import RAY_TOL, DomainError
 from .quadrature import NonFiniteIntegrandError, integrate_finite, integrate_semi_infinite
 
 __all__ = ["OutputRecord", "main", "parse_phase"]
@@ -543,15 +543,17 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 def _hi_by_quadrature(z: complex) -> _engine.ScorerResult:
     """Hi by contour quadrature regardless of engine shortcuts, mirroring
-    the golden table's cost profile: the contour route of a rotated Hi arm
-    in the route table, or the engine's own route where there is none.
-    Evaluated at ``|ph z|``: the representations take the upper half-plane
-    only, and the reported cost is the same at ``conj z``."""
+    the golden table's cost profile: the left-valley contour on
+    ``[pi/3, 2*pi/3)``, the descent contour beyond, and the engine's route
+    below ``pi/3``.  Evaluated at ``|ph z|``: the representations take the
+    upper half-plane only, and the reported cost is the same at ``conj z``."""
     z = complex(z.real, abs(z.imag))
-    route = _engine._phase_route(z, "arm")
-    if route is None:
+    ph = math.atan2(z.imag, z.real)
+    if ph < math.pi / 3.0:
         return _engine.hi(z)
-    return _engine._REPRESENTATIONS[route](z)
+    if ph < 2.0 * math.pi / 3.0 - RAY_TOL:
+        return _engine.hi_integral_upper(z)
+    return _engine.hi_integral_principal(z)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -25,12 +25,12 @@ a representation that is stable in its sector:
 * conjugation serves the lower half-plane exactly; it happens once, at
   the entry, and everything below it sees the closed upper half-plane.
 
-One route table (``_PHASE_ROWS``, after the series and asymptotic gates)
-makes every routing decision: for ``gi``, ``hi`` and ``gi_hi_pair``, for
-the Hi values inside the rotation formulas, and for the CLI's quadrature
-benchmark.  Every result reports the route taken, an error estimate, the
-exact number of integrand evaluations spent, and whether every contributing
-quadrature converged.
+One route table (``_PHASE_ROWS``, after the series and asymptotic gates),
+with one column for Gi and one for Hi, makes every routing decision for
+``gi``, ``hi`` and ``gi_hi_pair``; the Hi values inside the rotation
+formulas are ``hi``'s own.  Every result reports the route taken, an error
+estimate, the exact number of integrand evaluations spent, and whether
+every contributing quadrature converged.
 """
 
 from __future__ import annotations
@@ -379,7 +379,9 @@ def hi_integral_upper(z: complex) -> ScorerResult:
     missing saddle contribution is exactly twice a rotated (recessive) Ai
     value.  The contour is :func:`gi_integral`'s, turned by ``i``.  An
     integrable Jacobian kink at the height of the fold is handled by
-    splitting the range there.
+    splitting the range there.  The route table never takes it: it is the
+    independent check of :func:`hi_connection` and the contour that the
+    CLI's quadrature benchmark measures on this sector.
     """
     x, y = z.real, z.imag
     ph = math.atan2(y, x)
@@ -393,7 +395,10 @@ def hi_integral_upper(z: complex) -> ScorerResult:
         pieces = [(f, 0.0, v_star), (f, v_star, math.inf)]
     else:
         pieces = [(f, 0.0, math.inf)]
-    return _hi_from_valley("hi_path_upper", z, 1.0, integrate_piecewise(pieces))
+    ai = _airy._ai_info(z * _ROT_DOWN)
+    return combine(
+        "hi_path_upper", [(1j / _PI, integrate_piecewise(pieces)), (_TWO_ROT_SIXTH, ai)]
+    )
 
 
 def gi_integral(z: complex) -> ScorerResult:
@@ -418,14 +423,6 @@ def _gi_from_contour(method: str, z: complex, c: complex, q) -> ScorerResult:
     """``Gi(z) = -(i/pi) Q + i Ai(z)``, where ``Q = c * q`` is the
     oscillatory kernel's integral along its contour."""
     return combine(method, [(c * (-1j / _PI), q), (1j, _airy._ai_info(z))])
-
-
-def _hi_from_valley(method: str, z: complex, c: complex, q) -> ScorerResult:
-    """``Hi(z) = (i/pi) Q + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``, where
-    ``Q = c * q`` is the oscillatory kernel's integral along its contour
-    (the growing kernel's left-valley contour turned by ``i``)."""
-    ai = _airy._ai_info(z * _ROT_DOWN)
-    return combine(method, [(c * (1j / _PI), q), (_TWO_ROT_SIXTH, ai)])
 
 
 def gi_real_positive(x: float) -> ScorerResult:
@@ -576,12 +573,6 @@ def _gi_laplace(z: complex) -> ScorerResult:
     return _gi_from_contour("gi_laplace", z, -1j, _laplace_sum(z, _ROT_UP))
 
 
-def _hi_upper_laplace(z: complex) -> ScorerResult:
-    """Hi on the contour of :func:`hi_integral_upper`, the same integral
-    as :func:`_gi_laplace`'s."""
-    return _hi_from_valley("hi_upper_laplace", z, -1j, _laplace_sum(z, _ROT_UP))
-
-
 # ---------------------------------------------------------------------------
 # Rotation connections
 
@@ -592,11 +583,12 @@ def hi_connection(z: complex) -> ScorerResult:
     ``Hi(z) = e^{2i pi/3} Hi(z e^{2i pi/3}) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``.
 
     For phases strictly between ``pi/3`` and ``2*pi/3`` the rotation lands
-    in the sector served by the principal descent contour and the Airy term
-    is recessive, so no cancellation occurs.  ``hi`` serves the conjugate
-    strip by conjugation.
+    in ``[2*pi/3, pi]`` of the conjugate half-plane, where ``hi`` takes its
+    descent contour (or a gate's shortcut), never another rotation; the Airy
+    term is recessive, so no cancellation occurs.  ``hi`` serves the
+    conjugate strip by conjugation.
     """
-    (inner,) = _evaluate(z * _ROT_UP, "arm")
+    inner = hi(z * _ROT_UP)
     ai = _airy._ai_info(z * _ROT_DOWN)
     return combine("hi_rotation", [(_ROT_UP, inner), (_TWO_ROT_SIXTH, ai)])
 
@@ -607,10 +599,12 @@ def gi_from_hi_rotations(z: complex) -> ScorerResult:
     ``Gi(z) = -(e^{2i pi/3} Hi(z e^{2i pi/3}) + e^{-2i pi/3} Hi(z e^{-2i pi/3}))/2``;
     both rotated arguments leave the troublesome neighborhood of the
     positive real axis, and all three quantities share the same algebraic
-    size, so the combination is stable.
+    size, so the combination is stable.  Each arm is ``hi``'s own value:
+    near the positive axis the upper arm lies in Hi's descent-contour row
+    and the lower one in its rotation row, whose arm lies in the
+    descent-contour row again.
     """
-    (up,) = _evaluate(z * _ROT_UP, "arm")
-    (down,) = _evaluate(z * _ROT_DOWN, "arm")
+    up, down = hi(z * _ROT_UP), hi(z * _ROT_DOWN)
     return combine("gi_rotation_pair", [(-0.5 * _ROT_UP, up), (-0.5 * _ROT_DOWN, down)])
 
 
@@ -624,31 +618,27 @@ def _bi_complement(z: complex, other: ScorerResult) -> ScorerResult:
 
 #: Phase rows of the route table for ``z`` in the closed upper half-plane,
 #: consulted after the series and asymptotic gates.  A row serves the phases
-#: below its bound; its cells name the route of Gi, of Hi, and of a rotated
-#: Hi arm (the Hi value inside a rotation formula, which never rotates or
-#: complements again).  ``bi_identity`` evaluates the other function and
-#: complements it through ``Gi + Hi = Bi``; it is used only where that other
-#: function carries the dominant exponential of Bi, so nothing cancels.  An
-#: arm has no contour route below ``pi/3`` (None).  The first bound is the
-#: least positive double, so that row holds the positive real axis alone.
+#: below its bound; its cells name the route of Gi and of Hi.  The rotation
+#: routes call ``hi`` at rotated arguments, which the last row serves
+#: without rotating or complementing again.  ``bi_identity`` evaluates the
+#: other function and complements it through ``Gi + Hi = Bi``; it is used
+#: only where that other function carries the dominant exponential of Bi,
+#: so nothing cancels.  The first bound is the least positive double, so
+#: that row holds the positive real axis alone.
 _PHASE_ROWS = (
-    # phase bound                  Gi                  Hi             rotated Hi arm
-    (math.ulp(0.0),                "gi_real_axis",     "bi_identity", None),
-    (NEAR_AXIS_PHASE,              "gi_rotation_pair", "bi_identity", None),
-    (_PI / 3.0,                    "gi_path_u",        "bi_identity", None),
-    (_TWO_THIRDS_PI - STOKES_BAND, "gi_path_u",        "hi_rotation", "hi_path_upper"),
-    (_TWO_THIRDS_PI - RAY_TOL,     "bi_identity",      "hi_rotation", "hi_path_upper"),
-    (math.inf,                     "bi_identity",      "hi_path_u",   "hi_path_u"),
+    # phase bound                  Gi                  Hi
+    (math.ulp(0.0),                "gi_real_axis",     "bi_identity"),
+    (NEAR_AXIS_PHASE,              "gi_rotation_pair", "bi_identity"),
+    (_PI / 3.0,                    "gi_path_u",        "bi_identity"),
+    (_TWO_THIRDS_PI - STOKES_BAND, "gi_path_u",        "hi_rotation"),
+    (_TWO_THIRDS_PI - RAY_TOL,     "bi_identity",      "hi_rotation"),
+    (math.inf,                     "bi_identity",      "hi_path_u"),
 )
-_COLUMNS = {"gi": 1, "hi": 2, "arm": 3}
+_COLUMNS = {"gi": 1, "hi": 2}
 
 #: The contour routes that the fixed Laplace rule replaces where
 #: :func:`_saddle_distance` is at least ``_LAPLACE_MIN_RHO``.
-_LAPLACE_ROUTES = {
-    "hi_path_u": "hi_laplace",
-    "gi_path_u": "gi_laplace",
-    "hi_path_upper": "hi_upper_laplace",
-}
+_LAPLACE_ROUTES = {"hi_path_u": "hi_laplace", "gi_path_u": "gi_laplace"}
 
 #: The representation behind each phase-row and Laplace route tag.
 _REPRESENTATIONS = {
@@ -657,30 +647,24 @@ _REPRESENTATIONS = {
     "gi_path_u": gi_integral,
     "hi_rotation": hi_connection,
     "hi_path_u": hi_integral_principal,
-    "hi_path_upper": hi_integral_upper,
     "hi_laplace": _hi_laplace,
     "gi_laplace": _gi_laplace,
-    "hi_upper_laplace": _hi_upper_laplace,
 }
 
 
-def _phase_route(z: complex, fn: str) -> str | None:
-    """The phase-row route of ``fn`` ("gi", "hi" or "arm") at ``z``."""
+def _route(z: complex, fn: str) -> str:
+    """The route of ``fn`` ("gi" or "hi") at ``z``: the series gate, the
+    asymptotic gate, then the phase rows, whose contour routes the Laplace
+    gate replaces."""
+    if abs(z) <= _SERIES_RADIUS:
+        return "series"
+    if _asymptotic_eligible(z, fn):
+        return "asymptotic"
     ph = abs(cmath.phase(z))
     for row in _PHASE_ROWS:
         if ph < row[0]:
             break
-    return row[_COLUMNS[fn]]
-
-
-def _route(z: complex, fn: str) -> str | None:
-    """The route of ``fn`` at ``z``: the series gate, the asymptotic gate,
-    then the phase rows, whose contour routes the Laplace gate replaces."""
-    if abs(z) <= _SERIES_RADIUS:
-        return "series"
-    if _asymptotic_eligible(z, "gi" if fn == "gi" else "hi"):
-        return "asymptotic"
-    route = _phase_route(z, fn)
+    route = row[_COLUMNS[fn]]
     if (
         route in _LAPLACE_ROUTES
         and abs(z) <= _LAPLACE_MAX_RADIUS
@@ -690,7 +674,7 @@ def _route(z: complex, fn: str) -> str | None:
     return route
 
 
-def _along(z: complex, fn: str, route: str | None) -> ScorerResult:
+def _along(z: complex, fn: str, route: str) -> ScorerResult:
     """Evaluate ``fn`` at ``z`` (closed upper half-plane) along ``route``."""
     if route == "series":
         return (gi_series if fn == "gi" else hi_series)(z)
@@ -699,8 +683,6 @@ def _along(z: complex, fn: str, route: str | None) -> ScorerResult:
     if route == "bi_identity":
         other = "hi" if fn == "gi" else "gi"
         return _bi_complement(z, _along(z, other, _route(z, other)))
-    if route is None:
-        raise _contour.DomainError("a rotated Hi argument needs |phase| >= pi/3")
     return _REPRESENTATIONS[route](z)
 
 
@@ -719,7 +701,7 @@ def _pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
 
 
 def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
-    """``fn`` ("gi", "hi", "arm", or "pair" for both Gi and Hi) at any
+    """``fn`` ("gi", "hi", or "pair" for both Gi and Hi) at any
     finite ``z``.
 
     The one place that conjugates: the route table and the representations

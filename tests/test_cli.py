@@ -327,6 +327,19 @@ class TestBenchCommand:
                 for line in out.splitlines()[2:5]]
         assert rows == [[210, 1410], [60, 570], [210, 330]]
 
+    def test_bench_takes_the_left_valley_contour_below_the_stokes_ray(self, capsys):
+        # On [pi/3, 2pi/3) hi is a rotation connection, and at r = 1 the
+        # series; bench measures Hi's left-valley contour there instead.
+        z = _z_from_polar(1.0, parse_phase("0.4pi"))
+        assert (_hi_by_quadrature(z).method, hi(z).method) == ("hi_path_upper", "series")
+        rc = main(["bench", "--radii", "1,10,100", "--phases", "0.4pi,0.6pi"])
+        out = capsys.readouterr().out
+        # The valley contour's cost grows with the radius: the check fails.
+        assert rc == 2
+        rows = [[int(tok) for tok in re.findall(r"(\d+) \(", line)]
+                for line in out.splitlines()[2:5]]
+        assert rows == [[180, 210], [130, 190], [250, 400]]
+
     def test_rejects_bad_radius_list(self, capsys):
         assert main(["bench", "--radii", "1,zebra"]) == 1
         capsys.readouterr()

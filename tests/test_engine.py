@@ -212,7 +212,6 @@ _KNOWN_METHODS = {
     "bi_identity",
     "hi_laplace",
     "gi_laplace",
-    "hi_upper_laplace",
     "conjugate",
 }
 
@@ -645,13 +644,24 @@ class TestDispatchBoundaries:
 
     @pytest.mark.parametrize("radius", [3.5, 5.0, 10.0])
     def test_rotation_arm_on_the_pi_over_3_ray(self, radius):
-        # A rotated Hi argument that lands exactly on ph = pi/3 takes the
-        # left-valley contour, which the route table assigns to that ray.
+        # A rotated Hi argument that lands exactly on ph = pi/3 is hi's own
+        # value there: the rotation connection, which owns that ray.
         z = cmath.rect(radius, _PI / 3.0)
         direct = gi_integral(z)
         assert _rel(gi_from_hi_rotations(z).value - direct.value, direct.value) < 1e-10
         lower = hi_connection(z.conjugate()).value.conjugate()
         assert _rel(lower - hi(z).value, hi(z).value) < 1e-10
+
+    @pytest.mark.parametrize("phase", [1e-9, 0.02, NEAR_AXIS_PHASE - 1e-9])
+    def test_rotation_costs_exactly_its_arms(self, phase):
+        # Each arm of the rotation pair is hi's own value at the rotated
+        # argument, so the pair spends exactly what the two hi calls spend.
+        z = cmath.rect(5.0, phase)
+        pair = gi_from_hi_rotations(z)
+        up, down = hi(z * _ROT_UP), hi(z * _ROT_DOWN)
+        assert gi(z).method == pair.method == "gi_rotation_pair"
+        assert pair.n_evaluations == up.n_evaluations + down.n_evaluations
+        assert pair.value == -0.5 * _ROT_UP * up.value + -0.5 * _ROT_DOWN * down.value
 
 
 class TestEngineObject:
@@ -767,11 +777,11 @@ class TestRouteSelection:
         assert fn(z).method == expected
 
 
-#: One ray per contour cell that the Laplace gate serves: the function, the
-#: engine column and the phase.
-_GATED_RAYS = (("hi", 0.9 * _PI), ("gi", _PI / 2.0), ("arm", 1.4))
-_ADAPTIVE_ROUTE = {"hi": "hi_path_u", "gi": "gi_path_u", "arm": "hi_path_upper"}
-_LAPLACE_ROUTE = {"hi": "hi_laplace", "gi": "gi_laplace", "arm": "hi_upper_laplace"}
+#: One ray per contour cell that the Laplace gate serves: the function and
+#: the phase.
+_GATED_RAYS = (("hi", 0.9 * _PI), ("gi", _PI / 2.0))
+_ADAPTIVE_ROUTE = {"hi": "hi_path_u", "gi": "gi_path_u"}
+_LAPLACE_ROUTE = {"hi": "hi_laplace", "gi": "gi_laplace"}
 
 
 def _radius_at_rho(rho: float, phase: float) -> float:
@@ -813,7 +823,7 @@ class TestLaplaceGate:
         assert diff <= 1e-13 * abs(adaptive.value)
         assert diff <= laplace.abs_error_estimate + adaptive.abs_error_estimate
         # 60 nodes, plus the Airy rule's 40 beyond its series disc.
-        airy = 40 if fn != "hi" and abs(z) > 3.5 else 0
+        airy = 40 if fn == "gi" and abs(z) > 3.5 else 0
         assert laplace.n_evaluations == 60 + airy
         assert laplace.n_evaluations <= adaptive.n_evaluations
 
@@ -848,14 +858,13 @@ class TestLaplaceGate:
 
     @pytest.mark.parametrize("radius", [1e99, 1e101, 1e120])
     def test_outcomes_past_the_overflow_edge(self, radius):
-        # Hi on its descent ray and the arm are the expansion's out there,
-        # before the gate is asked; Gi on pi/2 overflows in its Airy term
-        # whether or not the gate took the contour.  No RuntimeWarning
-        # either way (tier-1 turns one into a failure).
-        hi_res = hi(cmath.rect(radius, 0.9 * _PI))
-        z = cmath.rect(radius, 1.4)
-        (arm,) = _evaluate(z, "arm")
-        for res, w in ((hi_res, cmath.rect(radius, 0.9 * _PI)), (arm, z)):
+        # Hi on its descent ray and on the rotation sector is the
+        # expansion's out there, before the gate is asked; Gi on pi/2
+        # overflows in its Airy term whether or not the gate took the
+        # contour.  No RuntimeWarning either way (tier-1 turns one into a
+        # failure).
+        for w in (cmath.rect(radius, 0.9 * _PI), cmath.rect(radius, 1.4)):
+            res = hi(w)
             assert res.method == "asymptotic"
             assert _rel(res.value + 1.0 / (_PI * w), res.value) < 1e-15
         with pytest.raises(OverflowError):

@@ -1,6 +1,6 @@
 """Print the frozen reference tables of ``tests/test_accuracy_map.py``.
 
-Two tables, both from mpmath:
+The tables, all from mpmath:
 
 * ``AI_MAP``: Ai and Ai' on 3.5 < |z| <= 80 over every phase, with the
   rays ph z = +-2*pi/3, the negative real axis with +0.0 and -0.0 imaginary
@@ -12,7 +12,10 @@ Two tables, both from mpmath:
   where the descent contour through the saddle was once wrong;
 * ``GATE_POINTS``: Gi and Hi on both sides of the engine's Laplace-rule
   gate, at saddle distances rho in ``GATE_RHOS`` on rays through each
-  contour cell the gate serves.
+  contour cell the gate serves;
+* ``BAND_POINTS``: Gi and Hi in the near-axis band
+  0 < |ph z| < ``NEAR_AXIS_PHASE``, where the engine takes Gi from two
+  rotated Hi values.
 
 A reference is kept only where mpmath at 50 and at 90 digits agree to
 1e-15 relative (and, for Gi and Hi, where Gi + Hi = Bi holds to the same
@@ -89,10 +92,10 @@ STOKES_RADII = (
 #: Saddle distances rho = sqrt(2/3) |z|**0.75 min(|cos(3 theta/4)|,
 #: |sin(3 theta/4)|) on both sides of the gate at rho = 1.
 GATE_RHOS = (0.9, 0.98, 1.02, 1.2, 2.0, 5.0)
-#: Rays through the gated cells, labelled by the engine column that takes
-#: the contour there: Hi's descent contour on [2*pi/3, pi], Gi's on
-#: (0.05, 2*pi/3 - 0.05), and the rotated Hi arm's left-valley contour on
-#: (pi/3, 2*pi/3).
+#: Rays through the gated cells, labelled by the function whose contour the
+#: gate serves there: Hi's descent contour on [2*pi/3, pi] and Gi's on
+#: (0.05, 2*pi/3 - 0.05).  The rays 1.4 and 1.8 lie in the sector where Hi
+#: is a rotation connection.
 GATE_RAYS = (
     ("hi", 0.8 * math.pi),
     ("hi", 0.9 * math.pi),
@@ -100,11 +103,17 @@ GATE_RAYS = (
     ("gi", 0.3),
     ("gi", 0.7),
     ("gi", 1.6),
-    ("arm", 1.4),
-    ("arm", 1.8),
+    ("gi", 1.4),
+    ("gi", 1.8),
 )
 #: Points inside the engine's series disc are left out: no gate there.
 SERIES_RADIUS = 2.5
+#: The near-axis band 0 < |ph z| < 0.05 (the engine's NEAR_AXIS_PHASE): its
+#: two edges and a phase inside, at radii from the series disc to the
+#: expansion.  cmath.rect(10, 1e-9) is 10 + 1e-8j, where the rotation pair
+#: was once 3.6e-13 off.
+BAND_RADII = (3.0, 7.0, 10.0, 12.0)
+BAND_PHASES = (1e-9, 0.02, 0.05 - 1e-9)
 
 
 def gate_points() -> list[tuple[str, complex]]:
@@ -184,6 +193,12 @@ def main() -> None:
         row = _scorer_row(z, scorer[:2] + scorer[3:])
         if row is not None:
             print(f"    ({column!r}, {_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")
+    print("]")
+    print("BAND_POINTS = [")
+    for z in (cmath.rect(r, ph) for r in BAND_RADII for ph in BAND_PHASES):
+        row = _scorer_row(z, scorer[:2] + scorer[3:])
+        if row is not None:
+            print(f"    ({_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")
     print("]")
 
 
