@@ -90,8 +90,9 @@ class ScorerResult:
         Estimated absolute error (quadrature estimates plus rounding terms).
     n_evaluations : int
         Exact count of quadrature integrand evaluations aggregated over
-        every integral that contributed, including the 60 nodes of each
-        Laplace rule and the 40 nodes of each Airy rule evaluation.
+        every integral that contributed, including the kept nodes of each
+        Laplace rule (32, 65 or 131, by rung) and the 40 nodes of each Airy
+        rule evaluation.
     converged : bool
         False when some contributing quadrature missed its tolerance.
     derivative : complex or None

@@ -314,12 +314,13 @@ class TestBenchCommand:
             assert counts[2] > counts[0]
 
     def test_bench_measures_the_adaptive_contours_alone(self, capsys):
-        # hi takes the fixed Laplace rule at rect(10, 5pi/6); bench keeps the
-        # adaptive contour there and its counts on the Stokes ray.
+        # hi takes the 60-node Laplace rung (32 kept nodes) at
+        # rect(10, 5pi/6); bench keeps the adaptive contour there and its
+        # counts on the Stokes ray.
         z = _z_from_polar(10.0, parse_phase("5pi/6"))
         adaptive, routed = _hi_by_quadrature(z), hi(z)
         assert (adaptive.method, adaptive.n_evaluations) == ("hi_path_u", 60)
-        assert (routed.method, routed.n_evaluations) == ("hi_laplace", 60)
+        assert (routed.method, routed.n_evaluations) == ("hi_laplace", 32)
         rc = main(["bench", "--radii", "1,10,100", "--phases", "5pi/6,2pi/3"])
         out = capsys.readouterr().out
         assert rc == 0

@@ -35,14 +35,18 @@ from scorerlib.engine import (
     hi_integral_v_form,
     hi_series,
 )
-from scorerlib.engine import _NODES as _LAPLACE_NODES
 from scorerlib.engine import (
+    _LAPLACE_MIN_RHO,
+    _LAPLACE_REACH,
+    _LAPLACE_RUNGS,
     _REPRESENTATIONS,
     _evaluate,
     _laplace_roots,
+    _laplace_rung,
     _laplace_sum,
     _route,
     _saddle_distance,
+    _saddle_height,
 )
 
 _PI = math.pi
@@ -528,7 +532,8 @@ class TestSumIdentity:
             return np.conjugate(jac)
 
         monkeypatch.setattr(scorerlib.contour, "gi_jacobian_u", flipped)
-        z = 3j
+        # Below the Laplace gate's floor (rho = 0.12), so Gi takes its contour.
+        z = cmath.rect(5.0, 2.0 * _PI / 3.0 - 0.06)
         g = gi(z)
         h = hi(z)
         assert g.method == "gi_path_u"
@@ -682,7 +687,10 @@ class TestEngineObject:
             assert pair_result.n_evaluations == single.n_evaluations
 
     def test_every_route_is_reached(self):
-        phases = (0.0, 0.02, 0.5, _PI / 2.0, 2.0 * _PI / 3.0 - 0.02, 2.5, _PI, -1.0)
+        # 0.06 and 2pi/3 + 0.02 keep Gi's and Hi's contours adaptive at
+        # |z| = 5 (rho below the Laplace gate's floor).
+        phases = (0.0, 0.02, 0.06, 0.5, _PI / 2.0, 2.0 * _PI / 3.0 - 0.02,
+                  2.0 * _PI / 3.0 + 0.02, 2.5, _PI, -1.0)
         methods = {
             fn(cmath.rect(radius, phase)).method
             for fn in (gi, hi)
@@ -734,15 +742,15 @@ class TestEngineObject:
         assert hi(-5.0).converged
 
     def test_results_report_route_and_cost(self):
-        # rho = 0.84 keeps the adaptive contour, whose cost is whole panels.
-        res = hi(cmath.rect(5.0, 0.8 * _PI))
+        # rho = 0.04 keeps the adaptive contour, whose cost is whole panels.
+        res = hi(cmath.rect(5.0, 2.0 * _PI / 3.0 + 0.02))
         assert res.method == "hi_path_u"
         assert res.n_evaluations > 0
         assert res.n_evaluations % 15 == 0
         assert res.converged
         res = hi(-5 + 0j)
         assert res.method == "hi_laplace"
-        assert res.n_evaluations == 60
+        assert res.n_evaluations == 32
         assert res.converged
         res = gi(1 + 0j)
         assert res.method == "series"
@@ -756,7 +764,8 @@ class TestRouteSelection:
             (gi, 1 + 0j, "series"),
             (gi, 10 + 0j, "gi_real_axis"),
             (gi, 20 + 0j, "asymptotic"),
-            (gi, 3j, "gi_path_u"),
+            (gi, 3j, "gi_laplace"),
+            (gi, cmath.rect(5.0, 0.06), "gi_path_u"),
             (gi, 5j, "gi_laplace"),
             (gi, 5 * cmath.exp(0.01j), "gi_rotation_pair"),
             (gi, 5 * cmath.exp(1j * (2 * _PI / 3 - 0.01)), "bi_identity"),
@@ -766,8 +775,9 @@ class TestRouteSelection:
             (hi, 3j, "hi_rotation"),
             (hi, -5 + 0j, "hi_laplace"),
             (hi, 10 * cmath.exp(1j * 5 * _PI / 6), "hi_laplace"),
-            (hi, cmath.rect(5.0, 0.8 * _PI), "hi_path_u"),
-            (hi, cmath.rect(10.0, 0.75 * _PI), "hi_path_u"),
+            (hi, cmath.rect(5.0, 0.8 * _PI), "hi_laplace"),
+            (hi, cmath.rect(10.0, 0.75 * _PI), "hi_laplace"),
+            (hi, cmath.rect(5.0, 2.0 * _PI / 3.0 + 0.02), "hi_path_u"),
             (hi, 5 + 0j, "bi_identity"),
             (hi, 40 * cmath.exp(2.9j), "asymptotic"),
             (hi, 1.2 - 0.9j, "conjugate"),
@@ -782,6 +792,22 @@ class TestRouteSelection:
 _GATED_RAYS = (("hi", 0.9 * _PI), ("gi", _PI / 2.0))
 _ADAPTIVE_ROUTE = {"hi": "hi_path_u", "gi": "gi_path_u"}
 _LAPLACE_ROUTE = {"hi": "hi_laplace", "gi": "gi_laplace"}
+#: Rays of the model's edges: both cells on each side of the Stokes ray and
+#: Gi's rows near the rotation pair.  (On the negative axis, where
+#: Re sigma* = 0, the 60-node rung serves every radius beyond the series
+#: disc, so the ray has no edge.)
+_EDGE_RAYS = (
+    ("hi", 0.9 * _PI),
+    ("hi", 0.7 * _PI),
+    ("hi", 2.0 * _PI / 3.0 + 0.05),
+    ("hi", 2.0 * _PI / 3.0 + 0.1),
+    ("gi", _PI / 2.0),
+    ("gi", 2.0 * _PI / 3.0 - 0.06),
+    ("gi", 0.06),
+    ("gi", 0.2),
+)
+#: Kept nodes of the 60-, 240- and 960-node rules.
+_KEPT = {60: 32, 240: 65, 960: 131}
 
 
 def _radius_at_rho(rho: float, phase: float) -> float:
@@ -790,14 +816,108 @@ def _radius_at_rho(rho: float, phase: float) -> float:
     return (rho / _saddle_distance(cmath.rect(1.0, phase))) ** (4.0 / 3.0)
 
 
+def _model_rung(z: complex) -> int | None:
+    """The gate's model written out afresh: the smallest n of 60, 240, 960
+    with 3.5 sqrt(n) rho + 0.8 Re sigma* >= 3.5 sqrt(60), where
+    Re sigma* = (2/3) |z|**1.5 - 2 rho**2, rho >= 0.15 and |z| <= 1e100."""
+    r, theta = abs(z), abs(cmath.phase(z))
+    rho = math.sqrt(2.0 / 3.0) * r**0.75 * min(abs(math.cos(0.75 * theta)),
+                                               abs(math.sin(0.75 * theta)))
+    height = (2.0 / 3.0) * r**1.5 - 2.0 * rho * rho
+    if r > 1e100 or rho < 0.15:
+        return None
+    return next((n for n in (60, 240, 960)
+                 if 3.5 * math.sqrt(n) * rho + 0.8 * height >= 3.5 * math.sqrt(60.0)), None)
+
+
+def _edges(phase: float) -> list[float]:
+    """The radii in (2.5, 1e3) on the ray where the model's rung changes,
+    by bisection between neighbours of a log grid whose rungs differ."""
+    radii = np.geomspace(2.5, 1e3, 400)
+    rungs = [_model_rung(cmath.rect(r, phase)) for r in radii]
+    out = []
+    for k in range(len(radii) - 1):
+        if rungs[k] != rungs[k + 1]:
+            lo, hi_ = radii[k], radii[k + 1]
+            for _ in range(100):
+                mid = math.sqrt(lo * hi_)
+                lo, hi_ = (mid, hi_) if _model_rung(cmath.rect(mid, phase)) == rungs[k] else (lo, mid)
+            out.append(hi_)
+    return out
+
+
+def _airy_evals(fn: str, z: complex) -> int:
+    """The Airy rule's evaluations inside a Gi contour result."""
+    return 40 if fn == "gi" and abs(z) > 3.5 else 0
+
+
 class TestLaplaceGate:
-    @pytest.mark.parametrize("fn,phase", _GATED_RAYS)
-    def test_gate_opens_at_rho_one(self, fn, phase):
-        r1 = _radius_at_rho(1.0, phase)
-        below, above = cmath.rect(r1 * (1 - 1e-9), phase), cmath.rect(r1 * (1 + 1e-9), phase)
-        assert _saddle_distance(below) < 1.0 <= _saddle_distance(above)
+    @pytest.mark.parametrize("fn,phase", _EDGE_RAYS)
+    def test_gate_opens_where_the_model_says(self, fn, phase):
+        # On both sides of every edge of the model on the ray, the route and
+        # the rung are the model's.
+        checked = 0
+        for r in _edges(phase):
+            for z in (cmath.rect(r * (1 - 1e-9), phase), cmath.rect(r * (1 + 1e-9), phase)):
+                if _route(z, fn) not in (_ADAPTIVE_ROUTE[fn], _LAPLACE_ROUTE[fn]):
+                    continue  # the asymptotic gate came first
+                checked += 1
+                rung = _model_rung(z)
+                res = _evaluate(z, fn)[0]
+                if rung is None:
+                    assert res.method == _ADAPTIVE_ROUTE[fn]
+                else:
+                    assert res.method == _LAPLACE_ROUTE[fn]
+                    assert res.n_evaluations == _KEPT[rung] + _airy_evals(fn, z)
+        assert checked >= 2
+
+    @pytest.mark.parametrize("fn,phase", [("gi", 0.051), ("gi", 2.0 * _PI / 3.0 - 0.051),
+                                          ("hi", 2.0 * _PI / 3.0 + 0.05)])
+    def test_below_the_floor_the_cell_stays_adaptive(self, fn, phase):
+        # Just below rho = 0.15 the largest rung would reach the bar, yet
+        # the cell stays adaptive; just above, the gate takes that rung.
+        r = _radius_at_rho(_LAPLACE_MIN_RHO, phase)
+        below, above = cmath.rect(r * (1 - 1e-9), phase), cmath.rect(r * (1 + 1e-9), phase)
+        assert _saddle_distance(below) < _LAPLACE_MIN_RHO <= _saddle_distance(above)
+        top = _LAPLACE_RUNGS[-1]
+        assert top.decay * _saddle_distance(below) + 0.8 * _saddle_height(below) >= _LAPLACE_REACH
+        assert _laplace_rung(below) is None
         assert _evaluate(below, fn)[0].method == _ADAPTIVE_ROUTE[fn]
         assert _evaluate(above, fn)[0].method == _LAPLACE_ROUTE[fn]
+
+    @pytest.mark.parametrize("radius", [2.6, 3.26, 5.0, 8.0, 14.0, 14.5, 20.0, 100.0])
+    def test_the_stokes_ray_never_takes_the_rule(self, radius):
+        # On ph z = 2pi/3 rho is rounding noise: Re sigma* alone passes the
+        # bar from |z| = 14, but there the rule's root runs into the wrong
+        # valley (an O(1) error), so the floor must keep the ray out.
+        for z in (cmath.rect(radius, 2.0 * _PI / 3.0), cmath.rect(radius, -2.0 * _PI / 3.0)):
+            assert _laplace_rung(z) is None
+            assert _laplace_rung(z * 1e3) is None
+            for fn in (gi, hi):
+                assert "laplace" not in fn(z).method
+            for r in gi_hi_pair(z):
+                assert "laplace" not in r.method
+
+    def test_the_chosen_rung_is_the_smallest_that_passes(self):
+        seen = set()
+        for radius in np.geomspace(2.6, 200.0, 25):
+            for phase in np.linspace(0.05, _PI, 60):
+                z = cmath.rect(radius, phase)
+                chosen = _laplace_rung(z)
+                if chosen is None:
+                    continue
+                rung, exponent = chosen
+                k = _LAPLACE_RUNGS.index(rung)
+                assert exponent >= _LAPLACE_REACH
+                assert exponent == rung.decay * _saddle_distance(z) + 0.8 * _saddle_height(z)
+                for smaller in _LAPLACE_RUNGS[:k]:
+                    assert smaller.decay * _saddle_distance(z) + 0.8 * _saddle_height(z) < _LAPLACE_REACH
+                assert _KEPT[rung.n] == rung.nodes.size == _KEPT[_model_rung(z)]
+                seen.add(rung.n)
+                s = _laplace_sum(z, 1.0, rung, exponent)
+                assert s.n_evaluations == rung.nodes.size
+                assert s.abs_error_estimate == abs(s.value) * (math.exp(-exponent) + 8.0 * _EPS)
+        assert seen == {60, 240, 960}
 
     def test_gate_declines_above_1e100(self):
         # Cardano's z**3 overflows near |z| = 1.9e102.
@@ -811,6 +931,15 @@ class TestLaplaceGate:
         expected = math.sqrt(2.0 / 3.0) * 9**0.75 * math.sqrt(0.5)
         assert _saddle_distance(-9.0 + 0j) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("phase", [0.1, 1.0, _PI / 3.0, 2.0, 2.0 * _PI / 3.0, 2.5, _PI])
+    def test_saddle_height_is_the_real_part_of_the_nearer_saddle_value(self, phase):
+        # Re sigma* = (2/3)|z|**1.5 - 2 rho**2: 0 on the negative axis, all
+        # of (2/3)|z|**1.5 on the Stokes ray, where rho = 0.
+        z = cmath.rect(9.0, phase)
+        rho = _saddle_distance(z)
+        assert _saddle_height(z) == pytest.approx(18.0 - 2.0 * rho * rho, abs=1e-12)
+        assert _saddle_height(-9.0 + 0j) < 1e-14
+
     @pytest.mark.parametrize("rho", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("fn,phase", _GATED_RAYS)
     def test_rule_matches_the_adaptive_contour(self, fn, phase, rho):
@@ -822,10 +951,26 @@ class TestLaplaceGate:
         diff = abs(laplace.value - adaptive.value)
         assert diff <= 1e-13 * abs(adaptive.value)
         assert diff <= laplace.abs_error_estimate + adaptive.abs_error_estimate
-        # 60 nodes, plus the Airy rule's 40 beyond its series disc.
-        airy = 40 if fn == "gi" and abs(z) > 3.5 else 0
-        assert laplace.n_evaluations == 60 + airy
+        # The rung's kept nodes, plus the Airy rule's 40 beyond its series
+        # disc.
+        assert laplace.n_evaluations == _KEPT[_model_rung(z)] + _airy_evals(fn, z)
         assert laplace.n_evaluations <= adaptive.n_evaluations
+
+    @pytest.mark.parametrize("radius,n", [(5.0, 960), (8.0, 240), (12.0, 60)])
+    @pytest.mark.parametrize("fn,phase", [("hi", 2.0 * _PI / 3.0 + 0.1), ("gi", 0.1)])
+    def test_each_rung_matches_the_adaptive_contour(self, fn, phase, radius, n):
+        # Near the Stokes ray and near the rotation pair's band the ladder
+        # climbs as the radius falls.
+        z = cmath.rect(radius, phase)
+        assert _model_rung(z) == n
+        laplace = _evaluate(z, fn)[0]
+        adaptive = _REPRESENTATIONS[_ADAPTIVE_ROUTE[fn]](z)
+        assert laplace.method == _LAPLACE_ROUTE[fn]
+        assert laplace.n_evaluations == _KEPT[n] + _airy_evals(fn, z)
+        assert laplace.n_evaluations <= adaptive.n_evaluations
+        diff = abs(laplace.value - adaptive.value)
+        assert diff <= 1e-13 * abs(adaptive.value)
+        assert diff <= laplace.abs_error_estimate + adaptive.abs_error_estimate
 
     @pytest.mark.parametrize("end,phases", [(1.0, (0.7 * _PI, 0.85 * _PI, _PI)),
                                             (_ROT_UP, (0.1, _PI / 3.0, 0.6 * _PI))])
@@ -833,8 +978,9 @@ class TestLaplaceGate:
     def test_roots_are_cardanos_nearest_the_end(self, end, phases, radius):
         for phase in phases:
             z = cmath.rect(radius, phase)
-            roots = _laplace_roots(z, end)
-            for sigma, t in zip(_LAPLACE_NODES, roots):
+            rung = _LAPLACE_RUNGS[-1]
+            roots = _laplace_roots(z, end, rung)
+            for sigma, t in zip(rung.nodes, roots):
                 cubic = np.roots([1.0, 0.0, -3.0 * z, -3.0 * sigma])
                 angle = np.abs(np.angle(cubic / end))
                 nearest = cubic[np.argmin(angle)]
@@ -851,7 +997,7 @@ class TestLaplaceGate:
         # S = -(1/z) (1 + 2/z**3 + 40/z**6 + ...) on both contours; the
         # root near 0 is cancelled to rounding noise, harmless in t**2 - z.
         z = cmath.rect(radius, phase)
-        s = _laplace_sum(z, end)
+        s = _laplace_sum(z, end, *_laplace_rung(z))
         expected = -(1.0 + 2.0 / z**3) / z
         assert abs(s.value - expected) <= 4.0 * _EPS / radius
         assert abs(s.value - expected) <= s.abs_error_estimate

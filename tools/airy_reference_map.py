@@ -12,7 +12,10 @@ The tables, all from mpmath:
   where the descent contour through the saddle was once wrong;
 * ``GATE_POINTS``: Gi and Hi on both sides of the engine's Laplace-rule
   gate, at saddle distances rho in ``GATE_RHOS`` on rays through each
-  contour cell the gate serves;
+  contour cell the gate serves, then near the Stokes ray and near the
+  rotation pair's band where the ladder of rules climbs (``LADDER_RAYS``),
+  with both sides of the gate's floor and of each rung's edge on those
+  rays;
 * ``BAND_POINTS``: Gi and Hi in the near-axis band
   0 < |ph z| < ``NEAR_AXIS_PHASE``, where the engine takes Gi from two
   rotated Hi values.
@@ -106,6 +109,19 @@ GATE_RAYS = (
     ("gi", 1.4),
     ("gi", 1.8),
 )
+#: Rays where the ladder of Laplace rules climbs as the radius falls, with
+#: their radii: Hi just above the Stokes ray, Gi near the rotation pair's
+#: band and just inside its row's edge at 2*pi/3 - 0.05.
+LADDER_RAYS = (
+    [("hi", 2.0 * math.pi / 3.0 + d, (3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 14.0))
+     for d in (0.02, 0.05, 0.1)]
+    + [("gi", ph, (2.6, 3.0, 4.0, 5.0, 6.0, 8.0))
+       for ph in (0.06, 0.1, 0.15, 0.2, 2.0 * math.pi / 3.0 - 0.051)]
+)
+#: The ladder: each rule's full size; a rung serves where
+#: 3.5 sqrt(n) rho + 0.8 Re sigma* >= 3.5 sqrt(60) and rho >= LADDER_FLOOR.
+LADDER_SIZES = (60, 240, 960)
+LADDER_FLOOR = 0.15
 #: Points inside the engine's series disc are left out: no gate there.
 SERIES_RADIUS = 2.5
 #: The near-axis band 0 < |ph z| < 0.05 (the engine's NEAR_AXIS_PHASE): its
@@ -126,6 +142,38 @@ def gate_points() -> list[tuple[str, complex]]:
             if r > SERIES_RADIUS:
                 z = complex(-r, 0.0) if phase == math.pi else cmath.rect(r, phase)
                 points.append((column, z))
+    return points
+
+
+def _ladder_edges(phase: float) -> list[float]:
+    """Radii in (2.5, 40) on the ray where rho reaches the floor or a rung's
+    exponent reaches 3.5 sqrt(60); both grow with the radius."""
+    theta = 0.75 * phase
+    unit = math.sqrt(2.0 / 3.0) * min(abs(math.cos(theta)), abs(math.sin(theta)))
+    height = (2.0 / 3.0) * abs(math.cos(1.5 * phase))
+    tests = [lambda r: unit * r**0.75 >= LADDER_FLOOR]
+    tests += [lambda r, n=n: 3.5 * math.sqrt(n) * unit * r**0.75 + 0.8 * height * r**1.5
+              >= 3.5 * math.sqrt(60.0) for n in LADDER_SIZES]
+    edges = []
+    for reached in tests:
+        lo, hi = SERIES_RADIUS, 40.0
+        if reached(lo) or not reached(hi):
+            continue
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+        edges.append(hi)
+    return edges
+
+
+def ladder_points() -> list[tuple[str, complex]]:
+    points = []
+    for column, phase, radii in LADDER_RAYS:
+        for r in radii:
+            points.append((column, cmath.rect(r, phase)))
+        for r in _ladder_edges(phase):
+            points += [(column, cmath.rect(r * (1.0 - 1e-6), phase)),
+                       (column, cmath.rect(r * (1.0 + 1e-6), phase))]
     return points
 
 
@@ -189,7 +237,7 @@ def main() -> None:
             print(f"    ({_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")
     print("]")
     print("GATE_POINTS = [")
-    for column, z in gate_points():
+    for column, z in gate_points() + ladder_points():
         row = _scorer_row(z, scorer[:2] + scorer[3:])
         if row is not None:
             print(f"    ({column!r}, {_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")

@@ -2,17 +2,32 @@
 embeds.
 
 The rule integrates ``exp(-t) t**alpha f(t)`` over ``[0, inf)`` with ``n``
-nodes.  Nodes and weights come from the Golub-Welsch eigenproblem of the
-Jacobi matrix of the Laguerre polynomials ``L_n^(alpha)``, solved with
-mpmath at two precisions; the script refuses to print unless both agree to
-1e-20 relative.  Plain double-precision Golub-Welsch gets the nodes to
-about 1e-13 and the smallest weights (down to 1e-61 for 40 nodes) wrong by
-many orders, which is why each table is computed here once and frozen.
+nodes.  Up to ``EIGSY_MAX_N`` nodes, nodes and weights come from the
+Golub-Welsch eigenproblem of the Jacobi matrix of the Laguerre polynomials
+``L_n^(alpha)``, solved with mpmath.  Beyond that mpmath's ``eigsy`` is too
+slow (about 11 s at 60 nodes and 85 s at 120 at 90 digits, growing like
+``n**3``), so the nodes start from double-precision Golub-Welsch, are
+Newton-refined in mpmath on ``L_n^(alpha)``, and take the weights
+``Gamma(n+alpha+1) / (n! (n+1)**2) * x / L_{n+1}^(alpha)(x)**2``.  Either
+way the rule is computed at two precisions, and the script refuses to print
+unless both agree to 1e-20 relative.  Plain double-precision Golub-Welsch
+gets the nodes to about 1e-13 and the smallest weights (down to 1e-61 for
+40 nodes) wrong by many orders, which is why each table is computed here
+once and frozen.
+
+``--cut c`` keeps only the nodes whose weight exceeds ``c`` times the
+largest weight.  Past the largest weight the weights fall monotonically,
+so the kept nodes are the smallest ones, and the Newton path refines only
+those.
 
 Run from the root of a checkout (needs mpmath, which the library does not)::
 
     python3 tools/laguerre_rule.py                     # airy.py: 40 nodes, alpha = -1/6
-    python3 tools/laguerre_rule.py --n 60 --alpha 0    # engine.py's Laplace rule
+    python3 tools/laguerre_rule.py --n 60 --alpha 0 --cut 1e-18    # engine.py: _NODES_60
+    python3 tools/laguerre_rule.py --n 240 --alpha 0 --cut 1e-18   # engine.py: _NODES_240
+    python3 tools/laguerre_rule.py --n 960 --alpha 0 --cut 1e-18   # engine.py: _NODES_960
+
+Each engine command names its tables after ``n``.
 """
 
 from __future__ import annotations
@@ -21,10 +36,16 @@ import argparse
 from fractions import Fraction
 
 import mpmath
+import numpy as np
+
+#: The largest rule solved by mpmath's eigenproblem; larger ones take the
+#: Newton path.
+EIGSY_MAX_N = 120
 
 
 def rule(n: int, alpha: Fraction, dps: int) -> tuple[list, list]:
-    """Nodes and weights, ascending, at ``dps`` decimal digits."""
+    """Nodes and weights, ascending, at ``dps`` decimal digits, by mpmath's
+    eigenproblem."""
     with mpmath.workdps(dps):
         a = mpmath.mpf(alpha.numerator) / alpha.denominator
         jac = mpmath.zeros(n)
@@ -36,6 +57,53 @@ def rule(n: int, alpha: Fraction, dps: int) -> tuple[list, list]:
         mu0 = mpmath.gamma(a + 1)
         pairs = sorted((eig[i], mu0 * vec[0, i] ** 2) for i in range(n))
         return [+p[0] for p in pairs], [+p[1] for p in pairs]
+
+
+def _laguerre(m: int, a, x) -> tuple:
+    """``L_m^(a)(x)`` and ``L_{m-1}^(a)(x)`` by the three-term recurrence."""
+    prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+    for k in range(m):
+        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+    return cur, prev
+
+
+def newton_rule(n: int, alpha: Fraction, dps: int, cut: float) -> tuple[list, list]:
+    """The nodes whose weight exceeds ``cut`` times the largest, and their
+    weights, ascending, at ``dps`` decimal digits: double-precision
+    Golub-Welsch nodes refined by Newton's method in mpmath."""
+    af = alpha.numerator / alpha.denominator
+    i = np.arange(1, n)
+    off = np.diag(np.sqrt(i * (i + af)), 1)
+    start = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + af + 1.0) + off + off.T)
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha.numerator) / alpha.denominator
+        scale = mpmath.gamma(n + a + 1) / (mpmath.factorial(n) * (n + 1) ** 2)
+        tol = mpmath.mpf(10) ** (5 - dps)
+        nodes, weights = [], []
+        for x0 in start:
+            x = mpmath.mpf(float(x0))
+            for _ in range(20):
+                ln, lm = _laguerre(n, a, x)
+                step = ln * x / (n * ln - (n + a) * lm)
+                x -= step
+                if abs(step) <= tol * x:
+                    break
+            if abs(step) > tol * x or abs(x - x0) > 1e-8 * x0:
+                raise SystemExit(f"Newton did not converge at the node near {float(x0)!r}")
+            weight = scale * x / _laguerre(n + 1, a, x)[0] ** 2
+            if weights and weight <= cut * max(weights):
+                break
+            nodes.append(+x)
+            weights.append(+weight)
+        return nodes, weights
+
+
+def _truncate(nodes: list, weights: list, cut: float) -> tuple[list, list]:
+    top = max(weights)
+    kept = [k for k, w in enumerate(weights) if w > cut * top]
+    if kept != list(range(len(kept))):
+        raise SystemExit("the kept weights are not the smallest nodes; no table printed")
+    return nodes[: len(kept)], weights[: len(kept)]
 
 
 def _rows(name: str, values: list) -> list[str]:
@@ -51,16 +119,27 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--n", type=int, default=40, help="number of nodes (default 40)")
     parser.add_argument("--alpha", type=Fraction, default=Fraction(-1, 6),
                         help="exponent of the weight t**alpha, > -1 (default -1/6)")
+    parser.add_argument("--cut", type=float, default=0.0,
+                        help="keep the nodes whose weight exceeds this times the largest "
+                             "(default 0: every node)")
     args = parser.parse_args(argv)
-    if args.n < 1 or args.alpha <= -1:
-        parser.error("needs n >= 1 and alpha > -1")
-    nodes, weights = rule(args.n, args.alpha, 60)
-    check_nodes, check_weights = rule(args.n, args.alpha, 90)
+    if args.n < 1 or args.alpha <= -1 or not 0.0 <= args.cut < 1.0:
+        parser.error("needs n >= 1, alpha > -1 and 0 <= cut < 1")
+    if args.n <= EIGSY_MAX_N:
+        tables = [_truncate(*rule(args.n, args.alpha, dps), args.cut) for dps in (60, 90)]
+    elif args.cut > 0.0:
+        tables = [newton_rule(args.n, args.alpha, dps, args.cut) for dps in (60, 90)]
+    else:
+        parser.error(f"n > {EIGSY_MAX_N} takes the Newton path, which needs --cut > 0")
+    (nodes, weights), (check_nodes, check_weights) = tables
     tol = mpmath.mpf("1e-20")
-    for low, high in zip(nodes + weights, check_nodes + check_weights):
-        if abs(low - high) > tol * abs(high):
-            raise SystemExit("dps 60 and dps 90 disagree; no table printed")
-    print("\n".join(_rows("_NODES", nodes) + _rows("_WEIGHTS", weights)))
+    if len(nodes) != len(check_nodes) or any(
+        abs(low - high) > tol * abs(high)
+        for low, high in zip(nodes + weights, check_nodes + check_weights)
+    ):
+        raise SystemExit("dps 60 and dps 90 disagree; no table printed")
+    suffix = f"_{args.n}" if args.cut > 0.0 else ""
+    print("\n".join(_rows("_NODES" + suffix, nodes) + _rows("_WEIGHTS" + suffix, weights)))
 
 
 if __name__ == "__main__":

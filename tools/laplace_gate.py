@@ -1,0 +1,209 @@
+"""Check the Laplace rules' error model, and re-derive its constants,
+against mpmath.
+
+``engine._laplace_rung`` sends a ``hi_path_u`` or ``gi_path_u`` cell to the
+smallest rung n of the ladder (60, 240 and 960 nodes, truncated) whose bar
+``exp(-(3.5 sqrt(n) rho + 0.8 Re sigma*))`` is at most
+``exp(-3.5 sqrt(60))``, where the saddle distance ``rho`` is at least 0.15.
+This script evaluates every rung at a dense grid of such cells and compares
+the sums with mpmath.  Both contour integrals are Hi values: the descent
+contour's ``S(z, 1) = pi Hi(z)``, and the left valley's
+``S(z, w) = pi w Hi(z w)``, ``w = e^{2i pi/3}``, which holds Gi's contour
+integral without the cancellation of ``Gi - i Ai``.  A reference is kept only
+where mpmath at 30 and at 45 digits agree to 1e-20 relative.
+
+The grid: the Stokes ray itself and its ``RAY_TOL`` band (Hi's row there
+is the adaptive ray contour), Hi's side of the ray (phases 2*pi/3 + 1e-9 ...
+0.45, 0.9 pi and the negative axis), Gi's side (2*pi/3 - 0.05 and below),
+the Gi rows near the phase 0.05 where the rotation pair hands over, at radii
+from the series disc to 1000, and on each ray the two sides of the floor and
+of each rung's edge; only points that the route table gives a contour cell.
+It prints:
+
+* a least-squares fit ``log err ~ -a sqrt(n) rho - b Re sigma*`` over every
+  rung at every point where the error is above rounding;
+* the largest ``a`` (with ``b`` = 0.8) and the largest ``b`` (with
+  ``a`` = 3.5) that keep every rung within its bar wherever the gate would
+  accept it, the engine's constants beside them;
+* how many more points the gate would serve without the floor, and the
+  largest ``rho`` at which one of them misses its bar, the engine's floor
+  beside it.  On the Stokes ray ``rho`` is rounding noise, the sum takes
+  the root that ends in the wrong valley and misses by O(1); the floor
+  must lie above those points, and 0.15 keeps a margin;
+* the worst ``log(err) - log(bar)`` over the points the gate serves, each
+  with the rung it chooses.
+
+It exits 1 if any point the gate serves exceeds its bar, if a constant
+exceeds what the data allow, or if a miss lies at or above the floor.  Run from the root
+of a checkout (needs mpmath, which the library does not; about 10 s)::
+
+    python3 tools/laplace_gate.py
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+import sys
+from pathlib import Path
+
+import mpmath
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from scorerlib import engine  # noqa: E402
+from scorerlib.contour import RAY_TOL  # noqa: E402
+
+AGREE_REL = mpmath.mpf("1e-20")
+EPS = float(np.finfo(float).eps)
+STOKES = 2.0 * math.pi / 3.0
+BAND = engine.NEAR_AXIS_PHASE
+#: (column, phase) of every ray: Hi's descent-contour cell above the Stokes
+#: ray, Gi's contour cell below it and near the rotation pair's band.
+RAYS = (
+    [("hi", STOKES - 0.5 * RAY_TOL), ("hi", STOKES)]
+    + [("hi", STOKES + d) for d in (1e-9, 0.001, 0.003, 0.006, 0.01, 0.015, 0.02, 0.03, 0.04,
+                                  0.05, 0.07, 0.1, 0.15, 0.2, 0.3, 0.45)]
+    + [("hi", 0.9 * math.pi), ("hi", math.pi)]
+    + [("gi", STOKES - engine.STOKES_BAND - d) for d in (1e-9, 0.005, 0.01, 0.02, 0.04,
+                                                         0.07, 0.1, 0.2)]
+    + [("gi", BAND + d) for d in (1e-9, 0.002, 0.005, 0.01, 0.02, 0.03, 0.05, 0.08,
+                                  0.12, 0.16, 0.2, 0.3)]
+    + [("gi", math.pi / 3.0), ("gi", math.pi / 2.0), ("gi", 1.4)]
+)
+RADII = tuple(2.6 * (100.0 / 2.6) ** (k / 39) for k in range(40)) + (300.0, 1000.0)
+END = {"hi": 1.0, "gi": engine._ROT_UP}
+LAPLACE = {"hi": "hi_laplace", "gi": "gi_laplace"}
+CONTOUR = {"hi": "hi_path_u", "gi": "gi_path_u"}
+
+
+def _point(r: float, phase: float) -> complex:
+    return complex(-r, 0.0) if phase == math.pi else cmath.rect(r, phase)
+
+
+def _edge(phase: float, reached) -> float | None:
+    """The radius in (2.5, 1e4) on the ray where ``reached(z)`` turns true
+    (it is monotone in the radius), by bisection; None if it never turns."""
+    lo, hi = engine._SERIES_RADIUS, 1e4
+    if reached(_point(lo, phase)) or not reached(_point(hi, phase)):
+        return None
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if reached(_point(mid, phase)) else (mid, hi)
+    return hi
+
+
+def _exponent(z: complex, rung) -> float:
+    return rung.decay * engine._saddle_distance(z) + engine._LAPLACE_HEIGHT_DECAY * (
+        engine._saddle_height(z)
+    )
+
+
+def points() -> list[tuple[str, complex]]:
+    out = []
+    for column, phase in RAYS:
+        radii = list(RADII)
+        edges = [_edge(phase, lambda z: engine._saddle_distance(z) >= engine._LAPLACE_MIN_RHO)]
+        edges += [_edge(phase, lambda z, g=g: _exponent(z, g) >= engine._LAPLACE_REACH)
+                  for g in engine._LAPLACE_RUNGS]
+        for r in edges:
+            if r is not None:
+                radii += [r * (1.0 - 1e-9), r * (1.0 + 1e-9)]
+        for r in sorted(radii):
+            z = _point(r, phase)
+            if engine._route(z, column) in (CONTOUR[column], LAPLACE[column]):
+                out.append((column, z))
+    return out
+
+
+def reference(column: str, z: complex) -> complex | None:
+    """``S(z, end)`` from mpmath's Hi, or None where 30 and 45 digits
+    disagree."""
+    values = []
+    for dps in (30, 45):
+        with mpmath.workdps(dps):
+            end = mpmath.mpc(END[column])
+            values.append(mpmath.pi * end * mpmath.scorerhi(mpmath.mpc(z) * end))
+    low, high = values
+    with mpmath.workdps(45):
+        if abs(low - high) > AGREE_REL * abs(high):
+            return None
+    return complex(high)
+
+
+def main() -> int:
+    rows = []  # (column, z, rung, exponent, err)
+    dropped = 0
+    for column, z in points():
+        ref = reference(column, z)
+        if ref is None:
+            dropped += 1
+            print(f"dropped: {column} at {z!r}", file=sys.stderr)
+            continue
+        for rung in engine._LAPLACE_RUNGS:
+            exponent = _exponent(z, rung)
+            s = engine._laplace_sum(z, END[column], rung, exponent)
+            rows.append((column, z, rung, exponent, abs(s.value - ref) / abs(ref)))
+    n_points = len(rows) // len(engine._LAPLACE_RUNGS)
+    print(f"{n_points} points ({dropped} dropped), {len(rows)} rung sums")
+
+    floor = engine._LAPLACE_MIN_RHO
+    reach = engine._LAPLACE_REACH
+    a0, b0 = engine._LAPLACE_RHO_DECAY, engine._LAPLACE_HEIGHT_DECAY
+
+    # Fit over every rung at every point above the floor with a truncation
+    # error clearly above rounding.
+    fit = [(math.sqrt(g.n) * engine._saddle_distance(z), engine._saddle_height(z), err)
+           for _, z, g, _, err in rows
+           if err > 100.0 * EPS and engine._saddle_distance(z) >= floor]
+    x = np.array([[-p, -h] for p, h, _ in fit])
+    y = np.log([err for _, _, err in fit])
+    (a, b), *_ = np.linalg.lstsq(x, y, rcond=None)
+    residual = np.max(np.abs(x @ [a, b] - y))
+    print(f"fit over {len(fit)} sums: log err ~ -{a:.2f} sqrt(n) rho - {b:.2f} Re sigma*"
+          f" (largest residual {residual:.2f})")
+
+    # The largest constants that keep every accepted rung within its bar.
+    accepted = [(z, g, err) for _, z, g, e, err in rows
+                if e >= reach and engine._saddle_distance(z) >= floor and err > 8.0 * EPS]
+    a_max = min((-math.log(err - 8.0 * EPS) - b0 * engine._saddle_height(z))
+                / (g.decay / a0 * engine._saddle_distance(z)) for z, g, err in accepted)
+    b_max = min(((-math.log(err - 8.0 * EPS) - g.decay * engine._saddle_distance(z))
+                 / engine._saddle_height(z)) for z, g, err in accepted
+                if engine._saddle_height(z) > 0.0)
+    print(f"rho decay: engine {a0:.2f}, the data allow {a_max:.2f}")
+    print(f"height decay: engine {b0:.2f}, the data allow {b_max:.2f}")
+
+    # The floor: below it the gate would take the first rung that reaches.
+    below, misses = 0, []
+    for column, z, g, e, err in rows:
+        rho = engine._saddle_distance(z)
+        first = next((h for h in engine._LAPLACE_RUNGS if _exponent(z, h) >= reach), None)
+        if g is first and rho < floor:
+            below += 1
+            if err > math.exp(-e) + 8.0 * EPS:
+                misses.append(rho)
+    worst_rho = max(misses, default=0.0)
+    print(f"without the floor the gate would serve {below} more points; {len(misses)} miss "
+          f"their bar, at rho up to {worst_rho:.2g}; engine floor {floor}")
+
+    # The gate as the engine runs it.
+    served = {}
+    worst = (-math.inf, None)
+    for column, z, g, e, err in rows:
+        chosen = engine._laplace_rung(z)
+        if engine._route(z, column) != LAPLACE[column] or chosen[0] is not g:
+            continue
+        served[g.n] = served.get(g.n, 0) + 1
+        excess = math.log(max(err, 1e-300)) - math.log(math.exp(-e) + 8.0 * EPS)
+        worst = max(worst, (excess, (column, z, g.n)))
+    print("served points by rung: " + ", ".join(f"{n}: {k}" for n, k in sorted(served.items())))
+    print(f"worst log(err) - log(bar) where the gate serves: {worst[0]:.2f} at {worst[1]}")
+    failed = worst[0] > 0.0 or worst_rho >= floor or a_max < a0 or b_max < b0
+    print("FAIL" if failed else "PASS")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
