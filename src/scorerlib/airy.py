@@ -101,13 +101,14 @@ _ZETA_CAP = 1e150
 _LAPLACE_NORM = 1.0 / (math.sqrt(math.pi) * 48.0 ** (1.0 / 6.0) * math.gamma(5.0 / 6.0))
 
 
-def _maclaurin_fg(z: complex) -> tuple[complex, complex, complex, complex, float, int]:
-    """Sum the two entire building-block series f, g and their derivatives.
+def _maclaurin(z: complex, c0: float, c1: float) -> ScorerResult:
+    """The Airy solution with value ``c0`` and slope ``c1`` at the origin,
+    and its derivative, from the Maclaurin series.
 
-    ``f = 1 + z**3/6 + ...`` and ``g = z + z**4/12 + ...`` solve w'' = z w
-    with (value, slope) seeds (1, 0) and (0, 1); every Airy solution is a
-    fixed combination of them.  Returns (f, g, f', g', sum of term
-    magnitudes, number of terms).
+    It is ``c0 f + c1 g``, where ``f = 1 + z**3/6 + ...`` and
+    ``g = z + z**4/12 + ...`` solve w'' = z w with (value, slope) seeds
+    (1, 0) and (0, 1).  The error bar is 4 eps times the sum of the term
+    magnitudes of f and g times ``max(|c0|, |c1|)``.
     """
     f = 1.0 + 0.0j
     g = complex(z)
@@ -118,7 +119,6 @@ def _maclaurin_fg(z: complex) -> tuple[complex, complex, complex, complex, float
     z2 = z * z
     z3 = z2 * z
     term_abs = 1.0 + abs(z)
-    k = 0
     for k in range(400):
         d = p * z2 / (3 * k + 2)
         e = q * z2 / (3 * k + 3)
@@ -133,7 +133,13 @@ def _maclaurin_fg(z: complex) -> tuple[complex, complex, complex, complex, float
         scale = abs(f) + abs(g) + abs(fp) + abs(gp)
         if step <= 0.25 * _EPS * scale and k >= 1:
             break
-    return f, g, fp, gp, term_abs, k + 1
+    return ScorerResult(
+        c0 * f + c1 * g,
+        "series",
+        4.0 * _EPS * term_abs * max(abs(c0), abs(c1)),
+        0,
+        derivative=c0 * fp + c1 * gp,
+    )
 
 
 def ai_maclaurin(z: complex) -> ScorerResult:
@@ -143,14 +149,7 @@ def ai_maclaurin(z: complex) -> ScorerResult:
     positive real axis, so intended for ``|z| <= SERIES_RADIUS``; converges
     (slowly, with cancellation) for any argument.
     """
-    f, g, fp, gp, term_abs, _ = _maclaurin_fg(z)
-    return ScorerResult(
-        AI_ZERO * f + AIP_ZERO * g,
-        "series",
-        4.0 * _EPS * term_abs * max(AI_ZERO, -AIP_ZERO),
-        0,
-        derivative=AI_ZERO * fp + AIP_ZERO * gp,
-    )
+    return _maclaurin(z, AI_ZERO, AIP_ZERO)
 
 
 def _ai_laguerre(z: complex) -> ScorerResult:
@@ -247,14 +246,7 @@ def _bi_info(z: complex) -> ScorerResult:
     if z.imag < 0.0:
         return _bi_info(z.conjugate()).conjugate()
     if abs(z) <= SERIES_RADIUS:
-        f, g, fp, gp, term_abs, _ = _maclaurin_fg(z)
-        return ScorerResult(
-            BI_ZERO * f + BIP_ZERO * g,
-            "series",
-            4.0 * _EPS * term_abs * BI_ZERO,
-            0,
-            derivative=BI_ZERO * fp + BIP_ZERO * gp,
-        )
+        return _maclaurin(z, BI_ZERO, BIP_ZERO)
     # Two rotated Ai values in the principal sector; no cancellation occurs
     # because the two terms carry conjugate-direction exponentials.
     a_plus = _ai_info(z * _ROT_PLUS)

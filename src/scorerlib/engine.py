@@ -21,7 +21,8 @@ a representation that is stable in its sector:
   error model ``exp(-(3.5 sqrt(n) rho + 0.8 Re sigma*))`` meets about
   1.6e-12 replaces the adaptive quadrature of a contour, given a saddle
   distance ``rho >= 0.15`` (see :func:`_laplace_rung`), which leaves the
-  Stokes ray and the positive real axis to the adaptive contours;
+  Stokes ray and the positive real axis to the adaptive contours; the two
+  contour cells of the route table make that choice, once per call;
 * one-step rotation connections and the relation ``Gi + Hi = Bi`` cover the
   remaining sectors without cancellation;
 * conjugation serves the lower half-plane exactly; it happens once, at
@@ -29,10 +30,12 @@ a representation that is stable in its sector:
 
 One route table (``_PHASE_ROWS``, after the series and asymptotic gates),
 with one column for Gi and one for Hi, makes every routing decision for
-``gi``, ``hi`` and ``gi_hi_pair``; the Hi values inside the rotation
-formulas are ``hi``'s own.  Every result reports the route taken, an error
-estimate, the exact number of integrand evaluations spent, and whether
-every contributing quadrature converged.
+``gi``, ``hi`` and ``gi_hi_pair``.  Its cells are the representations
+themselves, ``None`` standing for the complement through ``Gi + Hi = Bi``,
+so the route tag is named only where a representation builds its result;
+the Hi values inside the rotation formulas are ``hi``'s own.  Every result
+reports the route taken, an error estimate, the exact number of integrand
+evaluations spent, and whether every contributing quadrature converged.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Callable
 
 import numpy as np
 
@@ -761,16 +765,25 @@ def _laplace_sum(z: complex, end: complex, rung: _Rung, exponent: float) -> Quad
     return QuadratureResult(value, err, rung.nodes.size, True)
 
 
-def _hi_laplace(z: complex) -> ScorerResult:
-    """Hi on the descent contour of :func:`hi_integral_principal`:
-    ``Hi(z) = S(z, 1) / pi``."""
-    return combine("hi_laplace", [(1.0 / _PI, _laplace_sum(z, 1.0, *_laplace_rung(z)))])
+def _hi_contour(z: complex) -> ScorerResult:
+    """Hi on the descent contour of :func:`hi_integral_principal`: by the
+    Laplace rule, ``Hi(z) = S(z, 1) / pi``, where :func:`_laplace_rung`
+    finds a rung, and by adaptive quadrature where it does not."""
+    chosen = _laplace_rung(z)
+    if chosen is None:
+        return hi_integral_principal(z)
+    return combine("hi_laplace", [(1.0 / _PI, _laplace_sum(z, 1.0, *chosen))])
 
 
-def _gi_laplace(z: complex) -> ScorerResult:
+def _gi_contour(z: complex) -> ScorerResult:
     """Gi on the contour of :func:`gi_integral`, whose integral is
-    ``-i S(z, e^{2i pi/3})``: the left valley's ``t`` turned by ``-i``."""
-    return _gi_from_contour("gi_laplace", z, -1j, _laplace_sum(z, _ROT_UP, *_laplace_rung(z)))
+    ``-i S(z, e^{2i pi/3})`` (the left valley's ``t`` turned by ``-i``)
+    where :func:`_laplace_rung` finds a rung, and by adaptive quadrature
+    where it does not."""
+    chosen = _laplace_rung(z)
+    if chosen is None:
+        return gi_integral(z)
+    return _gi_from_contour("gi_laplace", z, -1j, _laplace_sum(z, _ROT_UP, *chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -818,82 +831,61 @@ def _bi_complement(z: complex, other: ScorerResult) -> ScorerResult:
 
 #: Phase rows of the route table for ``z`` in the closed upper half-plane,
 #: consulted after the series and asymptotic gates.  A row serves the phases
-#: below its bound; its cells name the route of Gi and of Hi.  The rotation
-#: routes call ``hi`` at rotated arguments, which the last row serves
-#: without rotating or complementing again.  ``bi_identity`` evaluates the
-#: other function and complements it through ``Gi + Hi = Bi``; it is used
-#: only where that other function carries the dominant exponential of Bi,
-#: so nothing cancels.  The first bound is the least positive double, so
-#: that row holds the positive real axis alone.
+#: below its bound; its cells are the representations of Gi and of Hi.  The
+#: rotation cells call ``hi`` at rotated arguments, which the last row
+#: serves without rotating or complementing again.  ``None`` marks the
+#: ``bi_identity`` complement: the other function's representation, then
+#: ``Gi + Hi = Bi``; it is used only where that other function carries the
+#: dominant exponential of Bi, so nothing cancels.  The contour cells own the
+#: Laplace gate.  The first bound is the least positive double, so that row
+#: holds the positive real axis alone.
 _PHASE_ROWS = (
-    # phase bound                  Gi                  Hi
-    (math.ulp(0.0),                "gi_real_axis",     "bi_identity"),
-    (NEAR_AXIS_PHASE,              "gi_rotation_pair", "bi_identity"),
-    (_PI / 3.0,                    "gi_path_u",        "bi_identity"),
-    (_TWO_THIRDS_PI - STOKES_BAND, "gi_path_u",        "hi_rotation"),
-    (_TWO_THIRDS_PI - RAY_TOL,     "bi_identity",      "hi_rotation"),
-    (math.inf,                     "bi_identity",      "hi_path_u"),
+    # phase bound                  Gi                                   Hi
+    (math.ulp(0.0),                lambda z: gi_real_positive(z.real), None),
+    (NEAR_AXIS_PHASE,              gi_from_hi_rotations,                None),
+    (_PI / 3.0,                    _gi_contour,                         None),
+    (_TWO_THIRDS_PI - STOKES_BAND, _gi_contour,                         hi_connection),
+    (_TWO_THIRDS_PI - RAY_TOL,     None,                                hi_connection),
+    (math.inf,                     None,                                _hi_contour),
 )
-_COLUMNS = {"gi": 1, "hi": 2}
-
-#: The contour routes that the Laplace rules replace wherever
-#: :func:`_laplace_rung` finds a rung.
-_LAPLACE_ROUTES = {"hi_path_u": "hi_laplace", "gi_path_u": "gi_laplace"}
-
-#: The representation behind each phase-row and Laplace route tag.
-_REPRESENTATIONS = {
-    "gi_real_axis": lambda z: gi_real_positive(z.real),
-    "gi_rotation_pair": gi_from_hi_rotations,
-    "gi_path_u": gi_integral,
-    "hi_rotation": hi_connection,
-    "hi_path_u": hi_integral_principal,
-    "hi_laplace": _hi_laplace,
-    "gi_laplace": _gi_laplace,
-}
 
 
-def _route(z: complex, fn: str) -> str:
-    """The route of ``fn`` ("gi" or "hi") at ``z``: the series gate, the
-    asymptotic gate, then the phase rows, whose contour routes the Laplace
-    gate replaces."""
+def _representation(z: complex, fn: str) -> Callable[[complex], ScorerResult] | None:
+    """The representation of ``fn`` ("gi" or "hi") at ``z`` (closed upper
+    half-plane): the series gate, the asymptotic gate, then the cell of the
+    phase rows, ``None`` for the complement through ``Gi + Hi = Bi``."""
+    is_gi = fn == "gi"
     if abs(z) <= _SERIES_RADIUS:
-        return "series"
+        return gi_series if is_gi else hi_series
     if _asymptotic_eligible(z, fn):
-        return "asymptotic"
+        return gi_asymptotic if is_gi else hi_asymptotic
     ph = abs(cmath.phase(z))
-    for row in _PHASE_ROWS:
-        if ph < row[0]:
+    for bound, gi_cell, hi_cell in _PHASE_ROWS:
+        if ph < bound:
             break
-    route = row[_COLUMNS[fn]]
-    if route in _LAPLACE_ROUTES and _laplace_rung(z) is not None:
-        return _LAPLACE_ROUTES[route]
-    return route
+    return gi_cell if is_gi else hi_cell
 
 
-def _along(z: complex, fn: str, route: str) -> ScorerResult:
-    """Evaluate ``fn`` at ``z`` (closed upper half-plane) along ``route``."""
-    if route == "series":
-        return (gi_series if fn == "gi" else hi_series)(z)
-    if route == "asymptotic":
-        return (gi_asymptotic if fn == "gi" else hi_asymptotic)(z)
-    if route == "bi_identity":
-        other = "hi" if fn == "gi" else "gi"
-        return _bi_complement(z, _along(z, other, _route(z, other)))
-    return _REPRESENTATIONS[route](z)
+def _along(z: complex, fn: str) -> ScorerResult:
+    """Evaluate ``fn`` at ``z`` (closed upper half-plane) by its cell."""
+    representation = _representation(z, fn)
+    if representation is None:
+        return _bi_complement(z, _along(z, "hi" if fn == "gi" else "gi"))
+    return representation(z)
 
 
 def _pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
     """Gi and Hi at ``z`` (closed upper half-plane), each by its own cell of
     the table."""
-    g_route, h_route = _route(z, "gi"), _route(z, "hi")
+    g_rep, h_rep = _representation(z, "gi"), _representation(z, "hi")
     # Where one cell complements the other, evaluate the other once.
-    if g_route == "bi_identity":
-        h = _along(z, "hi", h_route)
+    if g_rep is None:
+        h = h_rep(z)
         return _bi_complement(z, h), h
-    if h_route == "bi_identity":
-        g = _along(z, "gi", g_route)
+    if h_rep is None:
+        g = g_rep(z)
         return g, _bi_complement(z, g)
-    return _along(z, "gi", g_route), _along(z, "hi", h_route)
+    return g_rep(z), h_rep(z)
 
 
 def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
@@ -908,7 +900,7 @@ def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
     """
     z = _contour.require_finite(z)
     up = complex(z.real, abs(z.imag))
-    results = _pair(up) if fn == "pair" else (_along(up, fn, _route(up, fn)),)
+    results = _pair(up) if fn == "pair" else (_along(up, fn),)
     if z.imag < 0:
         return tuple(r.conjugate("conjugate") for r in results)
     return results

@@ -11,6 +11,7 @@ import pytest
 
 import scorerlib.airy
 import scorerlib.contour
+import scorerlib.engine
 from scorerlib.airy import BI_ZERO, BIP_ZERO, ai_complex, bi_complex
 from scorerlib.contour import DomainError
 from scorerlib.engine import (
@@ -39,12 +40,10 @@ from scorerlib.engine import (
     _LAPLACE_MIN_RHO,
     _LAPLACE_REACH,
     _LAPLACE_RUNGS,
-    _REPRESENTATIONS,
     _evaluate,
     _laplace_roots,
     _laplace_rung,
     _laplace_sum,
-    _route,
     _saddle_distance,
     _saddle_height,
 )
@@ -791,6 +790,7 @@ class TestRouteSelection:
 #: the phase.
 _GATED_RAYS = (("hi", 0.9 * _PI), ("gi", _PI / 2.0))
 _ADAPTIVE_ROUTE = {"hi": "hi_path_u", "gi": "gi_path_u"}
+_ADAPTIVE = {"hi": hi_integral_principal, "gi": gi_integral}
 _LAPLACE_ROUTE = {"hi": "hi_laplace", "gi": "gi_laplace"}
 #: Rays of the model's edges: both cells on each side of the Stokes ray and
 #: Gi's rows near the rotation pair.  (On the negative axis, where
@@ -859,11 +859,11 @@ class TestLaplaceGate:
         checked = 0
         for r in _edges(phase):
             for z in (cmath.rect(r * (1 - 1e-9), phase), cmath.rect(r * (1 + 1e-9), phase)):
-                if _route(z, fn) not in (_ADAPTIVE_ROUTE[fn], _LAPLACE_ROUTE[fn]):
+                res = _evaluate(z, fn)[0]
+                if res.method not in (_ADAPTIVE_ROUTE[fn], _LAPLACE_ROUTE[fn]):
                     continue  # the asymptotic gate came first
                 checked += 1
                 rung = _model_rung(z)
-                res = _evaluate(z, fn)[0]
                 if rung is None:
                     assert res.method == _ADAPTIVE_ROUTE[fn]
                 else:
@@ -919,10 +919,30 @@ class TestLaplaceGate:
                 assert s.abs_error_estimate == abs(s.value) * (math.exp(-exponent) + 8.0 * _EPS)
         assert seen == {60, 240, 960}
 
+    @pytest.mark.parametrize("call,z,served", [(hi, -5 + 0j, 1), (gi, 5j, 1),
+                                                (gi_hi_pair, -5 + 0j, 1), (gi_hi_pair, 5j, 2)])
+    def test_each_laplace_cell_walks_the_ladder_once(self, monkeypatch, call, z, served):
+        # The contour cell that picks the rung also sums with it: one walk
+        # of the ladder per Laplace sum.  gi_hi_pair(5j) sums Gi's contour
+        # and, inside Hi's rotation, the descent contour of hi(5j e^{2i pi/3}).
+        counts = {_laplace_rung: 0, _laplace_sum: 0}
+
+        def counted(f):
+            def wrapper(*args):
+                counts[f] += 1
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(scorerlib.engine, "_laplace_rung", counted(_laplace_rung))
+        monkeypatch.setattr(scorerlib.engine, "_laplace_sum", counted(_laplace_sum))
+        call(z)
+        assert counts == {_laplace_rung: served, _laplace_sum: served}
+
     def test_gate_declines_above_1e100(self):
         # Cardano's z**3 overflows near |z| = 1.9e102.
-        assert _route(cmath.rect(1e100, _PI / 2.0), "gi") == "gi_laplace"
-        assert _route(cmath.rect(1.0000001e100, _PI / 2.0), "gi") == "gi_path_u"
+        assert _laplace_rung(cmath.rect(1e100, _PI / 2.0)) is not None
+        assert _laplace_rung(cmath.rect(1.0000001e100, _PI / 2.0)) is None
 
     def test_saddle_distance_vanishes_where_a_contour_meets_its_saddle(self):
         assert _saddle_distance(cmath.rect(50.0, 2.0 * _PI / 3.0)) < 1e-12
@@ -945,7 +965,7 @@ class TestLaplaceGate:
     def test_rule_matches_the_adaptive_contour(self, fn, phase, rho):
         z = cmath.rect(_radius_at_rho(rho, phase) * (1 + 1e-9), phase)
         laplace = _evaluate(z, fn)[0]
-        adaptive = _REPRESENTATIONS[_ADAPTIVE_ROUTE[fn]](z)
+        adaptive = _ADAPTIVE[fn](z)
         assert laplace.method == _LAPLACE_ROUTE[fn]
         assert laplace.converged
         diff = abs(laplace.value - adaptive.value)
@@ -964,7 +984,7 @@ class TestLaplaceGate:
         z = cmath.rect(radius, phase)
         assert _model_rung(z) == n
         laplace = _evaluate(z, fn)[0]
-        adaptive = _REPRESENTATIONS[_ADAPTIVE_ROUTE[fn]](z)
+        adaptive = _ADAPTIVE[fn](z)
         assert laplace.method == _LAPLACE_ROUTE[fn]
         assert laplace.n_evaluations == _KEPT[n] + _airy_evals(fn, z)
         assert laplace.n_evaluations <= adaptive.n_evaluations

@@ -18,7 +18,10 @@ The tables, all from mpmath:
   rays;
 * ``BAND_POINTS``: Gi and Hi in the near-axis band
   0 < |ph z| < ``NEAR_AXIS_PHASE``, where the engine takes Gi from two
-  rotated Hi values.
+  rotated Hi values;
+* ``SEAM_POINTS``: Gi and Hi on both sides of each seam between the phase
+  rows of the engine's route table, just outside the series disc and
+  farther out.
 
 A reference is kept only where mpmath at 50 and at 90 digits agree to
 1e-15 relative (and, for Gi and Hi, where Gi + Hi = Bi holds to the same
@@ -130,6 +133,21 @@ SERIES_RADIUS = 2.5
 #: was once 3.6e-13 off.
 BAND_RADII = (3.0, 7.0, 10.0, 12.0)
 BAND_PHASES = (1e-9, 0.02, 0.05 - 1e-9)
+#: The seams of the route table's phase rows, 1e-9 to each side: 0.05 (the
+#: side below is in the band), pi/3 and 2*pi/3 - 0.05 (STOKES_BAND); the
+#: seam 2*pi/3 - 1e-12 (RAY_TOL) at 2*pi/3 -+ 2e-12 instead, the far side
+#: beyond the Stokes ray.  Radii just outside the Scorer series disc and
+#: beyond it.
+SEAM_RADII = (2.5 * (1.0 + 1e-12), 5.0, 10.0)
+SEAM_PHASES = (
+    0.05 + 1e-9,
+    math.pi / 3.0 - 1e-9,
+    math.pi / 3.0 + 1e-9,
+    2.0 * math.pi / 3.0 - 0.05 - 1e-9,
+    2.0 * math.pi / 3.0 - 0.05 + 1e-9,
+    2.0 * math.pi / 3.0 - 2e-12,
+    2.0 * math.pi / 3.0 + 2e-12,
+)
 
 
 def gate_points() -> list[tuple[str, complex]]:
@@ -229,22 +247,22 @@ def main() -> None:
         if row is not None:
             print(f"    ({_literal(z)}, {', '.join(repr(complex(v)) for v in row)}),")
     print("]")
-    print("STOKES_POINTS = [")
-    for r in STOKES_RADII:
-        z = cmath.rect(r, 2.0 * math.pi / 3.0)
-        row = _scorer_row(z, scorer[:2] + scorer[3:])
-        if row is not None:
-            print(f"    ({_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")
-    print("]")
+    _print_gi_hi("STOKES_POINTS", (cmath.rect(r, 2.0 * math.pi / 3.0) for r in STOKES_RADII))
     print("GATE_POINTS = [")
     for column, z in gate_points() + ladder_points():
         row = _scorer_row(z, scorer[:2] + scorer[3:])
         if row is not None:
             print(f"    ({column!r}, {_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")
     print("]")
-    print("BAND_POINTS = [")
-    for z in (cmath.rect(r, ph) for r in BAND_RADII for ph in BAND_PHASES):
-        row = _scorer_row(z, scorer[:2] + scorer[3:])
+    _print_gi_hi("BAND_POINTS", (cmath.rect(r, ph) for r in BAND_RADII for ph in BAND_PHASES))
+    _print_gi_hi("SEAM_POINTS", (cmath.rect(r, ph) for r in SEAM_RADII for ph in SEAM_PHASES))
+
+
+def _print_gi_hi(name: str, points) -> None:
+    """Print the table ``name`` of (z, Gi, Hi) rows at ``points``."""
+    print(f"{name} = [")
+    for z in points:
+        row = _scorer_row(z, (mpmath.scorergi, mpmath.scorerhi, mpmath.airybi))
         if row is not None:
             print(f"    ({_literal(z)}, {complex(row[0])!r}, {complex(row[1])!r}),")
     print("]")

@@ -11,7 +11,8 @@ the lower half-plane; the rays ``ph z = +-2*pi/3`` at the same radii; and
 the real axis at the same radii with ``+0.0`` and ``-0.0`` imaginary parts,
 both signs of the real part.
 
-Run from the root of a checkout::
+Run from the root of a checkout (a dump reads its ``src/`` unless
+``PYTHONPATH`` is set)::
 
     python3 tools/guard_grid.py                   # print the dump, one JSON line per point
     python3 tools/guard_grid.py --against DIR     # compare with the checkout at DIR
@@ -206,6 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", metavar="DIR", help="checkout to compare with")
     args = parser.parse_args(argv)
     if args.against is None:
+        # This checkout's scorerlib, unless PYTHONPATH names another (the
+        # ``--against`` dumps name each checkout's ``src/`` there).
+        if "PYTHONPATH" not in os.environ:
+            sys.path.insert(0, str(ROOT / "src"))
         for key, fields in dump().items():
             print(json.dumps([key, fields]))
         return 0

@@ -74,8 +74,8 @@ RAYS = (
 )
 RADII = tuple(2.6 * (100.0 / 2.6) ** (k / 39) for k in range(40)) + (300.0, 1000.0)
 END = {"hi": 1.0, "gi": engine._ROT_UP}
-LAPLACE = {"hi": "hi_laplace", "gi": "gi_laplace"}
-CONTOUR = {"hi": "hi_path_u", "gi": "gi_path_u"}
+#: The route table's contour cell of each column, which owns the gate.
+CELL = {"hi": engine._hi_contour, "gi": engine._gi_contour}
 
 
 def _point(r: float, phase: float) -> complex:
@@ -112,7 +112,7 @@ def points() -> list[tuple[str, complex]]:
                 radii += [r * (1.0 - 1e-9), r * (1.0 + 1e-9)]
         for r in sorted(radii):
             z = _point(r, phase)
-            if engine._route(z, column) in (CONTOUR[column], LAPLACE[column]):
+            if engine._representation(z, column) is CELL[column]:
                 out.append((column, z))
     return out
 
@@ -193,7 +193,7 @@ def main() -> int:
     worst = (-math.inf, None)
     for column, z, g, e, err in rows:
         chosen = engine._laplace_rung(z)
-        if engine._route(z, column) != LAPLACE[column] or chosen[0] is not g:
+        if chosen is None or chosen[0] is not g:
             continue
         served[g.n] = served.get(g.n, 0) + 1
         excess = math.log(max(err, 1e-300)) - math.log(math.exp(-e) + 8.0 * EPS)
