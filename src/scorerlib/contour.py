@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "HiPathSpec",
     "RAY_TOL",
     "ScorerResult",
     "combine",
@@ -43,7 +42,6 @@ __all__ = [
     "hi_branch_point",
     "hi_decay",
     "hi_jacobian_u",
-    "hi_path_spec",
     "hi_path_u_of_v",
     "hi_path_v_of_u",
     "require_finite",
@@ -55,7 +53,7 @@ _EPS = float(np.finfo(float).eps)
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 #: Phase distance (radians) within which ``z`` counts as lying on the Stokes
-#: ray ``2*pi/3`` or on the negative real axis.
+#: ray ``2*pi/3``.
 RAY_TOL = 1e-12
 
 
@@ -319,8 +317,7 @@ def gi_jacobian_u(u, v, x: float, y: float):
 
 def _tangent(real: float, imag):
     """``real + 1j * imag`` for a real array ``imag``, such as the contour
-    tangent ``dt/du = 1 + i dv/du``, built from real parts; a complex for
-    a float ``imag``.
+    tangent ``dt/du = 1 + i dv/du``, built from real parts.
 
     numpy's complex arithmetic costs several times a real operation on the
     short arrays of a quadrature generation.  A slope ``num / den`` passed
@@ -328,44 +325,7 @@ def _tangent(real: float, imag):
     a real one, gives the bits of ``1.0 + 1j * num / den`` up to the sign
     of a zero imaginary part.
     """
-    if np.ndim(imag) == 0:
-        return complex(real, imag)
     out = np.empty(np.shape(imag), dtype=complex)
     out.real = real
     out.imag = imag
     return out
-
-
-@dataclass(frozen=True)
-class HiPathSpec:
-    """Which contour family serves the growing-kernel integral at ``z``.
-
-    Attributes
-    ----------
-    kind : str
-        ``"real_axis"`` (z on the negative real axis), ``"stokes"`` (phase
-        exactly 2*pi/3), or ``"interior"`` (strictly between).
-    x, y : float
-        Components of ``z``.
-    """
-
-    kind: str
-    x: float
-    y: float
-
-
-def hi_path_spec(z: complex) -> HiPathSpec:
-    """Classify ``z`` for the principal growing-kernel contour.
-
-    Requires the phase of ``z`` in ``[2*pi/3, pi]`` up to :data:`RAY_TOL`,
-    so ``z`` in the closed upper half-plane.
-    """
-    x, y = z.real, z.imag
-    ph = math.atan2(y, x)
-    if ph < 2.0 * math.pi / 3.0 - RAY_TOL or abs(z) == 0.0:
-        raise DomainError("hi_path_spec requires the phase of z in [2*pi/3, pi]")
-    if ph <= 2.0 * math.pi / 3.0 + RAY_TOL:
-        return HiPathSpec("stokes", x, y)
-    if y <= abs(x) * RAY_TOL:
-        return HiPathSpec("real_axis", x, 0.0)
-    return HiPathSpec("interior", x, y)

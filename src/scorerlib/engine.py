@@ -93,13 +93,14 @@ GI_DERIV_AT_ZERO = 0.1494294524512754526382745701329427969554
 HI_AT_ZERO = 0.4099510849640004901006149127290757023965
 HI_DERIV_AT_ZERO = 0.2988589049025509052765491402658855939108
 
-#: Below this phase (radians) off the positive real axis the oscillatory
-#: kernel contour starts nearly vertically and quadrature degrades; the
-#: two-rotation connection is used instead.
+#: Below this phase (radians) off the positive real axis Gi is the pair of
+#: rotated Hi values.  The oscillatory-kernel contour stays accurate there,
+#: with an honest bar, but near the axis it runs close to its saddle and
+#: costs as much as the two rotated arms at |z| = 8 and more beyond.
 NEAR_AXIS_PHASE = 0.05
-#: Within this phase distance below 2*pi/3 the oscillatory-kernel contour
-#: passes near a fold of the growing-kernel geometry and its Jacobian
-#: spikes; ``Gi = Bi - Hi`` is used there instead.
+#: Within this phase distance below 2*pi/3 Gi is ``Bi - Hi``.  The
+#: oscillatory-kernel contour stays accurate there too, but the complement
+#: lets ``gi_hi_pair`` evaluate one contour for both functions.
 STOKES_BAND = 0.05
 
 
@@ -242,28 +243,18 @@ def gi_asymptotic(z: complex, n_terms: int | None = None) -> ScorerResult:
 
 
 def _asymptotic_eligible(z: complex, kind: str) -> bool:
-    """Gate: both the smallest term and the neglected exponentially small
-    contribution (:func:`_neglected_exponential`) must sit below a tenth of
-    the accuracy target."""
+    """Gate: the radius, the expansion's sector, and the neglected
+    exponentially small contribution (:func:`_neglected_exponential`) below
+    a tenth of the accuracy target.  The smallest term needs no test: from
+    ``_ASYMPTOTIC_RADIUS`` on, the sixth correction ``b_5 r**-18`` (8.3e-12
+    at r = 15) is already below that tenth."""
     r = abs(z)
     if r < _ASYMPTOTIC_RADIUS:
         return False
     theta = abs(cmath.phase(z))
     if (theta < _PI / 3.0) if kind == "hi" else (theta > _PI / 3.0):
         return False
-    tol = 0.1 * _TARGET_REL_ACCURACY
-    if _neglected_exponential(r, theta, kind) > tol:
-        return False
-    # Some correction b_s r**(-3(s+1)), b_0 = 2, b_{s+1} = b_s (3s+4)(3s+5),
-    # must fall below the target.
-    coeff = 2.0
-    power = r**-3
-    for s in range(_ASYMPTOTIC_MAX_TERMS):
-        if coeff * power <= tol:
-            return True
-        coeff *= (3 * s + 4) * (3 * s + 5)
-        power *= r**-3
-    return False
+    return _neglected_exponential(r, theta, kind) <= 0.1 * _TARGET_REL_ACCURACY
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +281,25 @@ def hi_integral_principal(z: complex) -> ScorerResult:
     Valid for ``phase(z)`` in ``[2*pi/3, pi]``; like every integral
     representation here it takes ``z`` in the closed upper half-plane only
     and raises :class:`~scorerlib.contour.DomainError` below it (``gi`` and
-    ``hi`` serve the lower half-plane by conjugation).  On the ray at
-    ``2*pi/3`` the contour is a straight run into the saddle followed by a
-    hyperbolic branch; on the negative real axis it is the real axis
-    itself; strictly between, a single smooth level line through the origin.
+    ``hi`` serve the lower half-plane by conjugation).  Within
+    :data:`~scorerlib.contour.RAY_TOL` of the ray at ``2*pi/3`` the contour
+    is the ray's: a straight run into the saddle followed by a hyperbolic
+    branch; elsewhere, the negative real axis included, a single smooth
+    level line through the origin.
     """
-    spec = _contour.hi_path_spec(z)
-    x, y = spec.x, spec.y
+    x, y = z.real, z.imag
+    ph = math.atan2(y, x)
+    if ph < _TWO_THIRDS_PI - RAY_TOL or z == 0:
+        raise _contour.DomainError(
+            "hi_integral_principal requires the phase of z in [2*pi/3, pi]"
+        )
 
-    if spec.kind == "real_axis":
-
-        def f(u: np.ndarray) -> np.ndarray:
-            return _masked_exp(u**3 / 3.0 - x * u, 1.0 + 0.0j)
-
-    elif spec.kind == "stokes":
-        y_ray = -math.sqrt(3.0) * x
+    if ph <= _TWO_THIRDS_PI + RAY_TOL:
+        # The ray's contour at the same x serves z = x + i (y_ray + shift),
+        # y_ray = -sqrt(3) x: the true y enters the decay, and the phase
+        # exp(i shift u), which the ray's level line does not cancel, enters
+        # the Jacobian.
+        shift = y + math.sqrt(3.0) * x
         # In w = u / (2 u0) the slope corner at the saddle u0 sits at s = 1/3
         # of the mapped variable s = w / (1 + w), and bisection keeps it at
         # 1/3 or 2/3 of its panel, where the Gauss and Kronrod rules both see
@@ -315,8 +310,8 @@ def hi_integral_principal(z: complex) -> ScorerResult:
         def f(w: np.ndarray) -> np.ndarray:
             u = scale * w
             v, dv = _contour.stokes_path(u, x)
-            dt_dw = _contour._tangent(scale, scale * dv)
-            return _masked_exp(_contour.hi_decay(u, v, x, y_ray), dt_dw)
+            dt_dw = _contour._tangent(scale, scale * dv) * np.exp(1j * shift * u)
+            return _masked_exp(_contour.hi_decay(u, v, x, y), dt_dw)
 
     else:
 
@@ -411,10 +406,11 @@ def gi_integral(z: complex) -> ScorerResult:
     """Gi by quadrature of the oscillatory kernel on its descent contour,
     plus ``i Ai(z)``.
 
-    Valid for ``0 < phase(z) <= 2*pi/3`` (upper half-plane only); accuracy
-    and cost degrade as the phase approaches 0 (near-vertical contour
-    start) or ``2*pi/3`` (Jacobian spike near the growing-kernel fold),
-    where the engine prefers other routes.
+    Valid for ``0 < phase(z) <= 2*pi/3`` (upper half-plane only); the cost
+    grows as the phase approaches 0 or ``2*pi/3``, where the contour runs
+    close to its saddle, and within a few :data:`~scorerlib.contour.RAY_TOL`
+    below ``2*pi/3`` (2e-12 for ``|z| <= 3.3``) the quadrature does not
+    converge.
     """
     x, y = z.real, z.imag
     if y == 0.0:

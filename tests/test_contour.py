@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from scorerlib import contour
 from scorerlib.contour import (
     RAY_TOL,
     DomainError,
@@ -19,12 +20,12 @@ from scorerlib.contour import (
     hi_branch_point,
     hi_decay,
     hi_jacobian_u,
-    hi_path_spec,
     hi_path_u_of_v,
     hi_path_v_of_u,
     stokes_path,
 )
-from scorerlib.quadrature import QuadratureResult
+from scorerlib.engine import hi_integral_principal, hi_integral_v_form
+from scorerlib.quadrature import QuadratureResult, integrate_piecewise
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -284,53 +285,80 @@ class TestJacobianSingularities:
 
 class TestJacobianTypes:
     @pytest.mark.parametrize("jacobian", [hi_jacobian_u, gi_jacobian_u])
-    def test_floats_give_a_complex_and_arrays_an_array(self, jacobian):
+    def test_floats_give_a_scalar_and_arrays_an_array(self, jacobian):
         # dt/du = 1 + i*slope at (u, v) = (1, 1/2), x = 2, y = 1: hi's slope
         # (2uv - y)/(v^2 - u^2 + x) is 0 over 5/4, gi's (u^2 - v^2 + x)/(2uv + y)
         # is (11/4)/2 = 11/8, both exact in doubles.
         jac = jacobian(1.0, 0.5, 2.0, 1.0)
-        assert type(jac) is complex
-        assert jac == 1.0 + 1j * (0.0 if jacobian is hi_jacobian_u else 11.0 / 8.0)
+        assert np.ndim(jac) == 0
+        assert complex(jac) == 1.0 + 1j * (0.0 if jacobian is hi_jacobian_u else 11.0 / 8.0)
         arr = jacobian(np.array([1.0, 1.0]), np.array([0.5, 0.5]), 2.0, 1.0)
         assert arr.dtype == complex and arr.shape == (2,)
         assert np.all(arr == jac)
 
 
 class TestPathClassification:
-    def test_interior_point(self):
-        spec = hi_path_spec(complex(-2.0, 1.0))
-        assert spec.kind == "interior"
-        assert (spec.x, spec.y) == (-2.0, 1.0)
+    """Which contour ``hi_integral_principal`` takes: the Stokes ray's within
+    ``RAY_TOL`` of it, the level line through the origin elsewhere."""
 
-    def test_negative_axis_point(self):
-        spec = hi_path_spec(complex(-3.0, 0.0))
-        assert spec.kind == "real_axis"
-        assert spec.y == 0.0
+    @pytest.fixture
+    def stokes_calls(self, monkeypatch):
+        calls = []
 
-    def test_stokes_ray_point(self):
+        def spy(u, x):
+            calls.append(x)
+            return stokes_path(u, x)
+
+        monkeypatch.setattr(contour, "stokes_path", spy)
+        return calls
+
+    def test_interior_point(self, stokes_calls):
+        z = complex(-2.0, 1.0)
+        a = hi_integral_principal(z)
+        assert not stokes_calls
+        assert a.method == "hi_path_u" and a.converged
+        assert abs(a.value - hi_integral_v_form(z).value) <= 1e-12 * abs(a.value)
+
+    def test_negative_axis_point(self, stokes_calls):
+        # The level line at y = 0 is the real axis: the integral of the real
+        # kernel exp(x u - u**3/3), bit for bit.
+        x = -3.0
+        a = hi_integral_principal(complex(x, 0.0))
+        assert not stokes_calls
+        ref = integrate_piecewise([(lambda u: np.exp(x * u - u**3 / 3.0) + 0.0j, 0.0, math.inf)])
+        assert a.value == (1.0 / math.pi) * ref.value
+        assert a.value.imag == 0.0
+        assert a.n_evaluations == ref.n_evaluations
+
+    def test_stokes_ray_point(self, stokes_calls):
         z = 4.0 * complex(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0))
-        spec = hi_path_spec(z)
-        assert spec.kind == "stokes"
+        assert hi_integral_principal(z).converged
+        assert stokes_calls
 
     def test_lower_half_plane_is_folded_up(self):
-        # Folding belongs to the engine's entry points; the spec itself
-        # rejects the lower half-plane, a negative-zero y included.
+        # Folding belongs to the engine's entry points; the representation
+        # itself rejects the lower half-plane, a negative-zero y included.
         with pytest.raises(DomainError):
-            hi_path_spec(complex(-2.0, -1.0))
+            hi_integral_principal(complex(-2.0, -1.0))
         with pytest.raises(DomainError):
-            hi_path_spec(complex(-3.0, -0.0))
+            hi_integral_principal(complex(-3.0, -0.0))
 
     def test_rejects_phase_outside_principal_range(self):
         with pytest.raises(DomainError):
-            hi_path_spec(complex(1.0, 1.0))
+            hi_integral_principal(complex(1.0, 1.0))
         with pytest.raises(DomainError):
-            hi_path_spec(0j)
+            hi_integral_principal(complex(-2.0, 2.0 * _SQRT3 * (1.0 + 1e-9)))
+        for zero in (0j, complex(-0.0, 0.0)):
+            with pytest.raises(DomainError):
+                hi_integral_principal(zero)
 
-    def test_phase_tolerance_widens_stokes_ray(self):
-        z = cmath.rect(4.0, 2.0 * math.pi / 3.0 + 1e-6)
-        assert hi_path_spec(z).kind == "interior"
-        z = cmath.rect(4.0, 2.0 * math.pi / 3.0 + 0.5 * RAY_TOL)
-        assert hi_path_spec(z).kind == "stokes"
+    def test_phase_tolerance_widens_stokes_ray(self, stokes_calls):
+        hi_integral_principal(cmath.rect(4.0, 2.0 * math.pi / 3.0 + 1e-6))
+        assert not stokes_calls
+        for offset in (-0.5 * RAY_TOL, 0.5 * RAY_TOL):
+            stokes_calls.clear()
+            hi_integral_principal(cmath.rect(4.0, 2.0 * math.pi / 3.0 + offset))
+            assert stokes_calls
 
 
 class TestPhaseParts:

@@ -427,6 +427,20 @@ class TestAsymptotics:
         assert hi_asymptotic(1000.0).abs_error_estimate == math.inf
         assert gi_asymptotic(1000j).abs_error_estimate == math.inf
 
+    def test_gate_radius_leaves_the_smallest_term_nothing_to_decide(self):
+        # The gate tests no term: from its radius on, some correction
+        # b_s r**(-3(s+1)) within the term budget (b_0 = 2,
+        # b_{s+1} = b_s (3s+4)(3s+5)) already meets a tenth of the target,
+        # and each only shrinks as r grows.  Lowering the radius must not
+        # silently reopen the gate where no term is small enough.
+        r = scorerlib.engine._ASYMPTOTIC_RADIUS
+        tol = 0.1 * scorerlib.engine._TARGET_REL_ACCURACY
+        coeff, corrections = 2.0, []
+        for s in range(scorerlib.engine._ASYMPTOTIC_MAX_TERMS):
+            corrections.append(coeff * r ** (-3 * (s + 1)))
+            coeff *= (3 * s + 4) * (3 * s + 5)
+        assert min(corrections) <= tol
+
     def test_dispatch_refuses_growing_solution_on_positive_axis(self):
         # The algebraic expansion omits an exponentially LARGE part there;
         # the gate must route elsewhere no matter the radius.

@@ -21,13 +21,21 @@ The tables, all from mpmath:
   rotated Hi values;
 * ``SEAM_POINTS``: Gi and Hi on both sides of each seam between the phase
   rows of the engine's route table, just outside the series disc and
-  farther out.
+  farther out;
+* ``RAY_BAND_POINTS``: Gi and Hi within ``RAY_TOL`` of the Stokes ray
+  2*pi/3 and at phase 1e-12, where Gi's rotation arm lands in that band;
+* ``ASYMPTOTIC_POINTS``: Gi and Hi on both sides of the engine's
+  large-argument gate: radii 15 (1 -+ 1e-9), 20 and 35 on the rays pi/3 -+
+  1e-9 and pi, and 0.01 to each side of the phase where the gate opens for
+  each function at the radius (at 15 for the radius inside it), found by
+  bisection on ``engine._asymptotic_eligible``.
 
 A reference is kept only where mpmath at 50 and at 90 digits agree to
 1e-15 relative (and, for Gi and Hi, where Gi + Hi = Bi holds to the same
 tolerance); a point without such agreement is left out and reported on
 stderr.  Run from the root of a checkout (needs mpmath, which neither the
-library nor its tests import)::
+library nor its tests import; the gate phases come from the checkout's
+``src/``)::
 
     python3 tools/airy_reference_map.py
 """
@@ -38,8 +46,13 @@ import cmath
 import math
 import random
 import sys
+from pathlib import Path
 
 import mpmath
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from scorerlib import engine  # noqa: E402
 
 AGREE_REL = mpmath.mpf("1e-15")
 RADII = (3.5 * (1.0 + 1e-12), 3.6, 4.5, 6.0, 9.0, 12.0, 18.0, 25.0, 35.0, 50.0, 80.0)
@@ -148,6 +161,18 @@ SEAM_PHASES = (
     2.0 * math.pi / 3.0 - 2e-12,
     2.0 * math.pi / 3.0 + 2e-12,
 )
+#: The bands that the Stokes contour once snapped onto its ray: half of
+#: RAY_TOL (1e-12) to each side of 2*pi/3, and Gi at phase 1e-12, whose
+#: lower rotation arm lands in that band.
+RAY_BAND_RADII = (2.6, 3.0, 5.0, 7.0, 10.0, 14.0)
+RAY_BAND_PHASES = (1e-12, 2.0 * math.pi / 3.0 - 0.5e-12, 2.0 * math.pi / 3.0 + 0.5e-12)
+#: Radii and rays through the large-argument gate: its radius 15 to each
+#: side, farther out, and the rays where one expansion's sector ends (pi/3)
+#: or its neglected part is smallest for Hi (pi).
+ASYMPTOTIC_RADII = (15.0 * (1.0 - 1e-9), 15.0 * (1.0 + 1e-9), 20.0, 35.0)
+ASYMPTOTIC_PHASES = (math.pi / 3.0 - 1e-9, math.pi / 3.0 + 1e-9, math.pi)
+#: Offset to each side of the phase where the gate opens.
+GATE_FLIP_OFFSET = 0.01
 
 
 def gate_points() -> list[tuple[str, complex]]:
@@ -192,6 +217,33 @@ def ladder_points() -> list[tuple[str, complex]]:
         for r in _ladder_edges(phase):
             points += [(column, cmath.rect(r * (1.0 - 1e-6), phase)),
                        (column, cmath.rect(r * (1.0 + 1e-6), phase))]
+    return points
+
+
+def _gate_flip(r: float, kind: str) -> float:
+    """The phase in (0, pi) where ``engine._asymptotic_eligible`` flips for
+    ``kind`` at radius ``r`` (Gi's expansion serves the phases below it,
+    Hi's those above); the radius must be one where the gate opens."""
+    lo, hi = 0.0, math.pi
+    served_above = kind == "hi"
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if engine._asymptotic_eligible(cmath.rect(r, mid), kind) == served_above:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def asymptotic_points() -> list[complex]:
+    points = []
+    for r in ASYMPTOTIC_RADII:
+        phases = list(ASYMPTOTIC_PHASES)
+        for kind in ("gi", "hi"):
+            # Just inside the gate's radius, the phases of the gate at it.
+            flip = _gate_flip(max(r, engine._ASYMPTOTIC_RADIUS), kind)
+            phases += [flip - GATE_FLIP_OFFSET, flip + GATE_FLIP_OFFSET]
+        points += [complex(-r, 0.0) if ph == math.pi else cmath.rect(r, ph) for ph in phases]
     return points
 
 
@@ -256,6 +308,9 @@ def main() -> None:
     print("]")
     _print_gi_hi("BAND_POINTS", (cmath.rect(r, ph) for r in BAND_RADII for ph in BAND_PHASES))
     _print_gi_hi("SEAM_POINTS", (cmath.rect(r, ph) for r in SEAM_RADII for ph in SEAM_PHASES))
+    _print_gi_hi("RAY_BAND_POINTS",
+                 (cmath.rect(r, ph) for r in RAY_BAND_RADII for ph in RAY_BAND_PHASES))
+    _print_gi_hi("ASYMPTOTIC_POINTS", asymptotic_points())
 
 
 def _print_gi_hi(name: str, points) -> None:

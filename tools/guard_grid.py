@@ -5,11 +5,11 @@ For ``gi``, ``hi``, ``gi_hi_pair``, ``ai_complex`` and ``bi_complex`` the
 dump holds each result's ``method``, ``n_evaluations`` and ``converged``,
 and ``float.hex`` of the real and imaginary parts of ``value`` and
 ``derivative`` and of ``abs_error_estimate`` (or the exception's type and
-message).  The points are 17 radii x 49 phases in ``[0, pi]`` and 3 phases
-inside the near-axis band ``0 < ph z < 0.05``, each also conjugated into
-the lower half-plane; the rays ``ph z = +-2*pi/3`` at the same radii; and
-the real axis at the same radii with ``+0.0`` and ``-0.0`` imaginary parts,
-both signs of the real part.
+message).  The points are 17 radii x 49 phases in ``[0, pi]``, 4 phases
+inside the near-axis band ``0 < ph z < 0.05`` and 2 within ``RAY_TOL`` of
+the Stokes ray, each also conjugated into the lower half-plane; the rays
+``ph z = +-2*pi/3`` at the same radii; and the real axis at the same radii
+with ``+0.0`` and ``-0.0`` imaginary parts, both signs of the real part.
 
 Run from the root of a checkout (a dump reads its ``src/`` unless
 ``PYTHONPATH`` is set)::
@@ -45,10 +45,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RADII = (0.5, 1.0, 2.0, 2.6, 3.0, 3.6, 4.5, 5.5, 7.0, 8.5, 10.0, 12.0, 14.0, 16.0, 20.0, 30.0, 50.0)
 N_PHASES = 49
-#: The 49-phase step misses the band 0 < ph z < 0.05 (the engine's
-#: NEAR_AXIS_PHASE), where Gi is the pair of rotated Hi values: its two
-#: edges and a phase inside.
-BAND_PHASES = (1e-9, 0.02, 0.05 - 1e-9)
+#: The 49-phase step misses two bands.  In 0 < ph z < 0.05 (the engine's
+#: NEAR_AXIS_PHASE) Gi is the pair of rotated Hi values: its two edges, a
+#: phase inside, and 1e-12, where the lower arm lands within RAY_TOL (1e-12)
+#: of the Stokes ray.  Within RAY_TOL of 2*pi/3 Hi takes the Stokes ray's
+#: contour: half of RAY_TOL to each side.
+BAND_PHASES = (
+    1e-12, 1e-9, 0.02, 0.05 - 1e-9, 2.0 * math.pi / 3.0 - 0.5e-12, 2.0 * math.pi / 3.0 + 0.5e-12
+)
 FUNCTIONS = ("gi", "hi", "gi_hi_pair", "ai_complex", "bi_complex")
 
 
