@@ -6,8 +6,9 @@ dump holds each result's ``method``, ``n_evaluations`` and ``converged``,
 and ``float.hex`` of the real and imaginary parts of ``value`` and
 ``derivative`` and of ``abs_error_estimate`` (or the exception's type and
 message).  The points are 17 radii x 49 phases in ``[0, pi]``, 4 phases
-inside the near-axis band ``0 < ph z < 0.05`` and 2 within ``RAY_TOL`` of
-the Stokes ray, each also conjugated into the lower half-plane; the rays
+in ``0 < ph z < 0.05``, 2 in ``2*pi/3 - 0.05 < ph z < 2*pi/3 - RAY_TOL``
+and 2 within ``RAY_TOL`` of the Stokes ray, each also conjugated into the
+lower half-plane; the rays
 ``ph z = +-2*pi/3`` at the same radii; and the real axis at the same radii
 with ``+0.0`` and ``-0.0`` imaginary parts, both signs of the real part.
 
@@ -45,13 +46,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RADII = (0.5, 1.0, 2.0, 2.6, 3.0, 3.6, 4.5, 5.5, 7.0, 8.5, 10.0, 12.0, 14.0, 16.0, 20.0, 30.0, 50.0)
 N_PHASES = 49
-#: The 49-phase step misses two bands.  In 0 < ph z < 0.05 (the engine's
-#: NEAR_AXIS_PHASE) Gi is the pair of rotated Hi values: its two edges, a
-#: phase inside, and 1e-12, where the lower arm lands within RAY_TOL (1e-12)
-#: of the Stokes ray.  Within RAY_TOL of 2*pi/3 Hi takes the Stokes ray's
-#: contour: half of RAY_TOL to each side.
+#: The 49-phase step (0.064 rad) misses the thin bands at both ends of
+#: 0 < ph z < 2*pi/3, where Hi rotated by e^{2i pi/3} (or its conjugate)
+#: lands just above the Stokes ray: 1e-12 (within RAY_TOL, 1e-12, of the
+#: ray), 1e-9, 0.02 and 0.05 - 1e-9 above the positive axis, and 0.02 and
+#: 1e-9 below 2*pi/3.  On the ray itself, half of RAY_TOL to each side,
+#: where Hi takes the ray's contour.
 BAND_PHASES = (
-    1e-12, 1e-9, 0.02, 0.05 - 1e-9, 2.0 * math.pi / 3.0 - 0.5e-12, 2.0 * math.pi / 3.0 + 0.5e-12
+    1e-12, 1e-9, 0.02, 0.05 - 1e-9,
+    2.0 * math.pi / 3.0 - 0.02, 2.0 * math.pi / 3.0 - 1e-9,
+    2.0 * math.pi / 3.0 - 0.5e-12, 2.0 * math.pi / 3.0 + 0.5e-12,
 )
 FUNCTIONS = ("gi", "hi", "gi_hi_pair", "ai_complex", "bi_complex")
 
