@@ -31,6 +31,7 @@ from .engine import (
     ScorerResult,
     gi,
     gi_asymptotic,
+    gi_connection,
     gi_from_hi_rotations,
     gi_hi_pair,
     gi_integral,
@@ -74,6 +75,7 @@ __all__ = [
     "bi_complex",
     "gi",
     "gi_asymptotic",
+    "gi_connection",
     "gi_from_hi_rotations",
     "gi_hi_pair",
     "gi_integral",

@@ -79,10 +79,10 @@ class ScorerResult:
         The computed function value.
     method : str
         Route tag.  Gi and Hi: ``series``, ``asymptotic``, ``hi_path_u``,
-        ``gi_path_u``, ``gi_real_axis``, ``hi_laplace``, ``gi_laplace``,
-        ``hi_rotation``, ``gi_rotation_pair``, ``bi_identity``, or
-        ``conjugate``; the representations that the route table never
-        takes report ``hi_path_v`` and ``hi_path_upper``.  Ai and Bi:
+        ``hi_laplace``, ``gi_real_axis``, ``hi_rotation``, ``gi_rotation``,
+        ``bi_identity``, or ``conjugate``; the representations that the
+        route table never takes report ``hi_path_v``, ``hi_path_upper``,
+        ``gi_path_u`` and ``gi_rotation_pair``.  Ai and Bi:
         ``series``, ``integral``, ``rotation``, or ``rotation_pair``.
     abs_error_estimate : float
         Estimated absolute error (quadrature estimates plus rounding terms).

@@ -10,21 +10,18 @@ a representation that is stable in its sector:
 * the optimally truncated large-argument expansion, used only when both its
   smallest term and an explicit bound on the neglected exponentially small
   contribution meet the accuracy target;
-* non-oscillating contour integrals: the growing kernel ``exp(zt - t**3/3)``
-  is integrated along its descent contour for phases in ``[2pi/3, pi]``, the
-  oscillatory kernel ``exp(i(zt + t**3/3))`` along its contour for phases in
-  ``[0, 2pi/3)`` (plus an Airy term);
-* a ladder of fixed Gauss-Laguerre rules (60, 240 and 960 nodes, each
-  truncated to its 32, 65 or 131 nodes of weight above 1e-18 of the
-  largest) in the Laplace variable of those same contour integrals, where
-  the exponent is ``-sigma`` with ``sigma`` real: the smallest rung whose
-  error model ``exp(-(3.5 sqrt(n) rho + 0.8 Re sigma*))`` meets about
-  1.6e-12 replaces the adaptive quadrature of a contour, given a saddle
-  distance ``rho >= 0.15`` (see :func:`_laplace_rung`), which leaves the
-  Stokes ray and the positive real axis to the adaptive contours; the two
-  contour cells of the route table make that choice, once per call;
-* one-step rotation connections and the relation ``Gi + Hi = Bi`` cover the
-  remaining sectors without cancellation;
+* the paper's one function in one sector: Hi by its growing kernel
+  ``exp(zt - t**3/3)`` on the descent contour, phases in ``[2pi/3, pi]``,
+  summed by the smallest rung of a ladder of fixed Gauss-Laguerre rules
+  (60, 240 and 960 nodes, truncated to 32, 65 or 131) in the Laplace
+  variable whose error model ``exp(-(3.5 sqrt(n) rho + 0.8 Re sigma*))``
+  meets about 1.6e-12 given a saddle distance ``rho >= 0.15`` (see
+  :func:`_laplace_rung`), and by adaptive quadrature elsewhere;
+* on ``0 < ph z < 2pi/3`` the rotation connections, which take Hi at
+  ``z e^{2i pi/3}`` in that sector (after conjugating) plus one Airy term:
+  Gi and Hi each cost one contour, and a pair shares it;
+* ``Gi + Hi = Bi`` for Hi on the positive real axis (Gi there by two real
+  integrals) and for Gi on ``[2pi/3, pi]``;
 * conjugation serves the lower half-plane exactly; it happens once, at
   the entry, and everything below it sees the closed upper half-plane.
 
@@ -57,11 +54,10 @@ __all__ = [
     "GI_DERIV_AT_ZERO",
     "HI_AT_ZERO",
     "HI_DERIV_AT_ZERO",
-    "NEAR_AXIS_PHASE",
-    "STOKES_BAND",
     "ScorerResult",
     "gi",
     "gi_asymptotic",
+    "gi_connection",
     "gi_from_hi_rotations",
     "gi_hi_pair",
     "gi_integral",
@@ -92,16 +88,6 @@ GI_AT_ZERO = 0.2049755424820002450503074563645378511982
 GI_DERIV_AT_ZERO = 0.1494294524512754526382745701329427969554
 HI_AT_ZERO = 0.4099510849640004901006149127290757023965
 HI_DERIV_AT_ZERO = 0.2988589049025509052765491402658855939108
-
-#: Below this phase (radians) off the positive real axis Gi is the pair of
-#: rotated Hi values.  The oscillatory-kernel contour stays accurate there,
-#: with an honest bar, but near the axis it runs close to its saddle and
-#: costs as much as the two rotated arms at |z| = 8 and more beyond.
-NEAR_AXIS_PHASE = 0.05
-#: Within this phase distance below 2*pi/3 Gi is ``Bi - Hi``.  The
-#: oscillatory-kernel contour stays accurate there too, but the complement
-#: lets ``gi_hi_pair`` evaluate one contour for both functions.
-STOKES_BAND = 0.05
 
 
 # Thresholds of the route table's two gates.  The series serves |z| up to
@@ -410,7 +396,7 @@ def gi_integral(z: complex) -> ScorerResult:
     grows as the phase approaches 0 or ``2*pi/3``, where the contour runs
     close to its saddle, and within a few :data:`~scorerlib.contour.RAY_TOL`
     below ``2*pi/3`` (2e-12 for ``|z| <= 3.3``) the quadrature does not
-    converge.
+    converge.  The route table takes :func:`gi_connection` instead.
     """
     x, y = z.real, z.imag
     if y == 0.0:
@@ -418,13 +404,7 @@ def gi_integral(z: complex) -> ScorerResult:
             "gi_integral requires z off the real axis; use gi_real_positive"
         )
     qr = integrate_piecewise([(_gi_integrand(x, y), 0.0, math.inf)])
-    return _gi_from_contour("gi_path_u", z, 1.0, qr)
-
-
-def _gi_from_contour(method: str, z: complex, c: complex, q) -> ScorerResult:
-    """``Gi(z) = -(i/pi) Q + i Ai(z)``, where ``Q = c * q`` is the
-    oscillatory kernel's integral along its contour."""
-    return combine(method, [(c * (-1j / _PI), q), (1j, _airy._ai_info(z))])
+    return combine("gi_path_u", [(-1j / _PI, qr), (1j, _airy._ai_info(z))])
 
 
 def gi_real_positive(x: float) -> ScorerResult:
@@ -631,10 +611,10 @@ _WEIGHTS_960 = np.array([
 _LAPLACE_RHO_DECAY = 3.5
 _LAPLACE_HEIGHT_DECAY = 0.8
 _LAPLACE_REACH = _LAPLACE_RHO_DECAY * math.sqrt(60.0)
-#: ... its saddle distance is at least this, which keeps the Stokes ray and
-#: the positive real axis adaptive: there rho is 0 up to rounding, the error
-#: falls only algebraically in n, and on the ray the sum's root ends in the
-#: wrong valley ...
+#: ... its saddle distance is at least this, which keeps the Stokes ray
+#: (and, through the rotations, the positive real axis) adaptive: there rho
+#: is 0 up to rounding, the error falls only algebraically in n, and on the
+#: ray the sum's root ends in the wrong valley ...
 _LAPLACE_MIN_RHO = 0.15
 #: ... and |z| is at most this: beyond about 1.9e102 the cube of z overflows.
 _LAPLACE_MAX_RADIUS = 1e100
@@ -670,12 +650,12 @@ def _saddle_distance(z: complex) -> float:
     ``sigma_s = -+(2/3) z**1.5`` of the Laplace variable.
 
     The Laplace integrand is analytic in ``sqrt(sigma)`` out to the nearer
-    saddle, so the rule converges like ``exp(-c sqrt(N) rho)``.  The same
+    saddle, so the rule converges like ``exp(-c sqrt(N) rho)``, with
     ``rho = sqrt(2/3) |z|**0.75 min(|cos(3 theta/4)|, |sin(3 theta/4)|)``,
-    ``theta = |ph z|``, serves the growing kernel's descent contour and the
-    oscillatory kernel's, which is the growing kernel's left-valley contour
-    turned by ``i``.  It tends to 0 where a contour meets its saddle: on the
-    Stokes ray ``2*pi/3`` and on the positive real axis.
+    ``theta = |ph z|``.  It tends to 0 where the descent contour meets its
+    saddle, on the Stokes ray ``2*pi/3``, and is unchanged by the rotation
+    ``z -> z e^{2i pi/3}`` followed by conjugation, which maps the positive
+    real axis onto that ray.
     """
     theta = 0.75 * abs(math.atan2(z.imag, z.real))
     shape = min(abs(math.cos(theta)), abs(math.sin(theta)))
@@ -689,7 +669,7 @@ def _saddle_height(z: complex) -> float:
 
     The saddle's contribution to the rule's error carries the weight
     ``exp(-Re sigma*)``.  It is 0 on the negative real axis and largest on
-    the Stokes ray and the positive real axis, where ``rho`` is 0.
+    the Stokes ray, where ``rho`` is 0.
     """
     r = abs(z)
     return (2.0 / 3.0) * r * math.sqrt(r) * abs(math.cos(1.5 * math.atan2(z.imag, z.real)))
@@ -719,43 +699,41 @@ def _laplace_rung(z: complex) -> tuple[_Rung, float] | None:
     return None
 
 
-def _laplace_roots(z: complex, end: complex, rung: _Rung) -> np.ndarray:
+def _laplace_roots(z: complex, rung: _Rung) -> np.ndarray:
     """The contour point ``t`` at each node ``sigma`` of ``rung``: the root
-    of ``t**3 - 3 z t - 3 sigma = 0`` on the growing kernel's contour from
-    the origin to infinity in the unit direction ``end`` (1 for its descent
-    contour at ``2*pi/3 < ph z <= pi``, ``e^{2i pi/3}`` for its left valley
-    at ``0 < ph z < 2*pi/3``).
+    of ``t**3 - 3 z t - 3 sigma = 0`` on the growing kernel's descent
+    contour from the origin to ``+infinity`` (``2*pi/3 < ph z <= pi``).
 
     Cardano's roots are ``C w + z / (C w)``, ``w`` a cube root of unity,
     with ``C**3 = 3 sigma/2 + sqrt(9 sigma**2/4 - z**3)``: for ``sigma > 0``
     the principal square root gives the larger ``|C**3|`` and keeps
     ``C**3`` in the right half-plane, so the principal ``C`` is continuous
-    in ``sigma``.  ``w = end`` then gives ``t = 0`` at ``sigma = 0`` and
-    ``t ~ (3 sigma)**(1/3) end`` as ``sigma`` grows: the root whose argument
-    is nearest ``end``.  Picking that root by its argument instead fails
+    in ``sigma``.  ``w = 1`` then gives ``t = 0`` at ``sigma = 0`` and
+    ``t ~ (3 sigma)**(1/3)`` as ``sigma`` grows: the root nearest the
+    positive real axis.  Picking that root by its argument instead fails
     beyond ``|z|`` of about 1e7, where the root near 0 cancels to rounding
     noise of size ``eps sqrt|z|`` (harmless in ``t**2 - z``).
     """
-    c = np.power(rung.half_3 + np.sqrt(rung.half_3_sq - z * z * z), 1.0 / 3.0) * end
+    c = np.power(rung.half_3 + np.sqrt(rung.half_3_sq - z * z * z), 1.0 / 3.0)
     return c + z / c
 
 
-def _laplace_sum(z: complex, end: complex, rung: _Rung, exponent: float) -> QuadratureResult:
-    """``S(z, end) = int_0^inf exp(-sigma) dsigma / (t(sigma)**2 - z)`` by
+def _laplace_sum(z: complex, rung: _Rung, exponent: float) -> QuadratureResult:
+    """``S(z) = int_0^inf exp(-sigma) dsigma / (t(sigma)**2 - z)`` by
     ``rung``'s truncated rule, ``t`` from :func:`_laplace_roots`.
 
     With ``z t - t**3/3 = -sigma`` this is the growing kernel's integral
-    along its contour from the origin to infinity in the direction ``end``.
+    along its descent contour, ``pi Hi(z)``.
     The error bar is ``exp(-exponent)`` of truncation, the exponent from
     :func:`_laplace_rung`, plus 8 eps of rounding, both relative.  Against
-    mpmath on the 1322 contour cells of ``tools/laplace_gate.py``
-    (``|z|`` up to 1000, dense near the Stokes ray and the rotation pair's
-    band), a least-squares fit over every rung gave a log error of
-    ``-4.0 sqrt(n) rho - 0.91 Re sigma*`` (largest residual 0.76), and
-    every point the gate serves stayed below ``e**-1.7`` times its bar.
+    mpmath on the 867 contour cells of ``tools/laplace_gate.py``
+    (``|z|`` up to 1000, dense just above the Stokes ray), a least-squares
+    fit over every rung gave a log error of
+    ``-4.0 sqrt(n) rho - 0.90 Re sigma*`` (largest residual 0.78), and
+    every point the gate serves stayed below ``e**-2.0`` times its bar.
     ``n_evaluations`` is the rung's kept node count.
     """
-    t = _laplace_roots(z, end, rung)
+    t = _laplace_roots(z, rung)
     value = complex((1.0 / (t * t - z)).dot(rung.weights))
     err = abs(value) * (math.exp(-exponent) + 8.0 * _EPS)
     return QuadratureResult(value, err, rung.nodes.size, True)
@@ -763,23 +741,12 @@ def _laplace_sum(z: complex, end: complex, rung: _Rung, exponent: float) -> Quad
 
 def _hi_contour(z: complex) -> ScorerResult:
     """Hi on the descent contour of :func:`hi_integral_principal`: by the
-    Laplace rule, ``Hi(z) = S(z, 1) / pi``, where :func:`_laplace_rung`
+    Laplace rule, ``Hi(z) = S(z) / pi``, where :func:`_laplace_rung`
     finds a rung, and by adaptive quadrature where it does not."""
     chosen = _laplace_rung(z)
     if chosen is None:
         return hi_integral_principal(z)
-    return combine("hi_laplace", [(1.0 / _PI, _laplace_sum(z, 1.0, *chosen))])
-
-
-def _gi_contour(z: complex) -> ScorerResult:
-    """Gi on the contour of :func:`gi_integral`, whose integral is
-    ``-i S(z, e^{2i pi/3})`` (the left valley's ``t`` turned by ``-i``)
-    where :func:`_laplace_rung` finds a rung, and by adaptive quadrature
-    where it does not."""
-    chosen = _laplace_rung(z)
-    if chosen is None:
-        return gi_integral(z)
-    return _gi_from_contour("gi_laplace", z, -1j, _laplace_sum(z, _ROT_UP, *chosen))
+    return combine("hi_laplace", [(1.0 / _PI, _laplace_sum(z, *chosen))])
 
 
 # ---------------------------------------------------------------------------
@@ -791,15 +758,36 @@ def hi_connection(z: complex) -> ScorerResult:
 
     ``Hi(z) = e^{2i pi/3} Hi(z e^{2i pi/3}) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``.
 
-    For phases strictly between ``pi/3`` and ``2*pi/3`` the rotation lands
-    in ``[2*pi/3, pi]`` of the conjugate half-plane, where ``hi`` takes its
-    descent contour (or a gate's shortcut), never another rotation; the Airy
-    term is recessive, so no cancellation occurs.  ``hi`` serves the
-    conjugate strip by conjugation.
+    For phases strictly between 0 and ``2*pi/3`` the rotated argument, or
+    its conjugate, lies in ``[2*pi/3, pi]``, where ``hi`` takes its descent
+    contour (or a gate's shortcut) and Hi is algebraic; the Airy term is
+    recessive above ``pi/3`` and dominant below, so nothing cancels.
     """
-    inner = hi(z * _ROT_UP)
+    return _hi_from_rotated(z, hi(z * _ROT_UP))
+
+
+def _hi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
+    """:func:`hi_connection` given ``inner = Hi(z e^{2i pi/3})``."""
     ai = _airy._ai_info(z * _ROT_DOWN)
     return combine("hi_rotation", [(_ROT_UP, inner), (_TWO_ROT_SIXTH, ai)])
+
+
+def gi_connection(z: complex) -> ScorerResult:
+    """Gi by the rotation connection
+
+    ``Gi(z) = -e^{2i pi/3} Hi(z e^{2i pi/3}) + i Ai(z)``,
+
+    valid for every ``z`` (it follows from :func:`hi_connection`,
+    ``Gi + Hi = Bi`` and the Airy sums).  On ``0 < ph z < 2*pi/3`` the
+    rotated Hi is :func:`hi_connection`'s, algebraic, and ``i Ai(z)`` is
+    recessive below ``pi/3`` and dominant above, so nothing cancels.
+    """
+    return _gi_from_rotated(z, hi(z * _ROT_UP))
+
+
+def _gi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
+    """:func:`gi_connection` given ``inner = Hi(z e^{2i pi/3})``."""
+    return combine("gi_rotation", [(-_ROT_UP, inner), (1j, _airy._ai_info(z))])
 
 
 def gi_from_hi_rotations(z: complex) -> ScorerResult:
@@ -810,8 +798,8 @@ def gi_from_hi_rotations(z: complex) -> ScorerResult:
     positive real axis, and all three quantities share the same algebraic
     size, so the combination is stable.  Each arm is ``hi``'s own value:
     near the positive axis the upper arm lies in Hi's descent-contour row
-    and the lower one in its rotation row, whose arm lies in the
-    descent-contour row again.
+    and the lower one in its rotation row, whose rotated Hi is the upper
+    arm again.  The route table takes :func:`gi_connection` instead.
     """
     up, down = hi(z * _ROT_UP), hi(z * _ROT_DOWN)
     return combine("gi_rotation_pair", [(-0.5 * _ROT_UP, up), (-0.5 * _ROT_DOWN, down)])
@@ -828,21 +816,17 @@ def _bi_complement(z: complex, other: ScorerResult) -> ScorerResult:
 #: Phase rows of the route table for ``z`` in the closed upper half-plane,
 #: consulted after the series and asymptotic gates.  A row serves the phases
 #: below its bound; its cells are the representations of Gi and of Hi.  The
-#: rotation cells call ``hi`` at rotated arguments, which the last row
-#: serves without rotating or complementing again.  ``None`` marks the
-#: ``bi_identity`` complement: the other function's representation, then
-#: ``Gi + Hi = Bi``; it is used only where that other function carries the
-#: dominant exponential of Bi, so nothing cancels.  The contour cells own the
-#: Laplace gate.  The first bound is the least positive double, so that row
-#: holds the positive real axis alone.
+#: first bound is the least positive double, so that row holds the positive
+#: real axis alone.  Both rotation cells call ``hi`` at ``z e^{2i pi/3}``,
+#: which a gate or the last row serves.  ``None`` marks the ``bi_identity``
+#: complement: the other function, then ``Gi + Hi = Bi``, where that other
+#: function is algebraic and the complemented one carries Bi's size, so
+#: nothing cancels.  The contour cell owns the Laplace gate.
 _PHASE_ROWS = (
-    # phase bound                  Gi                                   Hi
-    (math.ulp(0.0),                lambda z: gi_real_positive(z.real), None),
-    (NEAR_AXIS_PHASE,              gi_from_hi_rotations,                None),
-    (_PI / 3.0,                    _gi_contour,                         None),
-    (_TWO_THIRDS_PI - STOKES_BAND, _gi_contour,                         hi_connection),
-    (_TWO_THIRDS_PI - RAY_TOL,     None,                                hi_connection),
-    (math.inf,                     None,                                _hi_contour),
+    # phase bound               Gi                                   Hi
+    (math.ulp(0.0),             lambda z: gi_real_positive(z.real), None),
+    (_TWO_THIRDS_PI - RAY_TOL,  gi_connection,                       hi_connection),
+    (math.inf,                  None,                                _hi_contour),
 )
 
 
@@ -881,6 +865,10 @@ def _pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
     if h_rep is None:
         g = g_rep(z)
         return g, _bi_complement(z, g)
+    # Where both rotate, evaluate the rotated Hi once.
+    if g_rep is gi_connection and h_rep is hi_connection:
+        inner = hi(z * _ROT_UP)
+        return _gi_from_rotated(z, inner), _hi_from_rotated(z, inner)
     return g_rep(z), h_rep(z)
 
 
@@ -917,7 +905,8 @@ def gi_hi_pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
 
     Where the route table obtains one function from the other through
     ``Gi + Hi = Bi``, the pair costs one primary evaluation plus one Bi
-    evaluation instead of two of each.
+    evaluation instead of two of each; where it rotates both, they share
+    the rotated Hi.
     """
     g, h = _evaluate(z, "pair")
     return g, h

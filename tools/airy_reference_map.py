@@ -11,24 +11,29 @@ The tables, all from mpmath:
 * ``STOKES_POINTS``: Gi and Hi on the Stokes ray ph z = 2*pi/3, at radii
   where the descent contour through the saddle was once wrong;
 * ``GATE_POINTS``: Gi and Hi on both sides of the engine's Laplace-rule
-  gate, at saddle distances rho in ``GATE_RHOS`` on rays through each
-  contour cell the gate serves, then near the Stokes ray and near the
-  rotation pair's band where the ladder of rules climbs (``LADDER_RAYS``),
-  with both sides of the gate's floor and of each rung's edge on those
-  rays;
-* ``BAND_POINTS``: Gi and Hi in the near-axis band
-  0 < |ph z| < ``NEAR_AXIS_PHASE``, where the engine takes Gi from two
-  rotated Hi values;
-* ``SEAM_POINTS``: Gi and Hi on both sides of each seam between the phase
-  rows of the engine's route table, just outside the series disc and
+  gate, at saddle distances rho in ``GATE_RHOS`` on rays through Hi's
+  descent-contour cell, which owns the gate, and through its rotated
+  images in 0 < ph z < 2*pi/3, then near the Stokes ray, near the positive
+  axis and near 2*pi/3 - 0.05 where the ladder of rules climbs
+  (``LADDER_RAYS``), with both sides of the gate's floor and of each rung's
+  edge on those rays;
+* ``BAND_POINTS``: Gi and Hi in the band 0 < |ph z| < 0.05 next to the
+  positive axis, where the Hi that Gi and Hi rotate lies just above the
+  Stokes ray;
+* ``SEAM_POINTS``: Gi and Hi on both sides of the phases 0.05, pi/3 and
+  2*pi/3 - 0.05, where the route table's rows once changed representation,
+  and of its seam 2*pi/3 - ``RAY_TOL``, just outside the series disc and
   farther out;
 * ``RAY_BAND_POINTS``: Gi and Hi within ``RAY_TOL`` of the Stokes ray
-  2*pi/3 and at phase 1e-12, where Gi's rotation arm lands in that band;
+  2*pi/3 and at phase 1e-12, where the rotated Hi lands in that band;
 * ``ASYMPTOTIC_POINTS``: Gi and Hi on both sides of the engine's
   large-argument gate: radii 15 (1 -+ 1e-9), 20 and 35 on the rays pi/3 -+
   1e-9 and pi, and 0.01 to each side of the phase where the gate opens for
   each function at the radius (at 15 for the radius inside it), found by
-  bisection on ``engine._asymptotic_eligible``.
+  bisection on ``engine._asymptotic_eligible``;
+* ``ROTATION_POINTS``: Gi and Hi at 2*pi/3 - d for d in
+  ``ROTATION_OFFSETS`` and at the phases ``ROTATION_PHASES``, at the
+  radii ``ROTATION_RADII``, where both are rotation connections.
 
 A reference is kept only where mpmath at 50 and at 90 digits agree to
 1e-15 relative (and, for Gi and Hi, where Gi + Hi = Bi holds to the same
@@ -111,10 +116,10 @@ STOKES_RADII = (
 #: Saddle distances rho = sqrt(2/3) |z|**0.75 min(|cos(3 theta/4)|,
 #: |sin(3 theta/4)|) on both sides of the gate at rho = 1.
 GATE_RHOS = (0.9, 0.98, 1.02, 1.2, 2.0, 5.0)
-#: Rays through the gated cells, labelled by the function whose contour the
-#: gate serves there: Hi's descent contour on [2*pi/3, pi] and Gi's on
-#: (0.05, 2*pi/3 - 0.05).  The rays 1.4 and 1.8 lie in the sector where Hi
-#: is a rotation connection.
+#: Rays through the gated cell, labelled by the function evaluated there:
+#: Hi on its descent contour on [2*pi/3, pi], and Gi on 0 < ph z < 2*pi/3,
+#: whose rotation connection evaluates Hi at z e^{2i pi/3}, on the same
+#: contour cell with the same rho and Re sigma*.
 GATE_RAYS = (
     ("hi", 0.8 * math.pi),
     ("hi", 0.9 * math.pi),
@@ -126,8 +131,8 @@ GATE_RAYS = (
     ("gi", 1.8),
 )
 #: Rays where the ladder of Laplace rules climbs as the radius falls, with
-#: their radii: Hi just above the Stokes ray, Gi near the rotation pair's
-#: band and just inside its row's edge at 2*pi/3 - 0.05.
+#: their radii: Hi just above the Stokes ray, and Gi near the positive axis
+#: and near 2*pi/3 - 0.05, whose rotated Hi lies just above the ray.
 LADDER_RAYS = (
     [("hi", 2.0 * math.pi / 3.0 + d, (3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 14.0))
      for d in (0.02, 0.05, 0.1)]
@@ -140,17 +145,17 @@ LADDER_SIZES = (60, 240, 960)
 LADDER_FLOOR = 0.15
 #: Points inside the engine's series disc are left out: no gate there.
 SERIES_RADIUS = 2.5
-#: The near-axis band 0 < |ph z| < 0.05 (the engine's NEAR_AXIS_PHASE): its
-#: two edges and a phase inside, at radii from the series disc to the
-#: expansion.  cmath.rect(10, 1e-9) is 10 + 1e-8j, where the rotation pair
+#: The band 0 < |ph z| < 0.05 next to the positive axis: its two edges and
+#: a phase inside, at radii from the series disc to the expansion.
+#: cmath.rect(10, 1e-9) is 10 + 1e-8j, where Gi from two rotated Hi values
 #: was once 3.6e-13 off.
 BAND_RADII = (3.0, 7.0, 10.0, 12.0)
 BAND_PHASES = (1e-9, 0.02, 0.05 - 1e-9)
-#: The seams of the route table's phase rows, 1e-9 to each side: 0.05 (the
-#: side below is in the band), pi/3 and 2*pi/3 - 0.05 (STOKES_BAND); the
-#: seam 2*pi/3 - 1e-12 (RAY_TOL) at 2*pi/3 -+ 2e-12 instead, the far side
-#: beyond the Stokes ray.  Radii just outside the Scorer series disc and
-#: beyond it.
+#: Phases where the route table's rows once changed representation, 1e-9
+#: to each side: 0.05 (the side below is in BAND_PHASES), pi/3 and
+#: 2*pi/3 - 0.05; the seam 2*pi/3 - 1e-12 (RAY_TOL) at 2*pi/3 -+ 2e-12
+#: instead, the far side beyond the Stokes ray.  Radii just outside the
+#: Scorer series disc and beyond it.
 SEAM_RADII = (2.5 * (1.0 + 1e-12), 5.0, 10.0)
 SEAM_PHASES = (
     0.05 + 1e-9,
@@ -162,10 +167,17 @@ SEAM_PHASES = (
     2.0 * math.pi / 3.0 + 2e-12,
 )
 #: The bands that the Stokes contour once snapped onto its ray: half of
-#: RAY_TOL (1e-12) to each side of 2*pi/3, and Gi at phase 1e-12, whose
-#: lower rotation arm lands in that band.
+#: RAY_TOL (1e-12) to each side of 2*pi/3, and phase 1e-12, whose rotated
+#: Hi lands in that band.
 RAY_BAND_RADII = (2.6, 3.0, 5.0, 7.0, 10.0, 14.0)
 RAY_BAND_PHASES = (1e-12, 2.0 * math.pi / 3.0 - 0.5e-12, 2.0 * math.pi / 3.0 + 0.5e-12)
+#: The rotation connections' row 0 < ph z < 2*pi/3 - RAY_TOL, where both
+#: functions evaluate one rotated Hi: 2*pi/3 - d close below the Stokes ray
+#: (that Hi lies just above it), and phases on (0, pi/3), each at radii
+#: from the series disc to the expansion's radius.
+ROTATION_RADII = (2.6, 3.0, 4.0, 5.5, 7.0, 10.0, 14.0)
+ROTATION_OFFSETS = (1e-9, 1e-6, 1e-3, 0.01, 0.03)
+ROTATION_PHASES = (0.06, 0.2, 0.5, 0.9)
 #: Radii and rays through the large-argument gate: its radius 15 to each
 #: side, farther out, and the rays where one expansion's sector ends (pi/3)
 #: or its neglected part is smallest for Hi (pi).
@@ -247,6 +259,11 @@ def asymptotic_points() -> list[complex]:
     return points
 
 
+def rotation_points() -> list[complex]:
+    phases = [2.0 * math.pi / 3.0 - d for d in ROTATION_OFFSETS] + list(ROTATION_PHASES)
+    return [cmath.rect(r, ph) for r in ROTATION_RADII for ph in phases]
+
+
 def map_points() -> list[complex]:
     points = []
     for r in RADII:
@@ -311,6 +328,7 @@ def main() -> None:
     _print_gi_hi("RAY_BAND_POINTS",
                  (cmath.rect(r, ph) for r in RAY_BAND_RADII for ph in RAY_BAND_PHASES))
     _print_gi_hi("ASYMPTOTIC_POINTS", asymptotic_points())
+    _print_gi_hi("ROTATION_POINTS", rotation_points())
 
 
 def _print_gi_hi(name: str, points) -> None:

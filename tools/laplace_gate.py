@@ -1,23 +1,24 @@
 """Check the Laplace rules' error model, and re-derive its constants,
 against mpmath.
 
-``engine._laplace_rung`` sends a ``hi_path_u`` or ``gi_path_u`` cell to the
-smallest rung n of the ladder (60, 240 and 960 nodes, truncated) whose bar
-``exp(-(3.5 sqrt(n) rho + 0.8 Re sigma*))`` is at most
+``engine._laplace_rung`` sends Hi's descent-contour cell (``hi_path_u``)
+to the smallest rung n of the ladder (60, 240 and 960 nodes, truncated)
+whose bar ``exp(-(3.5 sqrt(n) rho + 0.8 Re sigma*))`` is at most
 ``exp(-3.5 sqrt(60))``, where the saddle distance ``rho`` is at least 0.15.
 This script evaluates every rung at a dense grid of such cells and compares
-the sums with mpmath.  Both contour integrals are Hi values: the descent
-contour's ``S(z, 1) = pi Hi(z)``, and the left valley's
-``S(z, w) = pi w Hi(z w)``, ``w = e^{2i pi/3}``, which holds Gi's contour
-integral without the cancellation of ``Gi - i Ai``.  A reference is kept only
+the sums ``S(z) = pi Hi(z)`` with mpmath.  Gi and Hi on
+``0 < ph z < 2*pi/3`` rotate the same cell: their Hi at ``z e^{2i pi/3}``,
+or its conjugate, lies at phase ``2*pi/3 + min(ph z, 2*pi/3 - ph z)``, with
+the same ``rho`` and ``Re sigma*`` as ``z``.  A reference is kept only
 where mpmath at 30 and at 45 digits agree to 1e-20 relative.
 
 The grid: the Stokes ray itself and its ``RAY_TOL`` band (Hi's row there
-is the adaptive ray contour), Hi's side of the ray (phases 2*pi/3 + 1e-9 ...
-0.45, 0.9 pi and the negative axis), Gi's side (2*pi/3 - 0.05 and below),
-the Gi rows near the phase 0.05 where the rotation pair hands over, at radii
-from the series disc to 1000, and on each ray the two sides of the floor and
-of each rung's edge; only points that the route table gives a contour cell.
+is the adaptive ray contour), the phases 2*pi/3 + 1e-9 ... 0.45 above it,
+dense again from 2*pi/3 + 0.05 on (the images of Gi and Hi within 0.3 of
+0.05 and of 2*pi/3 - 0.05), 5*pi/6 and 4*pi/3 - 1.4 (the images of pi/2
+and 1.4), 0.9 pi and the negative axis (the image of pi/3), at radii from
+the series disc to 1000, and on each ray the two sides of the floor and of
+each rung's edge; only points that the route table gives the contour cell.
 It prints:
 
 * a least-squares fit ``log err ~ -a sqrt(n) rho - b Re sigma*`` over every
@@ -58,24 +59,16 @@ from scorerlib.contour import RAY_TOL  # noqa: E402
 AGREE_REL = mpmath.mpf("1e-20")
 EPS = float(np.finfo(float).eps)
 STOKES = 2.0 * math.pi / 3.0
-BAND = engine.NEAR_AXIS_PHASE
-#: (column, phase) of every ray: Hi's descent-contour cell above the Stokes
-#: ray, Gi's contour cell below it and near the rotation pair's band.
-RAYS = (
-    [("hi", STOKES - 0.5 * RAY_TOL), ("hi", STOKES)]
-    + [("hi", STOKES + d) for d in (1e-9, 0.001, 0.003, 0.006, 0.01, 0.015, 0.02, 0.03, 0.04,
-                                  0.05, 0.07, 0.1, 0.15, 0.2, 0.3, 0.45)]
-    + [("hi", 0.9 * math.pi), ("hi", math.pi)]
-    + [("gi", STOKES - engine.STOKES_BAND - d) for d in (1e-9, 0.005, 0.01, 0.02, 0.04,
-                                                         0.07, 0.1, 0.2)]
-    + [("gi", BAND + d) for d in (1e-9, 0.002, 0.005, 0.01, 0.02, 0.03, 0.05, 0.08,
-                                  0.12, 0.16, 0.2, 0.3)]
-    + [("gi", math.pi / 3.0), ("gi", math.pi / 2.0), ("gi", 1.4)]
+#: The phase of every ray, all on Hi's descent-contour row.
+PHASES = sorted(
+    {STOKES - 0.5 * RAY_TOL, STOKES, 0.9 * math.pi, math.pi, 5.0 * math.pi / 6.0,
+     2.0 * STOKES - 1.4}
+    | {STOKES + d for d in (1e-9, 0.001, 0.003, 0.006, 0.01, 0.015, 0.02, 0.03, 0.04,
+                            0.05, 0.07, 0.1, 0.15, 0.2, 0.3, 0.45)}
+    | {STOKES + 0.05 + d for d in (1e-9, 0.002, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05,
+                                   0.07, 0.08, 0.1, 0.12, 0.16, 0.2, 0.3)}
 )
 RADII = tuple(2.6 * (100.0 / 2.6) ** (k / 39) for k in range(40)) + (300.0, 1000.0)
-END = {"hi": 1.0, "gi": engine._ROT_UP}
-#: The route table's contour cell of each column, which owns the gate.
-CELL = {"hi": engine._hi_contour, "gi": engine._gi_contour}
 
 
 def _point(r: float, phase: float) -> complex:
@@ -100,9 +93,9 @@ def _exponent(z: complex, rung) -> float:
     )
 
 
-def points() -> list[tuple[str, complex]]:
+def points() -> list[complex]:
     out = []
-    for column, phase in RAYS:
+    for phase in PHASES:
         radii = list(RADII)
         edges = [_edge(phase, lambda z: engine._saddle_distance(z) >= engine._LAPLACE_MIN_RHO)]
         edges += [_edge(phase, lambda z, g=g: _exponent(z, g) >= engine._LAPLACE_REACH)
@@ -112,19 +105,18 @@ def points() -> list[tuple[str, complex]]:
                 radii += [r * (1.0 - 1e-9), r * (1.0 + 1e-9)]
         for r in sorted(radii):
             z = _point(r, phase)
-            if engine._representation(z, column) is CELL[column]:
-                out.append((column, z))
+            if engine._representation(z, "hi") is engine._hi_contour:
+                out.append(z)
     return out
 
 
-def reference(column: str, z: complex) -> complex | None:
-    """``S(z, end)`` from mpmath's Hi, or None where 30 and 45 digits
+def reference(z: complex) -> complex | None:
+    """``S(z)`` from mpmath's Hi, or None where 30 and 45 digits
     disagree."""
     values = []
     for dps in (30, 45):
         with mpmath.workdps(dps):
-            end = mpmath.mpc(END[column])
-            values.append(mpmath.pi * end * mpmath.scorerhi(mpmath.mpc(z) * end))
+            values.append(mpmath.pi * mpmath.scorerhi(mpmath.mpc(z)))
     low, high = values
     with mpmath.workdps(45):
         if abs(low - high) > AGREE_REL * abs(high):
@@ -133,18 +125,18 @@ def reference(column: str, z: complex) -> complex | None:
 
 
 def main() -> int:
-    rows = []  # (column, z, rung, exponent, err)
+    rows = []  # (z, rung, exponent, err)
     dropped = 0
-    for column, z in points():
-        ref = reference(column, z)
+    for z in points():
+        ref = reference(z)
         if ref is None:
             dropped += 1
-            print(f"dropped: {column} at {z!r}", file=sys.stderr)
+            print(f"dropped: {z!r}", file=sys.stderr)
             continue
         for rung in engine._LAPLACE_RUNGS:
             exponent = _exponent(z, rung)
-            s = engine._laplace_sum(z, END[column], rung, exponent)
-            rows.append((column, z, rung, exponent, abs(s.value - ref) / abs(ref)))
+            s = engine._laplace_sum(z, rung, exponent)
+            rows.append((z, rung, exponent, abs(s.value - ref) / abs(ref)))
     n_points = len(rows) // len(engine._LAPLACE_RUNGS)
     print(f"{n_points} points ({dropped} dropped), {len(rows)} rung sums")
 
@@ -155,7 +147,7 @@ def main() -> int:
     # Fit over every rung at every point above the floor with a truncation
     # error clearly above rounding.
     fit = [(math.sqrt(g.n) * engine._saddle_distance(z), engine._saddle_height(z), err)
-           for _, z, g, _, err in rows
+           for z, g, _, err in rows
            if err > 100.0 * EPS and engine._saddle_distance(z) >= floor]
     x = np.array([[-p, -h] for p, h, _ in fit])
     y = np.log([err for _, _, err in fit])
@@ -165,7 +157,7 @@ def main() -> int:
           f" (largest residual {residual:.2f})")
 
     # The largest constants that keep every accepted rung within its bar.
-    accepted = [(z, g, err) for _, z, g, e, err in rows
+    accepted = [(z, g, err) for z, g, e, err in rows
                 if e >= reach and engine._saddle_distance(z) >= floor and err > 8.0 * EPS]
     a_max = min((-math.log(err - 8.0 * EPS) - b0 * engine._saddle_height(z))
                 / (g.decay / a0 * engine._saddle_distance(z)) for z, g, err in accepted)
@@ -177,7 +169,7 @@ def main() -> int:
 
     # The floor: below it the gate would take the first rung that reaches.
     below, misses = 0, []
-    for column, z, g, e, err in rows:
+    for z, g, e, err in rows:
         rho = engine._saddle_distance(z)
         first = next((h for h in engine._LAPLACE_RUNGS if _exponent(z, h) >= reach), None)
         if g is first and rho < floor:
@@ -191,13 +183,13 @@ def main() -> int:
     # The gate as the engine runs it.
     served = {}
     worst = (-math.inf, None)
-    for column, z, g, e, err in rows:
+    for z, g, e, err in rows:
         chosen = engine._laplace_rung(z)
         if chosen is None or chosen[0] is not g:
             continue
         served[g.n] = served.get(g.n, 0) + 1
         excess = math.log(max(err, 1e-300)) - math.log(math.exp(-e) + 8.0 * EPS)
-        worst = max(worst, (excess, (column, z, g.n)))
+        worst = max(worst, (excess, (z, g.n)))
     print("served points by rung: " + ", ".join(f"{n}: {k}" for n, k in sorted(served.items())))
     print(f"worst log(err) - log(bar) where the gate serves: {worst[0]:.2f} at {worst[1]}")
     failed = worst[0] > 0.0 or worst_rho >= floor or a_max < a0 or b_max < b0
