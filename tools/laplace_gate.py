@@ -36,7 +36,7 @@ It prints:
 
 It exits 1 if any point the gate serves exceeds its bar, if a constant
 exceeds what the data allow, or if a miss lies at or above the floor.  Run from the root
-of a checkout (needs mpmath, which the library does not; about 10 s)::
+of a checkout (needs mpmath, which the library does not; about 5 s)::
 
     python3 tools/laplace_gate.py
 """
