@@ -33,7 +33,13 @@ The tables, all from mpmath:
   bisection on ``engine._asymptotic_eligible``;
 * ``ROTATION_POINTS``: Gi and Hi at 2*pi/3 - d for d in
   ``ROTATION_OFFSETS`` and at the phases ``ROTATION_PHASES``, at the
-  radii ``ROTATION_RADII``, where both are rotation connections.
+  radii ``ROTATION_RADII``, where both are rotation connections;
+* ``SADDLE_POINTS``: Gi and Hi at 2*pi/3 + d for d in ``SADDLE_OFFSETS``,
+  from just below ``-RAY_TOL`` to 0.3, at the radii ``SADDLE_RADII`` from
+  just outside the series disc to 14.9: the band above the Stokes ray
+  where Hi's descent contour runs into its saddle and no Laplace rule
+  qualifies, and the rotation row's edge below it, whose rotated Hi lands
+  in that band.
 
 A reference is kept only where mpmath at 50 and at 90 digits agree to
 1e-15 relative (and, for Gi and Hi, where Gi + Hi = Bi holds to the same
@@ -178,6 +184,15 @@ RAY_BAND_PHASES = (1e-12, 2.0 * math.pi / 3.0 - 0.5e-12, 2.0 * math.pi / 3.0 + 0
 ROTATION_RADII = (2.6, 3.0, 4.0, 5.5, 7.0, 10.0, 14.0)
 ROTATION_OFFSETS = (1e-9, 1e-6, 1e-3, 0.01, 0.03)
 ROTATION_PHASES = (0.06, 0.2, 0.5, 0.9)
+#: The band where Hi's descent contour runs into its saddle: 2*pi/3 + d from
+#: 1.5e-12 below the ray (the rotation row, whose rotated Hi lies 1.5e-12
+#: above it) through RAY_TOL (1e-12) to each side of it and out to 0.3,
+#: past where the Laplace rules' floor rho = 0.15 lies at the smallest
+#: radii (d = 0.165 at |z| = 2.5); radii from the series disc to just
+#: inside the large-argument expansion's radius 15.
+SADDLE_RADII = (2.5 * (1.0 + 1e-12), 2.51, 2.55, 2.6, 3.0, 4.0, 5.0, 7.0, 10.0, 12.0, 14.9)
+SADDLE_OFFSETS = (-1.5e-12, -1e-12, -0.5e-12, 0.0, 1.5e-12, 3e-12, 1e-11, 1e-9, 1e-6,
+                  1e-3, 0.01, 0.05, 0.1, 0.165, 0.2, 0.3)
 #: Radii and rays through the large-argument gate: its radius 15 to each
 #: side, farther out, and the rays where one expansion's sector ends (pi/3)
 #: or its neglected part is smallest for Hi (pi).
@@ -329,6 +344,8 @@ def main() -> None:
                  (cmath.rect(r, ph) for r in RAY_BAND_RADII for ph in RAY_BAND_PHASES))
     _print_gi_hi("ASYMPTOTIC_POINTS", asymptotic_points())
     _print_gi_hi("ROTATION_POINTS", rotation_points())
+    _print_gi_hi("SADDLE_POINTS", (cmath.rect(r, 2.0 * math.pi / 3.0 + d)
+                                   for r in SADDLE_RADII for d in SADDLE_OFFSETS))
 
 
 def _print_gi_hi(name: str, points) -> None:
