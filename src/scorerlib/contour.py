@@ -78,19 +78,20 @@ class ScorerResult:
     value : complex
         The computed function value.
     method : str
-        Route tag.  Gi and Hi: ``series``, ``asymptotic``, ``hi_path_u``,
-        ``hi_laplace``, ``gi_real_axis``, ``hi_rotation``, ``gi_rotation``,
-        ``bi_identity``, or ``conjugate``; the representations that the
-        route table never takes report ``hi_path_v``, ``hi_path_upper``,
-        ``gi_path_u`` and ``gi_rotation_pair``.  Ai and Bi:
-        ``series``, ``integral``, ``rotation``, or ``rotation_pair``.
+        Route tag.  Gi and Hi: ``series``, ``asymptotic``, ``hi_laplace``,
+        ``hi_saddle``, ``gi_real_axis``, ``hi_rotation``, ``gi_rotation``,
+        ``bi_identity``, or ``conjugate``, and ``hi_path_u`` where the
+        saddle split declines; the representations that the route table
+        never takes report ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``
+        and ``gi_rotation_pair``.  Ai and Bi: ``series``, ``integral``,
+        ``rotation``, or ``rotation_pair``.
     abs_error_estimate : float
         Estimated absolute error (quadrature estimates plus rounding terms).
     n_evaluations : int
         Exact count of quadrature integrand evaluations aggregated over
         every integral that contributed, including the kept nodes of each
-        Laplace rule (32, 65 or 131, by rung) and the 40 nodes of each Airy
-        rule evaluation.
+        Laplace rule (32, 65 or 131, by rung), the 96 nodes of each saddle
+        split and the 40 nodes of each Airy rule evaluation.
     converged : bool
         False when some contributing quadrature missed its tolerance.
     derivative : complex or None

@@ -16,7 +16,9 @@ a representation that is stable in its sector:
   (60, 240 and 960 nodes, truncated to 32, 65 or 131) in the Laplace
   variable whose error model ``exp(-(3.5 sqrt(n) rho + 0.8 Re sigma*))``
   meets about 1.6e-12 given a saddle distance ``rho >= 0.15`` (see
-  :func:`_laplace_rung`), and by adaptive quadrature elsewhere;
+  :func:`_laplace_rung`), and next to the Stokes ray, where no rung
+  serves, by a fixed 96-node rule split at the saddle (see
+  :func:`_saddle_sum`);
 * on ``0 < ph z < 2pi/3`` the rotation connections, which take Hi at
   ``z e^{2i pi/3}`` in that sector (after conjugating) plus one Airy term:
   Gi and Hi each cost one contour, and a pair shares it;
@@ -611,10 +613,11 @@ _WEIGHTS_960 = np.array([
 _LAPLACE_RHO_DECAY = 3.5
 _LAPLACE_HEIGHT_DECAY = 0.8
 _LAPLACE_REACH = _LAPLACE_RHO_DECAY * math.sqrt(60.0)
-#: ... its saddle distance is at least this, which keeps the Stokes ray
-#: (and, through the rotations, the positive real axis) adaptive: there rho
-#: is 0 up to rounding, the error falls only algebraically in n, and on the
-#: ray the sum's root ends in the wrong valley ...
+#: ... its saddle distance is at least this, which leaves the Stokes ray
+#: (and, through the rotations, the positive real axis) to the saddle split
+#: of :func:`_saddle_sum`: there rho is 0 up to rounding, the error falls
+#: only algebraically in n, and on the ray the sum's root ends in the wrong
+#: valley ...
 _LAPLACE_MIN_RHO = 0.15
 #: ... and |z| is at most this: beyond about 1.9e102 the cube of z overflows.
 _LAPLACE_MAX_RADIUS = 1e100
@@ -739,14 +742,167 @@ def _laplace_sum(z: complex, rung: _Rung, exponent: float) -> QuadratureResult:
     return QuadratureResult(value, err, rung.nodes.size, True)
 
 
+# ---------------------------------------------------------------------------
+# The contour integral split at its saddle
+
+# Where no rung qualifies, the contour runs into (or close by) the saddle
+# t_s = sqrt(z), and :func:`_saddle_sum` splits it there: a 32-node
+# Gauss-Legendre rule on [0, 1] for the segment from 0 to t_s, and 16-node
+# generalized Gauss-Laguerre rules with alpha = -1/2 and alpha = 0 for the
+# even and odd parts of the saddle's descent branch; printed by
+# ``tools/laguerre_rule.py --n 32 --legendre --tag SEGMENT``,
+# ``--n 16 --alpha=-1/2 --tag SADDLE_EVEN`` and ``--n 16 --alpha 0 --tag
+# SADDLE_ODD``.
+_NODES_SEGMENT = np.array([
+    0.0013680690752592183, 0.007194244227365833, 0.017618872206246784,
+    0.03254696203113015, 0.05183942211697394, 0.07531619313371501,
+    0.1027581020160288, 0.13390894062985517, 0.1684778665348924,
+    0.20614212137961885, 0.2465500455338853, 0.2893243619346823,
+    0.33406569885893617, 0.38035631887393145, 0.42776401920860174,
+    0.4758461671561308, 0.5241538328438692, 0.5722359807913983,
+    0.6196436811260685, 0.6659343011410638, 0.7106756380653176,
+    0.7534499544661147, 0.7938578786203812, 0.8315221334651076,
+    0.8660910593701449, 0.8972418979839712, 0.9246838068662849,
+    0.9481605778830261, 0.9674530379688698, 0.9823811277937532,
+    0.9928057557726342, 0.9986319309247408,
+])
+_WEIGHTS_SEGMENT = np.array([
+    0.003509305004735048, 0.008137197365452835, 0.01269603265463103,
+    0.017136931456510716, 0.02141794901111334, 0.025499029631188087,
+    0.029342046739267772, 0.032911111388180925, 0.03617289705442425,
+    0.039096947893535156, 0.041655962113473374, 0.043826046502201906,
+    0.045586939347881945, 0.04692219954040228, 0.04781936003963743,
+    0.0482700442573639, 0.0482700442573639, 0.04781936003963743,
+    0.04692219954040228, 0.045586939347881945, 0.043826046502201906,
+    0.041655962113473374, 0.039096947893535156, 0.03617289705442425,
+    0.032911111388180925, 0.029342046739267772, 0.025499029631188087,
+    0.02141794901111334, 0.017136931456510716, 0.01269603265463103,
+    0.008137197365452835, 0.003509305004735048,
+])
+_NODES_SADDLE_EVEN = np.array([
+    0.03796291457531346, 0.34220015601094766, 0.9535531553908655,
+    1.8779315076960743, 3.1246010507021444, 4.706726707667587,
+    6.642215179741444, 8.95500133772339, 11.677033673975957,
+    14.85143134180125, 18.537743178606693, 22.82130069352521,
+    27.831438211328678, 33.781970488226165, 41.0816665254912,
+    50.77722387753708,
+])
+_WEIGHTS_SADDLE_EVEN = np.array([
+    0.7504767051856048, 0.5549162846050598, 0.302539468153285,
+    0.12091626191182522, 0.03510685766314686, 0.007309780653308856,
+    0.001072536731055944, 0.00010833168123639965, 7.301170259124752e-06,
+    3.148335585091188e-07, 8.197664329541793e-09, 1.1866582926793278e-10,
+    8.430020422652895e-13, 2.3946880341856974e-15, 1.8463473073036585e-18,
+    1.4621352854768325e-22,
+])
+_NODES_SADDLE_ODD = np.array([
+    0.08764941047892784, 0.46269632891508083, 1.141057774831227,
+    2.1292836450983805, 3.4370866338932067, 5.078018614549768,
+    7.070338535048234, 9.438314336391938, 12.21422336886616,
+    15.441527368781617, 19.180156856753136, 23.515905693991908,
+    28.57872974288214, 34.58339870228662, 41.94045264768833,
+    51.70116033954332,
+])
+_WEIGHTS_SADDLE_ODD = np.array([
+    0.206151714957801, 0.3310578549508842, 0.26579577764421414,
+    0.13629693429637754, 0.04732892869412522, 0.011299900080339454,
+    0.0018490709435263109, 0.00020427191530827845, 1.4844586873981299e-05,
+    6.828319330871199e-07, 1.8810248410796733e-08, 2.8623502429738814e-10,
+    2.1270790332241028e-12, 6.297967002517868e-15, 5.050473700035513e-18,
+    4.161462370372855e-22,
+])
+
+#: s - s**3/3 at the segment's nodes: the exponent z t - t**3/3 at
+#: t = t_s s, over t_s**3.
+_SEGMENT_EXPONENT = _NODES_SEGMENT - _NODES_SEGMENT**3 / 3.0
+#: The descent branch's nodes u = v**2 (the even rule's, then the odd
+#: rule's), once for each branch x ~ +-v / sqrt(t_s) of
+#: x**3 + 3 t_s x**2 = 3u: u, 3u and v = +-sqrt(u), complex so that the
+#: Newton steps need no casts.
+_SADDLE_U = np.tile(np.concatenate([_NODES_SADDLE_EVEN, _NODES_SADDLE_ODD]), 2).astype(complex)
+_SADDLE_U3 = 3.0 * _SADDLE_U
+_SADDLE_V = np.sqrt(_SADDLE_U) * np.repeat([1.0, -1.0], _SADDLE_U.size // 2)
+#: The weights of 1 / (t**2 - z) at those nodes: with H(+-v) = +-2v / (t**2 - z)
+#: the even part of H is v (1/d+ - 1/d-) and the odd part over v is
+#: 1/d+ + 1/d-, each integrated against exp(-u) du / 2.
+_SADDLE_WEIGHTS = 0.5 * np.concatenate([
+    _WEIGHTS_SADDLE_EVEN * np.sqrt(_NODES_SADDLE_EVEN), _WEIGHTS_SADDLE_ODD,
+    -_WEIGHTS_SADDLE_EVEN * np.sqrt(_NODES_SADDLE_EVEN), _WEIGHTS_SADDLE_ODD,
+])
+#: 96: the segment's 32 nodes and the branch's 2 x 2 x 16.
+_SADDLE_EVALUATIONS = _NODES_SEGMENT.size + _SADDLE_V.size
+#: Newton steps from x = +-sqrt(u / t_s), and the largest residual of the
+#: cubic that a node may keep after them, 1e-14 of 3u (6 steps leave at
+#: most 6.3e-16 of it on the cell up to |z| = 20; 5 leave 1.1e-13).
+_SADDLE_NEWTON_STEPS = 6
+_SADDLE_TOLERANCE = 1e-14 * _SADDLE_U3.real
+#: The relative truncation bar is exp(-_SADDLE_DECAY g), g = Re sqrt(2 sigma_s)
+#: the distance in v of the other saddle from the path, plus 8 eps of
+#: rounding.
+_SADDLE_DECAY = 14.0
+#: The split serves |z| up to this: the segment rule's truncation passes
+#: 1e-15 near |z| = 21 (its exponent grows like |z|**1.5).  The route
+#: table sends it no |z| >= 15, where Hi's large-argument expansion serves
+#: the whole cell.
+_SADDLE_MAX_RADIUS = 20.0
+
+
+def _saddle_sum(z: complex) -> QuadratureResult | None:
+    """``S(z)`` of :func:`_laplace_sum`, the contour split at the saddle
+    ``t_s = sqrt(z)``, whose value ``sigma_s = -(2/3) t_s**3`` has
+    ``Re sigma_s >= 0`` on the cell ``2*pi/3 - RAY_TOL <= ph z <= pi``
+    (``ph sigma_s = 3 (ph z - 2*pi/3) / 2``):
+
+    * the segment from 0 to ``t_s``, ``t_s int_0^1 exp(t_s**3 (s - s**3/3)) ds``,
+      whose integrand is entire;
+    * the saddle's descent branch into the valley of ``+infinity``,
+      ``exp(-sigma_s) int_0^inf exp(-v**2) H(v) dv`` with
+      ``H = dt/dv = 2v / (t**2 - z)``, ``t = t_s + x`` and
+      ``x**3 + 3 t_s x**2 = 3 v**2``; H is analytic in ``v`` out to the
+      other saddle, ``v**2 = -2 sigma_s``, off the path.  Both branches
+      ``x ~ +-v / sqrt(t_s)`` start there and take
+      ``_SADDLE_NEWTON_STEPS`` Newton steps.
+
+    The error bar is ``exp(-_SADDLE_DECAY g)`` of truncation,
+    ``g = Re sqrt(2 sigma_s)``, plus 8 eps of rounding, both relative;
+    ``tools/laplace_gate.py`` fits it against mpmath.  None where some
+    node's Newton iterate leaves a residual above ``_SADDLE_TOLERANCE`` (or
+    a NaN): no value is better than a wrong one.  ``n_evaluations`` is the
+    96 nodes.
+    """
+    ts = np.complex128(cmath.sqrt(z))
+    ts3 = ts * ts * ts
+    segment = ts * np.exp(ts3 * _SEGMENT_EXPONENT).dot(_WEIGHTS_SEGMENT)
+    t3, ts2 = 3.0 * ts, 2.0 * ts
+    x = _SADDLE_V / np.sqrt(ts)
+    for _ in range(_SADDLE_NEWTON_STEPS):
+        # x - f / f' for f = x**3 + 3 t_s x**2 - 3u, divided through by 3.
+        x2 = x * x
+        x = (x2 * (x * (2.0 / 3.0) + ts) + _SADDLE_U) / (x * (x + ts2))
+    if not (np.abs(x * x * (x + t3) - _SADDLE_U3) <= _SADDLE_TOLERANCE).all():
+        return None
+    branch = np.exp(ts3 * (2.0 / 3.0)) * (_SADDLE_WEIGHTS / (x * (x + ts2))).sum()
+    value = complex(segment + branch)
+    gap = cmath.sqrt(ts3 * (-4.0 / 3.0)).real
+    err = abs(value) * (math.exp(-_SADDLE_DECAY * gap) + 8.0 * _EPS)
+    return QuadratureResult(value, err, _SADDLE_EVALUATIONS, True)
+
+
 def _hi_contour(z: complex) -> ScorerResult:
-    """Hi on the descent contour of :func:`hi_integral_principal`: by the
-    Laplace rule, ``Hi(z) = S(z) / pi``, where :func:`_laplace_rung`
-    finds a rung, and by adaptive quadrature where it does not."""
+    """Hi on the descent contour of :func:`hi_integral_principal`,
+    ``Hi(z) = S(z) / pi``: by the Laplace rule (``hi_laplace``) where
+    :func:`_laplace_rung` finds a rung; elsewhere, next to the Stokes ray,
+    split at the saddle (``hi_saddle``, :func:`_saddle_sum`, 96
+    evaluations) up to ``|z| = _SADDLE_MAX_RADIUS``; and by adaptive
+    quadrature where neither serves (or a Newton iterate of the split
+    misses its cubic)."""
     chosen = _laplace_rung(z)
-    if chosen is None:
+    if chosen is not None:
+        return combine("hi_laplace", [(1.0 / _PI, _laplace_sum(z, *chosen))])
+    split = _saddle_sum(z) if abs(z) <= _SADDLE_MAX_RADIUS else None
+    if split is None:
         return hi_integral_principal(z)
-    return combine("hi_laplace", [(1.0 / _PI, _laplace_sum(z, *chosen))])
+    return combine("hi_saddle", [(1.0 / _PI, split)])
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from scorerlib.engine import (
     _laplace_sum,
     _saddle_distance,
     _saddle_height,
+    _saddle_sum,
 )
 
 _PI = math.pi
@@ -213,6 +214,7 @@ _KNOWN_METHODS = {
     "gi_rotation_pair",
     "bi_identity",
     "hi_laplace",
+    "hi_saddle",
     "conjugate",
 }
 
@@ -521,17 +523,15 @@ class TestCrossRepresentationAgreement:
     def test_direct_contour_detects_a_corrupt_rotated_contour(self, monkeypatch):
         # On 0 < ph z < 2pi/3 Gi and Hi share one rotated Hi, so Gi + Hi = Bi
         # holds whatever that contour returns; Gi's own contour must catch
-        # it.  The rotated Hi is adaptive here (rho = 0.12, below the
-        # Laplace gate's floor), so flipping its Jacobian corrupts it.
-        original = scorerlib.contour.hi_jacobian_u
-
-        def flipped(u, v, x, y):
-            return np.conjugate(original(u, v, x, y))
-
-        monkeypatch.setattr(scorerlib.contour, "hi_jacobian_u", flipped)
+        # it.  The rotated Hi is split at its saddle here (rho = 0.12, below
+        # the Laplace gate's floor), so doubling the segment's weights
+        # corrupts it.
+        monkeypatch.setattr(scorerlib.engine, "_WEIGHTS_SEGMENT",
+                            2.0 * scorerlib.engine._WEIGHTS_SEGMENT)
         z = cmath.rect(5.0, 2.0 * _PI / 3.0 - 0.06)
         routed = gi(z)
         direct = gi_integral(z)
+        assert _evaluate(_rotated(z), "hi")[0].method == "hi_saddle"
         assert routed.method == "gi_rotation"
         assert direct.method == "gi_path_u"
         assert _rel(routed.value - direct.value, direct.value) > 1e-6
@@ -708,8 +708,8 @@ class TestEngineObject:
             assert pair_result.n_evaluations == single.n_evaluations
 
     def test_every_route_is_reached(self):
-        # 2pi/3 + 0.02 keeps Hi's contour adaptive at |z| = 5 (rho below the
-        # Laplace gate's floor).
+        # 2pi/3 + 0.02 splits Hi's contour at its saddle at |z| = 5 (rho
+        # below the Laplace gate's floor).
         phases = (0.0, 0.02, 0.06, 0.5, _PI / 2.0, 2.0 * _PI / 3.0 - 0.02,
                   2.0 * _PI / 3.0 + 0.02, 2.5, _PI, -1.0)
         methods = {
@@ -724,7 +724,7 @@ class TestEngineObject:
             "gi_real_axis",
             "gi_rotation",
             "bi_identity",
-            "hi_path_u",
+            "hi_saddle",
             "hi_laplace",
             "hi_rotation",
             "conjugate",
@@ -761,11 +761,11 @@ class TestEngineObject:
         assert hi(-5.0).converged
 
     def test_results_report_route_and_cost(self):
-        # rho = 0.04 keeps the adaptive contour, whose cost is whole panels.
+        # rho = 0.04 is below the Laplace gate's floor: the saddle split,
+        # 96 nodes.
         res = hi(cmath.rect(5.0, 2.0 * _PI / 3.0 + 0.02))
-        assert res.method == "hi_path_u"
-        assert res.n_evaluations > 0
-        assert res.n_evaluations % 15 == 0
+        assert res.method == "hi_saddle"
+        assert res.n_evaluations == 96
         assert res.converged
         res = hi(-5 + 0j)
         assert res.method == "hi_laplace"
@@ -796,7 +796,7 @@ class TestRouteSelection:
             (hi, 10 * cmath.exp(1j * 5 * _PI / 6), "hi_laplace"),
             (hi, cmath.rect(5.0, 0.8 * _PI), "hi_laplace"),
             (hi, cmath.rect(10.0, 0.75 * _PI), "hi_laplace"),
-            (hi, cmath.rect(5.0, 2.0 * _PI / 3.0 + 0.02), "hi_path_u"),
+            (hi, cmath.rect(5.0, 2.0 * _PI / 3.0 + 0.02), "hi_saddle"),
             (hi, 5 + 0j, "bi_identity"),
             (hi, 40 * cmath.exp(2.9j), "asymptotic"),
             (hi, 1.2 - 0.9j, "conjugate"),
@@ -888,7 +888,7 @@ def _cell(fn: str, z: complex) -> ScorerResult | None:
     res = _evaluate(z, fn)[0]
     if fn == "gi" and res.method == "gi_rotation":
         res = _evaluate(_rotated(z), "hi")[0]
-    return res if res.method in ("hi_path_u", "hi_laplace") else None
+    return res if res.method in ("hi_path_u", "hi_laplace", "hi_saddle") else None
 
 
 class TestLaplaceGate:
@@ -905,7 +905,7 @@ class TestLaplaceGate:
                 checked += 1
                 rung = _model_rung(z)
                 if rung is None:
-                    assert cell.method == "hi_path_u"
+                    assert cell.method == "hi_saddle"
                 else:
                     assert cell.method == "hi_laplace"
                     res = _evaluate(z, fn)[0]
@@ -914,16 +914,17 @@ class TestLaplaceGate:
 
     @pytest.mark.parametrize("fn,phase", [("gi", 0.051), ("gi", 2.0 * _PI / 3.0 - 0.051),
                                           ("hi", 2.0 * _PI / 3.0 + 0.05)])
-    def test_below_the_floor_the_cell_stays_adaptive(self, fn, phase):
+    def test_below_the_floor_the_cell_splits_at_the_saddle(self, fn, phase):
         # Just below rho = 0.15 the largest rung would reach the bar, yet
-        # the cell stays adaptive; just above, the gate takes that rung.
+        # the cell takes the saddle split; just above, the gate takes that
+        # rung.
         r = _radius_at_rho(_LAPLACE_MIN_RHO, phase)
         below, above = cmath.rect(r * (1 - 1e-9), phase), cmath.rect(r * (1 + 1e-9), phase)
         assert _saddle_distance(below) < _LAPLACE_MIN_RHO <= _saddle_distance(above)
         top = _LAPLACE_RUNGS[-1]
         assert top.decay * _saddle_distance(below) + 0.8 * _saddle_height(below) >= _LAPLACE_REACH
         assert _laplace_rung(below) is None
-        assert _cell(fn, below).method == "hi_path_u"
+        assert _cell(fn, below).method == "hi_saddle"
         assert _cell(fn, above).method == "hi_laplace"
 
     @pytest.mark.parametrize("radius", [2.6, 3.26, 5.0, 8.0, 14.0, 14.5, 20.0, 100.0])
@@ -1079,3 +1080,73 @@ class TestLaplaceGate:
             assert _rel(res.value + 1.0 / (_PI * w), res.value) < 1e-15
         with pytest.raises(OverflowError):
             gi(cmath.rect(radius, _PI / 2.0))
+
+
+#: The band just outside RAY_TOL above the Stokes ray where the adaptive
+#: contour nearly met its saddle and hit max_subdivisions (5970
+#: evaluations, not converged), and the rotation row just below it, whose
+#: rotated Hi lands there.
+_NEAR_RAY_RADII = (2.6, 3.0, 4.0)
+
+
+class TestSaddleSplit:
+    @pytest.mark.parametrize("radius", _NEAR_RAY_RADII)
+    @pytest.mark.parametrize("offset", [1.5e-12, 2e-12, 5e-12, 1e-11])
+    def test_just_outside_the_ray_band_hi_converges_on_96_nodes(self, radius, offset):
+        z = cmath.rect(radius, 2.0 * _PI / 3.0 + offset)
+        for res in (hi(z), gi_hi_pair(z)[1], hi(z.conjugate())):
+            assert res.method in ("hi_saddle", "conjugate")
+            assert (res.n_evaluations, res.converged) == (96, True)
+        assert hi(z).method == "hi_saddle"
+
+    @pytest.mark.parametrize("radius", _NEAR_RAY_RADII)
+    def test_the_rotation_row_just_below_the_ray_converges(self, radius):
+        # The rotated Hi costs 96; Ai adds its 40 nodes beyond its series
+        # disc |z| <= 3.5.
+        z = cmath.rect(radius, 2.0 * _PI / 3.0 - 1.5e-12)
+        airy_nodes = 40 if radius > 3.5 else 0
+        for res, method in ((hi(z), "hi_rotation"), (gi(z), "gi_rotation")):
+            assert (res.method, res.n_evaluations, res.converged) == (method, 96 + airy_nodes, True)
+
+    @pytest.mark.parametrize("z", [cmath.rect(2.6, 2.0 * _PI / 3.0 - 2e-12), cmath.rect(2.6, 1e-11)])
+    def test_gi_whose_rotated_hi_lies_just_above_the_ray_converges(self, z):
+        res = gi(z)
+        assert (res.method, res.n_evaluations, res.converged) == ("gi_rotation", 96, True)
+
+    @pytest.mark.parametrize("radius", [2.6, 5.0, 10.0, 14.0])
+    @pytest.mark.parametrize("offset", [-0.5e-12, 0.0, 1e-3, 0.03])
+    def test_split_matches_the_adaptive_contour(self, radius, offset):
+        z = cmath.rect(radius, 2.0 * _PI / 3.0 + offset)
+        split, adaptive = scorerlib.engine._hi_contour(z), hi_integral_principal(z)
+        assert (split.method, adaptive.method) == ("hi_saddle", "hi_path_u")
+        diff = abs(split.value - adaptive.value)
+        assert diff <= 1e-13 * abs(adaptive.value)
+        assert diff <= split.abs_error_estimate + adaptive.abs_error_estimate
+
+    def test_error_bar_is_the_model_at_the_other_saddle(self):
+        engine = scorerlib.engine
+        for z in (cmath.rect(2.6, 2.0 * _PI / 3.0 + 0.1), cmath.rect(12.0, 2.0 * _PI / 3.0)):
+            s = _saddle_sum(z)
+            gap = cmath.sqrt(2.0 * (2.0 / 3.0) * -cmath.sqrt(z) ** 3).real
+            model = math.exp(-engine._SADDLE_DECAY * gap)
+            assert s.abs_error_estimate == pytest.approx(abs(s.value) * (model + 8.0 * _EPS),
+                                                         rel=1e-12)
+            assert (s.n_evaluations, s.converged) == (96, True)
+
+    def test_unconverged_newton_falls_back_to_the_adaptive_contour(self, monkeypatch):
+        # Two Newton steps leave residuals near 1e-3: no value from the
+        # split, the adaptive contour instead.
+        z = cmath.rect(5.0, 2.0 * _PI / 3.0 + 0.02)
+        monkeypatch.setattr(scorerlib.engine, "_SADDLE_NEWTON_STEPS", 2)
+        assert _saddle_sum(z) is None
+        res = hi(z)
+        assert (res.method, res.converged) == ("hi_path_u", True)
+
+    def test_radius_cap(self):
+        # Beyond the cap the contour cell stays adaptive; the route table
+        # sends it nothing there, since the expansion serves |z| >= 15.
+        for radius, method in ((19.9, "hi_saddle"), (25.0, "hi_path_u")):
+            z = cmath.rect(radius, 2.0 * _PI / 3.0 + 1e-3)
+            assert _laplace_rung(z) is None
+            assert scorerlib.engine._hi_contour(z).method == method
+        assert hi(cmath.rect(15.1, 2.0 * _PI / 3.0)).method == "asymptotic"

@@ -27,8 +27,12 @@ results differ in it, the largest ulp distance for ``value``,
 ``derivative`` and ``abs_error_estimate``, and for ``n_evaluations`` how
 many rose and fell and the totals on both sides; a differing ``method``
 is followed by one line per route transition with its count, such as
-``method: hi_path_u -> hi_laplace 412``.  It exits with status 1
-if any field differs or that count is not zero.
+``method: hi_path_u -> hi_laplace 412``; a differing ``value`` is
+followed by the worst ``|value - value'| / (bar + bar')`` over the results
+whose value moved, ``bar`` and ``bar'`` the two sides'
+``abs_error_estimate``: at most 1 when every moved value lies within the
+sum of both bars.  It exits with status 1 if any field differs or that
+count is not zero.
 """
 
 from __future__ import annotations
@@ -186,7 +190,28 @@ def _summary(mine: dict[str, dict], theirs: dict[str, dict], diffs) -> list[str]
             if distances:
                 line += f", at most {max(distances):.0f} ulp"
         lines.append(line)
+        if field == "value":
+            moves = [(_moved_over_bars(mine[key], theirs[key]), key)
+                     for key in keys if key in mine and key in theirs]
+            moves = [(ratio, key) for ratio, key in moves if ratio is not None]
+            if moves:
+                ratio, key = max(moves)
+                lines.append(f"value: moved by at most {ratio:.3g} of the sum of both bars "
+                             f"({len(moves)} results), at {key}")
     return lines
+
+
+def _moved_over_bars(mine: dict, theirs: dict) -> float | None:
+    """``|value - value'| / (bar + bar')`` of one result on both sides; None
+    where either side raised or a part is not finite."""
+    if "raises" in mine or "raises" in theirs:
+        return None
+    a, b = (complex(*(float.fromhex(h) for h in side["value"])) for side in (mine, theirs))
+    bars = sum(float.fromhex(side["abs_error_estimate"]) for side in (mine, theirs))
+    diff = abs(a - b)
+    if not (math.isfinite(diff) and math.isfinite(bars)):
+        return None
+    return diff / bars if bars > 0.0 else math.inf
 
 
 def _conjugate_mismatches(results: dict[str, dict]) -> int:

@@ -1,8 +1,12 @@
-"""Print a generalized Gauss-Laguerre rule as the numpy tables the library
-embeds.
+"""Print a generalized Gauss-Laguerre rule, or a Gauss-Legendre rule on
+``[0, 1]``, as the numpy tables the library embeds.
 
-The rule integrates ``exp(-t) t**alpha f(t)`` over ``[0, inf)`` with ``n``
-nodes.  Up to ``EIGSY_MAX_N`` nodes, nodes and weights come from the
+The Laguerre rule integrates ``exp(-t) t**alpha f(t)`` over ``[0, inf)``
+with ``n`` nodes; ``--legendre`` prints the rule for ``f(s)`` over
+``[0, 1]`` instead, solved on ``[0, 1]`` itself so that the nodes near 0
+keep their full relative precision (mapped from ``[-1, 1]`` in double
+precision they lose it, which costs an integrand as steep as
+``exp(-60 s)`` a relative error of about 60 eps).  Up to ``EIGSY_MAX_N`` nodes, nodes and weights come from the
 Golub-Welsch eigenproblem of the Jacobi matrix of the Laguerre polynomials
 ``L_n^(alpha)``, solved with mpmath.  Beyond that mpmath's ``eigsy`` is too
 slow (about 11 s at 60 nodes and 85 s at 120 at 90 digits, growing like
@@ -26,8 +30,12 @@ Run from the root of a checkout (needs mpmath, which the library does not)::
     python3 tools/laguerre_rule.py --n 60 --alpha 0 --cut 1e-18    # engine.py: _NODES_60
     python3 tools/laguerre_rule.py --n 240 --alpha 0 --cut 1e-18   # engine.py: _NODES_240
     python3 tools/laguerre_rule.py --n 960 --alpha 0 --cut 1e-18   # engine.py: _NODES_960
+    python3 tools/laguerre_rule.py --n 32 --legendre --tag SEGMENT      # engine.py: _NODES_SEGMENT
+    python3 tools/laguerre_rule.py --n 16 --alpha=-1/2 --tag SADDLE_EVEN
+    python3 tools/laguerre_rule.py --n 16 --alpha 0 --tag SADDLE_ODD
 
-Each engine command names its tables after ``n``.
+The truncated engine commands name their tables after ``n``, the others
+after ``--tag``.
 """
 
 from __future__ import annotations
@@ -43,18 +51,24 @@ import numpy as np
 EIGSY_MAX_N = 120
 
 
-def rule(n: int, alpha: Fraction, dps: int) -> tuple[list, list]:
+def rule(n: int, alpha: Fraction, dps: int, legendre: bool = False) -> tuple[list, list]:
     """Nodes and weights, ascending, at ``dps`` decimal digits, by mpmath's
-    eigenproblem."""
+    eigenproblem: of ``L_n^(alpha)``, or with ``legendre`` of the Legendre
+    polynomial shifted to ``[0, 1]``."""
     with mpmath.workdps(dps):
         a = mpmath.mpf(alpha.numerator) / alpha.denominator
         jac = mpmath.zeros(n)
         for i in range(n):
-            jac[i, i] = 2 * i + a + 1
-            if i:
-                jac[i, i - 1] = jac[i - 1, i] = mpmath.sqrt(i * (i + a))
+            if legendre:
+                jac[i, i] = mpmath.mpf(1) / 2
+                if i:
+                    jac[i, i - 1] = jac[i - 1, i] = i / (2 * mpmath.sqrt(4 * i * i - 1))
+            else:
+                jac[i, i] = 2 * i + a + 1
+                if i:
+                    jac[i, i - 1] = jac[i - 1, i] = mpmath.sqrt(i * (i + a))
         eig, vec = mpmath.eigsy(jac)
-        mu0 = mpmath.gamma(a + 1)
+        mu0 = mpmath.mpf(1) if legendre else mpmath.gamma(a + 1)
         pairs = sorted((eig[i], mu0 * vec[0, i] ** 2) for i in range(n))
         return [+p[0] for p in pairs], [+p[1] for p in pairs]
 
@@ -122,11 +136,17 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--cut", type=float, default=0.0,
                         help="keep the nodes whose weight exceeds this times the largest "
                              "(default 0: every node)")
+    parser.add_argument("--legendre", action="store_true",
+                        help="the Gauss-Legendre rule on [0, 1] (alpha is ignored)")
+    parser.add_argument("--tag", help="name the tables _NODES_TAG and _WEIGHTS_TAG")
     args = parser.parse_args(argv)
     if args.n < 1 or args.alpha <= -1 or not 0.0 <= args.cut < 1.0:
         parser.error("needs n >= 1, alpha > -1 and 0 <= cut < 1")
+    if args.legendre and (args.cut > 0.0 or args.n > EIGSY_MAX_N):
+        parser.error(f"--legendre takes no --cut and at most {EIGSY_MAX_N} nodes")
     if args.n <= EIGSY_MAX_N:
-        tables = [_truncate(*rule(args.n, args.alpha, dps), args.cut) for dps in (60, 90)]
+        tables = [_truncate(*rule(args.n, args.alpha, dps, args.legendre), args.cut)
+                  for dps in (60, 90)]
     elif args.cut > 0.0:
         tables = [newton_rule(args.n, args.alpha, dps, args.cut) for dps in (60, 90)]
     else:
@@ -138,7 +158,7 @@ def main(argv: list[str] | None = None) -> None:
         for low, high in zip(nodes + weights, check_nodes + check_weights)
     ):
         raise SystemExit("dps 60 and dps 90 disagree; no table printed")
-    suffix = f"_{args.n}" if args.cut > 0.0 else ""
+    suffix = f"_{args.tag}" if args.tag else f"_{args.n}" if args.cut > 0.0 else ""
     print("\n".join(_rows("_NODES" + suffix, nodes) + _rows("_WEIGHTS" + suffix, weights)))
 
 

@@ -1,5 +1,5 @@
-"""Check the Laplace rules' error model, and re-derive its constants,
-against mpmath.
+"""Check the error models of Hi's two fixed contour rules, the Laplace
+ladder and the saddle split, and re-derive their constants, against mpmath.
 
 ``engine._laplace_rung`` sends Hi's descent-contour cell (``hi_path_u``)
 to the smallest rung n of the ladder (60, 240 and 960 nodes, truncated)
@@ -34,9 +34,27 @@ It prints:
 * the worst ``log(err) - log(bar)`` over the points the gate serves, each
   with the rung it chooses.
 
-It exits 1 if any point the gate serves exceeds its bar, if a constant
-exceeds what the data allow, or if a miss lies at or above the floor.  Run from the root
-of a checkout (needs mpmath, which the library does not; about 5 s)::
+Where no rung qualifies, ``engine._hi_contour`` splits the contour at its
+saddle ``t_s = sqrt(z)`` (``engine._saddle_sum``) up to
+``|z| = _SADDLE_MAX_RADIUS``, with the bar ``exp(-decay g) + 8 eps``,
+``g = Re sqrt(2 sigma_s)`` the distance in ``v`` of the other saddle from
+the path.  The script evaluates the split on the phases ``SADDLE_PHASES``,
+from ``RAY_TOL`` below the Stokes ray to 0.3 above it, at radii from 1 (the
+split's truncation shows only inside the series disc, so the fit reaches
+in there) to the cap, and prints:
+
+* least-squares fits ``log err ~ offset - decay g`` and, for comparison,
+  on the other saddle's modulus ``sqrt(2 |sigma_s|)`` instead of ``g``;
+* the largest decay that keeps every point within its bar, the engine's
+  beside it;
+* how many cells the split serves (no rung, ``|z|`` between the series
+  disc and the cap) and how many of them its Newton check declines;
+* the worst ``log(err) - log(bar)`` over those cells.
+
+It exits 1 if any point either rule serves exceeds its bar, if a constant
+exceeds what the data allow, if a Laplace miss lies at or above the floor,
+or if the split declines a cell it serves.  Run from the root of a checkout
+(needs mpmath, which the library does not; about 15 s)::
 
     python3 tools/laplace_gate.py
 """
@@ -69,6 +87,16 @@ PHASES = sorted(
                                    0.07, 0.08, 0.1, 0.12, 0.16, 0.2, 0.3)}
 )
 RADII = tuple(2.6 * (100.0 / 2.6) ** (k / 39) for k in range(40)) + (300.0, 1000.0)
+#: The saddle split's phases, 2*pi/3 + d: within RAY_TOL of the ray, the
+#: band just outside it, and out past the Laplace floor at the smallest radii
+#: (d = 0.165 at |z| = 2.5); its radii run from 1 to the cap, with the
+#: series disc's edge.
+SADDLE_PHASES = tuple(STOKES + d for d in (
+    -RAY_TOL, -0.5 * RAY_TOL, 0.0, 0.5 * RAY_TOL, 1.5e-12, 3e-12, 1e-11, 1e-9, 1e-6, 1e-4,
+    1e-3, 0.003, 0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.13, 0.165, 0.2, 0.25, 0.3))
+SADDLE_RADII = tuple(sorted(
+    {engine._SADDLE_MAX_RADIUS ** (k / 29) for k in range(30)}
+    | {engine._SERIES_RADIUS * (1.0 + 1e-9), 15.0 * (1.0 - 1e-9)}))
 
 
 def _point(r: float, phase: float) -> complex:
@@ -124,7 +152,9 @@ def reference(z: complex) -> complex | None:
     return complex(high)
 
 
-def main() -> int:
+def laplace_check() -> bool:
+    """The ladder's fit, constants, floor and served points; True on a
+    failure."""
     rows = []  # (z, rung, exponent, err)
     dropped = 0
     for z in points():
@@ -192,7 +222,63 @@ def main() -> int:
         worst = max(worst, (excess, (z, g.n)))
     print("served points by rung: " + ", ".join(f"{n}: {k}" for n, k in sorted(served.items())))
     print(f"worst log(err) - log(bar) where the gate serves: {worst[0]:.2f} at {worst[1]}")
-    failed = worst[0] > 0.0 or worst_rho >= floor or a_max < a0 or b_max < b0
+    return worst[0] > 0.0 or worst_rho >= floor or a_max < a0 or b_max < b0
+
+
+def _gap(z: complex) -> float:
+    """``Re sqrt(2 sigma_s)``, ``sigma_s = -(2/3) z**1.5`` at ``t_s = sqrt(z)``."""
+    return cmath.sqrt(-(4.0 / 3.0) * cmath.sqrt(z) ** 3).real
+
+
+def saddle_check() -> bool:
+    """The saddle split's fit, constants and served cells; True on a
+    failure."""
+    rows = []  # (z, split, err)
+    declined, dropped = [], 0
+    for phase in SADDLE_PHASES:
+        for r in SADDLE_RADII:
+            z = cmath.rect(r, phase)
+            ref = reference(z)
+            if ref is None:
+                dropped += 1
+                print(f"dropped: {z!r}", file=sys.stderr)
+                continue
+            split = engine._saddle_sum(z)
+            if split is None:
+                declined.append(z)
+                continue
+            rows.append((z, split, abs(split.value - ref) / abs(ref)))
+    print(f"saddle split: {len(rows)} points ({dropped} dropped, {len(declined)} declined)")
+
+    decay = engine._SADDLE_DECAY
+    fit = [(z, err) for z, _, err in rows if err > 100.0 * EPS]
+    y = np.log([err for _, err in fit])
+    for label, g in (("Re sqrt(2 sigma_s)", _gap), ("sqrt(2 |sigma_s|)",
+                                                    lambda z: math.sqrt(2.0 * (2.0 / 3.0)) * abs(z) ** 0.75)):
+        x = np.array([[1.0, -g(z)] for z, _ in fit])
+        (b, a), *_ = np.linalg.lstsq(x, y, rcond=None)
+        residual = np.max(np.abs(x @ [b, a] - y))
+        print(f"fit over {len(fit)} points: log err ~ {b:.2f} - {a:.2f} {label}"
+              f" (largest residual {residual:.2f})")
+    a_max = min(-math.log(err - 8.0 * EPS) / _gap(z) for z, _, err in rows if err > 8.0 * EPS)
+    print(f"decay: engine {decay:.2f}, the data allow {a_max:.2f}")
+
+    def serves(z: complex) -> bool:
+        return (engine._SERIES_RADIUS < abs(z) <= engine._SADDLE_MAX_RADIUS
+                and engine._laplace_rung(z) is None)
+
+    served = [(z, split, err) for z, split, err in rows if serves(z)]
+    refused = [z for z in declined if serves(z)]
+    worst = max((math.log(max(err, 1e-300)) - math.log(split.abs_error_estimate / abs(split.value)), z)
+                for z, split, err in served)
+    print(f"the split serves {len(served) + len(refused)} cells, declines {len(refused)}; "
+          f"worst log(err) - log(bar) there: {worst[0]:.2f} at {worst[1]!r}")
+    return worst[0] > 0.0 or bool(refused) or a_max < decay
+
+
+def main() -> int:
+    failed = laplace_check()
+    failed = saddle_check() or failed
     print("FAIL" if failed else "PASS")
     return 1 if failed else 0
 
