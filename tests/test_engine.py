@@ -1108,7 +1108,8 @@ class TestSaddleSplit:
         for res, method in ((hi(z), "hi_rotation"), (gi(z), "gi_rotation")):
             assert (res.method, res.n_evaluations, res.converged) == (method, 96 + airy_nodes, True)
 
-    @pytest.mark.parametrize("z", [cmath.rect(2.6, 2.0 * _PI / 3.0 - 2e-12), cmath.rect(2.6, 1e-11)])
+    @pytest.mark.parametrize("z", [cmath.rect(2.6, 2.0 * _PI / 3.0 - 2e-12),
+                                   cmath.rect(2.6, 1e-11)])
     def test_gi_whose_rotated_hi_lies_just_above_the_ray_converges(self, z):
         res = gi(z)
         assert (res.method, res.n_evaluations, res.converged) == ("gi_rotation", 96, True)

@@ -6,9 +6,10 @@ with ``n`` nodes; ``--legendre`` prints the rule for ``f(s)`` over
 ``[0, 1]`` instead, solved on ``[0, 1]`` itself so that the nodes near 0
 keep their full relative precision (mapped from ``[-1, 1]`` in double
 precision they lose it, which costs an integrand as steep as
-``exp(-60 s)`` a relative error of about 60 eps).  Up to ``EIGSY_MAX_N`` nodes, nodes and weights come from the
-Golub-Welsch eigenproblem of the Jacobi matrix of the Laguerre polynomials
-``L_n^(alpha)``, solved with mpmath.  Beyond that mpmath's ``eigsy`` is too
+``exp(-60 s)`` a relative error of about 60 eps).  Up to ``EIGSY_MAX_N``
+nodes, nodes and weights come from the Golub-Welsch eigenproblem of the
+Jacobi matrix of the Laguerre polynomials ``L_n^(alpha)`` (of the Legendre
+polynomials with ``--legendre``), solved with mpmath.  Beyond that mpmath's ``eigsy`` is too
 slow (about 11 s at 60 nodes and 85 s at 120 at 90 digits, growing like
 ``n**3``), so the nodes start from double-precision Golub-Welsch, are
 Newton-refined in mpmath on ``L_n^(alpha)``, and take the weights

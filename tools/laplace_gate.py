@@ -54,7 +54,7 @@ in there) to the cap, and prints:
 It exits 1 if any point either rule serves exceeds its bar, if a constant
 exceeds what the data allow, if a Laplace miss lies at or above the floor,
 or if the split declines a cell it serves.  Run from the root of a checkout
-(needs mpmath, which the library does not; about 15 s)::
+(needs mpmath, which the library does not; about 10 s)::
 
     python3 tools/laplace_gate.py
 """
@@ -96,7 +96,7 @@ SADDLE_PHASES = tuple(STOKES + d for d in (
     1e-3, 0.003, 0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.13, 0.165, 0.2, 0.25, 0.3))
 SADDLE_RADII = tuple(sorted(
     {engine._SADDLE_MAX_RADIUS ** (k / 29) for k in range(30)}
-    | {engine._SERIES_RADIUS * (1.0 + 1e-9), 15.0 * (1.0 - 1e-9)}))
+    | {engine._SERIES_RADIUS * (1.0 + 1e-9)}))
 
 
 def _point(r: float, phase: float) -> complex:
@@ -253,8 +253,8 @@ def saddle_check() -> bool:
     decay = engine._SADDLE_DECAY
     fit = [(z, err) for z, _, err in rows if err > 100.0 * EPS]
     y = np.log([err for _, err in fit])
-    for label, g in (("Re sqrt(2 sigma_s)", _gap), ("sqrt(2 |sigma_s|)",
-                                                    lambda z: math.sqrt(2.0 * (2.0 / 3.0)) * abs(z) ** 0.75)):
+    modulus = lambda z: math.sqrt(4.0 / 3.0) * abs(z) ** 0.75  # noqa: E731
+    for label, g in (("Re sqrt(2 sigma_s)", _gap), ("sqrt(2 |sigma_s|)", modulus)):
         x = np.array([[1.0, -g(z)] for z, _ in fit])
         (b, a), *_ = np.linalg.lstsq(x, y, rcond=None)
         residual = np.max(np.abs(x @ [b, a] - y))
@@ -269,7 +269,7 @@ def saddle_check() -> bool:
 
     served = [(z, split, err) for z, split, err in rows if serves(z)]
     refused = [z for z in declined if serves(z)]
-    worst = max((math.log(max(err, 1e-300)) - math.log(split.abs_error_estimate / abs(split.value)), z)
+    worst = max((math.log(max(err, 1e-300) * abs(split.value) / split.abs_error_estimate), z)
                 for z, split, err in served)
     print(f"the split serves {len(served) + len(refused)} cells, declines {len(refused)}; "
           f"worst log(err) - log(bar) there: {worst[0]:.2f} at {worst[1]!r}")
