@@ -39,7 +39,11 @@ The tables, all from mpmath:
   just outside the series disc to 14.9: the band above the Stokes ray
   where Hi's descent contour runs into its saddle and no Laplace rule
   qualifies, and the rotation row's edge below it, whose rotated Hi lands
-  in that band.
+  in that band;
+* ``AXIS_POINTS``: real Gi and Hi on the positive real axis at the radii
+  ``AXIS_RADII``, from just outside the series disc through Ai's series
+  seam 3.5 and the large-argument radius 15 to 40; there the rotated
+  argument of the rotation connections lies on the Stokes ray.
 
 A reference is kept only where mpmath at 50 and at 90 digits agree to
 1e-15 relative (and, for Gi and Hi, where Gi + Hi = Bi holds to the same
@@ -193,6 +197,10 @@ ROTATION_PHASES = (0.06, 0.2, 0.5, 0.9)
 SADDLE_RADII = (2.5 * (1.0 + 1e-12), 2.51, 2.55, 2.6, 3.0, 4.0, 5.0, 7.0, 10.0, 12.0, 14.9)
 SADDLE_OFFSETS = (-1.5e-12, -1e-12, -0.5e-12, 0.0, 1.5e-12, 3e-12, 1e-11, 1e-9, 1e-6,
                   1e-3, 0.01, 0.05, 0.1, 0.165, 0.2, 0.3)
+#: The positive real axis: just outside the series disc, both sides of Ai's
+#: series seam 3.5 and of the large-argument radius 15, and between them.
+AXIS_RADII = (2.5 * (1.0 + 1e-12), 2.6, 3.0, 3.5 * (1.0 - 1e-12), 3.5 * (1.0 + 1e-12), 4.0,
+              5.0, 7.0, 10.0, 14.9, 15.0 * (1.0 - 1e-9), 15.0 * (1.0 + 1e-9), 20.0, 40.0)
 #: Radii and rays through the large-argument gate: its radius 15 to each
 #: side, farther out, and the rays where one expansion's sector ends (pi/3)
 #: or its neglected part is smallest for Hi (pi).
@@ -346,6 +354,17 @@ def main() -> None:
     _print_gi_hi("ROTATION_POINTS", rotation_points())
     _print_gi_hi("SADDLE_POINTS", (cmath.rect(r, 2.0 * math.pi / 3.0 + d)
                                    for r in SADDLE_RADII for d in SADDLE_OFFSETS))
+    print_axis_points()
+
+
+def print_axis_points() -> None:
+    """Print ``AXIS_POINTS``, rows (x, Gi(x), Hi(x)) of real floats."""
+    print("AXIS_POINTS = [")
+    for x in AXIS_RADII:
+        row = _scorer_row(x, (mpmath.scorergi, mpmath.scorerhi, mpmath.airybi))
+        if row is not None:
+            print(f"    ({x!r}, {float(mpmath.re(row[0]))!r}, {float(mpmath.re(row[1]))!r}),")
+    print("]")
 
 
 def _print_gi_hi(name: str, points) -> None:
