@@ -215,6 +215,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scorerlib", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

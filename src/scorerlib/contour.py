@@ -79,12 +79,12 @@ class ScorerResult:
         The computed function value.
     method : str
         Route tag.  Gi and Hi: ``series``, ``asymptotic``, ``hi_laplace``,
-        ``hi_saddle``, ``gi_real_axis``, ``hi_rotation``, ``gi_rotation``,
-        ``bi_identity``, or ``conjugate``, and ``hi_path_u`` where the
-        saddle split declines; the representations that the route table
-        never takes report ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``
-        and ``gi_rotation_pair``.  Ai and Bi: ``series``, ``integral``,
-        ``rotation``, or ``rotation_pair``.
+        ``hi_saddle``, ``hi_rotation``, ``gi_rotation``, ``bi_identity``,
+        or ``conjugate``, and ``hi_path_u`` where the saddle split
+        declines; the representations that the route table never takes
+        report ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``,
+        ``gi_real_axis`` and ``gi_rotation_pair``.  Ai and Bi: ``series``,
+        ``integral``, ``rotation``, or ``rotation_pair``.
     abs_error_estimate : float
         Estimated absolute error (quadrature estimates plus rounding terms).
     n_evaluations : int

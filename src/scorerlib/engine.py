@@ -19,13 +19,14 @@ a representation that is stable in its sector:
   :func:`_laplace_rung`), and next to the Stokes ray, where no rung
   serves, by a fixed 96-node rule split at the saddle (see
   :func:`_saddle_sum`);
-* on ``0 < ph z < 2pi/3`` the rotation connections, which take Hi at
+* on ``0 <= ph z < 2pi/3`` the rotation connections, which take Hi at
   ``z e^{2i pi/3}`` in that sector (after conjugating) plus one Airy term:
-  Gi and Hi each cost one contour, and a pair shares it;
-* ``Gi + Hi = Bi`` for Hi on the positive real axis (Gi there by two real
-  integrals) and for Gi on ``[2pi/3, pi]``;
+  Gi and Hi each cost one contour, and a pair shares it; on the positive
+  real axis that contour lies on the Stokes ray;
+* ``Gi + Hi = Bi`` for Gi on ``[2pi/3, pi]``;
 * conjugation serves the lower half-plane exactly; it happens once, at
   the entry, and everything below it sees the closed upper half-plane.
+  On the real axis the entry keeps the real part of each value.
 
 One route table (``_PHASE_ROWS``, after the series and asymptotic gates),
 with one column for Gi and one for Hi, makes every routing decision for
@@ -43,6 +44,7 @@ import cmath
 import math
 import warnings
 from collections.abc import Callable
+from dataclasses import replace
 
 import numpy as np
 
@@ -414,7 +416,9 @@ def gi_real_positive(x: float) -> ScorerResult:
 
     The oscillatory kernel's contour runs straight up to height ``sqrt(x)``
     and then along a descending ridge; both legs reduce to real integrands
-    with no oscillation.
+    with no oscillation.  The route table takes :func:`gi_connection`
+    instead; this independent representation is the oracle that
+    ``selftest`` checks the rotations against on the axis.
     """
     if x < 0.0:
         raise _contour.DomainError("gi_real_positive requires x >= 0")
@@ -914,8 +918,8 @@ def hi_connection(z: complex) -> ScorerResult:
 
     ``Hi(z) = e^{2i pi/3} Hi(z e^{2i pi/3}) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``.
 
-    For phases strictly between 0 and ``2*pi/3`` the rotated argument, or
-    its conjugate, lies in ``[2*pi/3, pi]``, where ``hi`` takes its descent
+    For phases from 0 up to ``2*pi/3`` the rotated argument, or its
+    conjugate, lies in ``[2*pi/3, pi]``, where ``hi`` takes its descent
     contour (or a gate's shortcut) and Hi is algebraic; the Airy term is
     recessive above ``pi/3`` and dominant below, so nothing cancels.
     """
@@ -934,7 +938,7 @@ def gi_connection(z: complex) -> ScorerResult:
     ``Gi(z) = -e^{2i pi/3} Hi(z e^{2i pi/3}) + i Ai(z)``,
 
     valid for every ``z`` (it follows from :func:`hi_connection`,
-    ``Gi + Hi = Bi`` and the Airy sums).  On ``0 < ph z < 2*pi/3`` the
+    ``Gi + Hi = Bi`` and the Airy sums).  On ``0 <= ph z < 2*pi/3`` the
     rotated Hi is :func:`hi_connection`'s, algebraic, and ``i Ai(z)`` is
     recessive below ``pi/3`` and dominant above, so nothing cancels.
     """
@@ -971,18 +975,17 @@ def _bi_complement(z: complex, other: ScorerResult) -> ScorerResult:
 
 #: Phase rows of the route table for ``z`` in the closed upper half-plane,
 #: consulted after the series and asymptotic gates.  A row serves the phases
-#: below its bound; its cells are the representations of Gi and of Hi.  The
-#: first bound is the least positive double, so that row holds the positive
-#: real axis alone.  Both rotation cells call ``hi`` at ``z e^{2i pi/3}``,
-#: which a gate or the last row serves.  ``None`` marks the ``bi_identity``
-#: complement: the other function, then ``Gi + Hi = Bi``, where that other
-#: function is algebraic and the complemented one carries Bi's size, so
-#: nothing cancels.  The contour cell owns the Laplace gate.
+#: below its bound; its cells are the representations of Gi and of Hi.  Both
+#: rotation cells call ``hi`` at ``z e^{2i pi/3}``, which a gate or the last
+#: row serves; on the positive real axis that argument lies on the Stokes
+#: ray.  ``None`` marks the ``bi_identity`` complement: the other function,
+#: then ``Gi + Hi = Bi``, where that other function is algebraic and the
+#: complemented one carries Bi's size, so nothing cancels.  The contour cell
+#: owns the Laplace gate.
 _PHASE_ROWS = (
-    # phase bound               Gi                                   Hi
-    (math.ulp(0.0),             lambda z: gi_real_positive(z.real), None),
-    (_TWO_THIRDS_PI - RAY_TOL,  gi_connection,                       hi_connection),
-    (math.inf,                  None,                                _hi_contour),
+    # phase bound               Gi              Hi
+    (_TWO_THIRDS_PI - RAY_TOL,  gi_connection,  hi_connection),
+    (math.inf,                  None,           _hi_contour),
 )
 
 
@@ -1036,13 +1039,17 @@ def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
     see the closed upper half-plane only, so below it ``fn`` is evaluated at
     ``conj z`` and each result is conjugated back and tagged ``conjugate``.
     ``abs`` also folds a negative-zero imaginary part, which would put the
-    negative real axis at phase ``-pi``.
+    negative real axis at phase ``-pi``.  On the real axis, where Gi and Hi
+    are real, each value keeps its real part: a rotation leaves an imaginary
+    residue of rounding there.
     """
     z = _contour.require_finite(z)
     up = complex(z.real, abs(z.imag))
     results = _pair(up) if fn == "pair" else (_along(up, fn),)
     if z.imag < 0:
         return tuple(r.conjugate("conjugate") for r in results)
+    if z.imag == 0.0:
+        return tuple(replace(r, value=complex(r.value.real, 0.0)) for r in results)
     return results
 
 

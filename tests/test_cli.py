@@ -10,7 +10,14 @@ import re
 import pytest
 
 import scorerlib.airy
-from scorerlib.cli import _CSV_HEADER, _hi_by_quadrature, _z_from_polar, main, parse_phase
+from scorerlib.cli import (
+    _CSV_HEADER,
+    _build_parser,
+    _hi_by_quadrature,
+    _z_from_polar,
+    main,
+    parse_phase,
+)
 from scorerlib.engine import gi, hi
 
 
@@ -187,6 +194,34 @@ class TestEvalCommand:
     def test_usage_errors_exit_1(self, argv, capsys):
         assert main(argv) == 1
         capsys.readouterr()
+
+
+class TestRepeatedCalls:
+    #: Commands whose options differ from one call to the next: a digit
+    #: count then its default, another subcommand, a usage error.
+    SEQUENCE = (
+        ["eval", "--fn", "gi", "--re", "1", "--im", "0.2", "--digits", "3"],
+        ["eval", "--fn", "gi", "--re", "1", "--im", "0.2"],
+        ["arc", "--fn", "hi", "--radius", "5", "--start", "-pi", "--samples", "5"],
+        ["eval", "--fn", "zi", "--re", "1", "--im", "0"],
+        ["eval", "--fn", "hi", "--r", "5", "--phase", "0"],
+    )
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        def run(argv):
+            return main(argv), *capsys.readouterr()
+
+        # Each command's output from its first call on a fresh parser.
+        firsts = []
+        for argv in self.SEQUENCE:
+            _build_parser.cache_clear()
+            firsts.append(run(argv))
+        _build_parser.cache_clear()
+        assert [run(argv) for argv in self.SEQUENCE] == firsts
+        assert _build_parser.cache_info().misses == 1
+        codes = [rc for rc, _, _ in firsts]
+        assert codes == [0, 0, 0, 1, 0]
+        assert "value_re = 0.23686822\n" in firsts[1][1]
 
 
 class TestArcCommand:

@@ -592,7 +592,9 @@ class TestConjugateSymmetry:
         assert hi(z.conjugate()).value == hi(z).value.conjugate()
         assert gi(z.conjugate()).method == "conjugate"
 
-    @pytest.mark.parametrize("x", [-20.0, -9.0, -3.0, 3.0, 5.0, 10.0, 30.0])
+    @pytest.mark.parametrize(
+        "x", [-20.0, -9.0, -3.0, 3.0, 5.0, 10.0, 30.0, 2.6, 3.6, 7.0, 14.9, 16.0]
+    )
     def test_negative_zero_imaginary_part_is_the_axis(self, x):
         # complex(x, -0.0) lies on the real axis, not below it: same value,
         # route and cost as complex(x, 0.0).
@@ -605,9 +607,12 @@ class TestConjugateSymmetry:
             assert a.n_evaluations == b.n_evaluations
 
     def test_real_axis_values_are_real(self):
-        for x in (-9.0, -1.0, 0.0, 1.5, 4.0, 30.0):
-            assert gi(complex(x, 0.0)).value.imag == 0.0
-            assert hi(complex(x, 0.0)).value.imag == 0.0
+        # On the positive axis beyond the series disc Gi and Hi take the
+        # rotation connections, whose rotated Hi lies on the Stokes ray.
+        for x in (-9.0, -1.0, 0.0, 1.5, 4.0, 30.0, 2.6, 3.6, 7.0, 14.9, 16.0):
+            z = complex(x, 0.0)
+            for res in (gi(z), hi(z), *gi_hi_pair(z)):
+                assert res.value.imag == 0.0
 
 
 class TestUpperHalfPlaneContract:
@@ -721,7 +726,6 @@ class TestEngineObject:
         assert methods == {
             "series",
             "asymptotic",
-            "gi_real_axis",
             "gi_rotation",
             "bi_identity",
             "hi_saddle",
@@ -753,10 +757,12 @@ class TestEngineObject:
         assert not gi(5.0 * cmath.exp(1j)).converged  # gi_rotation
         assert not gi(5.0 * cmath.exp(-1j)).converged  # conjugate
         assert not hi(5j).converged  # hi_rotation
-        assert not hi(5.0).converged  # bi_identity
+        assert not hi(5.0).converged  # hi_rotation on the axis
         assert not hi_integral_upper(5j).converged
-        g, h = gi_hi_pair(5.0)
-        assert g.converged and not h.converged
+        g, h = gi_hi_pair(5.0)  # both add an Ai term to the shared Hi
+        assert not g.converged and not h.converged
+        g, h = gi_hi_pair(-5.0)  # only Gi's Bi term comes from the rule
+        assert not g.converged and h.converged
         # Without an Airy term nothing changes.
         assert hi(-5.0).converged
 
@@ -781,7 +787,7 @@ class TestRouteSelection:
         "fn,z,expected",
         [
             (gi, 1 + 0j, "series"),
-            (gi, 10 + 0j, "gi_real_axis"),
+            (gi, 10 + 0j, "gi_rotation"),
             (gi, 20 + 0j, "asymptotic"),
             (gi, 3j, "gi_rotation"),
             (gi, cmath.rect(5.0, 0.06), "gi_rotation"),
@@ -797,7 +803,7 @@ class TestRouteSelection:
             (hi, cmath.rect(5.0, 0.8 * _PI), "hi_laplace"),
             (hi, cmath.rect(10.0, 0.75 * _PI), "hi_laplace"),
             (hi, cmath.rect(5.0, 2.0 * _PI / 3.0 + 0.02), "hi_saddle"),
-            (hi, 5 + 0j, "bi_identity"),
+            (hi, 5 + 0j, "hi_rotation"),
             (hi, 40 * cmath.exp(2.9j), "asymptotic"),
             (hi, 1.2 - 0.9j, "conjugate"),
         ],

@@ -22,7 +22,9 @@ Run from the root of a checkout (a dump reads its ``src/`` unless
 fresh interpreters, side by side, prints every field that differs (an error estimate or a
 value part also with its distance in ulps), a summary line with the
 number of lower-half-plane points where ``f(conj z) == conj f(z)`` fails
-bit for bit in this checkout, and one line per differing field: how many
+bit for bit in this checkout and of real-axis points where a value or
+derivative of this checkout has a nonzero imaginary part, and one line
+per differing field: how many
 results differ in it, the largest ulp distance for ``value``,
 ``derivative`` and ``abs_error_estimate``, and for ``n_evaluations`` how
 many rose and fell and the totals on both sides; a differing ``method``
@@ -31,7 +33,7 @@ is followed by one line per route transition with its count, such as
 followed by the worst ``|value - value'| / (bar + bar')`` over the results
 whose value moved, ``bar`` and ``bar'`` the two sides'
 ``abs_error_estimate``: at most 1 when every moved value lies within the
-sum of both bars.  It exits with status 1 if any field differs or that
+sum of both bars.  It exits with status 1 if any field differs or either
 count is not zero.
 """
 
@@ -235,6 +237,18 @@ def _conjugate_mismatches(results: dict[str, dict]) -> int:
     return count
 
 
+def _complex_on_axis(results: dict[str, dict]) -> int:
+    """Real-axis points whose value or derivative has a nonzero imaginary
+    part: every function of the dump is real there."""
+    count = 0
+    for key, fields in results.items():
+        if float.fromhex(key.split()[2]) != 0.0 or "raises" in fields:
+            continue
+        parts = (fields["value"], fields["derivative"])
+        count += any(p is not None and float.fromhex(p[1]) != 0.0 for p in parts)
+    return count
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="DIR", help="checkout to compare with")
@@ -258,11 +272,13 @@ def main(argv: list[str] | None = None) -> int:
                 diffs.append((key, field))
                 print(_describe(key, field, a.get(field), b.get(field)))
     conj = _conjugate_mismatches(mine)
+    axis = _complex_on_axis(mine)
     print(f"{len(mine)} results, {len(diffs)} differing fields, "
-          f"{conj} conjugate-symmetry mismatches")
+          f"{conj} conjugate-symmetry mismatches, "
+          f"{axis} real-axis results with a nonzero imaginary part")
     for line in _summary(mine, theirs, diffs):
         print(line)
-    return 1 if diffs or conj else 0
+    return 1 if diffs or conj or axis else 0
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ Run from the root of a checkout (needs mpmath, which the library does not)::
     python3 tools/laguerre_rule.py --n 240 --alpha 0 --cut 1e-18   # engine.py: _NODES_240
     python3 tools/laguerre_rule.py --n 960 --alpha 0 --cut 1e-18   # engine.py: _NODES_960
     python3 tools/laguerre_rule.py --n 32 --legendre --tag SEGMENT      # engine.py: _NODES_SEGMENT
-    python3 tools/laguerre_rule.py --n 16 --alpha=-1/2 --tag SADDLE_EVEN
+    python3 tools/laguerre_rule.py --n 16 --alpha -1/2 --tag SADDLE_EVEN
     python3 tools/laguerre_rule.py --n 16 --alpha 0 --tag SADDLE_ODD
 
 The truncated engine commands name their tables after ``n``, the others
@@ -42,6 +42,7 @@ after ``--tag``.
 from __future__ import annotations
 
 import argparse
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -129,6 +130,27 @@ def _rows(name: str, values: list) -> list[str]:
     return lines
 
 
+def _attach_negative_alpha(argv: list[str]) -> list[str]:
+    """Rewrite ``--alpha -1/2`` as ``--alpha=-1/2``.
+
+    argparse reads a separate token that starts with ``-`` and is not a
+    plain decimal, such as ``-1/2`` or ``-1/6``, as an unknown option rather
+    than as the value of the preceding option.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--alpha" and token.startswith("-"):
+            try:
+                Fraction(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--alpha={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=40, help="number of nodes (default 40)")
@@ -140,7 +162,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--legendre", action="store_true",
                         help="the Gauss-Legendre rule on [0, 1] (alpha is ignored)")
     parser.add_argument("--tag", help="name the tables _NODES_TAG and _WEIGHTS_TAG")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_alpha(sys.argv[1:] if argv is None else argv))
     if args.n < 1 or args.alpha <= -1 or not 0.0 <= args.cut < 1.0:
         parser.error("needs n >= 1, alpha > -1 and 0 <= cut < 1")
     if args.legendre and (args.cut > 0.0 or args.n > EIGSY_MAX_N):
