@@ -1040,8 +1040,8 @@ def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
     ``conj z`` and each result is conjugated back and tagged ``conjugate``.
     ``abs`` also folds a negative-zero imaginary part, which would put the
     negative real axis at phase ``-pi``.  On the real axis, where Gi and Hi
-    are real, each value keeps its real part: a rotation leaves an imaginary
-    residue of rounding there.
+    are real, a value with an imaginary part keeps its real part only: a
+    rotation leaves an imaginary residue of rounding there.
     """
     z = _contour.require_finite(z)
     up = complex(z.real, abs(z.imag))
@@ -1049,7 +1049,8 @@ def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
     if z.imag < 0:
         return tuple(r.conjugate("conjugate") for r in results)
     if z.imag == 0.0:
-        return tuple(replace(r, value=complex(r.value.real, 0.0)) for r in results)
+        return tuple(replace(r, value=complex(r.value.real, 0.0)) if r.value.imag else r
+                     for r in results)
     return results
 
 
