@@ -4,10 +4,25 @@ Evaluation is dispatched by region: a Maclaurin series near the origin, a
 fixed 40-node Gauss-Laguerre rule on the non-oscillating Laplace form of Ai
 everywhere else in the principal sector ``|ph z| <= 2*pi/3``, and a
 one-step three-solution rotation identity that connects the principal
-sector to the rest of the plane.  The lower half-plane is served by
-conjugation, which also makes conjugate symmetry exact in floating point.
-Every evaluation returns a :class:`~scorerlib.contour.ScorerResult` that
-carries the derivative alongside the value.
+sector to the rest of the plane.  Bi beyond the series disc combines two
+principal-sector Ai values (route ``rotation_pair``, two rule evaluations):
+
+* on ``0 < ph z <= 2*pi/3``, ``Bi = i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3})``
+  (DLMF 9.2.11 with 9.2.10, the split of ACM TOMS Algorithm 819), where
+  ``z e^{2 pi i/3}`` would leave the sector.  Nothing cancels: below
+  ``pi/3`` Ai(z) is recessive and the rotated term dominates, above it the
+  reverse;
+* beyond ``2*pi/3`` and on the real axis,
+  ``Bi = e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3})``.
+  Nothing cancels, because the two terms carry conjugate-direction
+  exponentials; on the axis they are exact conjugates, so Bi(x) comes out
+  exactly real, where the first formula would leave a rounding residue in
+  its imaginary part.
+
+The lower half-plane is served by conjugation, which also makes conjugate
+symmetry exact in floating point.  Every evaluation returns a
+:class:`~scorerlib.contour.ScorerResult` that carries the derivative
+alongside the value.
 
 The series/rule seam sits at ``SERIES_RADIUS``; pushing the series much
 further loses digits to cancellation on and near the positive real axis,
@@ -56,6 +71,9 @@ SERIES_RADIUS = 3.5
 
 _ROT_PLUS = cmath.exp(2j * math.pi / 3)
 _ROT_MINUS = cmath.exp(-2j * math.pi / 3)
+#: Bi's coefficients e^{i pi/6} and, for its derivative, e^{5 pi i/6}.
+_ROT1 = cmath.exp(1j * math.pi / 6)
+_ROT5 = cmath.exp(5j * math.pi / 6)
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _HALF_PI = 0.5 * math.pi
 
@@ -241,20 +259,27 @@ def ai_complex(z: complex) -> ScorerResult:
 
 
 def _bi_info(z: complex) -> ScorerResult:
-    """Dispatch Bi by region."""
+    """Dispatch Bi by region: two principal-sector Ai values beyond the
+    series disc."""
     z = require_finite(z)
     if z.imag < 0.0:
         return _bi_info(z.conjugate()).conjugate()
     if abs(z) <= SERIES_RADIUS:
         return _maclaurin(z, BI_ZERO, BIP_ZERO)
-    # Two rotated Ai values in the principal sector; no cancellation occurs
-    # because the two terms carry conjugate-direction exponentials.
-    a_plus = _ai_info(z * _ROT_PLUS)
     a_minus = _ai_info(z * _ROT_MINUS)
-    rot1 = cmath.exp(1j * math.pi / 6)
-    rot5 = cmath.exp(5j * math.pi / 6)
-    deriv = rot5 * a_plus.derivative + rot5.conjugate() * a_minus.derivative
-    return combine("rotation_pair", [(rot1, a_plus), (rot1.conjugate(), a_minus)], deriv)
+    # The same tolerance as _ai_info's, so Ai(z) below never rotates.
+    if z.imag == 0.0 or cmath.phase(z) > _TWO_THIRDS_PI + 1e-15:
+        # e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3}):
+        # exact conjugate terms on the real axis, so Bi(x) stays real.
+        a_plus = _ai_info(z * _ROT_PLUS)
+        deriv = _ROT5 * a_plus.derivative + _ROT5.conjugate() * a_minus.derivative
+        return combine("rotation_pair", [(_ROT1, a_plus), (_ROT1.conjugate(), a_minus)], deriv)
+    # i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3}) on 0 < ph z <= 2 pi/3, where
+    # z e^{2 pi i/3} would leave the sector.  Nothing cancels: below pi/3
+    # Ai(z) is recessive and the rotated term dominates, above it the reverse.
+    a = _ai_info(z)
+    deriv = 1j * a.derivative + 2.0 * _ROT5.conjugate() * a_minus.derivative
+    return combine("rotation_pair", [(1j, a), (2.0 * _ROT1.conjugate(), a_minus)], deriv)
 
 
 def bi_complex(z: complex) -> ScorerResult:

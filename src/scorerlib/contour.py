@@ -84,7 +84,8 @@ class ScorerResult:
         declines; the representations that the route table never takes
         report ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``,
         ``gi_real_axis`` and ``gi_rotation_pair``.  Ai and Bi: ``series``,
-        ``integral``, ``rotation``, or ``rotation_pair``.
+        ``integral``, ``rotation``, or ``rotation_pair`` (Bi from two
+        principal-sector Ai values).
     abs_error_estimate : float
         Estimated absolute error (quadrature estimates plus rounding terms).
     n_evaluations : int
