@@ -280,6 +280,35 @@ class TestRouting:
         for r in (3.6, 9.0, 80.0, 1e6):
             assert _ai_info(cmath.rect(r, 0.4)).n_evaluations == 40
         assert _bi_info(20 + 0j).n_evaluations == 80
+        # Bi is two rule evaluations on 0 < |ph z| <= 2*pi/3 too, where
+        # Ai(z e^{2 pi i/3}) would have cost two more through a rotation.
+        for r in (3.6, 9.0, 80.0):
+            for ph in (1e-9, 0.5, math.pi / 3.0, 2.0 * math.pi / 3.0):
+                z = cmath.rect(r, ph)
+                assert _bi_info(z).n_evaluations == 80
+                assert _bi_info(z.conjugate()).n_evaluations == 80
+
+    def test_bi_matches_the_conjugate_pair_formula(self):
+        # On 0 < ph z <= 2*pi/3, i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3})
+        # against e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3}),
+        # each term's derivative held to the relative bar of its value.
+        rng = np.random.default_rng(20261019)
+        rot = cmath.exp(2j * math.pi / 3.0)
+        c1, c5 = cmath.exp(1j * math.pi / 6.0), cmath.exp(5j * math.pi / 6.0)
+        for _ in range(200):
+            z = cmath.rect(math.exp(rng.uniform(math.log(3.5), math.log(40.0))),
+                           rng.uniform(0.0, 2.0 * math.pi / 3.0))
+            b = bi_complex(z)
+            up, down = ai_complex(z * rot), ai_complex(z / rot)
+            value = c1 * up.value + c1.conjugate() * down.value
+            deriv = c5 * up.derivative + c5.conjugate() * down.derivative
+            assert b.method == "rotation_pair" and b.n_evaluations == 80
+            ref_bar = up.abs_error_estimate + down.abs_error_estimate
+            assert abs(b.value - value) <= b.abs_error_estimate + ref_bar
+            terms = [(1.0, ai_complex(z)), (2.0, down), (1.0, up), (1.0, down)]
+            deriv_bar = sum(c * abs(t.derivative) * t.abs_error_estimate / abs(t.value)
+                            for c, t in terms)
+            assert abs(b.derivative - deriv) <= deriv_bar
 
     @pytest.mark.parametrize(
         "bad", [complex("nan"), complex(math.inf, 0.0), complex(1.0, -math.inf)]
@@ -359,7 +388,19 @@ class TestHugeArgument:
 
 class TestConjugateSymmetry:
     @pytest.mark.parametrize(
-        "z", [1 + 1j, -2 + 3j, 4 - 2j, -6 - 1j, 0.3 + 7j, 12 + 5j]
+        "z",
+        [
+            1 + 1j,
+            -2 + 3j,
+            4 - 2j,
+            -6 - 1j,
+            0.3 + 7j,
+            12 + 5j,
+            # Bi from i Ai(z) and one rotated Ai.
+            cmath.rect(5.0, 0.5),
+            cmath.rect(9.0, 2.0),
+            cmath.rect(3.6, 1e-9),
+        ],
     )
     def test_schwarz_reflection_is_exact(self, z):
         upper = ai_complex(z)
@@ -372,9 +413,11 @@ class TestConjugateSymmetry:
         assert lower.derivative == upper.derivative.conjugate()
 
     def test_real_axis_values_are_real(self):
-        for x in (-7.0, -2.0, 0.5, 3.0, 11.0):
-            assert ai_complex(complex(x, 0.0)).value.imag == 0.0
-            assert bi_complex(complex(x, 0.0)).value.imag == 0.0
+        for x in (-7.0, -2.0, 0.5, 3.0, 3.6, 11.0, 40.0):
+            for fn in (ai_complex, bi_complex):
+                res = fn(complex(x, 0.0))
+                assert res.value.imag == 0.0
+                assert res.derivative.imag == 0.0
 
     @pytest.mark.parametrize("x", [-20.0, -9.0, -5.0, -2.0, 5.0, 11.0])
     def test_negative_zero_imaginary_part_is_the_axis(self, x):

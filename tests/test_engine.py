@@ -754,6 +754,8 @@ class TestEngineObject:
         )
         assert not ai_complex(5.0).converged
         assert not bi_complex(5.0).converged
+        assert not bi_complex(5.0 * cmath.exp(0.5j)).converged  # i Ai(z) + rotated Ai
+        assert not bi_complex(5.0 * cmath.exp(-0.5j)).converged  # conjugate
         assert not gi(5.0 * cmath.exp(1j)).converged  # gi_rotation
         assert not gi(5.0 * cmath.exp(-1j)).converged  # conjugate
         assert not hi(5j).converged  # hi_rotation

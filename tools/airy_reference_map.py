@@ -5,6 +5,10 @@ The tables, all from mpmath:
 * ``AI_MAP``: Ai and Ai' on 3.5 < |z| <= 80 over every phase, with the
   rays ph z = +-2*pi/3, the negative real axis with +0.0 and -0.0 imaginary
   parts, and radii just above the series seam, plus seeded random points;
+* ``BI_MAP``: Bi and Bi' on 3.5 < |z| <= 80 at the phases ``BI_PHASES``
+  in (0, 2*pi/3], where Bi is i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3}),
+  at their conjugates, and at ``BI_BEYOND_PHASES`` in (2*pi/3, pi], where
+  it is the conjugate-pair formula;
 * ``SCORER_POINTS``: Gi, Hi, Ai and Bi at the arguments where an error bar
   once fell short: the ``bi_identity`` and ``hi_rotation`` routes, Ai and Bi
   at a rotated argument, and the large-argument expansion of Hi;
@@ -81,6 +85,13 @@ PHASES = (
 )
 SEED = 20261018
 N_RANDOM = 24
+#: Bi's sector of the formula i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3}):
+#: next to the positive axis, both sides of pi/3 (where the two terms trade
+#: dominance) and up to its edge 2*pi/3; beyond the edge, from 1e-12 past
+#: it to the negative axis, the conjugate-pair formula serves.
+BI_PHASES = (1e-12, 0.4, math.pi / 3.0 - 1e-9, math.pi / 3.0 + 1e-9, 1.5, 1.9,
+             2.0 * math.pi / 3.0 - 1e-12, 2.0 * math.pi / 3.0)
+BI_BEYOND_PHASES = (2.0 * math.pi / 3.0 + 1e-12, 2.4, 2.8, math.pi)
 #: The three worst bi_identity misses of Gi among the benchmark's plane
 #: points (seed 901), the first also rounded, and the one hi_rotation miss;
 #: the bi_identity point of plane seed 903 where Ai and Bi at the rotated
@@ -303,6 +314,17 @@ def map_points() -> list[complex]:
     return points
 
 
+def bi_map_points() -> list[complex]:
+    points = []
+    for r in RADII:
+        for ph in BI_PHASES:
+            z = cmath.rect(r, ph)
+            points += [z, z.conjugate()]
+        points += [complex(-r, 0.0) if ph == math.pi else cmath.rect(r, ph)
+                   for ph in BI_BEYOND_PHASES]
+    return points
+
+
 def _converged(z: complex, fns) -> list | None:
     """The values at 90 digits, or None where those at 50 digits disagree."""
     rows = []
@@ -322,16 +344,8 @@ def _literal(z: complex) -> str:
 
 
 def main() -> None:
-    airy = (mpmath.airyai, lambda z: mpmath.airyai(z, derivative=1))
-    print("AI_MAP = [")
-    for z in map_points():
-        row = _converged(z, airy)
-        if row is None:
-            print(f"dropped: Ai at {z!r}", file=sys.stderr)
-            continue
-        ai, aip = (complex(v) for v in row)
-        print(f"    ({_literal(z)}, {ai!r}, {aip!r}),")
-    print("]")
+    print_airy_map("AI_MAP", mpmath.airyai, map_points())
+    print_airy_map("BI_MAP", mpmath.airybi, bi_map_points())
     scorer = (mpmath.scorergi, mpmath.scorerhi, mpmath.airyai, mpmath.airybi)
     print("SCORER_POINTS = [")
     for z in SCORER_ARGS:
@@ -355,6 +369,20 @@ def main() -> None:
     _print_gi_hi("SADDLE_POINTS", (cmath.rect(r, 2.0 * math.pi / 3.0 + d)
                                    for r in SADDLE_RADII for d in SADDLE_OFFSETS))
     print_axis_points()
+
+
+def print_airy_map(name: str, fn, points) -> None:
+    """Print the table ``name`` of (z, f(z), f'(z)) rows, ``fn`` mpmath's
+    ``airyai`` or ``airybi``."""
+    print(f"{name} = [")
+    for z in points:
+        row = _converged(z, (fn, lambda z: fn(z, derivative=1)))
+        if row is None:
+            print(f"dropped: {name} at {z!r}", file=sys.stderr)
+            continue
+        value, deriv = (complex(v) for v in row)
+        print(f"    ({_literal(z)}, {value!r}, {deriv!r}),")
+    print("]")
 
 
 def print_axis_points() -> None:
