@@ -48,7 +48,6 @@ from .engine import (
 from .quadrature import (
     NonFiniteIntegrandError,
     QuadratureConfig,
-    QuadratureResult,
     integrate_finite,
     integrate_piecewise,
     integrate_semi_infinite,
@@ -68,7 +67,6 @@ __all__ = [
     "HI_DERIV_AT_ZERO",
     "NonFiniteIntegrandError",
     "QuadratureConfig",
-    "QuadratureResult",
     "ScorerResult",
     "__version__",
     "ai_complex",

@@ -117,7 +117,8 @@ def parse_phase(text: str) -> float:
     Forms like ``pi``, ``-pi``, ``2pi/3``, ``0.5pi`` parse exactly as the
     corresponding float multiple of ``math.pi``; anything else must be a
     plain float.  Exact 'pi' spelling keeps special rays, such as the Stokes
-    ray ``2pi/3``, within the route table's ``contour.RAY_TOL``.
+    ray ``2pi/3``, within the route table's ``contour.RAY_TOL``.  A zero
+    denominator, like any other malformed phase, raises ``ValueError``.
     """
     squeezed = text.strip().lower().replace(" ", "")
     m = _PI_FORM.match(squeezed)
@@ -131,6 +132,8 @@ def parse_phase(text: str) -> float:
     else:
         coef = float(coef_text)
     denom = float(m.group(2)) if m.group(2) else 1.0
+    if denom == 0.0:
+        raise ValueError(f"phase {text!r} has a zero denominator")
     return coef * math.pi / denom
 
 
@@ -429,14 +432,27 @@ def _selftest_checks() -> list[tuple[str, str]]:
         return ""
 
     def check_sum_identity() -> str:
+        # Inside the series discs Gi, Hi and Bi come from three series.
+        # Beyond them the routed pair is built from Bi's own Airy terms
+        # (the rotation connections below 2pi/3, Gi = Bi - Hi above), so
+        # one function comes from an independent representation: Gi by its
+        # contour below 2pi/3 (on the axis by its real integral), Hi by its
+        # descent contour from 2pi/3 on.
         worst = 0.0
         for radius in (0.5, 1.0, 2.0, 5.0, 8.0):
             for k in range(13):
                 z = _z_from_polar(radius, k * math.pi / 12.0)
-                g, h = _engine.gi_hi_pair(z)
+                g, h = (r.value for r in _engine.gi_hi_pair(z))
+                if radius > 2.0:
+                    if k == 0:
+                        g = _engine.gi_real_positive(radius).value
+                    elif k < 8:
+                        g = _engine.gi_integral(z).value
+                    else:
+                        h = _engine.hi_integral_principal(z).value
                 b = _airy.bi_complex(z).value
-                scale = max(abs(g.value), abs(h.value), abs(b))
-                worst = max(worst, abs(g.value + h.value - b) / scale)
+                scale = max(abs(g), abs(h), abs(b))
+                worst = max(worst, abs(g + h - b) / scale)
         return "" if worst <= 1e-9 else f"sum identity residual {worst:.2e}"
 
     def check_connection() -> str:

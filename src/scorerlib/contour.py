@@ -69,9 +69,16 @@ def require_finite(z: complex) -> complex:
     return z
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScorerResult:
-    """A function value together with how it was obtained.
+    """A function value together with how it was obtained: the one result
+    type of the package, returned by every evaluator, by the Airy rules, by
+    the fixed contour rules and by the adaptive quadrature driver.
+
+    A plain slotted record, neither frozen nor hashable: building a frozen
+    dataclass costs about four times as much, and a call assembles several
+    results (the parts of :func:`combine`, the conjugations).  No code of
+    the package changes a result after building it.
 
     Attributes
     ----------
@@ -85,7 +92,9 @@ class ScorerResult:
         report ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``,
         ``gi_real_axis`` and ``gi_rotation_pair``.  Ai and Bi: ``series``,
         ``integral``, ``rotation``, or ``rotation_pair`` (Bi from two
-        principal-sector Ai values).
+        principal-sector Ai values).  The parts below a route: ``laplace``
+        and ``saddle`` for the fixed contour rules, ``quadrature`` for the
+        adaptive driver.
     abs_error_estimate : float
         Estimated absolute error (quadrature estimates plus rounding terms).
     n_evaluations : int
@@ -125,12 +134,12 @@ class ScorerResult:
 def combine(method: str, terms, derivative: complex | None = None) -> ScorerResult:
     """The result ``sum c * part`` over ``terms``, a list of ``(c, part)``.
 
-    A part is a :class:`ScorerResult` or a quadrature result; both carry
-    ``value``, ``abs_error_estimate``, ``n_evaluations`` and ``converged``.
-    The error is the weighted sum of the parts' errors plus the rounding of
-    the weighted sum, the cost is the parts' total, and the result has
-    converged when every part has.  The sum starts from the first term, so a
-    signed zero survives a single term.
+    Each part is a :class:`ScorerResult`: a route's result, an Airy value,
+    a fixed rule's sum or an adaptive quadrature.  The error is the
+    weighted sum of the parts' errors plus the rounding of the weighted
+    sum, the cost is the parts' total, and the result has converged when
+    every part has.  The sum starts from the first term, so a signed zero
+    survives a single term.
     """
     value = None
     err = magnitude = 0.0

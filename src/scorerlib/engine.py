@@ -44,14 +44,13 @@ import cmath
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import replace
 
 import numpy as np
 
 from . import airy as _airy
 from . import contour as _contour
 from .contour import RAY_TOL, ScorerResult, combine
-from .quadrature import QuadratureResult, integrate_piecewise
+from .quadrature import integrate_piecewise
 
 __all__ = [
     "GI_AT_ZERO",
@@ -725,7 +724,7 @@ def _laplace_roots(z: complex, rung: _Rung) -> np.ndarray:
     return c + z / c
 
 
-def _laplace_sum(z: complex, rung: _Rung, exponent: float) -> QuadratureResult:
+def _laplace_sum(z: complex, rung: _Rung, exponent: float) -> ScorerResult:
     """``S(z) = int_0^inf exp(-sigma) dsigma / (t(sigma)**2 - z)`` by
     ``rung``'s truncated rule, ``t`` from :func:`_laplace_roots`.
 
@@ -738,12 +737,12 @@ def _laplace_sum(z: complex, rung: _Rung, exponent: float) -> QuadratureResult:
     fit over every rung gave a log error of
     ``-4.0 sqrt(n) rho - 0.90 Re sigma*`` (largest residual 0.78), and
     every point the gate serves stayed below ``e**-2.0`` times its bar.
-    ``n_evaluations`` is the rung's kept node count.
+    Tagged ``laplace``; ``n_evaluations`` is the rung's kept node count.
     """
     t = _laplace_roots(z, rung)
     value = complex((1.0 / (t * t - z)).dot(rung.weights))
     err = abs(value) * (math.exp(-exponent) + 8.0 * _EPS)
-    return QuadratureResult(value, err, rung.nodes.size, True)
+    return ScorerResult(value, "laplace", err, rung.nodes.size)
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +850,7 @@ _SADDLE_DECAY = 14.0
 _SADDLE_MAX_RADIUS = 20.0
 
 
-def _saddle_sum(z: complex) -> QuadratureResult | None:
+def _saddle_sum(z: complex) -> ScorerResult | None:
     """``S(z)`` of :func:`_laplace_sum`, the contour split at the saddle
     ``t_s = sqrt(z)``, whose value ``sigma_s = -(2/3) t_s**3`` has
     ``Re sigma_s >= 0`` on the cell ``2*pi/3 - RAY_TOL <= ph z <= pi``
@@ -871,8 +870,8 @@ def _saddle_sum(z: complex) -> QuadratureResult | None:
     ``g = Re sqrt(2 sigma_s)``, plus 8 eps of rounding, both relative;
     ``tools/laplace_gate.py`` fits it against mpmath.  None where some
     node's Newton iterate leaves a residual above ``_SADDLE_TOLERANCE`` (or
-    a NaN): no value is better than a wrong one.  ``n_evaluations`` is the
-    96 nodes.
+    a NaN): no value is better than a wrong one.  Tagged ``saddle``;
+    ``n_evaluations`` is the 96 nodes.
     """
     ts = np.complex128(cmath.sqrt(z))
     ts3 = ts * ts * ts
@@ -889,7 +888,7 @@ def _saddle_sum(z: complex) -> QuadratureResult | None:
     value = complex(segment + branch)
     gap = cmath.sqrt(ts3 * (-4.0 / 3.0)).real
     err = abs(value) * (math.exp(-_SADDLE_DECAY * gap) + 8.0 * _EPS)
-    return QuadratureResult(value, err, _SADDLE_EVALUATIONS, True)
+    return ScorerResult(value, "saddle", err, _SADDLE_EVALUATIONS)
 
 
 def _hi_contour(z: complex) -> ScorerResult:
@@ -1049,8 +1048,9 @@ def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
     if z.imag < 0:
         return tuple(r.conjugate("conjugate") for r in results)
     if z.imag == 0.0:
-        return tuple(replace(r, value=complex(r.value.real, 0.0)) if r.value.imag else r
-                     for r in results)
+        return tuple(ScorerResult(complex(r.value.real, 0.0), r.method, r.abs_error_estimate,
+                                  r.n_evaluations, r.converged, r.derivative)
+                     if r.value.imag else r for r in results)
     return results
 
 

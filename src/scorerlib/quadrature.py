@@ -48,11 +48,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .contour import ScorerResult
+
 __all__ = [
     "Integrand",
     "NonFiniteIntegrandError",
     "QuadratureConfig",
-    "QuadratureResult",
     "integrate_finite",
     "integrate_piecewise",
     "integrate_semi_infinite",
@@ -157,28 +158,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-300
     max_subdivisions: int = 200
-
-
-@dataclass
-class QuadratureResult:
-    """Outcome of an adaptive integration.
-
-    Attributes
-    ----------
-    value : complex
-        The integral estimate (sum over all pieces).
-    abs_error_estimate : float
-        Sum of per-panel error estimates.
-    n_evaluations : int
-        Exact number of integrand evaluations performed.
-    converged : bool
-        Whether the error estimate met the configured tolerance.
-    """
-
-    value: complex
-    abs_error_estimate: float
-    n_evaluations: int
-    converged: bool
 
 
 def _gauss_kronrod(
@@ -320,7 +299,7 @@ def panel_rule(f: Integrand, a: float, b: float) -> tuple[complex, float, int]:
 def integrate_piecewise(
     pieces: Sequence[tuple[Integrand, float, float]],
     config: QuadratureConfig | None = None,
-) -> QuadratureResult:
+) -> ScorerResult:
     """Integrate a sum of pieces with one pooled adaptive refinement.
 
     Every piece starts on its four dyadic quarter panels (see the module
@@ -341,9 +320,12 @@ def integrate_piecewise(
 
     Returns
     -------
-    QuadratureResult
-        The tolerance test is applied to the *combined* value, so pieces
-        that nearly cancel or are individually tiny do not stall refinement.
+    ScorerResult
+        Tagged ``quadrature``: the integral (sum over all pieces), the sum
+        of the per-panel error estimates, the exact number of integrand
+        evaluations, and whether the error estimate met the tolerance.  The
+        tolerance test is applied to the *combined* value, so pieces that
+        nearly cancel or are individually tiny do not stall refinement.
     """
     cfg = config or QuadratureConfig()
     funcs: list[Integrand] = []
@@ -410,12 +392,12 @@ def integrate_piecewise(
         batch = [half for _, _, a, b, piece in parents for half in _halves(a, b, piece)]
         n_splits += count
 
-    return QuadratureResult(total, total_err, n_evals, total_err <= target)
+    return ScorerResult(total, "quadrature", total_err, n_evals, total_err <= target)
 
 
 def integrate_finite(
     f: Integrand, a: float, b: float, config: QuadratureConfig | None = None
-) -> QuadratureResult:
+) -> ScorerResult:
     """Adaptively integrate ``f`` over the finite interval ``[a, b]``.
 
     The interval starts on its four quarter panels, so it costs at least 60
@@ -427,7 +409,7 @@ def integrate_finite(
 
 def integrate_semi_infinite(
     f: Integrand, a: float, config: QuadratureConfig | None = None
-) -> QuadratureResult:
+) -> ScorerResult:
     """Adaptively integrate a decaying ``f`` over ``[a, inf)``.
 
     The range is folded onto ``(0, 1)`` by ``t = a + s/(1 - s)`` and refined

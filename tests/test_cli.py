@@ -14,6 +14,7 @@ from scorerlib.cli import (
     _CSV_HEADER,
     _build_parser,
     _hi_by_quadrature,
+    _selftest_checks,
     _z_from_polar,
     main,
     parse_phase,
@@ -38,10 +39,24 @@ class TestPhaseParsing:
     def test_accepted_forms(self, text, expected):
         assert parse_phase(text) == pytest.approx(expected, rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["junk", "pi/", "2pi/0x3", "", "pipi"])
+    @pytest.mark.parametrize("text", ["junk", "pi/", "2pi/0x3", "", "pipi", "pi/0", "2pi/0.0"])
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             parse_phase(text)
+
+    @pytest.mark.parametrize(
+        "argv,bad",
+        [
+            (["eval", "--fn", "gi", "--r", "1", "--phase", "pi/0"], "pi/0"),
+            (["arc", "--fn", "gi", "--radius", "1", "--stop", "2pi/0"], "2pi/0"),
+            (["bench", "--phases", "pi/0"], "pi/0"),
+        ],
+    )
+    def test_zero_denominator_is_a_usage_error(self, argv, bad, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if bad in line]) == 1
 
 
 class TestEvalCommand:
@@ -328,6 +343,21 @@ class TestSelftestCommand:
         lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
         assert len(lines) == 10
         assert all(ln.startswith("PASS") for ln in lines)
+
+    def test_sum_identity_sees_a_wrong_contour_rule(self, monkeypatch):
+        # Beyond the series discs Gi + Hi - Bi compares one routed function
+        # with an independent representation, so a relative error of 1e-6
+        # in the Laplace rule's Hi shows; a check of rounding alone would
+        # pass it.
+        rule = scorerlib.engine._laplace_sum
+
+        def off(*args):
+            res = rule(*args)
+            return dataclasses.replace(res, value=res.value * (1.0 + 1e-6))
+
+        monkeypatch.setattr(scorerlib.engine, "_laplace_sum", off)
+        outcomes = dict(_selftest_checks())
+        assert outcomes["sum_identity"].startswith("sum identity residual")
 
 
 class TestBenchCommand:

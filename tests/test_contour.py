@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from scorerlib import contour
+import scorerlib
+from scorerlib import contour, engine, quadrature
 from scorerlib.contour import (
     RAY_TOL,
     DomainError,
@@ -24,8 +26,8 @@ from scorerlib.contour import (
     hi_path_v_of_u,
     stokes_path,
 )
-from scorerlib.engine import hi_integral_principal, hi_integral_v_form
-from scorerlib.quadrature import QuadratureResult, integrate_piecewise
+from scorerlib.engine import hi, hi_integral_principal, hi_integral_v_form
+from scorerlib.quadrature import integrate_piecewise, integrate_semi_infinite
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -380,7 +382,7 @@ class TestPhaseParts:
 class TestCombine:
     def _parts(self):
         a = ScorerResult(1.0 + 2.0j, "a", 1e-14, 30, True)
-        b = QuadratureResult(-3.0 + 0.5j, 4e-13, 45, True)
+        b = ScorerResult(-3.0 + 0.5j, "quadrature", 4e-13, 45, True)
         return a, b
 
     def test_value_is_the_weighted_sum(self):
@@ -400,10 +402,38 @@ class TestCombine:
         a, b = self._parts()
         assert combine("sum", [(1.0, a), (1.0, b)]).n_evaluations == 75
         assert combine("sum", [(1.0, a), (1.0, b)]).converged
-        stalled = QuadratureResult(b.value, b.abs_error_estimate, 45, False)
+        stalled = dataclasses.replace(b, converged=False)
         assert not combine("sum", [(1.0, a), (1.0, stalled)]).converged
         assert not combine("one", [(0.5, stalled)]).converged
 
     def test_single_term_keeps_a_negative_zero(self):
         res = combine("one", [(1.0, ScorerResult(complex(-0.0, 1.0), "a", 0.0, 0))])
         assert math.copysign(1.0, res.value.real) == -1.0
+
+
+class TestOneResultType:
+    def test_integrals_and_rules_return_scorer_results(self):
+        tail = integrate_semi_infinite(lambda t: np.exp(-t) + 0.0j, 0.0)
+        pieces = integrate_piecewise([(lambda t: np.exp(-t) + 0.0j, 0.0, 1.0)])
+        z = cmath.rect(10.0, 5.0 * math.pi / 6.0)
+        laplace = engine._laplace_sum(z, *engine._laplace_rung(z))
+        saddle = engine._saddle_sum(cmath.rect(5.0, 2.0 * math.pi / 3.0 + 0.01))
+        parts = [tail, pieces, laplace, saddle]
+        assert all(type(part) is ScorerResult for part in parts)
+        assert [part.method for part in parts] == ["quadrature", "quadrature", "laplace", "saddle"]
+        assert [part.n_evaluations for part in parts[2:]] == [32, 96]
+        assert all(part.converged and part.derivative is None for part in parts)
+
+    def test_results_are_plain_records(self):
+        res = hi(5j)
+        stalled = dataclasses.replace(res, converged=False)
+        assert (stalled.value, stalled.method, stalled.n_evaluations) == (
+            res.value, res.method, res.n_evaluations)
+        assert res.converged and not stalled.converged
+        with pytest.raises(TypeError):
+            hash(res)
+
+    def test_no_other_result_type_is_exported(self):
+        for module in (scorerlib, quadrature, engine):
+            assert [name for name in dir(module) if name.endswith("Result")] == ["ScorerResult"]
+        assert [name for name in scorerlib.__all__ if name.endswith("Result")] == ["ScorerResult"]
