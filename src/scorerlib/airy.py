@@ -1,7 +1,7 @@
 """Complex Airy functions Ai and Bi with first derivatives.
 
 Evaluation is dispatched by region: a Maclaurin series near the origin, a
-fixed 40-node Gauss-Laguerre rule on the non-oscillating Laplace form of Ai
+fixed 25-node Gauss-Laguerre rule on the non-oscillating Laplace form of Ai
 everywhere else in the principal sector ``|ph z| <= 2*pi/3``, and a
 one-step three-solution rotation identity that connects the principal
 sector to the rest of the plane.  Bi beyond the series disc combines two
@@ -15,10 +15,11 @@ principal-sector Ai values (route ``rotation_pair``, two rule evaluations):
 * beyond ``2*pi/3`` and on the real axis,
   ``Bi = e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3})``.
   Nothing cancels, because the two terms carry conjugate-direction
-  exponentials; on the axis they are exact conjugates, so Bi(x) comes out
-  exactly real, where the first formula would leave a rounding residue in
-  its imaginary part.
+  exponentials; on the axis they are exact conjugates, so one rule
+  evaluation serves both and Bi(x) comes out exactly real, where the first
+  formula would leave a rounding residue in its imaginary part.
 
+The rotations call the rule directly on their principal-sector arguments.
 The lower half-plane is served by conjugation, which also makes conjugate
 symmetry exact in floating point.  Every evaluation returns a
 :class:`~scorerlib.contour.ScorerResult` that carries the derivative
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contour import ScorerResult, combine, require_finite
+from .contour import DomainError, ScorerResult, combine, require_finite
 
 # Not used here: the name stays because perfbench's tracer wraps
 # ``airy.integrate_semi_infinite`` and stops when it is missing.
@@ -77,8 +78,9 @@ _ROT5 = cmath.exp(5j * math.pi / 6)
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _HALF_PI = 0.5 * math.pi
 
-# The generalized Gauss-Laguerre rule for exp(-t) t**(-1/6) on [0, inf),
-# 40 nodes, ascending; printed by tools/laguerre_rule.py.
+# The generalized Gauss-Laguerre rule for exp(-t) t**(-1/6) on [0, inf) with
+# 40 nodes, ascending, truncated to the 25 nodes whose weight exceeds 1e-18
+# of the largest; printed by tools/laguerre_rule.py --cut 1e-18.
 _NODES = np.array([
     0.028389141799456768, 0.17098537886003493, 0.4358716783417705,
     0.8235182579130309, 1.3345254325422737, 1.9696829320643507,
@@ -88,12 +90,7 @@ _NODES = np.array([
     15.482659695937715, 17.602715680806913, 19.876565602278546,
     22.30918567739628, 24.906172021297422, 27.67383207394972,
     30.619296329508412, 33.750656085024, 37.07713497083912,
-    40.609304969434135, 44.35936195160668, 48.34148224345282,
-    52.572291707850496, 57.07149458398093, 61.86273503855476,
-    66.97480787736505, 72.44341162998353, 78.31377964843566,
-    84.64480548222755, 91.51587398018528, 99.0389948551728,
-    107.38247629566553, 116.8236917656583, 127.89374484316458,
-    141.96078859906348,
+    40.609304969434135,
 ])
 _WEIGHTS = np.array([
     0.14372040880331385, 0.2304075592418809, 0.24225304552132762,
@@ -104,12 +101,7 @@ _WEIGHTS = np.array([
     2.4450273679965773e-07, 3.085370342362143e-08, 3.3329607293728215e-09,
     3.0678189236537724e-10, 2.3933130990901165e-11, 1.5729470767628715e-12,
     8.649360130178674e-14, 3.948198167006651e-15, 1.4827117304810828e-16,
-    4.533903748150563e-18, 1.1154798045203585e-19, 2.177666605892262e-21,
-    3.318788910579756e-23, 3.872847904397466e-25, 3.381185924262449e-27,
-    2.1469906189326257e-29, 9.574538399305471e-32, 2.8687783450264734e-34,
-    5.452034672917572e-37, 6.0821280065410676e-40, 3.571351222207245e-43,
-    9.375169717620775e-47, 8.418177761921027e-51, 1.5547776242720715e-55,
-    1.6257265818523536e-61,
+    4.533903748150563e-18,
 ])
 _WEIGHTS_NODES = _WEIGHTS * _NODES
 #: Above this |zeta| (|z| above about 1.3e100) the rule is not evaluated
@@ -119,54 +111,84 @@ _ZETA_CAP = 1e150
 _LAPLACE_NORM = 1.0 / (math.sqrt(math.pi) * 48.0 ** (1.0 / 6.0) * math.gamma(5.0 / 6.0))
 
 
+def _maclaurin_denominators(n_terms: int) -> list[list[int]]:
+    """The denominators ``D`` of the coefficients ``1/D`` of ``z**(3m + j)``,
+    ``m < n_terms``, of the three series solutions (``j = 0, 1, 2``) of
+    ``w'' - z w = const`` seeded by a coefficient 1 at ``z**j``.
+
+    The coefficients follow ``(k + 2)(k + 1) c_{k+2} = c_{k-1}``, so the
+    three residue classes of ``k`` recur independently.  The homogeneous
+    Airy equation uses the classes 0 and 1; the Scorer equations add class
+    2, whose seed ``c_2`` is half the right-hand side.  Integers, so that a
+    table entry ``k / D`` rounds once.
+    """
+    classes = []
+    for j in range(3):
+        d = [1]
+        for m in range(1, n_terms):
+            d.append(d[-1] * (3 * m + j) * (3 * m + j - 1))
+        classes.append(d)
+    return classes
+
+
+#: Terms of each series in z**3: every omitted term of f, g, f' and g' is
+#: below 1e-20 at |z| = SERIES_RADIUS.
+_SERIES_TERMS = 19
+
+
+def _airy_rows(n_terms: int) -> tuple[tuple[float, float, float, float], ...]:
+    """Horner rows, highest power of ``z**3`` first, of ``f``, ``g / z``,
+    ``f' / z**2`` and ``g'``, where ``f = 1 + z**3/6 + ...`` and
+    ``g = z + z**4/12 + ...`` solve w'' = z w with (value, slope) seeds
+    (1, 0) and (0, 1)."""
+    f, g, _ = _maclaurin_denominators(n_terms + 1)
+    return tuple(
+        (1 / f[m], 1 / g[m], 3 * (m + 1) / f[m + 1], (3 * m + 1) / g[m])
+        for m in reversed(range(n_terms))
+    )
+
+
+_AIRY_ROWS = _airy_rows(_SERIES_TERMS)
+
+
 def _maclaurin(z: complex, c0: float, c1: float) -> ScorerResult:
     """The Airy solution with value ``c0`` and slope ``c1`` at the origin,
-    and its derivative, from the Maclaurin series.
+    and its derivative, from the Maclaurin series in Horner form.
 
-    It is ``c0 f + c1 g``, where ``f = 1 + z**3/6 + ...`` and
-    ``g = z + z**4/12 + ...`` solve w'' = z w with (value, slope) seeds
-    (1, 0) and (0, 1).  The error bar is 4 eps times the sum of the term
-    magnitudes of f and g times ``max(|c0|, |c1|)``.
+    It is ``c0 f + c1 g`` (see :func:`_airy_rows`).  The error bar is
+    4 eps times the sum of the term magnitudes of f and g, which is the
+    series at ``|z|``, times ``max(|c0|, |c1|)``.
     """
-    f = 1.0 + 0.0j
-    g = complex(z)
-    fp = 0.0 + 0.0j
-    gp = 1.0 + 0.0j
-    p = 1.0 + 0.0j
-    q = complex(z)
-    z2 = z * z
-    z3 = z2 * z
-    term_abs = 1.0 + abs(z)
-    for k in range(400):
-        d = p * z2 / (3 * k + 2)
-        e = q * z2 / (3 * k + 3)
-        p = p * z3 / ((3 * k + 2) * (3 * k + 3))
-        q = q * z3 / ((3 * k + 3) * (3 * k + 4))
-        f += p
-        g += q
-        fp += d
-        gp += e
-        step = abs(p) + abs(q) + abs(d) + abs(e)
-        term_abs += abs(p) + abs(q)
-        scale = abs(f) + abs(g) + abs(fp) + abs(gp)
-        if step <= 0.25 * _EPS * scale and k >= 1:
-            break
+    z3 = z * z * z
+    r = abs(z)
+    r3 = r * r * r
+    f = g = fp = gp = 0j
+    f_abs = g_abs = 0.0
+    for a, b, ap, bp in _AIRY_ROWS:
+        f = f * z3 + a
+        g = g * z3 + b
+        fp = fp * z3 + ap
+        gp = gp * z3 + bp
+        f_abs = f_abs * r3 + a
+        g_abs = g_abs * r3 + b
     return ScorerResult(
-        c0 * f + c1 * g,
+        c0 * f + c1 * (z * g),
         "series",
-        4.0 * _EPS * term_abs * max(abs(c0), abs(c1)),
+        4.0 * _EPS * (f_abs + r * g_abs) * max(abs(c0), abs(c1)),
         0,
-        derivative=c0 * fp + c1 * gp,
+        derivative=c0 * (z * z * fp) + c1 * gp,
     )
 
 
 def ai_maclaurin(z: complex) -> ScorerResult:
-    """Ai and Ai' from the Maclaurin series.
+    """Ai and Ai' from the Maclaurin series; requires ``|z| <= SERIES_RADIUS``.
 
     Accurate to roughly ``eps * exp((4/3)|z|**1.5)`` relative near the
-    positive real axis, so intended for ``|z| <= SERIES_RADIUS``; converges
-    (slowly, with cancellation) for any argument.
+    positive real axis.  Raises :class:`~scorerlib.contour.DomainError`
+    beyond the disc, where its fixed number of terms no longer suffices.
     """
+    if not abs(z) <= SERIES_RADIUS:
+        raise DomainError(f"Ai series requires |z| <= {SERIES_RADIUS}")
     return _maclaurin(z, AI_ZERO, AIP_ZERO)
 
 
@@ -175,9 +197,10 @@ def _ai_laguerre(z: complex) -> ScorerResult:
 
     ``Ai(z) = exp(-zeta) zeta**(-1/6) / (sqrt(pi) 48**(1/6) Gamma(5/6)) * I``
     with ``zeta = (2/3) z**1.5`` and
-    ``I = int_0^inf exp(-t) t**(-1/6) (2 + t/zeta)**(-1/6) dt``; the 40-node
+    ``I = int_0^inf exp(-t) t**(-1/6) (2 + t/zeta)**(-1/6) dt``; the 25-node
     rule sums ``I`` and, on the same nodes, ``dI/dzeta``.  Valid for
-    ``|ph z| <= 2*pi/3`` and ``|z| > SERIES_RADIUS``.  For
+    ``|ph z| <= 2*pi/3`` and ``|z| > SERIES_RADIUS``, in either half-plane
+    (it is exactly conjugate-symmetric).  For
     ``|ph zeta| > pi/2`` the path turns by ``theta`` away from the
     singularity at ``t = -2 zeta``: ``t = s (1 + i tan theta)`` keeps the
     weight ``exp(-s) s**(-1/6)`` and adds the factor ``exp(-i s tan theta)``.
@@ -228,19 +251,33 @@ def _ai_laguerre(z: complex) -> ScorerResult:
     return ScorerResult(value, "integral", err, _NODES.size, True, pref * cmath.sqrt(z) * ds)
 
 
+def _ai_rotated_pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
+    """Ai at ``z e^{2 pi i/3}`` and at ``z e^{-2 pi i/3}``, both by the rule,
+    for ``z`` beyond the series disc with both arguments in the principal
+    sector.  On the real axis they are exact conjugates: one rule
+    evaluation serves both and is counted once."""
+    a_plus = _ai_laguerre(z * _ROT_PLUS)
+    if z.imag == 0.0:
+        a_minus = ScorerResult(
+            a_plus.value.conjugate(), a_plus.method, a_plus.abs_error_estimate,
+            0, a_plus.converged, a_plus.derivative.conjugate(),
+        )
+    else:
+        a_minus = _ai_laguerre(z * _ROT_MINUS)
+    return a_plus, a_minus
+
+
 def _ai_info(z: complex) -> ScorerResult:
     """Dispatch Ai by region."""
     z = require_finite(z)
     if z.imag < 0.0:
         return _ai_info(z.conjugate()).conjugate()
-    r = abs(z)
-    if r <= SERIES_RADIUS:
-        return ai_maclaurin(z)
+    if abs(z) <= SERIES_RADIUS:
+        return _maclaurin(z, AI_ZERO, AIP_ZERO)
     # abs: a negative-zero imaginary part puts the negative axis at -pi.
     if abs(cmath.phase(z)) > _TWO_THIRDS_PI + 1e-15:
         # One rotation lands both arguments inside the principal sector.
-        a_plus = _ai_info(z * _ROT_PLUS)
-        a_minus = _ai_info(z * _ROT_MINUS)
+        a_plus, a_minus = _ai_rotated_pair(z)
         deriv = -_ROT_PLUS * a_minus.derivative - _ROT_MINUS * a_plus.derivative
         return combine("rotation", [(-_ROT_MINUS, a_minus), (-_ROT_PLUS, a_plus)], deriv)
     return _ai_laguerre(z)
@@ -266,18 +303,18 @@ def _bi_info(z: complex) -> ScorerResult:
         return _bi_info(z.conjugate()).conjugate()
     if abs(z) <= SERIES_RADIUS:
         return _maclaurin(z, BI_ZERO, BIP_ZERO)
-    a_minus = _ai_info(z * _ROT_MINUS)
     # The same tolerance as _ai_info's, so Ai(z) below never rotates.
     if z.imag == 0.0 or cmath.phase(z) > _TWO_THIRDS_PI + 1e-15:
         # e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3}):
         # exact conjugate terms on the real axis, so Bi(x) stays real.
-        a_plus = _ai_info(z * _ROT_PLUS)
+        a_plus, a_minus = _ai_rotated_pair(z)
         deriv = _ROT5 * a_plus.derivative + _ROT5.conjugate() * a_minus.derivative
         return combine("rotation_pair", [(_ROT1, a_plus), (_ROT1.conjugate(), a_minus)], deriv)
     # i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3}) on 0 < ph z <= 2 pi/3, where
     # z e^{2 pi i/3} would leave the sector.  Nothing cancels: below pi/3
     # Ai(z) is recessive and the rotated term dominates, above it the reverse.
-    a = _ai_info(z)
+    a = _ai_laguerre(z)
+    a_minus = _ai_laguerre(z * _ROT_MINUS)
     deriv = 1j * a.derivative + 2.0 * _ROT5.conjugate() * a_minus.derivative
     return combine("rotation_pair", [(1j, a), (2.0 * _ROT1.conjugate(), a_minus)], deriv)
 

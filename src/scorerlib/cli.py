@@ -147,18 +147,15 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
     argparse reads a separate token such as ``-pi``, ``-5pi/6`` or ``-1e3``
     as an unknown option rather than as the value of the preceding option.
+    Every single-dash token after a signed option is attached, so a bad
+    value such as ``-pi/0`` is reported by name; a ``--`` token is the
+    next option, and the missing value is reported as such.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and token.startswith("-"):
-            try:
-                for part in token.split(","):
-                    parse_phase(part)
-            except ValueError:
-                pass
-            else:
-                out[-1] = f"{out[-1]}={token}"
-                continue
+        if out and out[-1] in _SIGNED_OPTIONS and token[:1] == "-" and token[:2] != "--":
+            out[-1] = f"{out[-1]}={token}"
+            continue
         out.append(token)
     return out
 

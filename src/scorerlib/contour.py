@@ -101,7 +101,9 @@ class ScorerResult:
         Exact count of quadrature integrand evaluations aggregated over
         every integral that contributed, including the kept nodes of each
         Laplace rule (32, 65 or 131, by rung), the 96 nodes of each saddle
-        split and the 40 nodes of each Airy rule evaluation.
+        split and the 25 kept nodes of each Airy rule evaluation (one
+        evaluation for the two conjugate rotated arguments of Ai(-x) and
+        Bi(x) on the real axis).
     converged : bool
         False when some contributing quadrature missed its tolerance.
     derivative : complex or None

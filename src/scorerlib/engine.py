@@ -107,28 +107,39 @@ _TARGET_REL_ACCURACY = 1e-10
 # Series representation
 
 
+#: Terms of each residue class in z**3: every omitted term is below 1e-20
+#: at |z| = _SERIES_RADIUS.
+_SERIES_TERMS = 15
+#: Horner rows of the three residue classes, highest power of z**3 first.
+_SERIES_ROWS = tuple(
+    (1 / p, 1 / q, 1 / t)
+    for p, q, t in reversed(list(zip(*_airy._maclaurin_denominators(_SERIES_TERMS))))
+)
+
+
 def _series_scorer(z: complex, c0: float, c1: float, c2: float) -> tuple[complex, float]:
     """Sum ``w = sum c_k z**k`` where ``(k+2)(k+1) c_{k+2} = c_{k-1}``.
 
     The seeds fix the solution of ``w'' - z w = 2*c2`` with value ``c0`` and
     slope ``c1`` at the origin; the three residue classes of ``k`` recur
-    independently.  Returns the sum and a rounding-error estimate.
+    independently and are summed in Horner form in ``z**3``.  Returns the
+    sum and a rounding-error estimate, 4 eps times the sum of the term
+    magnitudes (the same sums at ``|z|``).
     """
-    p = complex(c0)
-    q = c1 * z
-    t = c2 * z * z
-    total = p + q + t
-    term_abs = abs(p) + abs(q) + abs(t)
     z3 = z * z * z
-    for m in range(1, 400):
-        p *= z3 / ((3 * m) * (3 * m - 1))
-        q *= z3 / ((3 * m + 1) * (3 * m))
-        t *= z3 / ((3 * m + 2) * (3 * m + 1))
-        total += p + q + t
-        step = abs(p) + abs(q) + abs(t)
-        term_abs += step
-        if step <= 0.25 * _EPS * (abs(total) + 1e-300) and m >= 2:
-            break
+    r = abs(z)
+    r3 = r * r * r
+    p = q = t = 0j
+    p_abs = q_abs = t_abs = 0.0
+    for a, b, c in _SERIES_ROWS:
+        p = p * z3 + a
+        q = q * z3 + b
+        t = t * z3 + c
+        p_abs = p_abs * r3 + a
+        q_abs = q_abs * r3 + b
+        t_abs = t_abs * r3 + c
+    total = c0 * p + c1 * (z * q) + c2 * (z * z * t)
+    term_abs = abs(c0) * p_abs + abs(c1) * r * q_abs + abs(c2) * r * r * t_abs
     return total, 4.0 * _EPS * term_abs
 
 

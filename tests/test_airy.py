@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from scorerlib import airy
 from scorerlib.airy import (
     AI_ZERO,
     AIP_ZERO,
@@ -155,6 +156,7 @@ _AIRY_REFERENCE = {
 }
 
 _REL_TOL = 2e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def _rel(err: complex, ref: complex) -> float:
@@ -233,6 +235,41 @@ class TestRotationIdentity:
         assert abs(total_d) / scale_d < 1e-11
 
 
+def _series_coefficient(m: int, j: int) -> Fraction:
+    """The coefficient of z**(3m + j) in the series solution of w'' = z w + const
+    seeded by 1 at z**j: 1 / prod_{i <= m} (3i + j)(3i + j - 1)."""
+    return Fraction(1, math.prod((3 * i + j) * (3 * i + j - 1) for i in range(1, m + 1)))
+
+
+class TestMaclaurinTable:
+    def test_first_omitted_terms_are_below_1e_20_at_the_disc_edge(self):
+        # f = sum a_m z**(3m) and g = z sum b_m z**(3m) keep m < n; f' keeps
+        # one more term, 3(m + 1) a_{m+1} z**(3m + 2), and g' the terms
+        # (3m + 1) b_m z**(3m).
+        n = airy._SERIES_TERMS
+        a, b = _series_coefficient(n, 0), _series_coefficient(n, 1)
+        a_next = _series_coefficient(n + 1, 0)
+        r = SERIES_RADIUS
+        omitted = (a * r ** (3 * n), b * r ** (3 * n + 1),
+                   3 * (n + 1) * a_next * r ** (3 * n + 2), (3 * n + 1) * b * r ** (3 * n))
+        assert max(omitted) < 1e-20
+        assert len(airy._AIRY_ROWS) == n
+
+    @pytest.mark.parametrize("z", [0.3 + 0.1j, -2.0 + 1.5j, cmath.rect(SERIES_RADIUS, 2.0)])
+    def test_horner_sum_matches_the_term_by_term_series(self, z):
+        # Term by term to m = 40, each sum held to 8 eps of its terms'
+        # magnitudes.
+        a = [AI_ZERO * float(_series_coefficient(m, 0)) for m in range(41)]
+        b = [AIP_ZERO * float(_series_coefficient(m, 1)) for m in range(41)]
+        value_terms = [c * z ** (3 * m) for m, c in enumerate(a)]
+        value_terms += [c * z ** (3 * m + 1) for m, c in enumerate(b)]
+        deriv_terms = [3 * m * c * z ** (3 * m - 1) for m, c in enumerate(a) if m]
+        deriv_terms += [(3 * m + 1) * c * z ** (3 * m) for m, c in enumerate(b)]
+        res = ai_maclaurin(z)
+        for got, terms in ((res.value, value_terms), (res.derivative, deriv_terms)):
+            assert abs(got - sum(terms)) <= 8.0 * _EPS * sum(abs(t) for t in terms)
+
+
 class TestMethodSeams:
     @pytest.mark.parametrize("radius", [SERIES_RADIUS])
     def test_dispatch_switches_continuously_at_the_seam(self, radius):
@@ -244,6 +281,12 @@ class TestMethodSeams:
         # by first-order variation so a seam jump would stand out.
         allowed = 3.0 * abs(info_in.derivative) * abs(z) * 2e-6
         assert abs(info_out.value - info_in.value) < allowed
+
+    def test_series_stops_at_its_disc(self):
+        assert ai_maclaurin(SERIES_RADIUS).method == "series"
+        for z in (3.6, cmath.rect(3.6, 2.0), complex("nan")):
+            with pytest.raises(DomainError):
+                ai_maclaurin(z)
 
     def test_series_and_integral_overlap(self):
         # Both representations are valid near the seam radius.
@@ -276,17 +319,28 @@ class TestRouting:
         assert info.n_evaluations > 0
         assert 0.0 <= info.abs_error_estimate < abs(info.value)
 
-    def test_rule_costs_forty_evaluations_at_every_radius(self):
+    def test_rule_costs_its_nodes_at_every_radius(self):
         for r in (3.6, 9.0, 80.0, 1e6):
-            assert _ai_info(cmath.rect(r, 0.4)).n_evaluations == 40
-        assert _bi_info(20 + 0j).n_evaluations == 80
-        # Bi is two rule evaluations on 0 < |ph z| <= 2*pi/3 too, where
-        # Ai(z e^{2 pi i/3}) would have cost two more through a rotation.
+            assert _ai_info(cmath.rect(r, 0.4)).n_evaluations == _NODES.size
+        # Bi is two rule evaluations on 0 < |ph z| <= 2*pi/3, where
+        # Ai(z e^{2 pi i/3}) would have cost two more through a rotation,
+        # and beyond 2*pi/3.
         for r in (3.6, 9.0, 80.0):
-            for ph in (1e-9, 0.5, math.pi / 3.0, 2.0 * math.pi / 3.0):
+            for ph in (1e-9, 0.5, math.pi / 3.0, 2.0 * math.pi / 3.0, 2.5, 3.0):
                 z = cmath.rect(r, ph)
-                assert _bi_info(z).n_evaluations == 80
-                assert _bi_info(z.conjugate()).n_evaluations == 80
+                assert _bi_info(z).n_evaluations == 2 * _NODES.size
+                assert _bi_info(z.conjugate()).n_evaluations == 2 * _NODES.size
+
+    @pytest.mark.parametrize("x", [3.6, 6.0, 20.0, 80.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_real_axis_rotations_cost_one_rule(self, x, sign):
+        # Ai(-x) and Bi(+-x) take two rotated arguments that are exact
+        # conjugates on the axis: one rule evaluation serves both.
+        z = complex(sign * x, 0.0)
+        ai_method = "integral" if sign > 0.0 else "rotation"
+        for res, method in ((ai_complex(z), ai_method), (bi_complex(z), "rotation_pair")):
+            assert (res.method, res.n_evaluations) == (method, _NODES.size)
+            assert res.value.imag == 0.0 and res.derivative.imag == 0.0
 
     def test_bi_matches_the_conjugate_pair_formula(self):
         # On 0 < ph z <= 2*pi/3, i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3})
@@ -302,7 +356,7 @@ class TestRouting:
             up, down = ai_complex(z * rot), ai_complex(z / rot)
             value = c1 * up.value + c1.conjugate() * down.value
             deriv = c5 * up.derivative + c5.conjugate() * down.derivative
-            assert b.method == "rotation_pair" and b.n_evaluations == 80
+            assert b.method == "rotation_pair" and b.n_evaluations == 2 * _NODES.size
             ref_bar = up.abs_error_estimate + down.abs_error_estimate
             assert abs(b.value - value) <= b.abs_error_estimate + ref_bar
             terms = [(1.0, ai_complex(z)), (2.0, down), (1.0, up), (1.0, down)]
@@ -322,7 +376,12 @@ class TestRouting:
 
 class TestLaguerreRule:
     def test_embedded_rule_matches_scipy(self):
+        # The kept nodes are the smallest of the 40-node rule: the weights
+        # fall monotonically past the largest.
         nodes, weights = scipy.special.roots_genlaguerre(40, -1.0 / 6.0)
+        assert _NODES.size == 25
+        assert weights[_NODES.size] < 1e-18 * weights.max() < weights[_NODES.size - 1]
+        nodes, weights = nodes[: _NODES.size], weights[: _NODES.size]
         np.testing.assert_allclose(_NODES, nodes, rtol=1e-14, atol=0.0)
         # Below about 1e-20 scipy's own weights stray from 90-digit values by
         # up to 2.3e-13 relative; they are weighed against the whole sum.
@@ -331,8 +390,26 @@ class TestLaguerreRule:
         )
 
     def test_weights_sum_to_the_weight_integral(self):
-        # The integral of exp(-t) t**(-1/6) over [0, inf) is Gamma(5/6).
+        # The integral of exp(-t) t**(-1/6) over [0, inf) is Gamma(5/6);
+        # the dropped weights sum to about 1e-19.
         assert math.isclose(_WEIGHTS.sum(), math.gamma(5.0 / 6.0), rel_tol=1e-15)
+
+    def test_low_moments_and_a_pole(self):
+        # Truncation spoils the high moments (2e-14 at k = 4, 1e-11 at
+        # k = 7), not the low ones.
+        for k in range(4):
+            moment = float(np.dot(_WEIGHTS, _NODES**k))
+            assert moment == pytest.approx(math.gamma(k + 5.0 / 6.0), rel=1e-14)
+        # int_0^inf exp(-t) t**(-1/6) dt / (t + a)
+        #   = Gamma(5/6) a**(-1/6) e**a Gamma(1/6, a):
+        # a pole at t = -a stands in for the integrand's singularity at
+        # t = -2 zeta, nearest the nodes on the positive real axis; a = 8.73
+        # is 2 zeta at the series seam.
+        for a in (2.0 * (2.0 / 3.0) * SERIES_RADIUS**1.5, 12.0, 20.0, 50.0):
+            exact = (math.gamma(5.0 / 6.0) * a ** (-1.0 / 6.0) * math.exp(a)
+                     * scipy.special.gammaincc(1.0 / 6.0, a) * math.gamma(1.0 / 6.0))
+            total = float(np.dot(_WEIGHTS, 1.0 / (_NODES + a)))
+            assert total == pytest.approx(exact, rel=5e-15)
 
 
 def _above_the_ray(r):
@@ -367,7 +444,7 @@ class TestHugeArgument:
         info = ai_complex(z)
         assert info.value == 0.0 and info.derivative == 0.0
         assert info.abs_error_estimate == 0.0
-        assert (info.method, info.n_evaluations, info.converged) == ("integral", 40, True)
+        assert (info.method, info.n_evaluations, info.converged) == ("integral", _NODES.size, True)
 
     @pytest.mark.parametrize(
         "z",

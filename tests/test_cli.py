@@ -135,6 +135,14 @@ class TestEvalCommand:
         assert separate == joined
         assert (separate["z_re"], separate["z_im"]) == (-1e3, -2.0)
 
+    @pytest.mark.parametrize("bad", [["--re", "-junk", "--im", "1"],
+                                     ["--r", "2", "--phase", "-pi/x"]])
+    def test_bad_negative_value_is_named(self, bad, capsys):
+        assert main(["eval", "--fn", "gi", *bad]) == 1
+        err = capsys.readouterr().err
+        assert "-junk" in err or "-pi/x" in err
+        assert "expected one argument" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -296,6 +304,12 @@ class TestArcCommand:
         assert float(rows[0].split(",")[0]) == -math.pi
         assert rows[0].split(",")[1:] == rows[-1].split(",")[1:]
 
+    @pytest.mark.parametrize("bad", ["-pi/0", "-junk"])
+    def test_bad_negative_start_is_named(self, bad, capsys):
+        assert main(["arc", "--fn", "gi", "--radius", "1", "--start", bad]) == 1
+        err = capsys.readouterr().err
+        assert f"'{bad}'" in err and "--start" in err
+
     def test_negative_stop_phase(self, capsys):
         rc = main(["arc", "--fn", "hi", "--radius", "1", "--start", "0", "--stop",
                    "-pi/2", "--samples", "2"])
@@ -367,9 +381,13 @@ class TestBenchCommand:
         assert rc == 0
         assert "PASS" in out
 
+    def test_bad_negative_phases_are_named(self, capsys):
+        assert main(["bench", "--radii", "1", "--phases", "-pi/0"]) == 1
+        assert "'-pi/0'" in capsys.readouterr().err
+
     def test_negative_phases_as_separate_token(self, capsys):
-        # Conjugate phases cost the same, and a separate token whose parts
-        # all parse is the option's value, not an unknown option.
+        # Conjugate phases cost the same, and a separate dash-led token is
+        # the option's value, not an unknown option.
         rc = main(["bench", "--radii", "1,10", "--phases", "-5pi/6,5pi/6,-2pi/3,2pi/3"])
         out = capsys.readouterr().out
         assert rc == 0
@@ -401,10 +419,12 @@ class TestBenchCommand:
         rc = main(["bench", "--radii", "1,10,100", "--phases", "0.4pi,0.6pi"])
         out = capsys.readouterr().out
         # The valley contour's cost grows with the radius: the check fails.
+        # Beyond the Ai series disc each count includes one Airy rule.
         assert rc == 2
         rows = [[int(tok) for tok in re.findall(r"(\d+) \(", line)]
                 for line in out.splitlines()[2:5]]
-        assert rows == [[180, 210], [130, 190], [250, 400]]
+        n = scorerlib.airy._NODES.size
+        assert rows == [[180, 210], [90 + n, 150 + n], [210 + n, 360 + n]]
 
     def test_rejects_bad_radius_list(self, capsys):
         assert main(["bench", "--radii", "1,zebra"]) == 1

@@ -51,6 +51,9 @@ _PI = math.pi
 _EPS = float(np.finfo(float).eps)
 _ROT_UP = cmath.exp(2j * _PI / 3.0)
 _ROT_DOWN = cmath.exp(-2j * _PI / 3.0)
+#: Evaluations of one Airy rule, and the radius of Ai's series disc.
+_AIRY_RULE = scorerlib.airy._NODES.size
+_AI_SERIES_RADIUS = scorerlib.airy.SERIES_RADIUS
 
 # Reference values computed with mpmath at padded precision and frozen; each
 # entry maps z to (first solution, second solution) of w'' - z w = -+1/pi.
@@ -320,6 +323,26 @@ class TestSeries:
         ):
             w, _, w2 = _series_scorer_derivatives(z, c0, c1, rhs / 2.0)
             assert abs(w2 - z * w - rhs) < 1e-10
+
+    def test_first_omitted_terms_are_below_1e_20_at_the_disc_edge(self):
+        # Residue class j omits first the term of z**(3n + j), whose
+        # coefficient is 1 / prod_{i <= n} (3i + j)(3i + j - 1).
+        n = scorerlib.engine._SERIES_TERMS
+        r = scorerlib.engine._SERIES_RADIUS
+        for j in range(3):
+            coeff = 1 / math.prod((3 * i + j) * (3 * i + j - 1) for i in range(1, n + 1))
+            assert coeff * r ** (3 * n + j) < 1e-20
+        assert len(scorerlib.engine._SERIES_ROWS) == n
+
+    @pytest.mark.parametrize("phase", [0.0, 0.9, 2.1, 3.0])
+    def test_horner_sum_matches_the_term_by_term_series(self, phase):
+        z = cmath.rect(scorerlib.engine._SERIES_RADIUS, phase)
+        for res, c0, c1, c2 in (
+            (gi_series(z), GI_AT_ZERO, GI_DERIV_AT_ZERO, -0.5 / _PI),
+            (hi_series(z), HI_AT_ZERO, HI_DERIV_AT_ZERO, 0.5 / _PI),
+        ):
+            w, _, _ = _series_scorer_derivatives(z, c0, c1, c2)
+            assert abs(res.value - w) <= res.abs_error_estimate
 
     def test_series_matches_reference_inside_disk(self):
         ref, _ = _REFERENCE[1 + 1j]
@@ -682,13 +705,13 @@ class TestDispatchBoundaries:
     @pytest.mark.parametrize("phase", [1e-9, 0.02, 0.05 - 1e-9])
     def test_rotation_costs_exactly_its_arms(self, phase):
         # The rotated Hi in both connections is hi's own value, so each
-        # spends exactly that hi call plus its Airy rule's 40 evaluations;
-        # the rotation pair spends its two hi calls.
+        # spends exactly that hi call plus its Airy rule's evaluations; the
+        # rotation pair spends its two hi calls.
         z = cmath.rect(5.0, phase)
         up, down = hi(z * _ROT_UP), hi(z * _ROT_DOWN)
         g, h = gi(z), hi(z)
         assert (g.method, h.method) == ("gi_rotation", "hi_rotation")
-        assert g.n_evaluations == h.n_evaluations == up.n_evaluations + 40
+        assert g.n_evaluations == h.n_evaluations == up.n_evaluations + _AIRY_RULE
         assert g.value == -_ROT_UP * up.value + 1j * ai_complex(z).value
         pair = gi_from_hi_rotations(z)
         assert pair.n_evaluations == up.n_evaluations + down.n_evaluations
@@ -878,7 +901,7 @@ def _edges(phase: float) -> list[float]:
 def _airy_evals(fn: str, z: complex) -> int:
     """The Airy rule's evaluations of ``i Ai(z)`` inside a ``gi_rotation``
     result."""
-    return 40 if fn == "gi" and abs(z) > 3.5 else 0
+    return _AIRY_RULE if fn == "gi" and abs(z) > _AI_SERIES_RADIUS else 0
 
 
 def _rotated(z: complex) -> complex:
@@ -1021,7 +1044,7 @@ class TestLaplaceGate:
         diff = abs(laplace.value - adaptive.value)
         assert diff <= 1e-13 * abs(adaptive.value)
         assert diff <= laplace.abs_error_estimate + adaptive.abs_error_estimate
-        # The rung's kept nodes, plus the Airy rule's 40 beyond its series
+        # The rung's kept nodes, plus the Airy rule's beyond its series
         # disc.
         assert laplace.n_evaluations == _KEPT[_model_rung(z)] + _airy_evals(fn, z)
         assert laplace.n_evaluations <= adaptive.n_evaluations
@@ -1109,10 +1132,10 @@ class TestSaddleSplit:
 
     @pytest.mark.parametrize("radius", _NEAR_RAY_RADII)
     def test_the_rotation_row_just_below_the_ray_converges(self, radius):
-        # The rotated Hi costs 96; Ai adds its 40 nodes beyond its series
-        # disc |z| <= 3.5.
+        # The rotated Hi costs 96; Ai adds its rule's nodes beyond its
+        # series disc |z| <= 3.5.
         z = cmath.rect(radius, 2.0 * _PI / 3.0 - 1.5e-12)
-        airy_nodes = 40 if radius > 3.5 else 0
+        airy_nodes = _AIRY_RULE if radius > _AI_SERIES_RADIUS else 0
         for res, method in ((hi(z), "hi_rotation"), (gi(z), "gi_rotation")):
             assert (res.method, res.n_evaluations, res.converged) == (method, 96 + airy_nodes, True)
 

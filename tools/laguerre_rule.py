@@ -27,7 +27,7 @@ those.
 
 Run from the root of a checkout (needs mpmath, which the library does not)::
 
-    python3 tools/laguerre_rule.py                     # airy.py: 40 nodes, alpha = -1/6
+    python3 tools/laguerre_rule.py --cut 1e-18         # airy.py: 40 nodes, alpha = -1/6, 25 kept
     python3 tools/laguerre_rule.py --n 60 --alpha 0 --cut 1e-18    # engine.py: _NODES_60
     python3 tools/laguerre_rule.py --n 240 --alpha 0 --cut 1e-18   # engine.py: _NODES_240
     python3 tools/laguerre_rule.py --n 960 --alpha 0 --cut 1e-18   # engine.py: _NODES_960
@@ -35,8 +35,9 @@ Run from the root of a checkout (needs mpmath, which the library does not)::
     python3 tools/laguerre_rule.py --n 16 --alpha -1/2 --tag SADDLE_EVEN
     python3 tools/laguerre_rule.py --n 16 --alpha 0 --tag SADDLE_ODD
 
-The truncated engine commands name their tables after ``n``, the others
-after ``--tag``.
+The truncated commands name their tables after ``n``, the others after
+``--tag``; ``airy.py`` names its ``_NODES_40`` and ``_WEIGHTS_40`` plain
+``_NODES`` and ``_WEIGHTS``.
 """
 
 from __future__ import annotations
