@@ -12,6 +12,14 @@ lower half-plane; the rays
 ``ph z = +-2*pi/3`` at the same radii; and the real axis at the same radii
 with ``+0.0`` and ``-0.0`` imaginary parts, both signs of the real part.
 
+The same fields are dumped for the five adaptive-quadrature
+representations, which the route table never takes: ``hi_integral_principal``,
+``hi_integral_v_form``, ``hi_integral_upper`` and ``gi_integral`` at every
+point of the closed upper half-plane (imaginary part ``+0.0`` or above; a
+point outside a representation's sector records its exception), and
+``gi_real_positive`` at the positive real radii.  So a change to the
+adaptive driver is guarded bit for bit too.
+
 Run from the root of a checkout (a dump reads its ``src/`` unless
 ``PYTHONPATH`` is set)::
 
@@ -64,6 +72,8 @@ BAND_PHASES = (
     2.0 * math.pi / 3.0 - 0.5e-12, 2.0 * math.pi / 3.0 + 0.5e-12,
 )
 FUNCTIONS = ("gi", "hi", "gi_hi_pair", "ai_complex", "bi_complex")
+#: The adaptive-quadrature representations, dumped on the upper half-plane.
+REPRESENTATIONS = ("hi_integral_principal", "hi_integral_v_form", "hi_integral_upper", "gi_integral")
 
 
 def points() -> list[complex]:
@@ -97,6 +107,22 @@ def _fields(result) -> dict:
     }
 
 
+def _record(out: dict[str, dict], name: str, fn, z) -> None:
+    """Add the fields of ``fn(z)`` (or of the exception it raises) under
+    ``"<name> <z>"``, one entry per part of ``gi_hi_pair``."""
+    key = _key(complex(z))
+    try:
+        results = fn(z)
+    except Exception as exc:  # recorded, so that a change of it shows
+        out[f"{name} {key}"] = {"raises": f"{type(exc).__name__}: {exc}"}
+        return
+    if name == "gi_hi_pair":
+        for part, result in zip(("gi", "hi"), results):
+            out[f"{name}.{part} {key}"] = _fields(result)
+    else:
+        out[f"{name} {key}"] = _fields(results)
+
+
 def dump() -> dict[str, dict]:
     """``{"<function> <z>": fields}`` over the grid, for the scorerlib on
     ``sys.path``."""
@@ -105,16 +131,12 @@ def dump() -> dict[str, dict]:
     out = {}
     for z in points():
         for name in FUNCTIONS:
-            try:
-                results = getattr(scorerlib, name)(z)
-            except Exception as exc:  # recorded, so that a change of it shows
-                out[f"{name} {_key(z)}"] = {"raises": f"{type(exc).__name__}: {exc}"}
-                continue
-            if name == "gi_hi_pair":
-                for part, result in zip(("gi", "hi"), results):
-                    out[f"{name}.{part} {_key(z)}"] = _fields(result)
-            else:
-                out[f"{name} {_key(z)}"] = _fields(results)
+            _record(out, name, getattr(scorerlib, name), z)
+        if math.copysign(1.0, z.imag) > 0.0:
+            for name in REPRESENTATIONS:
+                _record(out, name, getattr(scorerlib, name), z)
+    for r in RADII:
+        _record(out, "gi_real_positive", scorerlib.gi_real_positive, r)
     return out
 
 
