@@ -212,7 +212,7 @@ def hi_jacobian_u(u, v, x: float, y: float):
     den = v * v - u * u + x
     if np.count_nonzero(den) < np.size(den):
         raise DomainError("hi_jacobian_u is singular where v**2 - u**2 + x = 0 (saddle)")
-    return _tangent(1.0, (2.0 * u * v - y) * (1.0 / den))
+    return 1.0 + 1j * ((2.0 * u * v - y) * (1.0 / den))
 
 
 def hi_branch_point(x: float, y: float) -> tuple[float, float]:
@@ -325,20 +325,5 @@ def gi_jacobian_u(u, v, x: float, y: float):
     den = 2.0 * u * v + y
     if np.count_nonzero(den) < np.size(den):
         raise DomainError("gi_jacobian_u is singular where 2*u*v + y = 0")
-    return _tangent(1.0, (u * u - v * v + x) * (1.0 / den))
+    return 1.0 + 1j * ((u * u - v * v + x) * (1.0 / den))
 
-
-def _tangent(real: float, imag):
-    """``real + 1j * imag`` for a real array ``imag``, such as the contour
-    tangent ``dt/du = 1 + i dv/du``, built from real parts.
-
-    numpy's complex arithmetic costs several times a real operation on the
-    short arrays of a quadrature generation.  A slope ``num / den`` passed
-    as ``num * (1.0 / den)``, which is how numpy divides a complex array by
-    a real one, gives the bits of ``1.0 + 1j * num / den`` up to the sign
-    of a zero imaginary part.
-    """
-    out = np.empty(np.shape(imag), dtype=complex)
-    out.real = real
-    out.imag = imag
-    return out

@@ -310,7 +310,7 @@ def hi_integral_principal(z: complex) -> ScorerResult:
         def f(w: np.ndarray) -> np.ndarray:
             u = scale * w
             v, dv = _contour.stokes_path(u, x)
-            dt_dw = _contour._tangent(scale, scale * dv) * np.exp(1j * shift * u)
+            dt_dw = scale * (1.0 + 1j * dv) * np.exp(1j * shift * u)
             return _masked_exp(_contour.hi_decay(u, v, x, y), dt_dw)
 
     else:

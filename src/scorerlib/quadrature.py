@@ -11,19 +11,18 @@ a mapped tail), and each generation bisects, across *all* pieces, the fewest
 worst panels whose removal would bring the combined error estimate within
 the tolerance against the combined value.  This keeps pieces whose individual
 value is tiny from chasing an unreachable relative target.  A generation
-calls each distinct integrand once, on the flat array of every abscissa it
-needs, so integrands must be elementwise.
+calls each piece's integrand once, on the flat array of every abscissa of
+that piece's panels, so integrands must be elementwise.
 
 Semi-infinite ranges are folded onto (0, 1) with the rational map
 ``t = a + s/(1 - s)``.
 
 Cost model: a generation costs a fixed number of small-array operations
-(about 25 in the kernel, plus the integrand's own), nearly independent of
-how many panels it holds, because its arrays have only 15 to a few hundred
-elements and each numpy call costs about a microsecond of overhead.  So the
-panel count matters less than the number of generations, and an integrand
-should be elementwise and use few operations: each numpy call it makes is
-paid once per generation.
+(about 25 in the kernel, plus the integrand's own for each piece it
+refines), nearly independent of how many panels it holds, because its
+arrays have only 15 to a few hundred elements and each numpy call costs
+about a microsecond of overhead.  So the panel count matters less than the
+number of generations, and an integrand should use few operations.
 
 Start partition: the first generation evaluates each piece on its four
 dyadic quarter panels, reached by two rounds of the same bisection that
@@ -41,7 +40,7 @@ resolve costs four.
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -196,60 +195,46 @@ def _gauss_kronrod(
 
 
 def _evaluate(
-    funcs: Sequence[Integrand],
-    spans: Sequence[tuple[int, float, float, float]],
+    pieces: Sequence[tuple[Integrand, float | None]],
     batch: Sequence[tuple[float, float, int]],
-    mapped: bool | None,
 ) -> tuple[list[complex], list[float]]:
     """Kronrod values and error estimates of a batch of panels.
 
-    ``batch`` holds ``(a, b, piece)`` sorted by piece, and ``spans[piece]``
-    starts with ``(integrand index, tail)``.  Pieces of one integrand are
-    numbered consecutively, so that each integrand's rows form one block and
-    it is called once, on the flat array of all its abscissae.  A piece with
-    a tail origin ``tail`` (NaN for a finite piece) lives in the variable
-    ``s`` of the rational map ``t = tail + s/(1 - s)`` of ``[tail, inf)``.
-    ``mapped`` says whether every piece (True), none (False) or some (None)
-    is such a tail; only a mix needs the rows told apart.
+    ``batch`` holds ``(a, b, piece)`` with the panels of one piece next to
+    each other, and ``pieces[piece]`` is ``(f, tail)``: each piece's
+    integrand is called once, on all of its panels.  A piece with a tail
+    origin ``tail`` (None for a finite piece) lives in the variable ``s`` of
+    the rational map ``t = tail + s/(1 - s)`` of ``[tail, inf)``.
     """
-    # Midpoints, half-widths and tail origins as the columns of one array.
     halves = [0.5 * (b - a) for a, b, _ in batch]
-    columns = [0.5 * (a + b) for a, b, _ in batch] + halves
-    columns += [spans[piece][1] for _, _, piece in batch]
-    mid, half, tails = np.array(columns).reshape(3, -1, 1)
+    mid, half = np.array([0.5 * (a + b) for a, b, _ in batch] + halves).reshape(2, -1, 1)
     s = mid + half * NODES
-    t = u = s
-    if mapped is not False:
-        if mapped is None:
-            is_tail = ~np.isnan(tails)
-            u = np.where(is_tail, s, 0.0)  # rows of finite pieces see the identity
-        w = 1.0 - u
-        t = tails + np.minimum(u / w, MAP_CAP)
-        if mapped is None:
-            t = np.where(is_tail, t, s)
-    if len(funcs) == 1:
-        fx = _call(funcs[0], t)
-    else:
-        fx = np.empty(s.shape, dtype=complex)
-        owners = [spans[piece][0] for _, _, piece in batch]
-        for k, f in enumerate(funcs):
-            start, stop = bisect.bisect_left(owners, k), bisect.bisect_right(owners, k)
-            if start < stop:
-                fx[start:stop] = _call(f, t[start:stop])
-    finite = np.isfinite(fx)
-    if np.count_nonzero(finite) < finite.size:
-        raise NonFiniteIntegrandError(float(t[~finite][0]))
-    if mapped is not False:
-        fx = fx / (w * w)
+    fx = np.empty(s.shape, dtype=complex)
+    start = 0
+    for piece, panels in itertools.groupby(batch, key=lambda panel: panel[2]):
+        stop = start + sum(1 for _ in panels)
+        f, tail = pieces[piece]
+        rows = s[start:stop]
+        if tail is None:
+            fx[start:stop] = _call(f, rows)
+        else:
+            w = 1.0 - rows
+            fx[start:stop] = _call(f, tail + np.minimum(rows / w, MAP_CAP)) / (w * w)
+        start = stop
     return _gauss_kronrod(fx, halves)
 
 
 def _call(f: Integrand, t: np.ndarray) -> np.ndarray:
-    """``f`` on the rows of abscissae ``t``, as rows of complex values."""
+    """``f`` on the rows of abscissae ``t``, as rows of complex values;
+    :class:`NonFiniteIntegrandError` at the first abscissa where a value is
+    not finite."""
     flat = t.ravel()
     out = np.asarray(f(flat), dtype=complex)
     if out.shape != flat.shape:
         raise ValueError("integrand must return one value per abscissa")
+    finite = np.isfinite(out)
+    if np.count_nonzero(finite) < finite.size:
+        raise NonFiniteIntegrandError(float(flat[~finite][0]))
     return out.reshape(t.shape)
 
 
@@ -292,7 +277,7 @@ def panel_rule(f: Integrand, a: float, b: float) -> tuple[complex, float, int]:
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("panel_rule requires finite endpoints")
-    val, err = _evaluate([f], [(0, math.nan, a, b)], [(a, b, 0)], False)
+    val, err = _evaluate([(f, None)], [(a, b, 0)])
     return val[0], err[0], 15
 
 
@@ -312,8 +297,7 @@ def integrate_piecewise(
     pieces : sequence of (f, a, b)
         Each piece contributes ``integral of f from a to b``; ``b`` may be
         ``math.inf`` (folded onto ``(0, 1)`` by the rational map).  Pieces
-        with ``a == b`` contribute nothing and cost nothing.  Pieces that
-        pass the same integrand object share its calls.
+        with ``a == b`` contribute nothing and cost nothing.
     config : QuadratureConfig, optional
         Tolerances and limits; defaults are suitable for ~1e-12 relative
         accuracy on well-scaled integrals.
@@ -328,24 +312,15 @@ def integrate_piecewise(
         nearly cancel or are individually tiny do not stall refinement.
     """
     cfg = config or QuadratureConfig()
-    funcs: list[Integrand] = []
-    slots: dict[int, int] = {}
-    spans: list[tuple[int, float, float, float]] = []
+    spans: list[tuple[Integrand, float | None]] = []
+    batch = []
     for f, a, b in pieces:
         if a == b:
             continue
         if not math.isfinite(a) or not (math.isfinite(b) or b == math.inf):
             raise ValueError("pieces must be [a, b] with finite a and b or b = inf")
-        owner = slots.setdefault(id(f), len(funcs))
-        if owner == len(funcs):
-            funcs.append(f)
-        spans.append((owner, a, 0.0, 1.0) if b == math.inf else (owner, math.nan, a, b))
-    # Number the pieces of one integrand consecutively (see _evaluate).
-    spans.sort(key=lambda span: span[0])
-    n_tails = sum(1 for span in spans if not math.isnan(span[1]))
-    mapped = None if 0 < n_tails < len(spans) else n_tails > 0
-
-    batch = [(a, b, piece) for piece, (_, _, a, b) in enumerate(spans)]
+        batch.append((0.0, 1.0, len(spans)) if b == math.inf else (a, b, len(spans)))
+        spans.append((f, a if b == math.inf else None))
     # Start at the depth-2 dyadic partition, spending the bisection budget
     # level by level across the pieces (see the module docstring).
     n_splits = 0
@@ -364,7 +339,7 @@ def integrate_piecewise(
     total, total_err, target = 0j, 0.0, cfg.abs_tol
     n_evals = 0
     while batch:
-        vals, errs = _evaluate(funcs, spans, batch, mapped)
+        vals, errs = _evaluate(spans, batch)
         n_evals += 15 * len(batch)
         for (a, b, piece), val, err in zip(batch, vals, errs):
             if _bisectable(a, b):
@@ -388,6 +363,7 @@ def integrate_piecewise(
             removed += panel[0]
             if removed >= excess:
                 break
+        # In piece order, so that each piece's panels lie together (see _evaluate).
         parents, pool = sorted(pool[:count], key=lambda panel: panel[4]), pool[count:]
         batch = [half for _, _, a, b, piece in parents for half in _halves(a, b, piece)]
         n_splits += count

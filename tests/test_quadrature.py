@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from scorerlib import quadrature
 from scorerlib.quadrature import (
     GAUSS_WEIGHTS,
     KRONROD_WEIGHTS,
@@ -155,7 +156,7 @@ class TestEvaluationCounting:
 
 
 class TestGenerationBatching:
-    """Each refinement generation calls each distinct integrand once."""
+    """Each refinement generation calls each piece's integrand once."""
 
     @staticmethod
     def _recording(f):
@@ -177,25 +178,48 @@ class TestGenerationBatching:
         panels = res.n_evaluations // 15
         assert len(calls) * 5 < panels
 
-    def test_pieces_sharing_an_integrand_share_its_calls(self):
+    def test_each_generation_calls_a_piece_once_on_its_own_panels(self, monkeypatch):
+        # Two pieces of one integrand, a finite part and a mapped tail: each
+        # generation calls it once per piece it refines, in piece order, on
+        # exactly the abscissae of that piece's panels.
         wrapped, calls = self._recording(lambda t: np.exp(-t) * np.cos(5.0 * t))
+        generations = []
+        evaluate = quadrature._evaluate
+
+        def spy(pieces, batch):
+            generations.append((list(batch), len(calls)))
+            return evaluate(pieces, batch)
+
+        monkeypatch.setattr(quadrature, "_evaluate", spy)
         res = integrate_piecewise([(wrapped, 0.0, 0.7), (wrapped, 0.7, math.inf)])
         assert res.converged
         assert abs(res.value - 1.0 / 26.0) < 1e-13
-        # One call holds both pieces' four start quarters: 2 * 4 * 15.
-        assert calls[0].size == 120
+        assert len(generations) > 2
+        ends = [first for _, first in generations[1:]] + [len(calls)]
+        for (batch, first), end in zip(generations, ends):
+            owners = sorted({piece for _, _, piece in batch})
+            assert end - first == len(owners)
+            for piece, t in zip(owners, calls[first:end]):
+                tail = None if piece == 0 else 0.7
+                expected = [
+                    TestStartPartition._abscissae(a, b, tail)
+                    for a, b, owner in batch
+                    if owner == piece
+                ]
+                assert np.array_equal(t, np.concatenate(expected))
         assert sum(t.size for t in calls) == res.n_evaluations
 
     def test_cap_inside_a_generation_spends_exactly_the_budget(self):
         # The start spends 6 of the 7 bisections on both pieces' quarters
-        # (8 panels); the first refinement generation wants more than the
-        # one split left and is cut to it (2 panels).
+        # (4 panels each, one call per piece); the first refinement
+        # generation wants more than the one split left and is cut to it
+        # (2 panels).
         wrapped, calls = self._recording(lambda t: np.cos(40.0 * t * t))
         cfg = QuadratureConfig(rel_tol=1e-15, max_subdivisions=7)
         res = integrate_piecewise([(wrapped, 0.0, 3.0), (wrapped, 3.0, 6.0)], cfg)
         assert not res.converged
         assert res.n_evaluations == 15 * (8 + 2)
-        assert [t.size for t in calls] == [120, 30]
+        assert [t.size for t in calls] == [60, 60, 30]
 
     def test_nan_in_second_generation_reports_its_panel(self):
         # A node of [0, 1/8], a child of the start quarter [0, 1/4], that no
@@ -420,14 +444,16 @@ class TestStartPartition:
         recorded = [self._recording(self._decaying), self._recording(self._wavy)]
         integrate_piecewise([(recorded[k][0], a, b) for k, a, b in ranges])
         for k, (_, calls) in enumerate(recorded):
+            # The first generation calls the integrand once per piece, on
+            # that piece's own four quarters.
             mine = [(a, b) for owner, a, b in ranges if owner == k]
-            expected = []
-            for a, b in mine:
+            assert len(calls) >= len(mine)
+            for call, (a, b) in zip(calls, mine):
                 a, b, tail = (0.0, 1.0, a) if b == math.inf else (a, b, None)
-                for p, q in TestGenerationKernel._quarters(a, b):
-                    expected.append(self._abscissae(p, q, tail))
-            assert calls[0].size == 60 * len(mine)
-            assert np.array_equal(calls[0], np.concatenate(expected))
+                expected = [
+                    self._abscissae(p, q, tail) for p, q in TestGenerationKernel._quarters(a, b)
+                ]
+                assert np.array_equal(call, np.concatenate(expected))
 
     @pytest.mark.parametrize(
         "a,b,panels",
