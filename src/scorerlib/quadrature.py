@@ -172,12 +172,16 @@ def _gauss_kronrod(
     ``|f|``.  The sums and absolute values are array operations; the
     sharpening runs per panel on Python floats, all but the power, which
     stays in numpy: numpy's ``power`` and ``abs`` differ from Python's in
-    the last bit on some inputs.
+    the last bit on some inputs.  Each row is summed on its own, so a
+    panel's value and error estimate do not depend on the batch it is
+    evaluated in (a matrix product rounds differently for different row
+    counts, and the cancelling Gauss/Kronrod difference shows it).
     """
-    sums = fx.dot(_WEIGHTS)
+    sums = (fx[:, :, None] * _WEIGHTS).sum(axis=1)
     kronrod = sums[:, 0]
     # The Kronrod weights sum to 2, so 0.5 * kronrod is the samples' mean.
-    spread = np.abs(np.concatenate((fx, fx - 0.5 * kronrod[:, None]))).dot(KRONROD_WEIGHTS)
+    spread = np.abs(np.concatenate((fx, fx - 0.5 * kronrod[:, None])))
+    spread = (spread * KRONROD_WEIGHTS).sum(axis=1)
     n = len(halves)
     gaps = np.abs(kronrod - sums[:, 1]).tolist()
     resabs, resasc = spread[:n].tolist(), spread[n:].tolist()

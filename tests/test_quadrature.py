@@ -293,9 +293,8 @@ class TestGenerationKernel:
         as the kernel's docstring states it.
 
         The Gauss/Kronrod difference cancels, so its rounding depends on how
-        the 15 products are summed: the Kronrod and Gauss sums are taken as
-        the kernel takes a generation's, one matrix product over every
-        panel's row, in the driver's panel order."""
+        the 15 products are summed: each panel's Kronrod and Gauss sums are
+        taken on their own, as the kernel sums each row of a generation."""
         panels = [
             (f, 0.0, 1.0, a) if b == math.inf else (f, a, b, None) for f, a, b in pieces
         ]
@@ -305,11 +304,12 @@ class TestGenerationKernel:
                 for f, a, b, tail in panels
                 for p, q in (self._quarters(a, b) if self._wide(a, b) else [(a, b)])
             ]
-        fx = np.array([self._samples(*panel) for panel in panels])
-        sums = fx.dot(np.stack((KRONROD_WEIGHTS, GAUSS_WEIGHTS), axis=1).astype(complex))
+        weights = np.stack((KRONROD_WEIGHTS, GAUSS_WEIGHTS), axis=1).astype(complex)
         eps = np.finfo(float).eps
         value, err = 0j, 0.0
-        for (_, a, b, _), row, (kronrod, gauss) in zip(panels, fx, sums):
+        for f, a, b, tail in panels:
+            row = self._samples(f, a, b, tail)
+            kronrod, gauss = (row[:, None] * weights).sum(axis=0)
             half = 0.5 * (b - a)
             e = abs(kronrod - gauss)
             resabs = np.sum(KRONROD_WEIGHTS * np.abs(row))
@@ -352,6 +352,21 @@ class TestGenerationKernel:
         # The bars differ only in the order their panels are added up.
         assert math.isclose(res.abs_error_estimate, err, rel_tol=1e-14)
         assert err > 0.0
+
+    def test_a_panel_is_the_same_alone_and_in_a_batch(self):
+        # The mixed batch's twelve start quarters, evaluated together and
+        # one by one: each panel's value and error estimate agree bit for bit.
+        pieces = self._batches()["mixed"]
+        spans = [(f, a if b == math.inf else None) for f, a, b in pieces]
+        batch = [
+            (p, q, k)
+            for k, (_, a, b) in enumerate(pieces)
+            for p, q in self._quarters(*((0.0, 1.0) if b == math.inf else (a, b)))
+        ]
+        assert len(batch) == 12
+        vals, errs = quadrature._evaluate(spans, batch)
+        for panel, val, err in zip(batch, vals, errs):
+            assert quadrature._evaluate(spans, [panel]) == ([val], [err])
 
     @pytest.mark.parametrize(
         "f,b",
