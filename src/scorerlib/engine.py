@@ -975,9 +975,9 @@ def gi_from_hi_rotations(z: complex) -> ScorerResult:
     return combine("gi_rotation_pair", [(-0.5 * _ROT_UP, up), (-0.5 * _ROT_DOWN, down)])
 
 
-def _bi_complement(z: complex, other: ScorerResult) -> ScorerResult:
-    """The other Scorer function at ``z`` from ``Gi + Hi = Bi``."""
-    return combine("bi_identity", [(1.0, _airy._bi_info(z)), (-1.0, other)])
+def _bi_complement(z: complex, h: ScorerResult) -> ScorerResult:
+    """Gi at ``z`` from Hi there, ``h``, by ``Gi + Hi = Bi``."""
+    return combine("bi_identity", [(1.0, _airy._bi_info(z)), (-1.0, h)])
 
 
 # ---------------------------------------------------------------------------
@@ -988,10 +988,9 @@ def _bi_complement(z: complex, other: ScorerResult) -> ScorerResult:
 #: below its bound; its cells are the representations of Gi and of Hi.  Both
 #: rotation cells call ``hi`` at ``z e^{2i pi/3}``, which a gate or the last
 #: row serves; on the positive real axis that argument lies on the Stokes
-#: ray.  ``None`` marks the ``bi_identity`` complement: the other function,
-#: then ``Gi + Hi = Bi``, where that other function is algebraic and the
-#: complemented one carries Bi's size, so nothing cancels.  The contour cell
-#: owns the Laplace gate.
+#: ray.  ``None``, a Gi cell only, marks the ``bi_identity`` complement: Hi,
+#: then ``Gi = Bi - Hi``, where Hi is algebraic and Gi carries Bi's size, so
+#: nothing cancels.  The contour cell owns the Laplace gate.
 _PHASE_ROWS = (
     # phase bound               Gi              Hi
     (_TWO_THIRDS_PI - RAY_TOL,  gi_connection,  hi_connection),
@@ -1019,7 +1018,7 @@ def _along(z: complex, fn: str) -> ScorerResult:
     """Evaluate ``fn`` at ``z`` (closed upper half-plane) by its cell."""
     representation = _representation(z, fn)
     if representation is None:
-        return _bi_complement(z, _along(z, "hi" if fn == "gi" else "gi"))
+        return _bi_complement(z, _along(z, "hi"))
     return representation(z)
 
 
@@ -1027,13 +1026,10 @@ def _pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
     """Gi and Hi at ``z`` (closed upper half-plane), each by its own cell of
     the table."""
     g_rep, h_rep = _representation(z, "gi"), _representation(z, "hi")
-    # Where one cell complements the other, evaluate the other once.
+    # Where Gi complements Hi, evaluate Hi once.
     if g_rep is None:
         h = h_rep(z)
         return _bi_complement(z, h), h
-    if h_rep is None:
-        g = g_rep(z)
-        return g, _bi_complement(z, g)
     # Where both rotate, evaluate the rotated Hi once.
     if g_rep is gi_connection and h_rep is hi_connection:
         inner = hi(z * _ROT_UP)
