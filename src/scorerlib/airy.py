@@ -289,10 +289,15 @@ def ai_complex(z: complex) -> ScorerResult:
     Inside ``|ph z| < pi/3`` beyond ``|z|`` of about 1e100, where both
     underflow, they are returned as 0 with a zero error bar.  Raises
     :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``, and
-    ``OverflowError`` where a value or an intermediate leaves the double
-    range.
+    ``OverflowError`` where a value, its derivative or an intermediate
+    leaves the double range.  Near the top of that range Ai', about
+    ``sqrt(z)`` times Ai, overflows first, into NaN parts; the check sits
+    here, not in the dispatcher, because Gi's rotation uses the finite Ai.
     """
-    return _ai_info(z)
+    result = _ai_info(z)
+    if not cmath.isfinite(result.derivative):
+        raise OverflowError(f"Ai: the derivative overflows at z = {z!r}")
+    return result
 
 
 def _bi_info(z: complex) -> ScorerResult:
@@ -322,6 +327,11 @@ def _bi_info(z: complex) -> ScorerResult:
 def bi_complex(z: complex) -> ScorerResult:
     """Bi(z), with Bi'(z) as ``derivative``, anywhere in the complex plane.
 
-    Raises :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``.
+    Raises :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``,
+    and ``OverflowError`` where a value, its derivative or an intermediate
+    leaves the double range (Bi' first, as for :func:`ai_complex`).
     """
-    return _bi_info(z)
+    result = _bi_info(z)
+    if not cmath.isfinite(result.derivative):
+        raise OverflowError(f"Bi: the derivative overflows at z = {z!r}")
+    return result

@@ -23,6 +23,7 @@ from scorerlib.airy import (
 )
 from scorerlib.airy import _NODES, _WEIGHTS, _ai_info, _bi_info
 from scorerlib.contour import DomainError
+from scorerlib.engine import gi
 
 # Reference values computed with mpmath at 35 significant digits and frozen.
 # Keys are z; rows are (Ai, Ai', Bi, Bi').
@@ -461,6 +462,33 @@ class TestHugeArgument:
         assert Fraction(z.imag) ** 2 >= 3 * Fraction(z.real) ** 2 or z.real <= 0.0
         with pytest.raises(OverflowError):
             ai_complex(z)
+
+    # Ai is finite at these points, and so is Gi through i Ai(z); Ai' and
+    # Bi', about sqrt(z) times larger, overflow.  The derivative check
+    # belongs to ai_complex and bi_complex only, so Gi keeps its values.
+    _DERIVATIVE_OVERFLOWS = [
+        (120.82208336924866 + 289.7777022878833j,
+         2.6532620452047636e307 - 1.9883853656587292e307j),
+        (11.452421712844485 + 143.37327870319035j,
+         -1.9465714770559664e306 + 2.5705603929875676e307j),
+    ]
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("z", [z for z, _ in _DERIVATIVE_OVERFLOWS])
+    @pytest.mark.parametrize("fn", [ai_complex, bi_complex])
+    def test_overflowing_derivative_raises(self, fn, z, conjugate):
+        z = z.conjugate() if conjugate else z
+        assert cmath.isfinite(_ai_info(z).value)
+        with pytest.raises(OverflowError, match="derivative"):
+            fn(z)
+
+    @pytest.mark.parametrize("z,value", _DERIVATIVE_OVERFLOWS)
+    def test_gi_keeps_its_finite_value_there(self, z, value):
+        for arg, expected in ((z, value), (z.conjugate(), value.conjugate())):
+            result = gi(arg)
+            assert result.method == ("gi_rotation" if arg == z else "conjugate")
+            assert result.converged
+            assert result.value == expected
 
 
 class TestConjugateSymmetry:
