@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contour import DomainError, ScorerResult, combine, require_finite
+from .contour import ScorerResult, combine, require_finite
 
 # Not used here: the name stays because perfbench's tracer wraps
 # ``airy.integrate_semi_infinite`` and stops when it is missing.
@@ -53,7 +53,6 @@ __all__ = [
     "BIP_ZERO",
     "SERIES_RADIUS",
     "ai_complex",
-    "ai_maclaurin",
     "bi_complex",
 ]
 
@@ -178,18 +177,6 @@ def _maclaurin(z: complex, c0: float, c1: float) -> ScorerResult:
         0,
         derivative=c0 * (z * z * fp) + c1 * gp,
     )
-
-
-def ai_maclaurin(z: complex) -> ScorerResult:
-    """Ai and Ai' from the Maclaurin series; requires ``|z| <= SERIES_RADIUS``.
-
-    Accurate to roughly ``eps * exp((4/3)|z|**1.5)`` relative near the
-    positive real axis.  Raises :class:`~scorerlib.contour.DomainError`
-    beyond the disc, where its fixed number of terms no longer suffices.
-    """
-    if not abs(z) <= SERIES_RADIUS:
-        raise DomainError(f"Ai series requires |z| <= {SERIES_RADIUS}")
-    return _maclaurin(z, AI_ZERO, AIP_ZERO)
 
 
 def _ai_laguerre(z: complex) -> ScorerResult:

@@ -18,7 +18,6 @@ from scorerlib.airy import (
     BIP_ZERO,
     SERIES_RADIUS,
     ai_complex,
-    ai_maclaurin,
     bi_complex,
 )
 from scorerlib.airy import _NODES, _WEIGHTS, _ai_info, _bi_info
@@ -266,7 +265,7 @@ class TestMaclaurinTable:
         value_terms += [c * z ** (3 * m + 1) for m, c in enumerate(b)]
         deriv_terms = [3 * m * c * z ** (3 * m - 1) for m, c in enumerate(a) if m]
         deriv_terms += [(3 * m + 1) * c * z ** (3 * m) for m, c in enumerate(b)]
-        res = ai_maclaurin(z)
+        res = airy._maclaurin(z, AI_ZERO, AIP_ZERO)
         for got, terms in ((res.value, value_terms), (res.derivative, deriv_terms)):
             assert abs(got - sum(terms)) <= 8.0 * _EPS * sum(abs(t) for t in terms)
 
@@ -284,17 +283,17 @@ class TestMethodSeams:
         assert abs(info_out.value - info_in.value) < allowed
 
     def test_series_stops_at_its_disc(self):
-        assert ai_maclaurin(SERIES_RADIUS).method == "series"
-        for z in (3.6, cmath.rect(3.6, 2.0), complex("nan")):
-            with pytest.raises(DomainError):
-                ai_maclaurin(z)
+        assert _ai_info(SERIES_RADIUS).method == "series"
+        assert _ai_info(3.6).method == "integral"
 
     def test_series_and_integral_overlap(self):
-        # Both representations are valid near the seam radius.
+        # Both representations are valid at the seam radius, where the
+        # dispatcher takes the series.
         z = SERIES_RADIUS * cmath.exp(0.3j)
-        series = ai_maclaurin(z)
-        direct = ai_complex(z)
-        assert _rel(series.value - direct.value, direct.value) < 1e-12
+        series = ai_complex(z)
+        rule = airy._ai_laguerre(z)
+        assert (series.method, rule.method) == ("series", "integral")
+        assert _rel(series.value - rule.value, rule.value) < 1e-12
 
 
 class TestRouting:

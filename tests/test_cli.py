@@ -11,7 +11,6 @@ import pytest
 
 import scorerlib.airy
 from scorerlib.cli import (
-    _CSV_HEADER,
     _build_parser,
     _hi_by_quadrature,
     _selftest_checks,
@@ -20,6 +19,8 @@ from scorerlib.cli import (
     parse_phase,
 )
 from scorerlib.engine import gi, hi
+
+_EVAL_KEYS = "z_re,z_im,function,value_re,value_im,method,abs_error_estimate,n_evaluations"
 
 
 class TestPhaseParsing:
@@ -73,14 +74,27 @@ class TestEvalCommand:
         assert "value_re = 0.223315665" in out
         assert "value_im = 0.0621330207" in out
 
+    def test_text_output_is_pinned(self, capsys):
+        assert main(["eval", "--fn", "gi", "--re", "1", "--im", "0.2"]) == 0
+        assert capsys.readouterr().out == (
+            "z_re = 1\n"
+            "z_im = 0.2\n"
+            "function = gi\n"
+            "value_re = 0.23686822\n"
+            "value_im = -0.0099367601\n"
+            "method = series\n"
+            "abs_error_estimate = 5.1796454e-16\n"
+            "n_evaluations = 0\n"
+        )
+
     def test_csv_output_has_stable_header(self, capsys):
         rc = main(["eval", "--fn", "gi", "--re", "1", "--im", "0.2", "--format", "csv"])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert lines[0] == _CSV_HEADER
+        assert lines[0] == _EVAL_KEYS
         assert len(lines) == 2
         fields = lines[1].split(",")
-        assert len(fields) == len(_CSV_HEADER.split(","))
+        assert len(fields) == len(_EVAL_KEYS.split(","))
         assert fields[2] == "gi"
         # %.15e numeric formatting throughout
         assert "e+" in fields[0] or "e-" in fields[0]
@@ -96,6 +110,11 @@ class TestEvalCommand:
         assert payload["n_evaluations"] == ref.n_evaluations
         assert payload["abs_error_estimate"] == ref.abs_error_estimate
         assert payload["z_re"] == -2.0 and payload["z_im"] == 1.0
+
+    def test_json_keys_keep_their_order(self, capsys):
+        assert main(["eval", "--fn", "hi", "--re", "-2", "--im", "1", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert ",".join(payload) == _EVAL_KEYS
 
     def test_polar_and_cartesian_agree_exactly(self, capsys):
         r, phase = 2.0, 0.5
@@ -217,6 +236,22 @@ class TestEvalCommand:
     def test_usage_errors_exit_1(self, argv, capsys):
         assert main(argv) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--re", "1", "--im", "0", "--r", "1"],
+             "give either --re/--im or --r/--phase, not both"),
+            (["--im", "0"], "--re and --im must appear together"),
+            (["--phase", "pi"], "--r and --phase must appear together"),
+            ([], "a point is required (--re/--im or --r/--phase)"),
+            (["--r", "1", "--phase", "0", "--digits", "16"], "--digits must be between 1 and 15"),
+        ],
+    )
+    def test_each_usage_error_prints_one_line(self, argv, message, capsys):
+        assert main(["eval", "--fn", "gi", *argv]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"scorerlib eval: {message}\n")
 
 
 class TestRepeatedCalls:
@@ -380,6 +415,35 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "radii,phases", [("5", "pi"), ("5,5", "pi"), ("1,10", "2pi/3")]
+    )
+    def test_a_grid_without_a_check_claims_none(self, radii, phases, capsys):
+        # The Stokes check needs 2pi/3 and 5pi/6; the growth check needs two
+        # distinct radii and a phase off the Stokes ray.
+        assert main(["bench", "--radii", radii, "--phases", phases]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" not in out
+        assert out.splitlines()[-1] == "no cost-pattern check applies to this grid"
+
+    @pytest.mark.parametrize(
+        "radii,phases,claim",
+        [
+            ("5", "5pi/6,2pi/3", "Stokes ray is the most expensive phase in each row"),
+            ("1,10", "pi", "off-Stokes cost does not grow with the radius"),
+        ],
+    )
+    def test_bench_claims_only_the_check_it_ran(self, radii, phases, claim, capsys):
+        assert main(["bench", "--radii", radii, "--phases", phases]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"PASS  cost pattern: {claim}"
+
+    def test_default_grid_claims_both_checks(self, capsys):
+        assert main(["bench"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "PASS  cost pattern: Stokes ray is the most expensive phase in each row;",
+            "      off-Stokes cost does not grow with the radius",
+        ]
 
     def test_bad_negative_phases_are_named(self, capsys):
         assert main(["bench", "--radii", "1", "--phases", "-pi/0"]) == 1

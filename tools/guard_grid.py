@@ -41,17 +41,27 @@ is followed by one line per route transition with its count, such as
 followed by the worst ``|value - value'| / (bar + bar')`` over the results
 whose value moved, ``bar`` and ``bar'`` the two sides'
 ``abs_error_estimate``: at most 1 when every moved value lies within the
-sum of both bars.  It exits with status 1 if any field differs or either
-count is not zero.
+sum of both bars.
+
+``--against`` then runs each command of ``CLI_COMMANDS`` (``scorerlib
+eval`` in its three formats, ``arc`` to stdout, ``table41``, ``selftest``,
+and ``bench`` on its default grid and on ``--phases 0.4pi,0.6pi,pi``) in
+both checkouts and prints a unified diff of every stdout or stderr that
+differs and every differing exit code, after masking the wall times
+(table41's ``quadrature wall time: ... s`` and bench's ``(... ms)`` cells),
+then one summary line: how many commands differ.  It exits with status 1
+if any field or command differs or either count is not zero.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import difflib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -74,6 +84,20 @@ BAND_PHASES = (
 FUNCTIONS = ("gi", "hi", "gi_hi_pair", "ai_complex", "bi_complex")
 #: The adaptive-quadrature representations, dumped on the upper half-plane.
 REPRESENTATIONS = ("hi_integral_principal", "hi_integral_v_form", "hi_integral_upper", "gi_integral")
+
+#: The CLI commands ``--against`` runs in both checkouts.
+CLI_COMMANDS = (
+    ("eval", "--fn", "gi", "--re", "1", "--im", "0.2"),
+    ("eval", "--fn", "hi", "--r", "3", "--phase", "5pi/6", "--format", "csv"),
+    ("eval", "--fn", "ai", "--re", "5", "--im", "-1", "--format", "json"),
+    ("arc", "--fn", "hi", "--radius", "4", "--samples", "13"),
+    ("table41",),
+    ("selftest",),
+    ("bench",),
+    ("bench", "--phases", "0.4pi,0.6pi,pi"),
+)
+#: Wall times, the only CLI text that may differ from run to run.
+WALL_TIME = re.compile(r"(quadrature wall time: )[0-9.]+ s|\( *[0-9.]+ ms\)")
 
 
 def points() -> list[complex]:
@@ -140,20 +164,50 @@ def dump() -> dict[str, dict]:
     return out
 
 
-def _start_dump(src: Path) -> subprocess.Popen:
-    """A fresh interpreter that prints the dump of the scorerlib in ``src``."""
+def _start(src: Path, *argv: str) -> subprocess.Popen:
+    """A fresh interpreter that runs ``argv`` with the scorerlib in ``src``,
+    its stdout and stderr piped."""
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve())],
-        env=env, stdout=subprocess.PIPE, text=True,
+        [sys.executable, *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
 
 
+def _start_dump(src: Path) -> subprocess.Popen:
+    """A fresh interpreter that prints the dump of the scorerlib in ``src``."""
+    return _start(src, str(Path(__file__).resolve()))
+
+
 def _collect(proc: subprocess.Popen) -> dict[str, dict]:
-    out, _ = proc.communicate()
+    out, err = proc.communicate()
     if proc.returncode:
-        raise SystemExit(f"dump failed with status {proc.returncode}")
+        raise SystemExit(f"dump failed with status {proc.returncode}\n{err}")
     return dict(json.loads(line) for line in out.splitlines())
+
+
+def _cli_diffs(other: Path) -> int:
+    """Run ``CLI_COMMANDS`` in this checkout and in ``other`` side by side,
+    print what differs in each, wall times masked; return how many commands
+    differ."""
+    differing = 0
+    for command in CLI_COMMANDS:
+        name = "scorerlib " + " ".join(command)
+        procs = [_start(src, "-m", "scorerlib.cli", *command)
+                 for src in (ROOT / "src", other / "src")]
+        (mine, mine_err), (theirs, theirs_err) = (proc.communicate() for proc in procs)
+        lines = []
+        for stream, new, old in (("stdout", mine, theirs), ("stderr", mine_err, theirs_err)):
+            new, old = (WALL_TIME.sub(r"\1(wall time)", text).splitlines() for text in (new, old))
+            lines += difflib.unified_diff(old, new, f"{name}: {stream}", f"{name}: {stream}",
+                                          lineterm="")
+        codes = [proc.returncode for proc in procs]
+        if codes[0] != codes[1]:
+            lines.append(f"{name}: exit code {codes[1]} -> {codes[0]}")
+        differing += bool(lines)
+        for line in lines:
+            print(line)
+    return differing
 
 
 def _ulps(a: str, b: str) -> float | None:
@@ -300,7 +354,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{axis} real-axis results with a nonzero imaginary part")
     for line in _summary(mine, theirs, diffs):
         print(line)
-    return 1 if diffs or conj or axis else 0
+    cli = _cli_diffs(Path(args.against).resolve())
+    print(f"{len(CLI_COMMANDS)} CLI commands, {cli} differ (wall times masked)")
+    return 1 if diffs or conj or axis or cli else 0
 
 
 if __name__ == "__main__":
