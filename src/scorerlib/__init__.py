@@ -31,7 +31,6 @@ from .engine import (
     ScorerResult,
     gi,
     gi_asymptotic,
-    gi_connection,
     gi_from_hi_rotations,
     gi_hi_pair,
     gi_integral,
@@ -73,7 +72,6 @@ __all__ = [
     "bi_complex",
     "gi",
     "gi_asymptotic",
-    "gi_connection",
     "gi_from_hi_rotations",
     "gi_hi_pair",
     "gi_integral",

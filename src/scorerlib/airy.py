@@ -20,8 +20,9 @@ principal-sector Ai values (route ``rotation_pair``, two rule evaluations):
   formula would leave a rounding residue in its imaginary part.
 
 The rotations call the rule directly on their principal-sector arguments.
-The lower half-plane is served by conjugation, which also makes conjugate
-symmetry exact in floating point.  Every evaluation returns a
+Ai's series, rule and rotation are conjugate-symmetric bit for bit, so Ai
+needs no fold; Bi's first formula is the upper half-plane's, so Bi serves
+the lower half-plane by conjugation, exactly.  Every evaluation returns a
 :class:`~scorerlib.contour.ScorerResult` that carries the derivative
 alongside the value.
 
@@ -257,11 +258,9 @@ def _ai_rotated_pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
 def _ai_info(z: complex) -> ScorerResult:
     """Dispatch Ai by region."""
     z = require_finite(z)
-    if z.imag < 0.0:
-        return _ai_info(z.conjugate()).conjugate()
     if abs(z) <= SERIES_RADIUS:
         return _maclaurin(z, AI_ZERO, AIP_ZERO)
-    # abs: a negative-zero imaginary part puts the negative axis at -pi.
+    # abs: the lower half-plane, and the negative axis with a -0.0 imaginary part.
     if abs(cmath.phase(z)) > _TWO_THIRDS_PI + 1e-15:
         # One rotation lands both arguments inside the principal sector.
         a_plus, a_minus = _ai_rotated_pair(z)

@@ -88,7 +88,7 @@ class ScorerResult:
         Route tag.  Gi and Hi: ``series``, ``asymptotic``, ``hi_laplace``,
         ``hi_saddle``, ``hi_rotation``, ``gi_rotation``, ``bi_identity``,
         or ``conjugate``, and ``hi_path_u`` where the saddle split
-        declines; the representations that the route table never takes
+        declines; the representations that the router never takes
         report ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``,
         ``gi_real_axis`` and ``gi_rotation_pair``.  Ai and Bi: ``series``,
         ``integral``, ``rotation``, or ``rotation_pair`` (Bi from two

@@ -28,12 +28,12 @@ a representation that is stable in its sector:
   the entry, and everything below it sees the closed upper half-plane.
   On the real axis the entry keeps the real part of each value.
 
-One route table (``_PHASE_ROWS``, after the series and asymptotic gates),
-with one column for Gi and one for Hi, makes every routing decision for
-``gi``, ``hi`` and ``gi_hi_pair``.  Its cells are the representations
-themselves, ``None`` standing for the complement through ``Gi + Hi = Bi``,
-so the route tag is named only where a representation builds its result;
-the Hi values inside the rotation formulas are ``hi``'s own.  Every result
+Three straight-line functions make every routing decision for ``gi``,
+``hi`` and ``gi_hi_pair``: :func:`_gated` tries the series and asymptotic
+gates, and :func:`_single` and :func:`_pair` evaluate the sector Hi, one Hi
+value on ``[2pi/3, pi]``, at most once per call wherever no gate serves.
+The route tag is named only where a representation builds its result; the
+Hi values inside the rotation formulas are ``hi``'s own.  Every result
 reports the route taken, an error estimate, the exact number of integrand
 evaluations spent, and whether every contributing quadrature converged.
 """
@@ -43,7 +43,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections.abc import Callable
 
 import numpy as np
 
@@ -60,7 +59,6 @@ __all__ = [
     "ScorerResult",
     "gi",
     "gi_asymptotic",
-    "gi_connection",
     "gi_from_hi_rotations",
     "gi_hi_pair",
     "gi_integral",
@@ -93,7 +91,7 @@ HI_AT_ZERO = 0.4099510849640004901006149127290757023965
 HI_DERIV_AT_ZERO = 0.2988589049025509052765491402658855939108
 
 
-# Thresholds of the route table's two gates.  The series serves |z| up to
+# Thresholds of the two gates of :func:`_gated`.  The series serves |z| up to
 # _SERIES_RADIUS; the large-argument expansions are never used below
 # _ASYMPTOTIC_RADIUS, sum at most _ASYMPTOTIC_MAX_TERMS corrections, and
 # must reach a tenth of _TARGET_REL_ACCURACY.
@@ -380,7 +378,7 @@ def hi_integral_upper(z: complex) -> ScorerResult:
     missing saddle contribution is exactly twice a rotated (recessive) Ai
     value.  The contour is :func:`gi_integral`'s, turned by ``i``.  An
     integrable Jacobian kink at the height of the fold is handled by
-    splitting the range there.  The route table never takes it: it is the
+    splitting the range there.  The router never takes it: it is the
     independent check of :func:`hi_connection` and the contour that the
     CLI's quadrature benchmark measures on this sector.
     """
@@ -410,7 +408,7 @@ def gi_integral(z: complex) -> ScorerResult:
     grows as the phase approaches 0 or ``2*pi/3``, where the contour runs
     close to its saddle, and within a few :data:`~scorerlib.contour.RAY_TOL`
     below ``2*pi/3`` (2e-12 for ``|z| <= 3.3``) the quadrature does not
-    converge.  The route table takes :func:`gi_connection` instead.
+    converge.  The router rotates Hi onto ``[2*pi/3, pi]`` instead.
     """
     x, y = z.real, z.imag
     if y == 0.0:
@@ -426,9 +424,9 @@ def gi_real_positive(x: float) -> ScorerResult:
 
     The oscillatory kernel's contour runs straight up to height ``sqrt(x)``
     and then along a descending ridge; both legs reduce to real integrands
-    with no oscillation.  The route table takes :func:`gi_connection`
-    instead; this independent representation is the oracle that
-    ``selftest`` checks the rotations against on the axis.
+    with no oscillation.  The router rotates Hi onto the Stokes ray instead
+    (:func:`_gi_from_rotated`); this independent representation is the
+    oracle that ``selftest`` checks the rotations against on the axis.
     """
     if x < 0.0:
         raise _contour.DomainError("gi_real_positive requires x >= 0")
@@ -855,9 +853,9 @@ _SADDLE_TOLERANCE = 1e-14 * _SADDLE_U3.real
 #: rounding.
 _SADDLE_DECAY = 14.0
 #: The split serves |z| up to this: the segment rule's truncation passes
-#: 1e-15 near |z| = 21 (its exponent grows like |z|**1.5).  The route
-#: table sends it no |z| >= 15, where Hi's large-argument expansion serves
-#: the whole cell.
+#: 1e-15 near |z| = 21 (its exponent grows like |z|**1.5).  The router
+#: sends it no |z| >= 15, where Hi's large-argument expansion serves the
+#: whole sector.
 _SADDLE_MAX_RADIUS = 20.0
 
 
@@ -942,21 +940,11 @@ def _hi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
     return combine("hi_rotation", [(_ROT_UP, inner), (_TWO_ROT_SIXTH, ai)])
 
 
-def gi_connection(z: complex) -> ScorerResult:
-    """Gi by the rotation connection
-
-    ``Gi(z) = -e^{2i pi/3} Hi(z e^{2i pi/3}) + i Ai(z)``,
-
-    valid for every ``z`` (it follows from :func:`hi_connection`,
-    ``Gi + Hi = Bi`` and the Airy sums).  On ``0 <= ph z < 2*pi/3`` the
-    rotated Hi is :func:`hi_connection`'s, algebraic, and ``i Ai(z)`` is
-    recessive below ``pi/3`` and dominant above, so nothing cancels.
-    """
-    return _gi_from_rotated(z, hi(z * _ROT_UP))
-
-
 def _gi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
-    """:func:`gi_connection` given ``inner = Hi(z e^{2i pi/3})``."""
+    """``Gi(z) = -e^{2i pi/3} Hi(z e^{2i pi/3}) + i Ai(z)`` given ``inner``,
+    the rotated Hi: valid for every ``z`` by :func:`hi_connection` and
+    ``Gi + Hi = Bi``.  On ``0 <= ph z < 2*pi/3`` ``inner`` is algebraic and
+    ``i Ai(z)`` recessive below ``pi/3``, dominant above: nothing cancels."""
     return combine("gi_rotation", [(-_ROT_UP, inner), (1j, _airy._ai_info(z))])
 
 
@@ -967,9 +955,8 @@ def gi_from_hi_rotations(z: complex) -> ScorerResult:
     both rotated arguments leave the troublesome neighborhood of the
     positive real axis, and all three quantities share the same algebraic
     size, so the combination is stable.  Each arm is ``hi``'s own value:
-    near the positive axis the upper arm lies in Hi's descent-contour row
-    and the lower one in its rotation row, whose rotated Hi is the upper
-    arm again.  The route table takes :func:`gi_connection` instead.
+    near the positive axis the lower arm rotates onto the upper one.  The
+    router takes one rotated Hi instead (:func:`_gi_from_rotated`).
     """
     up, down = hi(z * _ROT_UP), hi(z * _ROT_DOWN)
     return combine("gi_rotation_pair", [(-0.5 * _ROT_UP, up), (-0.5 * _ROT_DOWN, down)])
@@ -981,84 +968,76 @@ def _bi_complement(z: complex, h: ScorerResult) -> ScorerResult:
 
 
 # ---------------------------------------------------------------------------
-# Routing
-
-#: Phase rows of the route table for ``z`` in the closed upper half-plane,
-#: consulted after the series and asymptotic gates.  A row serves the phases
-#: below its bound; its cells are the representations of Gi and of Hi.  Both
-#: rotation cells call ``hi`` at ``z e^{2i pi/3}``, which a gate or the last
-#: row serves; on the positive real axis that argument lies on the Stokes
-#: ray.  ``None``, a Gi cell only, marks the ``bi_identity`` complement: Hi,
-#: then ``Gi = Bi - Hi``, where Hi is algebraic and Gi carries Bi's size, so
-#: nothing cancels.  The contour cell owns the Laplace gate.
-_PHASE_ROWS = (
-    # phase bound               Gi              Hi
-    (_TWO_THIRDS_PI - RAY_TOL,  gi_connection,  hi_connection),
-    (math.inf,                  None,           _hi_contour),
-)
+# Routing.  The per-call path builds no comprehension, generator or dict
+# (they cost about 4% of plane throughput) and looks its helpers up as
+# module globals on each call.
 
 
-def _representation(z: complex, fn: str) -> Callable[[complex], ScorerResult] | None:
-    """The representation of ``fn`` ("gi" or "hi") at ``z`` (closed upper
-    half-plane): the series gate, the asymptotic gate, then the cell of the
-    phase rows, ``None`` for the complement through ``Gi + Hi = Bi``."""
-    is_gi = fn == "gi"
+def _gated(z: complex, fn: str) -> ScorerResult | None:
+    """``fn`` ("gi" or "hi") at ``z`` by the series for ``|z| <= 2.5``, by
+    the large-argument expansion where :func:`_asymptotic_eligible` admits
+    it, and otherwise None."""
     if abs(z) <= _SERIES_RADIUS:
-        return gi_series if is_gi else hi_series
+        return gi_series(z) if fn == "gi" else hi_series(z)
     if _asymptotic_eligible(z, fn):
-        return gi_asymptotic if is_gi else hi_asymptotic
-    ph = abs(cmath.phase(z))
-    for bound, gi_cell, hi_cell in _PHASE_ROWS:
-        if ph < bound:
-            break
-    return gi_cell if is_gi else hi_cell
+        return gi_asymptotic(z) if fn == "gi" else hi_asymptotic(z)
+    return None
 
 
-def _along(z: complex, fn: str) -> ScorerResult:
-    """Evaluate ``fn`` at ``z`` (closed upper half-plane) by its cell."""
-    representation = _representation(z, fn)
-    if representation is None:
-        return _bi_complement(z, _along(z, "hi"))
-    return representation(z)
+def _single(z: complex, fn: str) -> ScorerResult:
+    """``fn`` ("gi" or "hi") at ``z`` (closed upper half-plane)."""
+    result = _gated(z, fn)
+    if result is not None:
+        return result
+    if cmath.phase(z) < _TWO_THIRDS_PI - RAY_TOL:
+        inner = hi(z * _ROT_UP)
+        return _gi_from_rotated(z, inner) if fn == "gi" else _hi_from_rotated(z, inner)
+    if fn == "hi":
+        return _hi_contour(z)
+    h = _gated(z, "hi")
+    return _bi_complement(z, _hi_contour(z) if h is None else h)
 
 
 def _pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
-    """Gi and Hi at ``z`` (closed upper half-plane), each by its own cell of
-    the table."""
-    g_rep, h_rep = _representation(z, "gi"), _representation(z, "hi")
-    # Where Gi complements Hi, evaluate Hi once.
-    if g_rep is None:
-        h = h_rep(z)
-        return _bi_complement(z, h), h
-    # Where both rotate, evaluate the rotated Hi once.
-    if g_rep is gi_connection and h_rep is hi_connection:
+    """Gi and Hi at ``z`` (closed upper half-plane), sharing the sector Hi."""
+    g, h = _gated(z, "gi"), _gated(z, "hi")
+    if g is not None and h is not None:
+        return g, h
+    if cmath.phase(z) < _TWO_THIRDS_PI - RAY_TOL:
         inner = hi(z * _ROT_UP)
-        return _gi_from_rotated(z, inner), _hi_from_rotated(z, inner)
-    return g_rep(z), h_rep(z)
+        return (_gi_from_rotated(z, inner) if g is None else g,
+                _hi_from_rotated(z, inner) if h is None else h)
+    if h is None:
+        h = _hi_contour(z)
+    return (_bi_complement(z, h) if g is None else g), h
+
+
+def _settled(z: complex, r: ScorerResult) -> ScorerResult:
+    """The result at ``z`` from ``r``, the value at ``complex(z.real, abs(z.imag))``."""
+    if z.imag < 0.0:
+        return r.conjugate("conjugate")
+    if z.imag or not r.value.imag:
+        return r
+    return ScorerResult(complex(r.value.real, 0.0), r.method, r.abs_error_estimate,
+                        r.n_evaluations, r.converged, r.derivative)
 
 
 def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
-    """``fn`` ("gi", "hi", or "pair" for both Gi and Hi) at any
-    finite ``z``.
+    """``fn`` ("gi", "hi", or "pair" for both) at any finite ``z``.
 
-    The one place that conjugates: the route table and the representations
-    see the closed upper half-plane only, so below it ``fn`` is evaluated at
-    ``conj z`` and each result is conjugated back and tagged ``conjugate``.
-    ``abs`` also folds a negative-zero imaginary part, which would put the
-    negative real axis at phase ``-pi``.  On the real axis, where Gi and Hi
-    are real, a value with an imaginary part keeps its real part only: a
-    rotation leaves an imaginary residue of rounding there.
+    The one place that conjugates: the router sees the closed upper
+    half-plane only, so below it ``fn`` is evaluated at ``conj z`` and each
+    result is conjugated back and tagged ``conjugate``; ``abs`` also folds
+    a negative-zero imaginary part, which would put the negative real axis
+    at phase ``-pi``.  On the real axis, where Gi and Hi are real, a value
+    keeps its real part only: a rotation leaves a residue of rounding.
     """
     z = _contour.require_finite(z)
     up = complex(z.real, abs(z.imag))
-    results = _pair(up) if fn == "pair" else (_along(up, fn),)
-    if z.imag < 0:
-        return tuple(r.conjugate("conjugate") for r in results)
-    if z.imag == 0.0:
-        return tuple(ScorerResult(complex(r.value.real, 0.0), r.method, r.abs_error_estimate,
-                                  r.n_evaluations, r.converged, r.derivative)
-                     if r.value.imag else r for r in results)
-    return results
+    if fn == "pair":
+        g, h = _pair(up)
+        return _settled(z, g), _settled(z, h)
+    return (_settled(z, _single(up, fn)),)
 
 
 def gi(z: complex) -> ScorerResult:
@@ -1072,12 +1051,7 @@ def hi(z: complex) -> ScorerResult:
 
 
 def gi_hi_pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
-    """Evaluate Gi(z) and Hi(z) together, sharing the expensive parts.
-
-    Where the route table obtains one function from the other through
-    ``Gi + Hi = Bi``, the pair costs one primary evaluation plus one Bi
-    evaluation instead of two of each; where it rotates both, they share
-    the rotated Hi.
-    """
+    """Evaluate Gi(z) and Hi(z) together, sharing the expensive parts: one
+    sector Hi serves both, through ``Gi + Hi = Bi`` or the two rotations."""
     g, h = _evaluate(z, "pair")
     return g, h

@@ -490,6 +490,17 @@ class TestHugeArgument:
             assert result.value == expected
 
 
+#: Ai picks its branch on a lower-half-plane argument itself, with no fold:
+#: points within 2e-15 of its rotation edge 2pi/3 + 1e-15, and just beyond
+#: the series disc.
+_ROTATION_EDGE_POINTS = [cmath.rect(r, 2.0 * math.pi / 3.0 + 1e-15 + d)
+                         for r in (3.6, 7.0, 30.0)
+                         for d in (-2e-15, -1e-15, -5e-16, 0.0, 5e-16, 1e-15, 2e-15)]
+_SERIES_EDGE_POINTS = [cmath.rect(3.5 * (1.0 + 1e-12), phase)
+                       for phase in (1e-9, 0.5, math.pi / 3.0, 2.0, 2.0 * math.pi / 3.0 + 1e-15,
+                                     2.5, math.pi - 1e-9)]
+
+
 class TestConjugateSymmetry:
     @pytest.mark.parametrize(
         "z",
@@ -504,17 +515,16 @@ class TestConjugateSymmetry:
             cmath.rect(5.0, 0.5),
             cmath.rect(9.0, 2.0),
             cmath.rect(3.6, 1e-9),
+            *_ROTATION_EDGE_POINTS,
+            *_SERIES_EDGE_POINTS,
         ],
     )
     def test_schwarz_reflection_is_exact(self, z):
-        upper = ai_complex(z)
-        lower = ai_complex(z.conjugate())
-        assert lower.value == upper.value.conjugate()
-        assert lower.derivative == upper.derivative.conjugate()
-        upper = bi_complex(z)
-        lower = bi_complex(z.conjugate())
-        assert lower.value == upper.value.conjugate()
-        assert lower.derivative == upper.derivative.conjugate()
+        for fn in (ai_complex, bi_complex):
+            upper, lower = fn(z), fn(z.conjugate())
+            assert lower.value == upper.value.conjugate()
+            assert lower.derivative == upper.derivative.conjugate()
+            assert (lower.method, lower.n_evaluations) == (upper.method, upper.n_evaluations)
 
     def test_real_axis_values_are_real(self):
         for x in (-7.0, -2.0, 0.5, 3.0, 3.6, 11.0, 40.0):

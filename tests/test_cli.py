@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -204,6 +205,16 @@ class TestEvalCommand:
         assert payload["z_im"] == 0.0
         assert payload["z_re"] == -1.0
         assert payload["value_im"] == 0.0
+
+    @pytest.mark.parametrize("phase", ["1", "0", "pi", "-2pi/3"])
+    def test_infinite_radius_is_rejected_as_non_finite(self, phase, capsys):
+        # The snap of sub-ulp parts is relative to the radius; an infinite
+        # radius once snapped both parts and evaluated at the origin.
+        assert not cmath.isfinite(_z_from_polar(math.inf, parse_phase(phase)))
+        for argv in (["--r", "inf", "--phase", phase], ["--re", "inf", "--im", "0"]):
+            assert main(["eval", "--fn", "gi", *argv]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "scorerlib: evaluation requires finite z\n")
 
     def test_airy_functions_available(self, capsys):
         rc = main(["eval", "--fn", "ai", "--re", "0", "--im", "0", "--digits", "12"])
@@ -482,14 +493,32 @@ class TestBenchCommand:
         assert (_hi_by_quadrature(z).method, hi(z).method) == ("hi_path_upper", "series")
         rc = main(["bench", "--radii", "1,10,100", "--phases", "0.4pi,0.6pi"])
         out = capsys.readouterr().out
-        # The valley contour's cost grows with the radius: the check fails.
-        # Beyond the Ai series disc each count includes one Airy rule.
-        assert rc == 2
+        # The valley contour's cost grows with the radius, and only Hi's
+        # descent contour claims a flat cost: these columns print counts
+        # only.  Beyond the Ai series disc each count includes one Airy rule.
+        assert rc == 0
         rows = [[int(tok) for tok in re.findall(r"(\d+) \(", line)]
                 for line in out.splitlines()[2:5]]
         n = scorerlib.airy._NODES.size
         assert rows == [[180, 210], [90 + n, 150 + n], [210 + n, 360 + n]]
+        assert out.splitlines()[-1] == "no cost-pattern check applies to this grid"
+
+    def test_growth_check_covers_the_descent_contour_phases_only(self, capsys):
+        # Below pi/3 bench measures the routed hi, whose count grows from
+        # r = 1 to 100 here; only 2pi/3 < |ph| <= pi, modulo 2pi, is checked.
+        phases = "0.2pi,0.4pi,-5pi/6,7pi/6"
+        assert main(["bench", "--radii", "1,10,100", "--phases", phases]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "PASS  cost pattern: off-Stokes cost does not grow with the radius"
+        rows = [[int(tok) for tok in re.findall(r"(\d+) \(", line)] for line in out[2:5]]
+        assert rows[0][0] < rows[2][0] and rows[0][3] >= rows[2][3]
 
     def test_rejects_bad_radius_list(self, capsys):
-        assert main(["bench", "--radii", "1,zebra"]) == 1
-        capsys.readouterr()
+        # Rejected before the table prints: one line naming the radius.
+        for radii, bad in (("1,zebra", "'zebra'"), ("nan", "nan"), ("inf", "inf"), ("0", "0"),
+                           ("-3,10", "-3"), ("10,-0", "-0")):
+            assert main(["bench", "--radii", radii, "--phases", "pi"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("scorerlib bench: bad grid: ")
+            assert captured.err.count("\n") == 1 and bad in captured.err.split()

@@ -836,6 +836,37 @@ class TestRouteSelection:
     def test_expected_route(self, fn, z, expected):
         assert fn(z).method == expected
 
+    @pytest.mark.parametrize(
+        "z,calls",
+        [
+            (5j, 1),
+            (-5 + 0j, 1),
+            (5 + 0j, 1),
+            (-5 - 2j, 1),
+            (cmath.rect(5.0, 0.02), 1),
+            (cmath.rect(5.0, 2.0 * _PI / 3.0 - 0.02), 1),
+            (cmath.rect(5.0, 2.0 * _PI / 3.0 + 0.02), 1),  # the saddle split
+            (cmath.rect(20.0, 0.9 * _PI), 0),
+            (cmath.rect(20.0, 0.2), 0),
+        ],
+    )
+    def test_one_sector_hi_per_call(self, monkeypatch, z, calls):
+        # Where no gate serves, gi, hi and gi_hi_pair each sum Hi's contour
+        # once: at z on [2pi/3, pi], else at z e^{2i pi/3}.  The router looks
+        # _hi_contour up on each call, so the patched one is counted.
+        contour = scorerlib.engine._hi_contour
+        seen = []
+
+        def counted(w):
+            seen.append(w)
+            return contour(w)
+
+        monkeypatch.setattr(scorerlib.engine, "_hi_contour", counted)
+        for call in (gi, hi, gi_hi_pair):
+            seen.clear()
+            call(z)
+            assert len(seen) == calls, call.__name__
+
 
 #: One ray per function whose value sums Hi's contour cell, which owns the
 #: Laplace gate: Hi on its descent row, Gi through its rotation connection.
@@ -1175,7 +1206,7 @@ class TestSaddleSplit:
         assert (res.method, res.converged) == ("hi_path_u", True)
 
     def test_radius_cap(self):
-        # Beyond the cap the contour cell stays adaptive; the route table
+        # Beyond the cap the contour cell stays adaptive; the router
         # sends it nothing there, since the expansion serves |z| >= 15.
         for radius, method in ((19.9, "hi_saddle"), (25.0, "hi_path_u")):
             z = cmath.rect(radius, 2.0 * _PI / 3.0 + 1e-3)

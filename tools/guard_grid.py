@@ -13,7 +13,7 @@ lower half-plane; the rays
 with ``+0.0`` and ``-0.0`` imaginary parts, both signs of the real part.
 
 The same fields are dumped for the five adaptive-quadrature
-representations, which the route table never takes: ``hi_integral_principal``,
+representations, which the router never takes: ``hi_integral_principal``,
 ``hi_integral_v_form``, ``hi_integral_upper`` and ``gi_integral`` at every
 point of the closed upper half-plane (imaginary part ``+0.0`` or above; a
 point outside a representation's sector records its exception), and
@@ -45,7 +45,8 @@ sum of both bars.
 
 ``--against`` then runs each command of ``CLI_COMMANDS`` (``scorerlib
 eval`` in its three formats, ``arc`` to stdout, ``table41``, ``selftest``,
-and ``bench`` on its default grid and on ``--phases 0.4pi,0.6pi,pi``) in
+``bench`` on its default grid and on ``--phases 0.4pi,0.6pi,pi``, and an
+infinite ``eval`` radius and a NaN ``bench`` radius, both rejected) in
 both checkouts and prints a unified diff of every stdout or stderr that
 differs and every differing exit code, after masking the wall times
 (table41's ``quadrature wall time: ... s`` and bench's ``(... ms)`` cells),
@@ -95,6 +96,8 @@ CLI_COMMANDS = (
     ("selftest",),
     ("bench",),
     ("bench", "--phases", "0.4pi,0.6pi,pi"),
+    ("eval", "--fn", "gi", "--r", "inf", "--phase", "1"),
+    ("bench", "--radii", "nan", "--phases", "pi"),
 )
 #: Wall times, the only CLI text that may differ from run to run.
 WALL_TIME = re.compile(r"(quadrature wall time: )[0-9.]+ s|\( *[0-9.]+ ms\)")

@@ -12,13 +12,14 @@ or its conjugate, lies at phase ``2*pi/3 + min(ph z, 2*pi/3 - ph z)``, with
 the same ``rho`` and ``Re sigma*`` as ``z``.  A reference is kept only
 where mpmath at 30 and at 45 digits agree to 1e-20 relative.
 
-The grid: the Stokes ray itself and its ``RAY_TOL`` band (Hi's row there
-is the adaptive ray contour), the phases 2*pi/3 + 1e-9 ... 0.45 above it,
-dense again from 2*pi/3 + 0.05 on (the images of Gi and Hi within 0.3 of
-0.05 and of 2*pi/3 - 0.05), 5*pi/6 and 4*pi/3 - 1.4 (the images of pi/2
-and 1.4), 0.9 pi and the negative axis (the image of pi/3), at radii from
-the series disc to 1000, and on each ray the two sides of the floor and of
-each rung's edge; only points that the route table gives the contour cell.
+The grid: the Stokes ray itself and its ``RAY_TOL`` band (where no rung
+serves, Hi there takes the saddle split), the phases 2*pi/3 + 1e-9 ... 0.45
+above it, dense again from 2*pi/3 + 0.05 on (the images of Gi and Hi within
+0.3 of 0.05 and of 2*pi/3 - 0.05), 5*pi/6 and 4*pi/3 - 1.4 (the images of
+pi/2 and 1.4), 0.9 pi and the negative axis (the image of pi/3), at radii
+from the series disc to 1000, and on each ray the two sides of the floor
+and of each rung's edge; only points where no gate serves Hi, which takes
+its contour there (every phase lies at or above ``2*pi/3 - RAY_TOL``).
 It prints:
 
 * a least-squares fit ``log err ~ -a sqrt(n) rho - b Re sigma*`` over every
@@ -77,7 +78,7 @@ from scorerlib.contour import RAY_TOL  # noqa: E402
 AGREE_REL = mpmath.mpf("1e-20")
 EPS = float(np.finfo(float).eps)
 STOKES = 2.0 * math.pi / 3.0
-#: The phase of every ray, all on Hi's descent-contour row.
+#: The phase of every ray, all where Hi takes its descent contour.
 PHASES = sorted(
     {STOKES - 0.5 * RAY_TOL, STOKES, 0.9 * math.pi, math.pi, 5.0 * math.pi / 6.0,
      2.0 * STOKES - 1.4}
@@ -133,7 +134,7 @@ def points() -> list[complex]:
                 radii += [r * (1.0 - 1e-9), r * (1.0 + 1e-9)]
         for r in sorted(radii):
             z = _point(r, phase)
-            if engine._representation(z, "hi") is engine._hi_contour:
+            if engine._gated(z, "hi") is None:
                 out.append(z)
     return out
 
