@@ -9,9 +9,10 @@ principal-sector Ai values (route ``rotation_pair``, two rule evaluations):
 
 * on ``0 < ph z <= 2*pi/3``, ``Bi = i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3})``
   (DLMF 9.2.11 with 9.2.10, the split of ACM TOMS Algorithm 819), where
-  ``z e^{2 pi i/3}`` would leave the sector.  Nothing cancels: below
-  ``pi/3`` Ai(z) is recessive and the rotated term dominates, above it the
-  reverse;
+  ``z e^{2 pi i/3}`` would leave the sector, and on ``-2*pi/3 <= ph z < 0``
+  its conjugate ``Bi = -i Ai(z) + 2 e^{i pi/6} Ai(z e^{2 pi i/3})``.
+  Nothing cancels: within ``pi/3`` of the axis Ai(z) is recessive and the
+  rotated term dominates, beyond it the reverse;
 * beyond ``2*pi/3`` and on the real axis,
   ``Bi = e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3})``.
   Nothing cancels, because the two terms carry conjugate-direction
@@ -20,11 +21,10 @@ principal-sector Ai values (route ``rotation_pair``, two rule evaluations):
   formula would leave a rounding residue in its imaginary part.
 
 The rotations call the rule directly on their principal-sector arguments.
-Ai's series, rule and rotation are conjugate-symmetric bit for bit, so Ai
-needs no fold; Bi's first formula is the upper half-plane's, so Bi serves
-the lower half-plane by conjugation, exactly.  Every evaluation returns a
-:class:`~scorerlib.contour.ScorerResult` that carries the derivative
-alongside the value.
+Ai's series, rule and rotation and Bi's formulas are conjugate-symmetric
+by construction, so neither function folds the lower half-plane.  Every
+evaluation returns a :class:`~scorerlib.contour.ScorerResult` that carries
+the derivative alongside the value.
 
 The series/rule seam sits at ``SERIES_RADIUS``; pushing the series much
 further loses digits to cancellation on and near the positive real axis,
@@ -76,6 +76,9 @@ _ROT_MINUS = cmath.exp(-2j * math.pi / 3)
 _ROT1 = cmath.exp(1j * math.pi / 6)
 _ROT5 = cmath.exp(5j * math.pi / 6)
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+#: Beyond this |ph z| Ai rotates and Bi takes its conjugate-pair formula, so
+#: that no rule argument of Ai(z) or Bi(z) leaves the principal sector.
+_ROTATION_EDGE = _TWO_THIRDS_PI + 1e-15
 _HALF_PI = 0.5 * math.pi
 
 # The generalized Gauss-Laguerre rule for exp(-t) t**(-1/6) on [0, inf) with
@@ -261,7 +264,7 @@ def _ai_info(z: complex) -> ScorerResult:
     if abs(z) <= SERIES_RADIUS:
         return _maclaurin(z, AI_ZERO, AIP_ZERO)
     # abs: the lower half-plane, and the negative axis with a -0.0 imaginary part.
-    if abs(cmath.phase(z)) > _TWO_THIRDS_PI + 1e-15:
+    if abs(cmath.phase(z)) > _ROTATION_EDGE:
         # One rotation lands both arguments inside the principal sector.
         a_plus, a_minus = _ai_rotated_pair(z)
         deriv = -_ROT_PLUS * a_minus.derivative - _ROT_MINUS * a_plus.derivative
@@ -290,24 +293,25 @@ def _bi_info(z: complex) -> ScorerResult:
     """Dispatch Bi by region: two principal-sector Ai values beyond the
     series disc."""
     z = require_finite(z)
-    if z.imag < 0.0:
-        return _bi_info(z.conjugate()).conjugate()
     if abs(z) <= SERIES_RADIUS:
         return _maclaurin(z, BI_ZERO, BIP_ZERO)
-    # The same tolerance as _ai_info's, so Ai(z) below never rotates.
-    if z.imag == 0.0 or cmath.phase(z) > _TWO_THIRDS_PI + 1e-15:
+    if z.imag == 0.0 or abs(cmath.phase(z)) > _ROTATION_EDGE:
         # e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3}):
         # exact conjugate terms on the real axis, so Bi(x) stays real.
         a_plus, a_minus = _ai_rotated_pair(z)
         deriv = _ROT5 * a_plus.derivative + _ROT5.conjugate() * a_minus.derivative
         return combine("rotation_pair", [(_ROT1, a_plus), (_ROT1.conjugate(), a_minus)], deriv)
     # i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3}) on 0 < ph z <= 2 pi/3, where
-    # z e^{2 pi i/3} would leave the sector.  Nothing cancels: below pi/3
-    # Ai(z) is recessive and the rotated term dominates, above it the reverse.
+    # z e^{2 pi i/3} would leave the sector; below the axis its conjugate, by
+    # the conjugate constants (1j.conjugate(): -1j has the real part -0.0).
+    if z.imag > 0.0:
+        i, rot, c1, c5 = 1j, _ROT_MINUS, _ROT1.conjugate(), _ROT5.conjugate()
+    else:
+        i, rot, c1, c5 = 1j.conjugate(), _ROT_PLUS, _ROT1, _ROT5
     a = _ai_laguerre(z)
-    a_minus = _ai_laguerre(z * _ROT_MINUS)
-    deriv = 1j * a.derivative + 2.0 * _ROT5.conjugate() * a_minus.derivative
-    return combine("rotation_pair", [(1j, a), (2.0 * _ROT1.conjugate(), a_minus)], deriv)
+    a_rot = _ai_laguerre(z * rot)
+    deriv = i * a.derivative + 2.0 * c5 * a_rot.derivative
+    return combine("rotation_pair", [(i, a), (2.0 * c1, a_rot)], deriv)
 
 
 def bi_complex(z: complex) -> ScorerResult:

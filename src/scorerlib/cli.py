@@ -79,23 +79,28 @@ def parse_phase(text: str) -> float:
     corresponding float multiple of ``math.pi``; anything else must be a
     plain float.  Exact 'pi' spelling keeps special rays, such as the Stokes
     ray ``2pi/3``, within the router's ``contour.RAY_TOL``.  A zero
-    denominator, like any other malformed phase, raises ``ValueError``.
+    denominator or a phase that is not finite (``nan``, ``inf``, ``1e400``),
+    like any other malformed phase, raises ``ValueError``.
     """
     squeezed = text.strip().lower().replace(" ", "")
     m = _PI_FORM.match(squeezed)
     if m is None:
-        return float(squeezed)
-    coef_text = m.group(1)
-    if coef_text in ("", "+"):
-        coef = 1.0
-    elif coef_text == "-":
-        coef = -1.0
+        phase = float(squeezed)
     else:
-        coef = float(coef_text)
-    denom = float(m.group(2)) if m.group(2) else 1.0
-    if denom == 0.0:
-        raise ValueError(f"phase {text!r} has a zero denominator")
-    return coef * math.pi / denom
+        coef_text = m.group(1)
+        if coef_text in ("", "+"):
+            coef = 1.0
+        elif coef_text == "-":
+            coef = -1.0
+        else:
+            coef = float(coef_text)
+        denom = float(m.group(2)) if m.group(2) else 1.0
+        if denom == 0.0:
+            raise ValueError(f"phase {text!r} has a zero denominator")
+        phase = coef * math.pi / denom
+    if not math.isfinite(phase):
+        raise ValueError(f"phase {text!r} is not finite")
+    return phase
 
 
 #: Options whose value may be negative and may follow as its own token.
@@ -368,11 +373,12 @@ def _selftest_checks() -> list[tuple[str, str]]:
         for radius in (0.7, 1.5, 4.0, 12.0):
             for phase in (0.3, 1.1, 2.0, 2.9):
                 z = _z_from_polar(radius, phase)
-                for fn in (_engine.gi, _engine.hi):
-                    upper = fn(z).value
-                    lower = fn(z.conjugate()).value
-                    if abs(lower - upper.conjugate()) > 1e-14 * abs(upper):
-                        return f"conjugate symmetry broken at {z}"
+                for fn in (_engine.gi, _engine.hi, _airy.ai_complex, _airy.bi_complex):
+                    upper, lower = fn(z), fn(z.conjugate())
+                    for u, w in ((upper.value, lower.value),
+                                 (upper.derivative, lower.derivative)):
+                        if u is not None and abs(w - u.conjugate()) > 1e-14 * abs(u):
+                            return f"conjugate symmetry broken at {z}"
         return ""
 
     def check_sum_identity() -> str:

@@ -77,7 +77,7 @@ class ScorerResult:
 
     A plain slotted record, neither frozen nor hashable: building a frozen
     dataclass costs about four times as much, and a call assembles several
-    results (the parts of :func:`combine`, the conjugations).  No code of
+    results (the parts of :func:`combine`).  No code of
     the package changes a result after building it.
 
     Attributes
@@ -117,20 +117,6 @@ class ScorerResult:
     n_evaluations: int
     converged: bool = True
     derivative: complex | None = None
-
-    def conjugate(self, method: str | None = None) -> ScorerResult:
-        """The result at the conjugate argument: value and derivative
-        conjugated, every other field kept, the route tag too unless
-        ``method`` replaces it."""
-        d = self.derivative
-        return ScorerResult(
-            self.value.conjugate(),
-            self.method if method is None else method,
-            self.abs_error_estimate,
-            self.n_evaluations,
-            self.converged,
-            None if d is None else d.conjugate(),
-        )
 
 
 def combine(method: str, terms, derivative: complex | None = None) -> ScorerResult:

@@ -1013,19 +1013,22 @@ def _pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
 
 
 def _settled(z: complex, r: ScorerResult) -> ScorerResult:
-    """The result at ``z`` from ``r``, the value at ``complex(z.real, abs(z.imag))``."""
+    """The result at ``z`` from ``r``, the value at ``complex(z.real, abs(z.imag))``
+    (Gi and Hi carry no derivative)."""
     if z.imag < 0.0:
-        return r.conjugate("conjugate")
+        return ScorerResult(r.value.conjugate(), "conjugate", r.abs_error_estimate,
+                            r.n_evaluations, r.converged)
     if z.imag or not r.value.imag:
         return r
     return ScorerResult(complex(r.value.real, 0.0), r.method, r.abs_error_estimate,
-                        r.n_evaluations, r.converged, r.derivative)
+                        r.n_evaluations, r.converged)
 
 
 def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
     """``fn`` ("gi", "hi", or "pair" for both) at any finite ``z``.
 
-    The one place that conjugates: the router sees the closed upper
+    The package's one fold and one place that conjugates a result (Ai and
+    Bi are symmetric by construction): the router sees the closed upper
     half-plane only, so below it ``fn`` is evaluated at ``conj z`` and each
     result is conjugated back and tagged ``conjugate``; ``abs`` also folds
     a negative-zero imaginary part, which would put the negative real axis

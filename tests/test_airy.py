@@ -501,6 +501,15 @@ _SERIES_EDGE_POINTS = [cmath.rect(3.5 * (1.0 + 1e-12), phase)
                                      2.5, math.pi - 1e-9)]
 
 
+def _assert_reflected(upper, lower):
+    """``lower`` is ``upper`` at the conjugate argument: parts equal as
+    numbers (an exact zero may differ in sign), every other field the same."""
+    assert lower.value == upper.value.conjugate()
+    assert lower.derivative == upper.derivative.conjugate()
+    assert (lower.method, lower.n_evaluations, lower.abs_error_estimate, lower.converged) == (
+        upper.method, upper.n_evaluations, upper.abs_error_estimate, upper.converged)
+
+
 class TestConjugateSymmetry:
     @pytest.mark.parametrize(
         "z",
@@ -521,10 +530,39 @@ class TestConjugateSymmetry:
     )
     def test_schwarz_reflection_is_exact(self, z):
         for fn in (ai_complex, bi_complex):
-            upper, lower = fn(z), fn(z.conjugate())
-            assert lower.value == upper.value.conjugate()
-            assert lower.derivative == upper.derivative.conjugate()
-            assert (lower.method, lower.n_evaluations) == (upper.method, upper.n_evaluations)
+            _assert_reflected(fn(z), fn(z.conjugate()))
+
+    def test_schwarz_reflection_over_the_plane(self):
+        # Every phase, 0.3 <= |z| <= 200: the series, the rule, Ai's
+        # rotation and both of Bi's formulas, each computed below the axis
+        # on its own.  Beyond |z| of about 100 near the axes a value
+        # overflows; then it must overflow on both sides.
+        rng = np.random.default_rng(20261020)
+        for _ in range(300):
+            z = cmath.rect(math.exp(rng.uniform(math.log(0.3), math.log(200.0))),
+                           rng.uniform(0.0, math.pi))
+            for fn in (ai_complex, bi_complex):
+                try:
+                    upper = fn(z)
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        fn(z.conjugate())
+                    continue
+                _assert_reflected(upper, fn(z.conjugate()))
+
+    @pytest.mark.parametrize("z", [cmath.rect(5.0, -1.0), cmath.rect(5.0, -2.5),
+                                   cmath.rect(3.6, -1e-9)])
+    def test_bi_below_the_axis_is_one_dispatch(self, z, monkeypatch):
+        calls = []
+        dispatch = airy._bi_info
+
+        def counting(w):
+            calls.append(w)
+            return dispatch(w)
+
+        monkeypatch.setattr(airy, "_bi_info", counting)
+        bi_complex(z)
+        assert calls == [z]
 
     def test_real_axis_values_are_real(self):
         for x in (-7.0, -2.0, 0.5, 3.0, 3.6, 11.0, 40.0):

@@ -41,7 +41,10 @@ class TestPhaseParsing:
     def test_accepted_forms(self, text, expected):
         assert parse_phase(text) == pytest.approx(expected, rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["junk", "pi/", "2pi/0x3", "", "pipi", "pi/0", "2pi/0.0"])
+    @pytest.mark.parametrize(
+        "text",
+        ["junk", "pi/", "2pi/0x3", "", "pipi", "pi/0", "2pi/0.0", "nan", "inf", "-inf", "1e400"],
+    )
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             parse_phase(text)
@@ -52,6 +55,10 @@ class TestPhaseParsing:
             (["eval", "--fn", "gi", "--r", "1", "--phase", "pi/0"], "pi/0"),
             (["arc", "--fn", "gi", "--radius", "1", "--stop", "2pi/0"], "2pi/0"),
             (["bench", "--phases", "pi/0"], "pi/0"),
+            # Not finite: quoted, as the rejection names the text.
+            (["bench", "--radii", "5", "--phases", "nan"], "'nan'"),
+            (["eval", "--fn", "gi", "--r", "5", "--phase", "inf"], "'inf'"),
+            (["arc", "--fn", "gi", "--radius", "1", "--start", "inf"], "'inf'"),
         ],
     )
     def test_zero_denominator_is_a_usage_error(self, argv, bad, capsys):

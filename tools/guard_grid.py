@@ -6,9 +6,10 @@ dump holds each result's ``method``, ``n_evaluations`` and ``converged``,
 and ``float.hex`` of the real and imaginary parts of ``value`` and
 ``derivative`` and of ``abs_error_estimate`` (or the exception's type and
 message).  The points are 17 radii x 49 phases in ``[0, pi]``, 4 phases
-in ``0 < ph z < 0.05``, 2 in ``2*pi/3 - 0.05 < ph z < 2*pi/3 - RAY_TOL``
-and 2 within ``RAY_TOL`` of the Stokes ray, each also conjugated into the
-lower half-plane; the rays
+in ``0 < ph z < 0.05``, 2 in ``2*pi/3 - 0.05 < ph z < 2*pi/3 - RAY_TOL``,
+2 within ``RAY_TOL`` of the Stokes ray and 3 within 2e-15 of Airy's
+rotation edge ``2*pi/3 + 1e-15``, each also conjugated into the lower
+half-plane; the rays
 ``ph z = +-2*pi/3`` at the same radii; and the real axis at the same radii
 with ``+0.0`` and ``-0.0`` imaginary parts, both signs of the real part.
 
@@ -46,7 +47,8 @@ sum of both bars.
 ``--against`` then runs each command of ``CLI_COMMANDS`` (``scorerlib
 eval`` in its three formats, ``arc`` to stdout, ``table41``, ``selftest``,
 ``bench`` on its default grid and on ``--phases 0.4pi,0.6pi,pi``, and an
-infinite ``eval`` radius and a NaN ``bench`` radius, both rejected) in
+infinite ``eval`` radius, a NaN ``bench`` radius, a NaN ``bench`` phase and
+an infinite ``eval`` phase, all rejected) in
 both checkouts and prints a unified diff of every stdout or stderr that
 differs and every differing exit code, after masking the wall times
 (table41's ``quadrature wall time: ... s`` and bench's ``(... ms)`` cells),
@@ -76,11 +78,14 @@ N_PHASES = 49
 #: lands just above the Stokes ray: 1e-12 (within RAY_TOL, 1e-12, of the
 #: ray), 1e-9, 0.02 and 0.05 - 1e-9 above the positive axis, and 0.02 and
 #: 1e-9 below 2*pi/3.  On the ray itself, half of RAY_TOL to each side,
-#: where Hi takes the ray's contour.
+#: where Hi takes the ray's contour.  Around Airy's rotation edge
+#: 2*pi/3 + 1e-15, where Ai starts to rotate and Bi switches formulas, in
+#: both half-planes.
 BAND_PHASES = (
     1e-12, 1e-9, 0.02, 0.05 - 1e-9,
     2.0 * math.pi / 3.0 - 0.02, 2.0 * math.pi / 3.0 - 1e-9,
     2.0 * math.pi / 3.0 - 0.5e-12, 2.0 * math.pi / 3.0 + 0.5e-12,
+    *(2.0 * math.pi / 3.0 + 1e-15 + d for d in (-2e-15, 0.0, 2e-15)),
 )
 FUNCTIONS = ("gi", "hi", "gi_hi_pair", "ai_complex", "bi_complex")
 #: The adaptive-quadrature representations, dumped on the upper half-plane.
@@ -98,6 +103,8 @@ CLI_COMMANDS = (
     ("bench", "--phases", "0.4pi,0.6pi,pi"),
     ("eval", "--fn", "gi", "--r", "inf", "--phase", "1"),
     ("bench", "--radii", "nan", "--phases", "pi"),
+    ("bench", "--radii", "5", "--phases", "nan"),
+    ("eval", "--fn", "gi", "--r", "5", "--phase", "inf"),
 )
 #: Wall times, the only CLI text that may differ from run to run.
 WALL_TIME = re.compile(r"(quadrature wall time: )[0-9.]+ s|\( *[0-9.]+ ms\)")
