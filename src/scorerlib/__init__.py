@@ -31,14 +31,12 @@ from .engine import (
     ScorerResult,
     gi,
     gi_asymptotic,
-    gi_from_hi_rotations,
     gi_hi_pair,
     gi_integral,
     gi_real_positive,
     gi_series,
     hi,
     hi_asymptotic,
-    hi_connection,
     hi_integral_principal,
     hi_integral_upper,
     hi_integral_v_form,
@@ -72,14 +70,12 @@ __all__ = [
     "bi_complex",
     "gi",
     "gi_asymptotic",
-    "gi_from_hi_rotations",
     "gi_hi_pair",
     "gi_integral",
     "gi_real_positive",
     "gi_series",
     "hi",
     "hi_asymptotic",
-    "hi_connection",
     "hi_integral_principal",
     "hi_integral_upper",
     "hi_integral_v_form",

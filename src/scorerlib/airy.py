@@ -282,6 +282,7 @@ def ai_complex(z: complex) -> ScorerResult:
     leaves the double range.  Near the top of that range Ai', about
     ``sqrt(z)`` times Ai, overflows first, into NaN parts; the check sits
     here, not in the dispatcher, because Gi's rotation uses the finite Ai.
+    Ai' carries no error bar: ``abs_error_estimate`` bounds the value only.
     """
     result = _ai_info(z)
     if not cmath.isfinite(result.derivative):
@@ -319,7 +320,8 @@ def bi_complex(z: complex) -> ScorerResult:
 
     Raises :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``,
     and ``OverflowError`` where a value, its derivative or an intermediate
-    leaves the double range (Bi' first, as for :func:`ai_complex`).
+    leaves the double range (Bi' first, as for :func:`ai_complex`).  Bi'
+    carries no error bar: ``abs_error_estimate`` bounds the value only.
     """
     result = _bi_info(z)
     if not cmath.isfinite(result.derivative):

@@ -89,8 +89,8 @@ class ScorerResult:
         ``hi_saddle``, ``hi_rotation``, ``gi_rotation``, ``bi_identity``,
         or ``conjugate``, and ``hi_path_u`` where the saddle split
         declines; the representations that the router never takes
-        report ``hi_path_v``, ``hi_path_upper``, ``gi_path_u``,
-        ``gi_real_axis`` and ``gi_rotation_pair``.  Ai and Bi: ``series``,
+        report ``hi_path_v``, ``hi_path_upper``, ``gi_path_u`` and
+        ``gi_real_axis``.  Ai and Bi: ``series``,
         ``integral``, ``rotation``, or ``rotation_pair`` (Bi from two
         principal-sector Ai values).  The parts below a route: ``laplace``
         and ``saddle`` for the fixed contour rules, ``quadrature`` for the

@@ -59,14 +59,12 @@ __all__ = [
     "ScorerResult",
     "gi",
     "gi_asymptotic",
-    "gi_from_hi_rotations",
     "gi_hi_pair",
     "gi_integral",
     "gi_real_positive",
     "gi_series",
     "hi",
     "hi_asymptotic",
-    "hi_connection",
     "hi_integral_principal",
     "hi_integral_upper",
     "hi_integral_v_form",
@@ -379,8 +377,9 @@ def hi_integral_upper(z: complex) -> ScorerResult:
     value.  The contour is :func:`gi_integral`'s, turned by ``i``.  An
     integrable Jacobian kink at the height of the fold is handled by
     splitting the range there.  The router never takes it: it is the
-    independent check of :func:`hi_connection` and the contour that the
-    CLI's quadrature benchmark measures on this sector.
+    independent check of the routed Hi on this sector, which takes the
+    rotation connection of :func:`_hi_from_rotated`, and the contour that
+    the CLI's quadrature benchmark measures on this sector.
     """
     x, y = z.real, z.imag
     ph = math.atan2(y, x)
@@ -921,45 +920,29 @@ def _hi_contour(z: complex) -> ScorerResult:
 # Rotation connections
 
 
-def hi_connection(z: complex) -> ScorerResult:
+def _hi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
     """Hi by the one-step rotation connection
 
-    ``Hi(z) = e^{2i pi/3} Hi(z e^{2i pi/3}) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``.
+    ``Hi(z) = e^{2i pi/3} Hi(z e^{2i pi/3}) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``
 
-    For phases from 0 up to ``2*pi/3`` the rotated argument, or its
-    conjugate, lies in ``[2*pi/3, pi]``, where ``hi`` takes its descent
-    contour (or a gate's shortcut) and Hi is algebraic; the Airy term is
-    recessive above ``pi/3`` and dominant below, so nothing cancels.
+    given ``inner = Hi(z e^{2i pi/3})``.  For phases from 0 up to
+    ``2*pi/3`` the rotated argument, or its conjugate, lies in
+    ``[2*pi/3, pi]``, where ``hi`` takes its descent contour (or a gate's
+    shortcut) and Hi is algebraic; the Airy term is recessive above
+    ``pi/3`` and dominant below, so nothing cancels.
     """
-    return _hi_from_rotated(z, hi(z * _ROT_UP))
-
-
-def _hi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
-    """:func:`hi_connection` given ``inner = Hi(z e^{2i pi/3})``."""
     ai = _airy._ai_info(z * _ROT_DOWN)
     return combine("hi_rotation", [(_ROT_UP, inner), (_TWO_ROT_SIXTH, ai)])
 
 
 def _gi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
     """``Gi(z) = -e^{2i pi/3} Hi(z e^{2i pi/3}) + i Ai(z)`` given ``inner``,
-    the rotated Hi: valid for every ``z`` by :func:`hi_connection` and
-    ``Gi + Hi = Bi``.  On ``0 <= ph z < 2*pi/3`` ``inner`` is algebraic and
-    ``i Ai(z)`` recessive below ``pi/3``, dominant above: nothing cancels."""
+    the rotated Hi: valid for every ``z`` by the Hi connection of
+    :func:`_hi_from_rotated` and ``Gi + Hi = Bi``, since
+    ``Bi(z) = i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``.  On
+    ``0 <= ph z < 2*pi/3`` ``inner`` is algebraic and ``i Ai(z)``
+    recessive below ``pi/3``, dominant above: nothing cancels."""
     return combine("gi_rotation", [(-_ROT_UP, inner), (1j, _airy._ai_info(z))])
-
-
-def gi_from_hi_rotations(z: complex) -> ScorerResult:
-    """Gi from two rotated Hi values.
-
-    ``Gi(z) = -(e^{2i pi/3} Hi(z e^{2i pi/3}) + e^{-2i pi/3} Hi(z e^{-2i pi/3}))/2``;
-    both rotated arguments leave the troublesome neighborhood of the
-    positive real axis, and all three quantities share the same algebraic
-    size, so the combination is stable.  Each arm is ``hi``'s own value:
-    near the positive axis the lower arm rotates onto the upper one.  The
-    router takes one rotated Hi instead (:func:`_gi_from_rotated`).
-    """
-    up, down = hi(z * _ROT_UP), hi(z * _ROT_DOWN)
-    return combine("gi_rotation_pair", [(-0.5 * _ROT_UP, up), (-0.5 * _ROT_DOWN, down)])
 
 
 def _bi_complement(z: complex, h: ScorerResult) -> ScorerResult:

@@ -264,12 +264,23 @@ class TestEvalCommand:
             (["--phase", "pi"], "--r and --phase must appear together"),
             ([], "a point is required (--re/--im or --r/--phase)"),
             (["--r", "1", "--phase", "0", "--digits", "16"], "--digits must be between 1 and 15"),
+            (["--r", "-1", "--phase", "0"], "--r must not be negative"),
+            (["--r", "-1e-3", "--phase", "0"], "--r must not be negative"),
         ],
     )
     def test_each_usage_error_prints_one_line(self, argv, message, capsys):
         assert main(["eval", "--fn", "gi", *argv]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"scorerlib eval: {message}\n")
+
+    @pytest.mark.parametrize("r", ["0", "-0.0"])
+    def test_zero_modulus_is_the_origin(self, r, capsys):
+        # A negative modulus is rejected (it would silently turn the phase
+        # by pi), but both signed zeros name the origin.
+        assert main(["eval", "--fn", "gi", "--r", r, "--phase", "pi/3", "--format", "json"]) == 0
+        fields = json.loads(capsys.readouterr().out)
+        assert (fields["z_re"], fields["z_im"]) == (0.0, 0.0)
+        assert fields["value_re"] == gi(0.0).value.real
 
 
 class TestRepeatedCalls:
@@ -370,6 +381,11 @@ class TestArcCommand:
         assert rc == 0
         assert float(rows[-1].split(",")[0]) == pytest.approx(-math.pi / 2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("radius", ["-1", "-1e-3", "0"])
+    def test_rejects_a_radius_that_is_not_positive(self, radius, capsys):
+        assert main(["arc", "--fn", "gi", "--radius", radius]) == 1
+        assert capsys.readouterr().err == "scorerlib arc: --radius must be positive\n"
+
     def test_rejects_single_sample(self, capsys):
         assert main(["arc", "--fn", "gi", "--radius", "1", "--samples", "1"]) == 1
         capsys.readouterr()
@@ -402,6 +418,19 @@ class TestGoldenTableCommand:
         assert "3.1768529e-02" in out and "3.1768535e-02" in out
 
 
+def _wrong_gi_rotation(z, inner):
+    # The connection's i Ai(z) entered as -i Ai(z).
+    e = scorerlib.engine
+    return e.combine("gi_rotation", [(-e._ROT_UP, inner), (-1j, e._airy._ai_info(z))])
+
+
+def _wrong_hi_rotation(z, inner):
+    # The connection's 2 e^{-i pi/6} entered with the wrong sign.
+    e = scorerlib.engine
+    ai = e._airy._ai_info(z * e._ROT_DOWN)
+    return e.combine("hi_rotation", [(e._ROT_UP, inner), (-e._TWO_ROT_SIXTH, ai)])
+
+
 class TestSelftestCommand:
     def test_battery_passes(self, capsys):
         rc = main(["selftest"])
@@ -425,6 +454,22 @@ class TestSelftestCommand:
         monkeypatch.setattr(scorerlib.engine, "_laplace_sum", off)
         outcomes = dict(_selftest_checks())
         assert outcomes["sum_identity"].startswith("sum identity residual")
+
+    @pytest.mark.parametrize(
+        "helper,wrong,check",
+        [
+            ("_gi_from_rotated", _wrong_gi_rotation, "rotation_pair_vs_contour"),
+            ("_hi_from_rotated", _wrong_hi_rotation, "rotation_connection"),
+        ],
+    )
+    def test_connection_checks_see_a_wrong_shipped_formula(
+        self, helper, wrong, check, monkeypatch
+    ):
+        # Each connection check compares the routed function with a contour
+        # that shares no formula with it, so a wrong coefficient in the
+        # connection the router ships fails the check.
+        monkeypatch.setattr(scorerlib.engine, helper, wrong)
+        assert dict(_selftest_checks())[check]
 
 
 class TestBenchCommand:

@@ -21,14 +21,12 @@ from scorerlib.engine import (
     HI_DERIV_AT_ZERO,
     gi,
     gi_asymptotic,
-    gi_from_hi_rotations,
     gi_hi_pair,
     gi_integral,
     gi_real_positive,
     gi_series,
     hi,
     hi_asymptotic,
-    hi_connection,
     hi_integral_principal,
     hi_integral_upper,
     hi_integral_v_form,
@@ -214,7 +212,6 @@ _KNOWN_METHODS = {
     "gi_real_axis",
     "hi_rotation",
     "gi_rotation",
-    "gi_rotation_pair",
     "bi_identity",
     "hi_laplace",
     "hi_saddle",
@@ -492,7 +489,7 @@ class TestCrossRepresentationAgreement:
     def test_valley_contour_vs_rotation_connection(self):
         z = 3j
         a = hi_integral_upper(z)
-        b = hi_connection(z)
+        b = hi(z)
         assert a.method == "hi_path_upper"
         assert b.method == "hi_rotation"
         assert _rel(a.value - b.value, a.value) < 1e-11
@@ -517,9 +514,8 @@ class TestCrossRepresentationAgreement:
     def test_oscillatory_contour_vs_rotation_pair(self):
         z = 1 + 0.2j
         a = gi_integral(z)
-        b = gi_from_hi_rotations(z)
+        b = gi(z)
         assert a.method == "gi_path_u"
-        assert b.method == "gi_rotation_pair"
         assert _rel(a.value - b.value, a.value) < 1e-11
 
     @pytest.mark.parametrize("x", [0.25, 0.8, 1.7, 2.4])
@@ -673,7 +669,7 @@ class TestDispatchBoundaries:
 
     def test_near_axis_band_edge(self):
         z = 5.0 * cmath.exp(1j * 0.05)
-        a = gi_from_hi_rotations(z)
+        a = gi(z)
         b = gi_integral(z)
         assert _rel(a.value - b.value, b.value) < 1e-10
 
@@ -694,28 +690,24 @@ class TestDispatchBoundaries:
 
     @pytest.mark.parametrize("radius", [3.5, 5.0, 10.0])
     def test_rotation_arm_on_the_pi_over_3_ray(self, radius):
-        # A rotated Hi argument that lands exactly on ph = pi/3 is hi's own
-        # value there: the rotation connection, which owns that ray.
+        # On ph = pi/3 each connection's Airy term changes between dominant
+        # and recessive; each routed value still meets its own contour.
         z = cmath.rect(radius, _PI / 3.0)
         direct = gi_integral(z)
-        assert _rel(gi_from_hi_rotations(z).value - direct.value, direct.value) < 1e-10
-        lower = hi_connection(z.conjugate()).value.conjugate()
-        assert _rel(lower - hi(z).value, hi(z).value) < 1e-10
+        assert _rel(gi(z).value - direct.value, direct.value) < 1e-10
+        valley = hi_integral_upper(z).value
+        assert _rel(hi(z).value - valley, valley) < 1e-10
 
     @pytest.mark.parametrize("phase", [1e-9, 0.02, 0.05 - 1e-9])
     def test_rotation_costs_exactly_its_arms(self, phase):
         # The rotated Hi in both connections is hi's own value, so each
-        # spends exactly that hi call plus its Airy rule's evaluations; the
-        # rotation pair spends its two hi calls.
+        # spends exactly that hi call plus its Airy rule's evaluations.
         z = cmath.rect(5.0, phase)
-        up, down = hi(z * _ROT_UP), hi(z * _ROT_DOWN)
+        up = hi(z * _ROT_UP)
         g, h = gi(z), hi(z)
         assert (g.method, h.method) == ("gi_rotation", "hi_rotation")
         assert g.n_evaluations == h.n_evaluations == up.n_evaluations + _AIRY_RULE
         assert g.value == -_ROT_UP * up.value + 1j * ai_complex(z).value
-        pair = gi_from_hi_rotations(z)
-        assert pair.n_evaluations == up.n_evaluations + down.n_evaluations
-        assert pair.value == -0.5 * _ROT_UP * up.value + -0.5 * _ROT_DOWN * down.value
 
 
 class TestEngineObject:
