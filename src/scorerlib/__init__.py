@@ -7,6 +7,10 @@ series near the origin, non-oscillating descent-contour quadrature in the
 middle range, rotation connections between sectors, and large-argument
 expansions once they are certifiably accurate.
 
+The top level is the evaluator.  The paper's integral representations,
+series and expansions, which cross-check it, are public in
+``scorerlib.engine``; the adaptive integrator is in ``scorerlib.quadrature``.
+
 >>> from scorerlib import gi, hi
 >>> hi(-1.0).value.real
 0.220669606...
@@ -30,24 +34,8 @@ from .engine import (
     HI_DERIV_AT_ZERO,
     ScorerResult,
     gi,
-    gi_asymptotic,
     gi_hi_pair,
-    gi_integral,
-    gi_real_positive,
-    gi_series,
     hi,
-    hi_asymptotic,
-    hi_integral_principal,
-    hi_integral_upper,
-    hi_integral_v_form,
-    hi_series,
-)
-from .quadrature import (
-    NonFiniteIntegrandError,
-    QuadratureConfig,
-    integrate_finite,
-    integrate_piecewise,
-    integrate_semi_infinite,
 )
 
 __version__ = "0.1.0"
@@ -62,25 +50,11 @@ __all__ = [
     "GI_DERIV_AT_ZERO",
     "HI_AT_ZERO",
     "HI_DERIV_AT_ZERO",
-    "NonFiniteIntegrandError",
-    "QuadratureConfig",
     "ScorerResult",
     "__version__",
     "ai_complex",
     "bi_complex",
     "gi",
-    "gi_asymptotic",
     "gi_hi_pair",
-    "gi_integral",
-    "gi_real_positive",
-    "gi_series",
     "hi",
-    "hi_asymptotic",
-    "hi_integral_principal",
-    "hi_integral_upper",
-    "hi_integral_v_form",
-    "hi_series",
-    "integrate_finite",
-    "integrate_piecewise",
-    "integrate_semi_infinite",
 ]

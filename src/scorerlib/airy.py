@@ -112,6 +112,17 @@ _WEIGHTS_NODES = _WEIGHTS * _NODES
 _ZETA_CAP = 1e150
 #: 1 / (sqrt(pi) 48**(1/6) Gamma(5/6)), the Laplace form's normalization.
 _LAPLACE_NORM = 1.0 / (math.sqrt(math.pi) * 48.0 ** (1.0 / 6.0) * math.gamma(5.0 / 6.0))
+#: The rule's error bar floor: four units of 2**-1074, the spacing of the
+#: subnormal numbers.  Where Ai is subnormal its relative bar underflows,
+#: and each rounding costs up to half a unit per part.  ``pref`` carries 0.9
+#: units per part, 1.3 in modulus: a whole unit from libm's exp of the real
+#: exponent and half from its product with cos or sin, both scaled by the
+#: normalization 0.262, and half from that product itself.  ``pref * s0``
+#: scales them by |s0| <= 1.006 (Re zeta > 0 there, so |2 + t/zeta| >= 2 in
+#: ``I``) and rounds two products per part, half a unit each (their sum is
+#: subnormal, so exact): 1.4 units more in modulus, 2.7 in all.  A value
+#: returned as 0 beyond ``_ZETA_CAP`` is off by less than half a unit.
+_UNDERFLOW_BAR = 4.0 * math.ulp(0.0)
 
 
 def _maclaurin_denominators(n_terms: int) -> list[list[int]]:
@@ -211,7 +222,7 @@ def _ai_laguerre(z: complex) -> ScorerResult:
         if abs(phase) == _HALF_PI and Fraction(z.imag) ** 2 >= 3 * Fraction(z.real) ** 2:
             raise OverflowError(f"Ai: exp(-zeta) overflows at z = {z!r}")
         if abs(phase) <= _HALF_PI:
-            return ScorerResult(0j, "integral", 0.0, _NODES.size, True, 0j)
+            return ScorerResult(0j, "integral", _UNDERFLOW_BAR, _NODES.size, True, 0j)
         if modulus == math.inf:
             raise OverflowError(f"Ai: zeta = (2/3) z**1.5 overflows at |z| = {abs(z):.3g}")
     zeta = cmath.rect(modulus, phase)
@@ -239,6 +250,8 @@ def _ai_laguerre(z: complex) -> ScorerResult:
     # also covers a rotated argument z e^{+-2 pi i/3}, whose rounding moves
     # zeta by 1.5 |zeta| times its relative error.
     err = _EPS * (6.0 * modulus + 8.0) * abs(value)
+    if err < _UNDERFLOW_BAR:  # gradual underflow: absolute roundings dominate
+        err = _UNDERFLOW_BAR
     return ScorerResult(value, "integral", err, _NODES.size, True, pref * cmath.sqrt(z) * ds)
 
 
@@ -276,7 +289,8 @@ def ai_complex(z: complex) -> ScorerResult:
     """Ai(z), with Ai'(z) as ``derivative``, anywhere in the complex plane.
 
     Inside ``|ph z| < pi/3`` beyond ``|z|`` of about 1e100, where both
-    underflow, they are returned as 0 with a zero error bar.  Raises
+    underflow, they are returned as 0.  The error bar is never below
+    ``4 * 2**-1074``, which covers the roundings of a subnormal value.  Raises
     :class:`~scorerlib.contour.DomainError` for NaN or infinite ``z``, and
     ``OverflowError`` where a value, its derivative or an intermediate
     leaves the double range.  Near the top of that range Ai', about

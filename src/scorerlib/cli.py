@@ -37,7 +37,7 @@ import numpy as np
 from . import airy as _airy
 from . import engine as _engine
 from .contour import RAY_TOL, DomainError
-from .quadrature import NonFiniteIntegrandError, integrate_finite, integrate_semi_infinite
+from .quadrature import NonFiniteIntegrandError, integrate_piecewise, integrate_semi_infinite
 
 __all__ = ["main", "parse_phase"]
 
@@ -468,7 +468,7 @@ def _selftest_checks() -> list[tuple[str, str]]:
         one = integrate_semi_infinite(lambda t: np.exp(-t) + 0.0j, 0.0)
         if abs(one.value - 1.0) > 1e-12:
             return f"exponential tail integral off by {abs(one.value - 1.0):.2e}"
-        pi_val = integrate_finite(lambda t: 4.0 / (1.0 + t * t) + 0.0j, 0.0, 1.0)
+        pi_val = integrate_piecewise([(lambda t: 4.0 / (1.0 + t * t) + 0.0j, 0.0, 1.0)])
         if abs(pi_val.value - math.pi) > 1e-12:
             return f"arctangent integral off by {abs(pi_val.value - math.pi):.2e}"
         return ""

@@ -1010,10 +1010,12 @@ def _settled(z: complex, r: ScorerResult) -> ScorerResult:
 def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
     """``fn`` ("gi", "hi", or "pair" for both) at any finite ``z``.
 
-    The package's one fold and one place that conjugates a result (Ai and
-    Bi are symmetric by construction): the router sees the closed upper
-    half-plane only, so below it ``fn`` is evaluated at ``conj z`` and each
-    result is conjugated back and tagged ``conjugate``; ``abs`` also folds
+    The package's one fold of the lower half-plane, by :func:`_settled`
+    (Ai and Bi are symmetric by construction; the only other conjugated
+    result is ``airy._ai_rotated_pair``'s on the real axis, which shares
+    one rule evaluation): the router sees the closed upper half-plane
+    only, so below it ``fn`` is evaluated at ``conj z`` and each result is
+    conjugated back and tagged ``conjugate``; ``abs`` also folds
     a negative-zero imaginary part, which would put the negative real axis
     at phase ``-pi``.  On the real axis, where Gi and Hi are real, a value
     keeps its real part only: a rotation leaves a residue of rounding.

@@ -53,7 +53,6 @@ __all__ = [
     "Integrand",
     "NonFiniteIntegrandError",
     "QuadratureConfig",
-    "integrate_finite",
     "integrate_piecewise",
     "integrate_semi_infinite",
     "panel_rule",
@@ -119,6 +118,12 @@ MAP_CAP = 1e30
 # panels.
 _START_DEPTH = 2
 
+#: The target of the combined error estimate relative to the combined value.
+REL_TOL = 1e-12
+#: The target's absolute floor, for an integral that is genuinely zero: the
+#: target is ``max(ABS_TOL, REL_TOL * |value|)``.
+ABS_TOL = 1e-300
+
 
 class NonFiniteIntegrandError(ValueError):
     """Raised when an integrand returns NaN or infinity at an abscissa.
@@ -136,16 +141,10 @@ class NonFiniteIntegrandError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits for adaptive integration.
+    """Limits for adaptive integration.
 
     Parameters
     ----------
-    rel_tol : float
-        Target for the combined error estimate relative to the combined
-        integral value.
-    abs_tol : float
-        Absolute floor on the target, useful when the integral is genuinely
-        zero.  The effective target is ``max(abs_tol, rel_tol * |value|)``.
     max_subdivisions : int
         Maximum number of panel bisections across all pieces and all
         generations.  The start partition spends the first of them: up to
@@ -154,8 +153,6 @@ class QuadratureConfig:
         would exceed the cap bisects only its worst panels up to it.
     """
 
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
     max_subdivisions: int = 200
 
 
@@ -303,8 +300,8 @@ def integrate_piecewise(
         ``math.inf`` (folded onto ``(0, 1)`` by the rational map).  Pieces
         with ``a == b`` contribute nothing and cost nothing.
     config : QuadratureConfig, optional
-        Tolerances and limits; defaults are suitable for ~1e-12 relative
-        accuracy on well-scaled integrals.
+        The bisection cap; the error target is fixed at ``REL_TOL`` relative
+        to the combined value, floored at ``ABS_TOL``.
 
     Returns
     -------
@@ -340,7 +337,7 @@ def integrate_piecewise(
     # Panels that may still be bisected, as (err, value, a, b, piece).
     pool: list[tuple[float, complex, float, float, int]] = []
     settled_val, settled_err = 0j, 0.0
-    total, total_err, target = 0j, 0.0, cfg.abs_tol
+    total, total_err, target = 0j, 0.0, ABS_TOL
     n_evals = 0
     while batch:
         vals, errs = _evaluate(spans, batch)
@@ -354,7 +351,7 @@ def integrate_piecewise(
                 settled_err += err
         total = settled_val + sum(panel[1] for panel in pool)
         total_err = settled_err + sum(panel[0] for panel in pool)
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        target = max(ABS_TOL, REL_TOL * abs(total))
         budget = cfg.max_subdivisions - n_splits
         if total_err <= target or budget <= 0:
             break
@@ -373,18 +370,6 @@ def integrate_piecewise(
         n_splits += count
 
     return ScorerResult(total, "quadrature", total_err, n_evals, total_err <= target)
-
-
-def integrate_finite(
-    f: Integrand, a: float, b: float, config: QuadratureConfig | None = None
-) -> ScorerResult:
-    """Adaptively integrate ``f`` over the finite interval ``[a, b]``.
-
-    The interval starts on its four quarter panels, so it costs at least 60
-    evaluations when it is wide enough to bisect and ``max_subdivisions`` is
-    at least 3 (see :func:`integrate_piecewise`).
-    """
-    return integrate_piecewise([(f, a, b)], config)
 
 
 def integrate_semi_infinite(

@@ -443,7 +443,7 @@ class TestHugeArgument:
     def test_ai_underflows_to_zero_inside_the_sector(self, z):
         info = ai_complex(z)
         assert info.value == 0.0 and info.derivative == 0.0
-        assert info.abs_error_estimate == 0.0
+        assert info.abs_error_estimate == 4.0 * math.ulp(0.0)
         assert (info.method, info.n_evaluations, info.converged) == ("integral", _NODES.size, True)
 
     @pytest.mark.parametrize(
@@ -499,6 +499,28 @@ _ROTATION_EDGE_POINTS = [cmath.rect(r, 2.0 * math.pi / 3.0 + 1e-15 + d)
 _SERIES_EDGE_POINTS = [cmath.rect(3.5 * (1.0 + 1e-12), phase)
                        for phase in (1e-9, 0.5, math.pi / 3.0, 2.0, 2.0 * math.pi / 3.0 + 1e-15,
                                      2.5, math.pi - 1e-9)]
+
+
+class TestGradualUnderflow:
+    """Where Re zeta lies between about 708 and 745, Ai is subnormal and its
+    relative bar underflows; the absolute floor still covers the error."""
+
+    # Ai(z) from mpmath.airyai at 50 and at 90 digits, which agree on every
+    # digit given; the double returned is 1.04 * 2**-1074 away.
+    _Z = complex(120.23141598045737, 81.8995705168546)
+    _AI = (Fraction("-8.31175346147168456134213805089e-319"),
+           Fraction("3.50208056931916204836705611532e-320"))
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_subnormal_value_has_a_bar_that_covers_it(self, conjugate):
+        sign = -1 if conjugate else 1
+        res = ai_complex(self._Z.conjugate() if conjugate else self._Z)
+        assert 0.0 < abs(res.value) < np.finfo(float).tiny and res.converged
+        d_re = Fraction(res.value.real) - self._AI[0]
+        d_im = Fraction(res.value.imag) - sign * self._AI[1]
+        # Compared exactly: at this scale a float difference would round.
+        assert 0.0 < res.abs_error_estimate
+        assert d_re**2 + d_im**2 <= Fraction(res.abs_error_estimate) ** 2
 
 
 def _assert_reflected(upper, lower):

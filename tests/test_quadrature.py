@@ -15,7 +15,6 @@ from scorerlib.quadrature import (
     NODES,
     NonFiniteIntegrandError,
     QuadratureConfig,
-    integrate_finite,
     integrate_piecewise,
     integrate_semi_infinite,
     panel_rule,
@@ -39,10 +38,10 @@ _CLOSED_FORMS = [
 ]
 
 
-def _integrate(f, a, b, config=None):
+def _integrate(f, a, b):
     if math.isinf(b):
-        return integrate_semi_infinite(f, a, config)
-    return integrate_finite(f, a, b, config)
+        return integrate_semi_infinite(f, a)
+    return integrate_piecewise([(f, a, b)])
 
 
 class TestPanelRule:
@@ -96,21 +95,21 @@ class TestLinearity:
         def f(t):
             return sum(c * t**k for k, c in enumerate(coeffs))
 
-        whole = integrate_finite(f, -1.0, 2.0)
-        left = integrate_finite(f, -1.0, 0.3)
-        right = integrate_finite(f, 0.3, 2.0)
+        whole = integrate_piecewise([(f, -1.0, 2.0)])
+        left = integrate_piecewise([(f, -1.0, 0.3)])
+        right = integrate_piecewise([(f, 0.3, 2.0)])
         assert abs(whole.value - (left.value + right.value)) < 1e-12
 
     def test_scaling_by_complex_constant(self):
         rng = np.random.default_rng(43)
         c = complex(rng.standard_normal(), rng.standard_normal())
-        base = integrate_finite(np.sin, 0.0, 2.0)
-        scaled = integrate_finite(lambda t: c * np.sin(t), 0.0, 2.0)
+        base = integrate_piecewise([(np.sin, 0.0, 2.0)])
+        scaled = integrate_piecewise([(lambda t: c * np.sin(t), 0.0, 2.0)])
         assert abs(scaled.value - c * base.value) < 1e-13 * abs(c)
 
     def test_reversed_endpoints_flip_sign(self):
-        fwd = integrate_finite(np.exp, 0.0, 1.0)
-        rev = integrate_finite(np.exp, 1.0, 0.0)
+        fwd = integrate_piecewise([(np.exp, 0.0, 1.0)])
+        rev = integrate_piecewise([(np.exp, 1.0, 0.0)])
         assert abs(fwd.value + rev.value) < 1e-12
 
     def test_reversed_range_is_refined(self):
@@ -119,8 +118,8 @@ class TestLinearity:
         # sixteen sixteenths: the four start quarters (60 evaluations),
         # their eight halves (120) and then all sixteen (240), 420 in all.
         f = lambda t: np.cos(40.0 * t)  # noqa: E731
-        fwd = integrate_finite(f, 0.0, 1.0)
-        rev = integrate_finite(f, 1.0, 0.0)
+        fwd = integrate_piecewise([(f, 0.0, 1.0)])
+        rev = integrate_piecewise([(f, 1.0, 0.0)])
         assert rev.converged
         assert rev.n_evaluations == fwd.n_evaluations == 420
         assert abs(rev.value + fwd.value) <= fwd.abs_error_estimate
@@ -139,7 +138,7 @@ class TestEvaluationCounting:
 
     def test_finite_count_exact(self):
         wrapped, count = self._counting(lambda t: np.exp(-t * t) * np.cos(3 * t))
-        res = integrate_finite(wrapped, 0.0, 4.0)
+        res = integrate_piecewise([(wrapped, 0.0, 4.0)])
         assert res.n_evaluations == count[0]
         assert res.n_evaluations % 15 == 0
 
@@ -215,7 +214,7 @@ class TestGenerationBatching:
         # generation wants more than the one split left and is cut to it
         # (2 panels).
         wrapped, calls = self._recording(lambda t: np.cos(40.0 * t * t))
-        cfg = QuadratureConfig(rel_tol=1e-15, max_subdivisions=7)
+        cfg = QuadratureConfig(max_subdivisions=7)
         res = integrate_piecewise([(wrapped, 0.0, 3.0), (wrapped, 3.0, 6.0)], cfg)
         assert not res.converged
         assert res.n_evaluations == 15 * (8 + 2)
@@ -232,7 +231,7 @@ class TestGenerationBatching:
             lambda t: np.where(np.abs(t - bad) < 1e-9, np.nan, np.cos(40.0 * t))
         )
         with pytest.raises(NonFiniteIntegrandError) as info:
-            integrate_finite(wrapped, 0.0, 1.0)
+            integrate_piecewise([(wrapped, 0.0, 1.0)])
         assert len(calls) == 2
         assert 0.0 < info.value.abscissa < 0.125
         assert abs(info.value.abscissa - bad) < 1e-9
@@ -504,7 +503,7 @@ class TestStartPartition:
         # [3/4, 1]: 135 evaluations ending on the five leaves below.  The
         # quarter start skips the first two generations: 60 + 30.
         wrapped, calls = self._recording(lambda t: np.exp(20.0 * t))
-        res = integrate_finite(wrapped, 0.0, 1.0)
+        res = integrate_piecewise([(wrapped, 0.0, 1.0)])
         assert res.converged
         assert [t.size for t in calls] == [60, 30]
         leaves = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 0.875), (0.875, 1.0)]
@@ -550,30 +549,32 @@ class TestPiecewise:
 class TestFailureModes:
     def test_non_finite_integrand_reports_abscissa(self):
         with pytest.raises(NonFiniteIntegrandError) as info:
-            integrate_finite(lambda t: np.where(t > 0.5, np.inf, 1.0), 0.0, 1.0)
+            integrate_piecewise([(lambda t: np.where(t > 0.5, np.inf, 1.0), 0.0, 1.0)])
         assert isinstance(info.value.abscissa, float)
         assert info.value.abscissa > 0.5
 
     def test_nan_integrand_raises(self):
         with pytest.raises(NonFiniteIntegrandError):
-            integrate_finite(lambda t: np.where(t > 0.9, np.nan, t), 0.0, 1.0)
+            integrate_piecewise([(lambda t: np.where(t > 0.9, np.nan, t), 0.0, 1.0)])
 
     def test_non_convergence_is_flagged_not_raised(self):
-        cfg = QuadratureConfig(rel_tol=1e-15, max_subdivisions=1)
-        res = integrate_finite(lambda t: np.cos(40.0 * t * t), 0.0, 6.0, cfg)
+        cfg = QuadratureConfig(max_subdivisions=1)
+        res = integrate_piecewise([(lambda t: np.cos(40.0 * t * t), 0.0, 6.0)], cfg)
         assert not res.converged
-        assert res.abs_error_estimate > 1e-15 * abs(res.value)
+        assert res.abs_error_estimate > quadrature.REL_TOL * abs(res.value)
 
 
 class TestOscillatoryAccuracy:
     @pytest.mark.parametrize("omega", [5.0, 20.0, 80.0])
     def test_resolves_oscillation_by_refinement(self, omega):
-        # The value is far below the integrand scale, so give the otherwise
-        # unreachable relative target an absolute floor.
+        # At omega = 80 the value, 8.4e-3, lies so far below the integrand's
+        # scale that the relative target falls under the panels' rounding
+        # floor, 50 eps times the integral of |f|: the driver spends its cap
+        # and says so, and the value is resolved all the same.
         exact = (1.0 - math.cos(omega * 3.0)) / omega
-        cfg = QuadratureConfig(abs_tol=1e-13)
-        res = integrate_finite(lambda t: np.sin(omega * t), 0.0, 3.0, cfg)
-        assert res.converged
+        res = integrate_piecewise([(lambda t: np.sin(omega * t), 0.0, 3.0)])
+        assert res.converged == (omega < 80.0)
+        assert abs(res.value - exact) <= res.abs_error_estimate
         assert abs(res.value - exact) < 1e-11
 
     def test_seeded_random_polynomials_exact(self):
@@ -585,7 +586,7 @@ class TestOscillatoryAccuracy:
                 c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
                 for k, c in enumerate(coeffs)
             )
-            res = integrate_finite(
-                lambda t: sum(c * t**k for k, c in enumerate(coeffs)), a, b
+            res = integrate_piecewise(
+                [(lambda t: sum(c * t**k for k, c in enumerate(coeffs)), a, b)]
             )
             assert abs(res.value - exact) <= 1e-12 * max(1.0, abs(exact))

@@ -14,12 +14,12 @@ half-plane; the rays
 with ``+0.0`` and ``-0.0`` imaginary parts, both signs of the real part.
 
 The same fields are dumped for the five adaptive-quadrature
-representations, which the router never takes: ``hi_integral_principal``,
-``hi_integral_v_form``, ``hi_integral_upper`` and ``gi_integral`` at every
-point of the closed upper half-plane (imaginary part ``+0.0`` or above; a
-point outside a representation's sector records its exception), and
-``gi_real_positive`` at the positive real radii.  So a change to the
-adaptive driver is guarded bit for bit too.
+representations of ``scorerlib.engine``, which the router never takes:
+``hi_integral_principal``, ``hi_integral_v_form``, ``hi_integral_upper``
+and ``gi_integral`` at every point of the closed upper half-plane
+(imaginary part ``+0.0`` or above; a point outside a representation's
+sector records its exception), and ``gi_real_positive`` at the positive
+real radii.  So a change to the adaptive driver is guarded bit for bit too.
 
 Run from the root of a checkout (a dump reads its ``src/`` unless
 ``PYTHONPATH`` is set)::
@@ -31,9 +31,11 @@ Run from the root of a checkout (a dump reads its ``src/`` unless
 fresh interpreters, side by side, prints every field that differs (an error estimate or a
 value part also with its distance in ulps), a summary line with the
 number of lower-half-plane points where ``f(conj z) == conj f(z)`` fails
-bit for bit in this checkout and of real-axis points where a value or
-derivative of this checkout has a nonzero imaginary part, and one line
-per differing field: how many
+in this checkout (real parts bit for bit, imaginary parts as numbers, and
+equal ``abs_error_estimate``, ``n_evaluations`` and ``converged``, and for
+``ai_complex`` and ``bi_complex`` equal ``method``) and of real-axis points
+where a value or derivative of this checkout has a nonzero imaginary part,
+and one line per differing field: how many
 results differ in it, the largest ulp distance for ``value``,
 ``derivative`` and ``abs_error_estimate``, and for ``n_evaluations`` how
 many rose and fell and the totals on both sides; a differing ``method``
@@ -161,6 +163,7 @@ def dump() -> dict[str, dict]:
     """``{"<function> <z>": fields}`` over the grid, for the scorerlib on
     ``sys.path``."""
     import scorerlib
+    from scorerlib import engine
 
     out = {}
     for z in points():
@@ -168,9 +171,9 @@ def dump() -> dict[str, dict]:
             _record(out, name, getattr(scorerlib, name), z)
         if math.copysign(1.0, z.imag) > 0.0:
             for name in REPRESENTATIONS:
-                _record(out, name, getattr(scorerlib, name), z)
+                _record(out, name, getattr(engine, name), z)
     for r in RADII:
-        _record(out, "gi_real_positive", scorerlib.gi_real_positive, r)
+        _record(out, "gi_real_positive", engine.gi_real_positive, r)
     return out
 
 
@@ -303,7 +306,9 @@ def _moved_over_bars(mine: dict, theirs: dict) -> float | None:
 
 
 def _conjugate_mismatches(results: dict[str, dict]) -> int:
-    """Lower-half-plane points whose result is not the upper one conjugated."""
+    """Lower-half-plane points whose result is not the upper one conjugated:
+    value and derivative, and the same error bar, cost and ``converged``,
+    and for Ai and Bi the same route (Gi and Hi report ``conjugate``)."""
     count = 0
     for key, fields in results.items():
         name, re_hex, im_hex = key.split()
@@ -312,14 +317,17 @@ def _conjugate_mismatches(results: dict[str, dict]) -> int:
         mirror = results.get(f"{name} {re_hex} {im_hex[1:]}")
         if mirror is None or "raises" in mirror:
             continue
+        same = ["abs_error_estimate", "n_evaluations", "converged"]
+        if name in ("ai_complex", "bi_complex"):
+            same.append("method")
+        mismatch = any(fields[field] != mirror[field] for field in same)
         for field in ("value", "derivative"):
             a, b = fields[field], mirror[field]
             if (a is None) != (b is None):
-                count += 1
-                break
-            if a is not None and (a[0] != b[0] or float.fromhex(a[1]) != -float.fromhex(b[1])):
-                count += 1
-                break
+                mismatch = True
+            elif a is not None and (a[0] != b[0] or float.fromhex(a[1]) != -float.fromhex(b[1])):
+                mismatch = True
+        count += mismatch
     return count
 
 
