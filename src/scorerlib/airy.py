@@ -1,8 +1,9 @@
 """Complex Airy functions Ai and Bi with first derivatives.
 
 Evaluation is dispatched by region: a Maclaurin series near the origin, a
-fixed 25-node Gauss-Laguerre rule on the non-oscillating Laplace form of Ai
-everywhere else in the principal sector ``|ph z| <= 2*pi/3``, and a
+Gauss-Laguerre rule of 6 to 25 nodes, sized to its argument, on the
+non-oscillating Laplace form of Ai everywhere else in the principal sector
+``|ph z| <= 2*pi/3`` (see :func:`_ai_laguerre`), and a
 one-step three-solution rotation identity that connects the principal
 sector to the rest of the plane.  Bi beyond the series disc combines two
 principal-sector Ai values (route ``rotation_pair``, two rule evaluations):
@@ -81,10 +82,76 @@ _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _ROTATION_EDGE = _TWO_THIRDS_PI + 1e-15
 _HALF_PI = 0.5 * math.pi
 
-# The generalized Gauss-Laguerre rule for exp(-t) t**(-1/6) on [0, inf) with
-# 40 nodes, ascending, truncated to the 25 nodes whose weight exceeds 1e-18
-# of the largest; printed by tools/laguerre_rule.py --cut 1e-18.
-_NODES = np.array([
+# Generalized Gauss-Laguerre rules for exp(-t) t**(-1/6) on [0, inf), nodes
+# ascending: the full rules of 6, 8, 12, 16 and 20 nodes, printed by
+# ``tools/laguerre_rule.py --n N``, and the 40-node rule truncated to the 25
+# nodes whose weight exceeds 1e-18 of the largest, printed by
+# ``tools/laguerre_rule.py --cut 1e-18``.
+_NODES_6 = np.array([
+    0.17904858830154222, 1.0910232481268545, 2.845915090992092,
+    5.5827624424619104, 9.600939624399215, 15.700311005718387,
+])
+_WEIGHTS_6 = np.array([
+    0.5748950544415475, 0.4363193774615418, 0.10800874904729584,
+    0.009338340028242065, 0.0002247604188662674, 7.485106324619753e-07,
+])
+_NODES_8 = np.array([
+    0.13642568748380457, 0.8271008402545598, 2.135261245428776,
+    4.114286009819637, 6.8587269822998325, 10.53755104755655,
+    15.485746689152675, 22.57156816467083,
+])
+_WEIGHTS_8 = np.array([
+    0.4778373760361903, 0.44822952256555043, 0.17000603012328258,
+    0.030218848953057705, 0.002418705848223268, 7.585612267729732e-05,
+    6.894284498290191e-07, 8.306945327843998e-10,
+])
+_NODES_12 = np.array([
+    0.09243754027634815, 0.5583263519074625, 1.4309195564717745,
+    2.7253762439474194, 4.465456070553066, 6.686385807385448,
+    9.439588225257083, 12.801255238604572, 16.889193760445448,
+    21.90034965265378, 28.21319139367105, 36.79752015882655,
+])
+_WEIGHTS_12 = np.array([
+    0.3607392525696155, 0.4207606965393248, 0.24332812891004915,
+    0.0838493100069181, 0.01768480969958447, 0.002251646136093292,
+    0.0001663838994726499, 6.670982336619313e-06, 1.30135484045859e-07,
+    1.026945126049012e-09, 2.301633770234591e-12, 6.023410980466064e-16,
+])
+_NODES_16 = np.array([
+    0.06990398696320012, 0.42165505312349194, 1.077886957549787,
+    2.0450072400706083, 3.3325893906291646, 4.954060392944802,
+    6.92756445609959, 9.277260547765161, 12.035318078569212,
+    15.245086026697372, 18.966368966022284, 23.28480784962387,
+    28.33015260757935, 34.316856109937646, 41.65487031615267,
+    51.393945353605126,
+])
+_WEIGHTS_16 = np.array([
+    0.29224171790188097, 0.3811335382664116, 0.2723536895279418,
+    0.12924430701637052, 0.04241214760845679, 0.009693442499237143,
+    0.001531608889114675, 0.00016438084498547533, 1.16578221898002e-05,
+    5.251146380292063e-07, 1.4202706945027736e-08, 2.1263064917062322e-10,
+    1.5570345736305658e-12, 4.548074008671047e-15, 3.600541715551579e-18,
+    2.9283710925358473e-22,
+])
+_NODES_20 = np.array([
+    0.056204448234643586, 0.3388059406221571, 0.8650656216819387,
+    1.6383095525354305, 2.663358429182045, 3.9468062269738104,
+    5.497278158471382, 7.3257828678195756, 9.446202870539409,
+    11.875983385044655, 14.637115056577235, 17.757569275102473,
+    21.273461896276302, 25.23245141465542, 29.69936498677005,
+    34.76617778018398, 40.57144056909991, 47.34346004876556,
+    55.51828295685463, 66.21354518127606,
+])
+_WEIGHTS_20 = np.array([
+    0.2469986874006234, 0.3447904976127213, 0.2799627926351445,
+    0.1607432930094198, 0.06827138507744017, 0.021747509063409703,
+    0.005205123814133191, 0.0009315169995058331, 0.00012342511179192265,
+    1.1932746971838052e-05, 8.25329104966714e-07, 3.9788532565156366e-08,
+    1.2919868131711469e-09, 2.699654669936754e-11, 3.4106075455773553e-13,
+    2.3844134299322445e-15, 8.075239919120975e-18, 1.0650522741979257e-20,
+    3.619614907258563e-24, 1.122024707490503e-28,
+])
+_NODES_40 = np.array([
     0.028389141799456768, 0.17098537886003493, 0.4358716783417705,
     0.8235182579130309, 1.3345254325422737, 1.9696829320643507,
     2.7299813400285995, 3.616621619161009, 4.631026110526541,
@@ -95,7 +162,7 @@ _NODES = np.array([
     30.619296329508412, 33.750656085024, 37.07713497083912,
     40.609304969434135,
 ])
-_WEIGHTS = np.array([
+_WEIGHTS_40 = np.array([
     0.14372040880331385, 0.2304075592418809, 0.24225304552132762,
     0.20363663910344082, 0.1437606306229214, 0.08691288347060781,
     0.04541750018329159, 0.02061180312060695, 0.00814278821268607,
@@ -106,7 +173,76 @@ _WEIGHTS = np.array([
     8.649360130178674e-14, 3.948198167006651e-15, 1.4827117304810828e-16,
     4.533903748150563e-18,
 ])
-_WEIGHTS_NODES = _WEIGHTS * _NODES
+
+
+def _folded(nodes: np.ndarray, weights: np.ndarray, j: int) -> tuple:
+    """The nodes and the weights of ``I`` and ``dI/dzeta`` on the path
+    ``t = s tilt``, ``tilt = 1 + i tan(j pi/16)``, turned ``j pi/16`` into
+    the upper half-plane.
+
+    The path keeps the weight ``exp(-s) s**(-1/6)`` of ``s`` and adds the
+    factor ``exp(-i s tan)``, and its ``dt`` and ``t**(-1/6)`` give
+    ``tilt**(5/6)``; ``dI/dzeta`` has one more factor ``t``.  All of it is
+    folded in here, so a rule evaluation on any path is ``q = 2 + T/zeta``,
+    one power and two dots.  ``j = 0`` returns the real rule itself, its
+    weights typed complex: numpy's dot of a complex and a real array pays
+    for a cast on every call.
+    """
+    if not j:
+        return nodes, weights.astype(complex), (weights * nodes).astype(complex)
+    tan = math.tan(j * math.pi / 16.0)
+    tilt = complex(1.0, tan)
+    turned = weights * np.exp((-1j * tan) * nodes)
+    return tilt * nodes, turned * tilt ** (5.0 / 6.0), turned * nodes * tilt ** (11.0 / 6.0)
+
+
+def _rules(family: tuple, reaches: tuple, conjugate: bool = False) -> tuple:
+    """Rows ``(reach, cos, sin, n, nodes, w0, w1)`` of :func:`_ai_laguerre`,
+    smallest rule first: rule ``(nodes, weights, j)`` of ``family`` serves
+    where ``rho**2 = cos (|zeta| + cos Re zeta + sin |Im zeta|)``, with
+    ``cos`` and ``sin`` of its path angle ``j pi/16``, reaches its entry of
+    ``reaches``; the last rule serves wherever no other does.  With
+    ``conjugate`` the tables are conjugated, for the lower half-plane."""
+    rows = []
+    for (nodes, weights, j), k in zip(family, reaches + (-math.inf,)):
+        c, s = math.cos(j * math.pi / 16.0), math.sin(j * math.pi / 16.0)
+        tables = _folded(nodes, weights, j)
+        if conjugate:
+            tables = tuple(t.conjugate() for t in tables)
+        rows.append((k / c, c, s, nodes.size, *tables))
+    return tuple(rows)
+
+
+# Ai's rule: ``rho = Re sqrt(2 zeta / tilt)`` is the distance, in the
+# square root of the path variable, of the integrand's singularity at
+# ``t = -2 zeta`` from the path; a rule's truncation error falls with it.
+# Each rule of the family serves where rho**2 reaches its constant below,
+# fitted against mpmath so that the relative truncation error of Ai and of
+# Ai' stays below _TRUNCATION_BAR (``tools/airy_gate.py`` re-derives them),
+# and the 25-of-40 rule serves the rest: near the 2*pi/3 ray below
+# |z| of about 3.6, where the gate checks its error against the same bar,
+# and where Re zeta >= 0 below about 4.5.  Where Re zeta >= 0 every rule
+# takes the real path.  Where Re zeta < 0 the singularity nears the real
+# path, and each rule takes the steepest of the angles j pi/16 whose factor
+# exp(-i s tan) it still sums to about 1e-16 (rho**2 grows with the angle up
+# to ph zeta / 3): none with 6 nodes, pi/16 with 8, pi/8 with 12,
+# 3 pi/16 with 16 and 20, and pi/4 with 25.
+_AI_RIGHT = _rules(
+    ((_NODES_6, _WEIGHTS_6, 0), (_NODES_8, _WEIGHTS_8, 0), (_NODES_12, _WEIGHTS_12, 0),
+     (_NODES_16, _WEIGHTS_16, 0), (_NODES_20, _WEIGHTS_20, 0), (_NODES_40, _WEIGHTS_40, 0)),
+    (32.0, 17.5, 9.2, 5.5, 4.5),
+)
+_AI_TILTED = (
+    (_NODES_6, _WEIGHTS_6, 0), (_NODES_8, _WEIGHTS_8, 1), (_NODES_12, _WEIGHTS_12, 2),
+    (_NODES_16, _WEIGHTS_16, 3), (_NODES_20, _WEIGHTS_20, 3), (_NODES_40, _WEIGHTS_40, 4),
+)
+_AI_LEFT_REACHES = (16.5, 10.2, 5.9, 3.4, 2.6)
+_AI_UPPER = _rules(_AI_TILTED, _AI_LEFT_REACHES)
+_AI_LOWER = _rules(_AI_TILTED, _AI_LEFT_REACHES, conjugate=True)
+#: The relative truncation bar added to the rounding bar of every rule
+#: evaluation, and the error of Ai and Ai' the reaches are fitted to: the
+#: tilted rules' rounding alone reaches 9e-16.
+_TRUNCATION_BAR = 2e-15
 #: Above this |zeta| (|z| above about 1.3e100) the rule is not evaluated
 #: inside |ph z| < pi/3, where Ai and Ai' underflow to 0.
 _ZETA_CAP = 1e150
@@ -195,17 +331,20 @@ def _maclaurin(z: complex, c0: float, c1: float) -> ScorerResult:
 
 
 def _ai_laguerre(z: complex) -> ScorerResult:
-    """Ai and Ai' from the non-oscillating Laplace form, by the fixed rule.
+    """Ai and Ai' from the non-oscillating Laplace form, by a rule sized to
+    its argument.
 
     ``Ai(z) = exp(-zeta) zeta**(-1/6) / (sqrt(pi) 48**(1/6) Gamma(5/6)) * I``
     with ``zeta = (2/3) z**1.5`` and
-    ``I = int_0^inf exp(-t) t**(-1/6) (2 + t/zeta)**(-1/6) dt``; the 25-node
-    rule sums ``I`` and, on the same nodes, ``dI/dzeta``.  Valid for
+    ``I = int_0^inf exp(-t) t**(-1/6) (2 + t/zeta)**(-1/6) dt``; one rule
+    sums ``I`` and, on the same nodes, ``dI/dzeta``.  Valid for
     ``|ph z| <= 2*pi/3`` and ``|z| > SERIES_RADIUS``, in either half-plane
-    (it is exactly conjugate-symmetric).  For
-    ``|ph zeta| > pi/2`` the path turns by ``theta`` away from the
-    singularity at ``t = -2 zeta``: ``t = s (1 + i tan theta)`` keeps the
-    weight ``exp(-s) s**(-1/6)`` and adds the factor ``exp(-i s tan theta)``.
+    (it is exactly conjugate-symmetric).  The rule is the first row of
+    ``_AI_RIGHT`` (``Re zeta >= 0``) or of ``_AI_UPPER`` or ``_AI_LOWER``
+    (by the sign of ``ph zeta``) whose ``rho**2`` reaches its constant; on
+    ``Re zeta < 0`` its path turns by its angle away from the singularity
+    at ``t = -2 zeta`` (see :func:`_folded`).  ``n_evaluations`` is the
+    rule's node count, and the bar adds ``_TRUNCATION_BAR`` relative.
     """
     # From atan2, not the phase of zeta, which wraps to -pi on the 2*pi/3 ray.
     phase = 1.5 * math.atan2(z.imag, z.real)
@@ -218,41 +357,44 @@ def _ai_laguerre(z: complex) -> ScorerResult:
         # to 0; the rule's zeta * zeta would overflow into a NaN derivative.
         # 1.5 * atan2 rounds to pi/2 on both sides of the pi/3 ray, on which
         # no double lies: there the side is decided exactly.  Either way
-        # |Re zeta| is far beyond the exponent range.
+        # |Re zeta| is far beyond the exponent range.  The zero counts the
+        # smallest rule, which serves every |zeta| that large.
         if abs(phase) == _HALF_PI and Fraction(z.imag) ** 2 >= 3 * Fraction(z.real) ** 2:
             raise OverflowError(f"Ai: exp(-zeta) overflows at z = {z!r}")
         if abs(phase) <= _HALF_PI:
-            return ScorerResult(0j, "integral", _UNDERFLOW_BAR, _NODES.size, True, 0j)
+            return ScorerResult(0j, "integral", _UNDERFLOW_BAR, _AI_RIGHT[0][3], True, 0j)
         if modulus == math.inf:
             raise OverflowError(f"Ai: zeta = (2/3) z**1.5 overflows at |z| = {abs(z):.3g}")
     zeta = cmath.rect(modulus, phase)
-    tan = 0.0
-    if abs(phase) > _HALF_PI:
-        tan = math.tan(math.copysign(0.5 * (abs(phase) - _HALF_PI), phase))
-    tilt = complex(1.0, tan)
-    q = 2.0 + (tilt / zeta) * _NODES
+    x = zeta.real
+    # By the sign of the phase, not of Im zeta: just beyond the 2*pi/3 ray
+    # the phase passes pi, and the path stays on its side of the singularity.
+    rules = _AI_RIGHT if x >= 0.0 else _AI_UPPER if phase > 0.0 else _AI_LOWER
+    y = abs(zeta.imag)
+    for reach, c, s, n, nodes, w0, w1 in rules:
+        if modulus + c * x + s * y >= reach:
+            break
+    q = 2.0 + nodes / zeta
     g = np.power(q, -1.0 / 6.0)
-    if tan:
-        g *= np.exp((-1j * tan) * _NODES)
-    # The turned path's dt and t**(-1/6) give tilt**(5/6); dI/dzeta has one
-    # more factor t.
-    scale = tilt ** (5.0 / 6.0)
-    s0 = scale * complex(g.dot(_WEIGHTS))
-    s1 = scale * tilt * complex((g / q).dot(_WEIGHTS_NODES))
+    s0 = complex(g.dot(w0))
+    s1 = complex((g / q).dot(w1))
     # exp(-zeta) zeta**(-1/6) as one exponential.
-    pref = _LAPLACE_NORM * cmath.exp(
-        complex(-zeta.real - math.log(modulus) / 6.0, -zeta.imag - phase / 6.0)
-    )
+    try:
+        pref = _LAPLACE_NORM * cmath.exp(
+            complex(-zeta.real - math.log(modulus) / 6.0, -zeta.imag - phase / 6.0)
+        )
+    except OverflowError:
+        raise OverflowError(f"Ai: exp(-zeta) overflows at z = {z!r}") from None
     value = pref * s0
     ds = s1 / (6.0 * zeta * zeta) - (1.0 + 1.0 / (6.0 * zeta)) * s0
     # The rounding of exp(-zeta) dominates: the relative error of zeta
     # becomes an absolute error of the exponent.  The coefficient of |zeta|
     # also covers a rotated argument z e^{+-2 pi i/3}, whose rounding moves
     # zeta by 1.5 |zeta| times its relative error.
-    err = _EPS * (6.0 * modulus + 8.0) * abs(value)
+    err = (_EPS * (6.0 * modulus + 8.0) + _TRUNCATION_BAR) * abs(value)
     if err < _UNDERFLOW_BAR:  # gradual underflow: absolute roundings dominate
         err = _UNDERFLOW_BAR
-    return ScorerResult(value, "integral", err, _NODES.size, True, pref * cmath.sqrt(z) * ds)
+    return ScorerResult(value, "integral", err, n, True, pref * cmath.sqrt(z) * ds)
 
 
 def _ai_rotated_pair(z: complex) -> tuple[ScorerResult, ScorerResult]:

@@ -20,9 +20,9 @@ from scorerlib.airy import (
     ai_complex,
     bi_complex,
 )
-from scorerlib.airy import _NODES, _WEIGHTS, _ai_info, _bi_info
+from scorerlib.airy import _NODES_40, _WEIGHTS_40, _ai_info, _ai_laguerre, _bi_info
 from scorerlib.contour import DomainError
-from scorerlib.engine import gi
+from scorerlib.engine import gi, hi
 
 # Reference values computed with mpmath at 35 significant digits and frozen.
 # Keys are z; rows are (Ai, Ai', Bi, Bi').
@@ -320,16 +320,20 @@ class TestRouting:
         assert 0.0 <= info.abs_error_estimate < abs(info.value)
 
     def test_rule_costs_its_nodes_at_every_radius(self):
-        for r in (3.6, 9.0, 80.0, 1e6):
-            assert _ai_info(cmath.rect(r, 0.4)).n_evaluations == _NODES.size
+        sizes = [_ai_info(cmath.rect(r, 0.4)).n_evaluations for r in (3.6, 9.0, 80.0, 1e6)]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1] == 6
+        assert set(sizes) <= {row[3] for row in airy._AI_RIGHT}
         # Bi is two rule evaluations on 0 < |ph z| <= 2*pi/3, where
         # Ai(z e^{2 pi i/3}) would have cost two more through a rotation,
         # and beyond 2*pi/3.
+        rot = cmath.exp(2j * math.pi / 3.0)
         for r in (3.6, 9.0, 80.0):
             for ph in (1e-9, 0.5, math.pi / 3.0, 2.0 * math.pi / 3.0, 2.5, 3.0):
                 z = cmath.rect(r, ph)
-                assert _bi_info(z).n_evaluations == 2 * _NODES.size
-                assert _bi_info(z.conjugate()).n_evaluations == 2 * _NODES.size
+                pair = (z, z / rot) if ph <= 2.0 * math.pi / 3.0 else (z * rot, z / rot)
+                cost = sum(_ai_laguerre(w).n_evaluations for w in pair)
+                assert _bi_info(z).n_evaluations == cost
+                assert _bi_info(z.conjugate()).n_evaluations == cost
 
     @pytest.mark.parametrize("x", [3.6, 6.0, 20.0, 80.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -339,7 +343,8 @@ class TestRouting:
         z = complex(sign * x, 0.0)
         ai_method = "integral" if sign > 0.0 else "rotation"
         for res, method in ((ai_complex(z), ai_method), (bi_complex(z), "rotation_pair")):
-            assert (res.method, res.n_evaluations) == (method, _NODES.size)
+            arg = z if method == "integral" else z * cmath.exp(2j * math.pi / 3.0)
+            assert (res.method, res.n_evaluations) == (method, _ai_laguerre(arg).n_evaluations)
             assert res.value.imag == 0.0 and res.derivative.imag == 0.0
 
     def test_bi_matches_the_conjugate_pair_formula(self):
@@ -356,7 +361,8 @@ class TestRouting:
             up, down = ai_complex(z * rot), ai_complex(z / rot)
             value = c1 * up.value + c1.conjugate() * down.value
             deriv = c5 * up.derivative + c5.conjugate() * down.derivative
-            assert b.method == "rotation_pair" and b.n_evaluations == 2 * _NODES.size
+            cost = ai_complex(z).n_evaluations + down.n_evaluations
+            assert b.method == "rotation_pair" and b.n_evaluations == cost
             ref_bar = up.abs_error_estimate + down.abs_error_estimate
             assert abs(b.value - value) <= b.abs_error_estimate + ref_bar
             terms = [(1.0, ai_complex(z)), (2.0, down), (1.0, up), (1.0, down)]
@@ -379,26 +385,26 @@ class TestLaguerreRule:
         # The kept nodes are the smallest of the 40-node rule: the weights
         # fall monotonically past the largest.
         nodes, weights = scipy.special.roots_genlaguerre(40, -1.0 / 6.0)
-        assert _NODES.size == 25
-        assert weights[_NODES.size] < 1e-18 * weights.max() < weights[_NODES.size - 1]
-        nodes, weights = nodes[: _NODES.size], weights[: _NODES.size]
-        np.testing.assert_allclose(_NODES, nodes, rtol=1e-14, atol=0.0)
+        assert _NODES_40.size == 25
+        assert weights[_NODES_40.size] < 1e-18 * weights.max() < weights[_NODES_40.size - 1]
+        nodes, weights = nodes[: _NODES_40.size], weights[: _NODES_40.size]
+        np.testing.assert_allclose(_NODES_40, nodes, rtol=1e-14, atol=0.0)
         # Below about 1e-20 scipy's own weights stray from 90-digit values by
         # up to 2.3e-13 relative; they are weighed against the whole sum.
         np.testing.assert_allclose(
-            _WEIGHTS, weights, rtol=1e-14, atol=1e-14 * weights.sum()
+            _WEIGHTS_40, weights, rtol=1e-14, atol=1e-14 * weights.sum()
         )
 
     def test_weights_sum_to_the_weight_integral(self):
         # The integral of exp(-t) t**(-1/6) over [0, inf) is Gamma(5/6);
         # the dropped weights sum to about 1e-19.
-        assert math.isclose(_WEIGHTS.sum(), math.gamma(5.0 / 6.0), rel_tol=1e-15)
+        assert math.isclose(_WEIGHTS_40.sum(), math.gamma(5.0 / 6.0), rel_tol=1e-15)
 
     def test_low_moments_and_a_pole(self):
         # Truncation spoils the high moments (2e-14 at k = 4, 1e-11 at
         # k = 7), not the low ones.
         for k in range(4):
-            moment = float(np.dot(_WEIGHTS, _NODES**k))
+            moment = float(np.dot(_WEIGHTS_40, _NODES_40**k))
             assert moment == pytest.approx(math.gamma(k + 5.0 / 6.0), rel=1e-14)
         # int_0^inf exp(-t) t**(-1/6) dt / (t + a)
         #   = Gamma(5/6) a**(-1/6) e**a Gamma(1/6, a):
@@ -408,8 +414,32 @@ class TestLaguerreRule:
         for a in (2.0 * (2.0 / 3.0) * SERIES_RADIUS**1.5, 12.0, 20.0, 50.0):
             exact = (math.gamma(5.0 / 6.0) * a ** (-1.0 / 6.0) * math.exp(a)
                      * scipy.special.gammaincc(1.0 / 6.0, a) * math.gamma(1.0 / 6.0))
-            total = float(np.dot(_WEIGHTS, 1.0 / (_NODES + a)))
+            total = float(np.dot(_WEIGHTS_40, 1.0 / (_NODES_40 + a)))
             assert total == pytest.approx(exact, rel=5e-15)
+
+    @pytest.mark.parametrize("n", [6, 8, 12, 16, 20, 40])
+    def test_the_real_path_table_is_the_rule_itself(self, n):
+        nodes, weights = getattr(airy, f"_NODES_{n}"), getattr(airy, f"_WEIGHTS_{n}")
+        folded, w0, w1 = airy._folded(nodes, weights, 0)
+        assert folded is nodes
+        assert np.array_equal(w0, weights) and not w0.imag.any()
+        assert np.array_equal(w1, weights * nodes) and not w1.imag.any()
+
+    @pytest.mark.parametrize("rules", ["_AI_RIGHT", "_AI_UPPER", "_AI_LOWER"])
+    def test_every_folded_table_sums_the_turned_weight(self, rules):
+        # Turning the path does not change int_0^inf exp(-t) t**(k - 1/6) dt
+        # = Gamma(k + 5/6): the folded weights of I (k = 0) and of dI/dzeta
+        # (k = 1) sum to it up to the rule's error on exp(-i s tan).
+        for _, _, _, n, nodes, w0, w1 in getattr(airy, rules):
+            assert n == nodes.size
+            assert complex(w0.sum()) == pytest.approx(math.gamma(5.0 / 6.0), rel=1e-15)
+            assert complex(w1.sum()) == pytest.approx(math.gamma(11.0 / 6.0), rel=1e-13)
+
+    def test_the_lower_tables_are_the_upper_ones_conjugated(self):
+        for upper, lower in zip(airy._AI_UPPER, airy._AI_LOWER, strict=True):
+            assert upper[:4] == lower[:4]
+            for a, b in zip(upper[4:], lower[4:]):
+                assert np.array_equal(a.conjugate(), b)
 
 
 def _above_the_ray(r):
@@ -444,7 +474,7 @@ class TestHugeArgument:
         info = ai_complex(z)
         assert info.value == 0.0 and info.derivative == 0.0
         assert info.abs_error_estimate == 4.0 * math.ulp(0.0)
-        assert (info.method, info.n_evaluations, info.converged) == ("integral", _NODES.size, True)
+        assert (info.method, info.n_evaluations, info.converged) == ("integral", 6, True)
 
     @pytest.mark.parametrize(
         "z",
@@ -461,6 +491,18 @@ class TestHugeArgument:
         assert Fraction(z.imag) ** 2 >= 3 * Fraction(z.real) ** 2 or z.real <= 0.0
         with pytest.raises(OverflowError):
             ai_complex(z)
+
+    @pytest.mark.parametrize(
+        "fn,z",
+        [(bi_complex, 110.0), (bi_complex, 150.0), (ai_complex, 150j), (bi_complex, 150j),
+         (hi, 150.0), (gi, 500j)],
+    )
+    def test_an_overflowing_exponential_names_itself(self, fn, z):
+        # exp(-zeta) of the rule's prefactor leaves the double range; the
+        # error names it and the principal-sector argument, not a bare
+        # "math range error".
+        with pytest.raises(OverflowError, match=r"^Ai: exp\(-zeta\) overflows at z = "):
+            fn(z)
 
     # Ai is finite at these points, and so is Gi through i Ai(z); Ai' and
     # Bi', about sqrt(z) times larger, overflow.  The derivative check
@@ -487,7 +529,7 @@ class TestHugeArgument:
             result = gi(arg)
             assert result.method == ("gi_rotation" if arg == z else "conjugate")
             assert result.converged
-            assert result.value == expected
+            assert abs(result.value - expected) <= result.abs_error_estimate
 
 
 #: Ai picks its branch on a lower-half-plane argument itself, with no fold:

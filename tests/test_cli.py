@@ -76,6 +76,13 @@ class TestEvalCommand:
         assert "value_re = " in out
         assert "method = series" in out
 
+    def test_an_overflow_prints_one_line_and_exits_2(self, capsys):
+        assert main(["eval", "--fn", "bi", "--re", "110", "--im", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scorerlib: overflow: Ai: exp(-zeta) overflows at z = ")
+        assert captured.err.count("\n") == 1
+
     def test_digits_flag_controls_precision(self, capsys):
         main(["eval", "--fn", "hi", "--r", "1", "--phase", "5pi/6", "--digits", "9"])
         out = capsys.readouterr().out
@@ -551,8 +558,10 @@ class TestBenchCommand:
         assert rc == 0
         rows = [[int(tok) for tok in re.findall(r"(\d+) \(", line)]
                 for line in out.splitlines()[2:5]]
-        n = scorerlib.airy._NODES.size
-        assert rows == [[180, 210], [90 + n, 150 + n], [210 + n, 360 + n]]
+        # That rule's size is the one that serves Ai(z e^{-2i pi/3}).
+        n = [[scorerlib.airy._ai_laguerre(cmath.rect(r, (ph - 2.0 / 3.0) * math.pi)).n_evaluations
+              for ph in (0.4, 0.6)] for r in (10.0, 100.0)]
+        assert rows == [[180, 210], [90 + n[0][0], 150 + n[0][1]], [210 + n[1][0], 360 + n[1][1]]]
         assert out.splitlines()[-1] == "no cost-pattern check applies to this grid"
 
     def test_growth_check_covers_the_descent_contour_phases_only(self, capsys):

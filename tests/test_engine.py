@@ -49,8 +49,12 @@ _PI = math.pi
 _EPS = float(np.finfo(float).eps)
 _ROT_UP = cmath.exp(2j * _PI / 3.0)
 _ROT_DOWN = cmath.exp(-2j * _PI / 3.0)
+
+
+def _airy_rule(z: complex) -> int:
+    """The node count of the Airy rule that serves Ai at ``z``."""
+    return scorerlib.airy._ai_laguerre(z).n_evaluations
 #: Evaluations of one Airy rule, and the radius of Ai's series disc.
-_AIRY_RULE = scorerlib.airy._NODES.size
 _AI_SERIES_RADIUS = scorerlib.airy.SERIES_RADIUS
 
 # Reference values computed with mpmath at padded precision and frozen; each
@@ -706,7 +710,8 @@ class TestDispatchBoundaries:
         up = hi(z * _ROT_UP)
         g, h = gi(z), hi(z)
         assert (g.method, h.method) == ("gi_rotation", "hi_rotation")
-        assert g.n_evaluations == h.n_evaluations == up.n_evaluations + _AIRY_RULE
+        assert g.n_evaluations == up.n_evaluations + _airy_rule(z)
+        assert h.n_evaluations == up.n_evaluations + _airy_rule(z * _ROT_DOWN)
         assert g.value == -_ROT_UP * up.value + 1j * ai_complex(z).value
 
 
@@ -924,7 +929,7 @@ def _edges(phase: float) -> list[float]:
 def _airy_evals(fn: str, z: complex) -> int:
     """The Airy rule's evaluations of ``i Ai(z)`` inside a ``gi_rotation``
     result."""
-    return _AIRY_RULE if fn == "gi" and abs(z) > _AI_SERIES_RADIUS else 0
+    return _airy_rule(z) if fn == "gi" and abs(z) > _AI_SERIES_RADIUS else 0
 
 
 def _rotated(z: complex) -> complex:
@@ -1158,8 +1163,8 @@ class TestSaddleSplit:
         # The rotated Hi costs 96; Ai adds its rule's nodes beyond its
         # series disc |z| <= 3.5.
         z = cmath.rect(radius, 2.0 * _PI / 3.0 - 1.5e-12)
-        airy_nodes = _AIRY_RULE if radius > _AI_SERIES_RADIUS else 0
-        for res, method in ((hi(z), "hi_rotation"), (gi(z), "gi_rotation")):
+        for res, method, w in ((hi(z), "hi_rotation", z * _ROT_DOWN), (gi(z), "gi_rotation", z)):
+            airy_nodes = _airy_rule(w) if radius > _AI_SERIES_RADIUS else 0
             assert (res.method, res.n_evaluations, res.converged) == (method, 96 + airy_nodes, True)
 
     @pytest.mark.parametrize("z", [cmath.rect(2.6, 2.0 * _PI / 3.0 - 2e-12),

@@ -4,7 +4,11 @@ The tables, all from mpmath:
 
 * ``AI_MAP``: Ai and Ai' on 3.5 < |z| <= 80 over every phase, with the
   rays ph z = +-2*pi/3, the negative real axis with +0.0 and -0.0 imaginary
-  parts, and radii just above the series seam, plus seeded random points;
+  parts, and radii just above the series seam, plus seeded random points,
+  plus both sides of every switch of Ai's rule: 1e-6 (relative) to each
+  side of the radii up to 80 where it changes size on the rays
+  ``SWITCH_PHASES`` (``switch_radii`` of ``tools/airy_gate.py``), and 1e-9 to each side of
+  pi/3, where ph zeta crosses pi/2 and the rules turn their paths;
 * ``BI_MAP``: Bi and Bi' on 3.5 < |z| <= 80 at the phases ``BI_PHASES``
   in (0, 2*pi/3], where Bi is i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3}),
   at their conjugates, and at ``BI_BEYOND_PHASES`` in (2*pi/3, pi], where
@@ -71,6 +75,7 @@ import mpmath
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from airy_gate import switch_radii  # noqa: E402
 from scorerlib import engine  # noqa: E402
 
 AGREE_REL = mpmath.mpf("1e-15")
@@ -85,6 +90,10 @@ PHASES = (
 )
 SEED = 20261018
 N_RANDOM = 24
+#: Rays through both lists of Ai's rules (ph zeta = 1.5 ph z on either side
+#: of pi/2), and the radii at which Ai's rules turn their paths at pi/3.
+SWITCH_PHASES = (0.5, 1.0, 1.2, 1.6, 1.9, 2.0 * math.pi / 3.0)
+TURN_RADII = (4.0, 6.0, 9.0, 15.0)
 #: Bi's sector of the formula i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3}):
 #: next to the positive axis, both sides of pi/3 (where the two terms trade
 #: dominance) and up to its edge 2*pi/3; beyond the edge, from 1e-12 past
@@ -311,6 +320,10 @@ def map_points() -> list[complex]:
     for _ in range(N_RANDOM):
         r = math.exp(rng.uniform(math.log(3.5), math.log(80.0)))
         points.append(cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+    for ph in SWITCH_PHASES:
+        points += [cmath.rect(r * (1.0 + d), ph) for r in switch_radii(ph) if r <= 80.0
+                   for d in (-1e-6, 1e-6)]
+    points += [cmath.rect(r, math.pi / 3.0 + d) for r in TURN_RADII for d in (-1e-9, 1e-9)]
     return points
 
 

@@ -9,7 +9,9 @@ message).  The points are 17 radii x 49 phases in ``[0, pi]``, 4 phases
 in ``0 < ph z < 0.05``, 2 in ``2*pi/3 - 0.05 < ph z < 2*pi/3 - RAY_TOL``,
 2 within ``RAY_TOL`` of the Stokes ray and 3 within 2e-15 of Airy's
 rotation edge ``2*pi/3 + 1e-15``, each also conjugated into the lower
-half-plane; the rays
+half-plane; 1e-9 to each side of every radius where Ai's rule changes
+size on six rays and of the phase pi/3 where it turns its path
+(``SWITCH_RAYS``, ``TURN_RADII``), also in both half-planes; the rays
 ``ph z = +-2*pi/3`` at the same radii; and the real axis at the same radii
 with ``+0.0`` and ``-0.0`` imaginary parts, both signs of the real part.
 
@@ -89,6 +91,22 @@ BAND_PHASES = (
     2.0 * math.pi / 3.0 - 0.5e-12, 2.0 * math.pi / 3.0 + 0.5e-12,
     *(2.0 * math.pi / 3.0 + 1e-15 + d for d in (-2e-15, 0.0, 2e-15)),
 )
+#: Where Ai's rule changes size, on six rays (ph z), the radii up to 50
+#: printed by ``switch_radii`` of ``tools/airy_gate.py`` (frozen here, so
+#: that a parent checkout without the rule family dumps the same points),
+#: each 1e-9 (relative) to each side; and pi/3, where ph zeta crosses pi/2
+#: and the rules turn their paths, 1e-9 to each side at four radii.
+SWITCH_RAYS = (
+    (0.5, (12.001672014388513, 8.026024250777493, 5.22797682095929, 3.7100824530222734)),
+    (1.0, (16.536099223850453, 11.058386966813696, 7.203191634276445, 5.111812045712583,
+           4.471721625029811)),
+    (1.2, (13.214995433338768, 8.365195157775492, 5.345037351981026, 3.5908554708203138)),
+    (1.6, (27.137774633570313, 14.858490089876813, 8.525418945099943, 5.262405298602545,
+           4.400620464324691)),
+    (1.9, (34.25762276516199, 15.970553064227763, 8.623137476984029, 7.210990620197601)),
+    (2.0 * math.pi / 3.0, (32.906257461814214, 14.391008257961406, 12.034300257919696)),
+)
+TURN_RADII = (4.0, 6.0, 9.0, 15.0)
 FUNCTIONS = ("gi", "hi", "gi_hi_pair", "ai_complex", "bi_complex")
 #: The adaptive-quadrature representations, dumped on the upper half-plane.
 REPRESENTATIONS = ("hi_integral_principal", "hi_integral_v_form", "hi_integral_upper", "gi_integral")
@@ -113,10 +131,15 @@ WALL_TIME = re.compile(r"(quadrature wall time: )[0-9.]+ s|\( *[0-9.]+ ms\)")
 
 
 def points() -> list[complex]:
-    """The grid and the band, their conjugates, the +-2*pi/3 rays and the
-    signed-zero axes."""
+    """The grid and the band, their conjugates, the +-2*pi/3 rays, the
+    signed-zero axes and both sides of each switch of Ai's rule."""
     phases = [k * math.pi / (N_PHASES - 1) for k in range(N_PHASES)] + list(BAND_PHASES)
     out = []
+    switches = [cmath.rect(r * (1.0 + d), ph) for ph, radii in SWITCH_RAYS for r in radii
+                for d in (-1e-9, 1e-9)]
+    switches += [cmath.rect(r, math.pi / 3.0 + d) for r in TURN_RADII for d in (-1e-9, 1e-9)]
+    for z in switches:
+        out += [z, z.conjugate()]
     for r in RADII:
         for phase in phases:
             z = cmath.rect(r, phase)

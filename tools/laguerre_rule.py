@@ -28,6 +28,7 @@ those.
 Run from the root of a checkout (needs mpmath, which the library does not)::
 
     python3 tools/laguerre_rule.py --cut 1e-18         # airy.py: 40 nodes, alpha = -1/6, 25 kept
+    python3 tools/laguerre_rule.py --n 6               # airy.py: _NODES_6; also --n 8, 12, 16, 20
     python3 tools/laguerre_rule.py --n 60 --alpha 0 --cut 1e-18    # engine.py: _NODES_60
     python3 tools/laguerre_rule.py --n 240 --alpha 0 --cut 1e-18   # engine.py: _NODES_240
     python3 tools/laguerre_rule.py --n 960 --alpha 0 --cut 1e-18   # engine.py: _NODES_960
@@ -35,9 +36,7 @@ Run from the root of a checkout (needs mpmath, which the library does not)::
     python3 tools/laguerre_rule.py --n 16 --alpha -1/2 --tag SADDLE_EVEN
     python3 tools/laguerre_rule.py --n 16 --alpha 0 --tag SADDLE_ODD
 
-The truncated commands name their tables after ``n``, the others after
-``--tag``; ``airy.py`` names its ``_NODES_40`` and ``_WEIGHTS_40`` plain
-``_NODES`` and ``_WEIGHTS``.
+The tables are named after ``--tag`` if given, else after ``n``.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ def main(argv: list[str] | None = None) -> None:
         for low, high in zip(nodes + weights, check_nodes + check_weights)
     ):
         raise SystemExit("dps 60 and dps 90 disagree; no table printed")
-    suffix = f"_{args.tag}" if args.tag else f"_{args.n}" if args.cut > 0.0 else ""
+    suffix = f"_{args.tag or args.n}"
     print("\n".join(_rows("_NODES" + suffix, nodes) + _rows("_WEIGHTS" + suffix, weights)))
 
 
