@@ -18,7 +18,8 @@ a representation that is stable in its sector:
   meets about 1.6e-12 given a saddle distance ``rho >= 0.15`` (see
   :func:`_laplace_rung`), and next to the Stokes ray, where no rung
   serves, by a fixed 96-node rule split at the saddle (see
-  :func:`_saddle_sum`);
+  :func:`_saddle_sum`); both rules take the contour's slope at each node
+  from Cardano's root in closed form, with no root finding;
 * on ``0 <= ph z < 2pi/3`` the rotation connections, which take Hi at
   ``z e^{2i pi/3}`` in that sector (after conjugating) plus one Airy term:
   Gi and Hi each cost one contour, and a pair shares it; on the positive
@@ -636,11 +637,12 @@ _LAPLACE_MAX_RADIUS = 1e100
 
 class _Rung:
     """One rule of the ladder: its full size ``n``, its relative error
-    decay ``3.5 sqrt(n)`` per unit of saddle distance, and its kept nodes
-    (with ``3 sigma / 2`` and that squared, for Cardano) and weights."""
+    decay ``3.5 sqrt(n)`` per unit of saddle distance, its kept nodes
+    (with ``3 sigma / 2`` and that squared, for Cardano) and weights, and
+    the weights halved, which :func:`_laplace_sum` dots."""
 
     # A plain slotted class: a dataclass would cost about 1.5 ms at import.
-    __slots__ = ("n", "decay", "nodes", "half_3", "half_3_sq", "weights")
+    __slots__ = ("n", "decay", "nodes", "half_3", "half_3_sq", "weights", "half_weights")
 
     def __init__(self, n: int, nodes: np.ndarray, weights: np.ndarray) -> None:
         self.n = n
@@ -649,6 +651,7 @@ class _Rung:
         self.half_3 = 1.5 * nodes
         self.half_3_sq = self.half_3 * self.half_3
         self.weights = weights
+        self.half_weights = 0.5 * weights
 
 
 #: The ladder of rules, smallest first.
@@ -659,34 +662,41 @@ _LAPLACE_RUNGS = (
 )
 
 
-def _saddle_distance(z: complex) -> float:
-    """``rho = min |Re sqrt(-sigma_s)|`` over the two saddle values
-    ``sigma_s = -+(2/3) z**1.5`` of the Laplace variable.
+def _saddle_geometry(z: complex) -> tuple[float, float, float]:
+    """``|z|``, the saddle distance ``rho`` and the saddle height
+    ``Re sigma*`` at ``z``, from one ``abs`` and one ``atan2``.
 
-    The Laplace integrand is analytic in ``sqrt(sigma)`` out to the nearer
-    saddle, so the rule converges like ``exp(-c sqrt(N) rho)``, with
+    ``rho = min |Re sqrt(-sigma_s)|`` over the two saddle values
+    ``sigma_s = -+(2/3) z**1.5`` of the Laplace variable.  The Laplace
+    integrand is analytic in ``sqrt(sigma)`` out to the nearer saddle, so
+    the rule converges like ``exp(-c sqrt(N) rho)``, with
     ``rho = sqrt(2/3) |z|**0.75 min(|cos(3 theta/4)|, |sin(3 theta/4)|)``,
     ``theta = |ph z|``.  It tends to 0 where the descent contour meets its
     saddle, on the Stokes ray ``2*pi/3``, and is unchanged by the rotation
     ``z -> z e^{2i pi/3}`` followed by conjugation, which maps the positive
     real axis onto that ray.
+
+    ``Re sigma* = (2/3) |z|**1.5 |cos(3 theta/2)|`` is the real part of
+    the saddle value nearest the contour, equal to
+    ``(2/3) |z|**1.5 - 2 rho**2``.  The saddle's contribution to the rule's
+    error carries the weight ``exp(-Re sigma*)``.  It is 0 on the negative
+    real axis and largest on the Stokes ray, where ``rho`` is 0.
     """
-    theta = 0.75 * abs(math.atan2(z.imag, z.real))
-    shape = min(abs(math.cos(theta)), abs(math.sin(theta)))
-    return math.sqrt(2.0 / 3.0) * abs(z) ** 0.75 * shape
+    r = abs(z)
+    theta = abs(math.atan2(z.imag, z.real))
+    shape = min(abs(math.cos(0.75 * theta)), abs(math.sin(0.75 * theta)))
+    rho = math.sqrt(2.0 / 3.0) * r**0.75 * shape
+    return r, rho, (2.0 / 3.0) * r * math.sqrt(r) * abs(math.cos(1.5 * theta))
+
+
+def _saddle_distance(z: complex) -> float:
+    """``rho`` of :func:`_saddle_geometry`."""
+    return _saddle_geometry(z)[1]
 
 
 def _saddle_height(z: complex) -> float:
-    """``Re sigma* = (2/3) |z|**1.5 |cos(3 theta/2)|``, ``theta = |ph z|``:
-    the real part of the saddle value nearest the contour, equal to
-    ``(2/3) |z|**1.5 - 2 rho**2``.
-
-    The saddle's contribution to the rule's error carries the weight
-    ``exp(-Re sigma*)``.  It is 0 on the negative real axis and largest on
-    the Stokes ray, where ``rho`` is 0.
-    """
-    r = abs(z)
-    return (2.0 / 3.0) * r * math.sqrt(r) * abs(math.cos(1.5 * math.atan2(z.imag, z.real)))
+    """``Re sigma*`` of :func:`_saddle_geometry`."""
+    return _saddle_geometry(z)[2]
 
 
 def _laplace_rung(z: complex) -> tuple[_Rung, float] | None:
@@ -696,16 +706,14 @@ def _laplace_rung(z: complex) -> tuple[_Rung, float] | None:
     below ``_LAPLACE_MIN_RHO`` or where ``|z|`` exceeds
     ``_LAPLACE_MAX_RADIUS``.
 
-    ``rho`` is :func:`_saddle_distance` and ``Re sigma*``
-    :func:`_saddle_height`.  ``tools/laplace_gate.py`` re-derives the
-    constants 3.5 and 0.8 and the floor against mpmath.
+    ``rho`` and ``Re sigma*`` are :func:`_saddle_geometry`'s.
+    ``tools/laplace_gate.py`` re-derives the constants 3.5 and 0.8 and the
+    floor against mpmath.
     """
-    if abs(z) > _LAPLACE_MAX_RADIUS:
+    r, rho, height = _saddle_geometry(z)
+    if r > _LAPLACE_MAX_RADIUS or rho < _LAPLACE_MIN_RHO:
         return None
-    rho = _saddle_distance(z)
-    if rho < _LAPLACE_MIN_RHO:
-        return None
-    height = _LAPLACE_HEIGHT_DECAY * _saddle_height(z)
+    height *= _LAPLACE_HEIGHT_DECAY
     for rung in _LAPLACE_RUNGS:
         exponent = rung.decay * rho + height
         if exponent >= _LAPLACE_REACH:
@@ -713,28 +721,35 @@ def _laplace_rung(z: complex) -> tuple[_Rung, float] | None:
     return None
 
 
-def _laplace_roots(z: complex, rung: _Rung) -> np.ndarray:
-    """The contour point ``t`` at each node ``sigma`` of ``rung``: the root
-    of ``t**3 - 3 z t - 3 sigma = 0`` on the growing kernel's descent
-    contour from the origin to ``+infinity`` (``2*pi/3 < ph z <= pi``).
+def _laplace_slopes(z: complex, rung: _Rung) -> np.ndarray:
+    """Twice the slope ``dt/dsigma = 1 / (t**2 - z)`` of the contour at
+    each node ``sigma`` of ``rung``, where ``t`` is the root of
+    ``t**3 - 3 z t - 3 sigma = 0`` on the growing kernel's descent contour
+    from the origin to ``+infinity`` (``2*pi/3 < ph z <= pi``).
 
     Cardano's roots are ``C w + z / (C w)``, ``w`` a cube root of unity,
-    with ``C**3 = 3 sigma/2 + sqrt(9 sigma**2/4 - z**3)``: for ``sigma > 0``
-    the principal square root gives the larger ``|C**3|`` and keeps
-    ``C**3`` in the right half-plane, so the principal ``C`` is continuous
-    in ``sigma``.  ``w = 1`` then gives ``t = 0`` at ``sigma = 0`` and
-    ``t ~ (3 sigma)**(1/3)`` as ``sigma`` grows: the root nearest the
-    positive real axis.  Picking that root by its argument instead fails
-    beyond ``|z|`` of about 1e7, where the root near 0 cancels to rounding
-    noise of size ``eps sqrt|z|`` (harmless in ``t**2 - z``).
+    with ``C**3 = 3 sigma/2 + D`` and ``D = sqrt(9 sigma**2/4 - z**3)``:
+    for ``sigma > 0`` the principal square root gives the larger
+    ``|C**3|`` and keeps ``C**3`` in the right half-plane, so the
+    principal ``C`` is continuous in ``sigma``.  ``w = 1`` then gives
+    ``t = 0`` at ``sigma = 0`` and ``t ~ (3 sigma)**(1/3)`` as ``sigma``
+    grows: the root nearest the positive real axis.  Picking that root by
+    its argument instead fails beyond ``|z|`` of about 1e7, where the root
+    near 0 cancels to rounding noise of size ``eps sqrt|z|``.
+
+    ``dC/dsigma = C / (2 D)`` from ``C**3``, so the slope is
+    ``(C - z/C) / (2 D)``: ``t`` itself is never formed, and nothing
+    cancels the way ``t**2 - z`` does near the origin.
     """
-    c = np.power(rung.half_3 + np.sqrt(rung.half_3_sq - z * z * z), 1.0 / 3.0)
-    return c + z / c
+    d = np.sqrt(rung.half_3_sq - z * z * z)
+    c = np.power(rung.half_3 + d, 1.0 / 3.0)
+    return (c - z / c) / d
 
 
 def _laplace_sum(z: complex, rung: _Rung, exponent: float) -> ScorerResult:
     """``S(z) = int_0^inf exp(-sigma) dsigma / (t(sigma)**2 - z)`` by
-    ``rung``'s truncated rule, ``t`` from :func:`_laplace_roots`.
+    ``rung``'s truncated rule: the halved weights dotted with
+    :func:`_laplace_slopes`.
 
     With ``z t - t**3/3 = -sigma`` this is the growing kernel's integral
     along its descent contour, ``pi Hi(z)``.
@@ -744,11 +759,10 @@ def _laplace_sum(z: complex, rung: _Rung, exponent: float) -> ScorerResult:
     (``|z|`` up to 1000, dense just above the Stokes ray), a least-squares
     fit over every rung gave a log error of
     ``-4.0 sqrt(n) rho - 0.90 Re sigma*`` (largest residual 0.78), and
-    every point the gate serves stayed below ``e**-2.0`` times its bar.
+    every point the gate serves stayed below ``e**-1.9`` times its bar.
     Tagged ``laplace``; ``n_evaluations`` is the rung's kept node count.
     """
-    t = _laplace_roots(z, rung)
-    value = complex((1.0 / (t * t - z)).dot(rung.weights))
+    value = complex(_laplace_slopes(z, rung).dot(rung.half_weights))
     err = abs(value) * (math.exp(-exponent) + 8.0 * _EPS)
     return ScorerResult(value, "laplace", err, rung.nodes.size)
 
@@ -827,26 +841,28 @@ _WEIGHTS_SADDLE_ODD = np.array([
 #: t = t_s s, over t_s**3.
 _SEGMENT_EXPONENT = _NODES_SEGMENT - _NODES_SEGMENT**3 / 3.0
 #: The descent branch's nodes u = v**2 (the even rule's, then the odd
-#: rule's), once for each branch x ~ +-v / sqrt(t_s) of
-#: x**3 + 3 t_s x**2 = 3u: u, 3u and v = +-sqrt(u), complex so that the
-#: Newton steps need no casts.
-_SADDLE_U = np.tile(np.concatenate([_NODES_SADDLE_EVEN, _NODES_SADDLE_ODD]), 2).astype(complex)
+#: rule's), once for each branch v = +-sqrt(u): 3u, and 3u/4 and
+#: sqrt(3u/4) = (sqrt 3 / 2) |v| for the closed form of :func:`_saddle_sum`,
+#: whose second half takes the branch -|v|.
+_SADDLE_U = np.tile(np.concatenate([_NODES_SADDLE_EVEN, _NODES_SADDLE_ODD]), 2)
 _SADDLE_U3 = 3.0 * _SADDLE_U
-_SADDLE_V = np.sqrt(_SADDLE_U) * np.repeat([1.0, -1.0], _SADDLE_U.size // 2)
-#: The weights of 1 / (t**2 - z) at those nodes: with H(+-v) = +-2v / (t**2 - z)
-#: the even part of H is v (1/d+ - 1/d-) and the odd part over v is
-#: 1/d+ + 1/d-, each integrated against exp(-u) du / 2.
-_SADDLE_WEIGHTS = 0.5 * np.concatenate([
-    _WEIGHTS_SADDLE_EVEN * np.sqrt(_NODES_SADDLE_EVEN), _WEIGHTS_SADDLE_ODD,
-    -_WEIGHTS_SADDLE_EVEN * np.sqrt(_NODES_SADDLE_EVEN), _WEIGHTS_SADDLE_ODD,
-])
+_SADDLE_U34 = 0.75 * _SADDLE_U
+_SADDLE_V34 = np.sqrt(_SADDLE_U34)
+_SADDLE_BELOW = np.arange(_SADDLE_U.size) >= _SADDLE_U.size // 2
+#: The weights of (C - z/C) / P at those nodes, P = (sqrt 3 / 2) p: with
+#: H(+-v) = (C - z/C) / (sqrt(3) P) the even part of H, (H+ + H-) / 2, and
+#: the odd part over v, (H+ - H-) / (2v), are each integrated against
+#: exp(-u) du / 2.
+_SADDLE_WEIGHTS = np.concatenate([
+    _WEIGHTS_SADDLE_EVEN, _WEIGHTS_SADDLE_ODD / np.sqrt(_NODES_SADDLE_ODD),
+    _WEIGHTS_SADDLE_EVEN, -_WEIGHTS_SADDLE_ODD / np.sqrt(_NODES_SADDLE_ODD),
+]) / (4.0 * math.sqrt(3.0))
 #: 96: the segment's 32 nodes and the branch's 2 x 2 x 16.
-_SADDLE_EVALUATIONS = _NODES_SEGMENT.size + _SADDLE_V.size
-#: Newton steps from x = +-sqrt(u / t_s), and the largest residual of the
-#: cubic that a node may keep after them, 1e-14 of 3u (6 steps leave at
-#: most 6.3e-16 of it on the cell up to |z| = 20; 5 leave 1.1e-13).
-_SADDLE_NEWTON_STEPS = 6
-_SADDLE_TOLERANCE = 1e-14 * _SADDLE_U3.real
+_SADDLE_EVALUATIONS = _NODES_SEGMENT.size + _SADDLE_U.size
+#: The largest residual of the cubic that a node may keep, relative to the
+#: size of its right-hand side, 3 |sigma_s| + 3u: rounding leaves at most
+#: 13 eps of it on the whole cell up to |z| = 20 (40,000 seeded points).
+_SADDLE_RESIDUAL = 64.0 * _EPS
 #: The relative truncation bar is exp(-_SADDLE_DECAY g), g = Re sqrt(2 sigma_s)
 #: the distance in v of the other saddle from the path, plus 8 eps of
 #: rounding.
@@ -867,32 +883,45 @@ def _saddle_sum(z: complex) -> ScorerResult | None:
     * the segment from 0 to ``t_s``, ``t_s int_0^1 exp(t_s**3 (s - s**3/3)) ds``,
       whose integrand is entire;
     * the saddle's descent branch into the valley of ``+infinity``,
-      ``exp(-sigma_s) int_0^inf exp(-v**2) H(v) dv`` with
-      ``H = dt/dv = 2v / (t**2 - z)``, ``t = t_s + x`` and
-      ``x**3 + 3 t_s x**2 = 3 v**2``; H is analytic in ``v`` out to the
-      other saddle, ``v**2 = -2 sigma_s``, off the path.  Both branches
-      ``x ~ +-v / sqrt(t_s)`` start there and take
-      ``_SADDLE_NEWTON_STEPS`` Newton steps.
+      ``exp(-sigma_s) int_0^inf exp(-v**2) H(v) dv`` with ``H = dt/dv``
+      on ``sigma = sigma_s + v**2``; H is analytic in ``v`` out to the
+      other saddle, ``v**2 = -2 sigma_s``, off the path.
+
+    The branch is Cardano's root in closed form.  With ``u = v**2`` and
+    ``p = sqrt(2 sigma_s + u)``, ``9 sigma**2/4 - z**3 = (3/2 v p)**2`` and
+    ``C**3 = (3/4) (p + v)**2``; ``p - v`` is taken as
+    ``2 sigma_s / (p + v)``, so nothing cancels.  On the whole cell both
+    ``p + v`` and ``p - v`` lie in the right half-plane, so the principal
+    ``C = ((sqrt 3 / 2) (p +- v))**(2/3)`` is continuous in ``v``, and
+    both branches pass through ``t_s`` at ``v = 0``.  Then
+    ``H(+-v) = 2 (C - z/C) / (3p)``, with no division by ``v``.
 
     The error bar is ``exp(-_SADDLE_DECAY g)`` of truncation,
     ``g = Re sqrt(2 sigma_s)``, plus 8 eps of rounding, both relative;
     ``tools/laplace_gate.py`` fits it against mpmath.  None where some
-    node's Newton iterate leaves a residual above ``_SADDLE_TOLERANCE`` (or
-    a NaN): no value is better than a wrong one.  Tagged ``saddle``;
-    ``n_evaluations`` is the 96 nodes.
+    node's ``t = C + z/C`` leaves a residual of its cubic,
+    ``t**3 - 3 z t - 3 sigma_s - 3u``, above ``_SADDLE_RESIDUAL`` of
+    ``3 |sigma_s| + 3u`` (or a NaN): no value is better than a wrong one.
+    Tagged ``saddle``; ``n_evaluations`` is the 96 nodes.
     """
     ts = np.complex128(cmath.sqrt(z))
     ts3 = ts * ts * ts
     segment = ts * np.exp(ts3 * _SEGMENT_EXPONENT).dot(_WEIGHTS_SEGMENT)
-    t3, ts2 = 3.0 * ts, 2.0 * ts
-    x = _SADDLE_V / np.sqrt(ts)
-    for _ in range(_SADDLE_NEWTON_STEPS):
-        # x - f / f' for f = x**3 + 3 t_s x**2 - 3u, divided through by 3.
-        x2 = x * x
-        x = (x2 * (x * (2.0 / 3.0) + ts) + _SADDLE_U) / (x * (x + ts2))
-    if not (np.abs(x * x * (x + t3) - _SADDLE_U3) <= _SADDLE_TOLERANCE).all():
+    # P = (sqrt 3 / 2) p and B = (sqrt 3 / 2) (p +- v), so that C = B**(2/3);
+    # 3 sigma_s / 2 = -t_s**3 = P**2 - (3/4) u, and the lower B is that over
+    # the upper one.
+    p = np.sqrt(_SADDLE_U34 - ts3)
+    c = p + _SADDLE_V34
+    np.divide(-ts3, c, out=c, where=_SADDLE_BELOW)
+    c = np.power(c, 2.0 / 3.0)
+    zc = z / c
+    # t**3 - 3 z t - 3 sigma_s = (t - t_s)**2 (t + 2 t_s) at t = C + z/C.
+    x = c + (zc - ts)
+    residual = x * x * (x + 3.0 * ts) - _SADDLE_U3
+    bound = _SADDLE_RESIDUAL * (_SADDLE_U3 + 2.0 * abs(ts3))
+    if not (np.abs(residual) <= bound).all():
         return None
-    branch = np.exp(ts3 * (2.0 / 3.0)) * (_SADDLE_WEIGHTS / (x * (x + ts2))).sum()
+    branch = np.exp(ts3 * (2.0 / 3.0)) * ((c - zc) / p).dot(_SADDLE_WEIGHTS)
     value = complex(segment + branch)
     gap = cmath.sqrt(ts3 * (-4.0 / 3.0)).real
     err = abs(value) * (math.exp(-_SADDLE_DECAY * gap) + 8.0 * _EPS)
@@ -905,8 +934,8 @@ def _hi_contour(z: complex) -> ScorerResult:
     :func:`_laplace_rung` finds a rung; elsewhere, next to the Stokes ray,
     split at the saddle (``hi_saddle``, :func:`_saddle_sum`, 96
     evaluations) up to ``|z| = _SADDLE_MAX_RADIUS``; and by adaptive
-    quadrature where neither serves (or a Newton iterate of the split
-    misses its cubic)."""
+    quadrature where neither serves (or a root of the split misses its
+    cubic)."""
     chosen = _laplace_rung(z)
     if chosen is not None:
         return combine("hi_laplace", [(1.0 / _PI, _laplace_sum(z, *chosen))])

@@ -13,7 +13,7 @@ import scorerlib.airy
 import scorerlib.contour
 import scorerlib.engine
 from scorerlib.airy import BI_ZERO, BIP_ZERO, ai_complex, bi_complex
-from scorerlib.contour import DomainError, ScorerResult
+from scorerlib.contour import RAY_TOL, DomainError, ScorerResult
 from scorerlib.engine import (
     GI_AT_ZERO,
     GI_DERIV_AT_ZERO,
@@ -37,8 +37,8 @@ from scorerlib.engine import (
     _LAPLACE_REACH,
     _LAPLACE_RUNGS,
     _evaluate,
-    _laplace_roots,
     _laplace_rung,
+    _laplace_slopes,
     _laplace_sum,
     _saddle_distance,
     _saddle_height,
@@ -950,6 +950,44 @@ def _cell(fn: str, z: complex) -> ScorerResult | None:
     return res if res.method in ("hi_path_u", "hi_laplace", "hi_saddle") else None
 
 
+def _cardano_sum(z: complex, rung, exponent: float) -> tuple[complex, float]:
+    """The oracle of :func:`_laplace_sum`: Cardano's root ``t = C + z/C``
+    at each node, ``C**3 = 3 sigma/2 + sqrt(9 sigma**2/4 - z**3)``, summed
+    as ``1 / (t**2 - z)`` against the full weights; the value and its bar."""
+    half_3 = 1.5 * rung.nodes
+    c = np.power(half_3 + np.sqrt(half_3 * half_3 - z * z * z), 1.0 / 3.0)
+    t = c + z / c
+    value = complex((1.0 / (t * t - z)).dot(rung.weights))
+    return value, abs(value) * (math.exp(-exponent) + 8.0 * _EPS)
+
+
+def _newton_saddle_sum(z: complex) -> tuple[complex, float] | None:
+    """The oracle of :func:`_saddle_sum`: the same segment, and the
+    descent branch by six Newton steps on ``x**3 + 3 t_s x**2 = 3u`` from
+    ``x = +-sqrt(u / t_s)`` at ``t = t_s + x``, summed as
+    ``H(+-v) = +-2v / (t**2 - z)``; the value and its bar, or None where a
+    node keeps a residual above 1e-14 of 3u."""
+    engine = scorerlib.engine
+    even, odd = engine._NODES_SADDLE_EVEN, engine._NODES_SADDLE_ODD
+    u = np.tile(np.concatenate([even, odd]), 2).astype(complex)
+    v = np.sqrt(u) * np.repeat([1.0, -1.0], u.size // 2)
+    root_even = engine._WEIGHTS_SADDLE_EVEN * np.sqrt(even)
+    weights = 0.5 * np.concatenate([root_even, engine._WEIGHTS_SADDLE_ODD,
+                                    -root_even, engine._WEIGHTS_SADDLE_ODD])
+    ts = np.complex128(cmath.sqrt(z))
+    ts3 = ts * ts * ts
+    s = engine._NODES_SEGMENT
+    segment = ts * np.exp(ts3 * (s - s**3 / 3.0)).dot(engine._WEIGHTS_SEGMENT)
+    x = v / np.sqrt(ts)
+    for _ in range(6):
+        x = (x * x * (x * (2.0 / 3.0) + ts) + u) / (x * (x + 2.0 * ts))
+    if not (np.abs(x * x * (x + 3.0 * ts) - 3.0 * u) <= 1e-14 * 3.0 * u.real).all():
+        return None
+    value = complex(segment + np.exp(ts3 * (2.0 / 3.0)) * (weights / (x * (x + 2.0 * ts))).sum())
+    gap = cmath.sqrt(ts3 * (-4.0 / 3.0)).real
+    return value, abs(value) * (math.exp(-engine._SADDLE_DECAY * gap) + 8.0 * _EPS)
+
+
 class TestLaplaceGate:
     @pytest.mark.parametrize("fn,phase", _EDGE_RAYS)
     def test_gate_opens_where_the_model_says(self, fn, phase):
@@ -1099,19 +1137,37 @@ class TestLaplaceGate:
                                         (2.0 * _PI / 3.0 + 0.1, _PI, 0.8 * _PI)])
     @pytest.mark.parametrize("radius", [4.0, 30.0, 1e3])
     def test_roots_are_cardanos_nearest_the_end(self, phases, radius):
+        # The slopes are 2 / (t**2 - z) at the root of the cubic nearest
+        # the positive axis, the one that runs from 0 to the contour's end.
         for phase in phases:
             z = cmath.rect(radius, phase)
             rung = _LAPLACE_RUNGS[-1]
-            roots = _laplace_roots(z, rung)
-            for sigma, t in zip(rung.nodes, roots):
+            slopes = _laplace_slopes(z, rung)
+            for sigma, slope in zip(rung.nodes, slopes):
                 cubic = np.roots([1.0, 0.0, -3.0 * z, -3.0 * sigma])
-                angle = np.abs(np.angle(cubic))
-                nearest = cubic[np.argmin(angle)]
-                assert abs(t - nearest) <= 1e-9 * max(abs(nearest), 1.0)
-                # Cardano's t = C + z/C carries an absolute error of a few
-                # eps sqrt|z|; the cubic's slope 3 t**2 - 3 z scales it.
-                slack = (abs(t) + math.sqrt(abs(z))) * abs(3.0 * t * t - 3.0 * z) + 3.0 * sigma
-                assert abs(t**3 - 3.0 * z * t - 3.0 * sigma) <= 16.0 * _EPS * slack
+                nearest = cubic[np.argmin(np.abs(np.angle(cubic)))]
+                expected = 2.0 / (nearest * nearest - z)
+                assert abs(slope - expected) <= 1e-9 * abs(expected)
+
+    def test_sum_matches_cardanos_root_on_served_cells(self):
+        # A seeded sample of the cells the gate serves, on every rung, out
+        # to |z| = 1e100: dt/dsigma in closed form against 1 / (t**2 - z).
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(3000):
+            radius = 10.0 ** rng.uniform(math.log10(2.5), 100.0 if rng.random() < 0.3 else 3.0)
+            phase = 2.0 * _PI / 3.0 + (_PI / 3.0) * rng.random() ** 3
+            z = cmath.rect(radius, phase)
+            chosen = _laplace_rung(z)
+            if chosen is None:
+                continue
+            seen.add(chosen[0].n)
+            s = _laplace_sum(z, *chosen)
+            value, bar = _cardano_sum(z, *chosen)
+            diff = abs(s.value - value)
+            assert diff <= 2e-15 * abs(value)
+            assert diff <= s.abs_error_estimate + bar
+        assert seen == {60, 240, 960}
 
     @pytest.mark.parametrize("radius", [1e5, 1e20, 1e99, 1e100])
     # Hi's descent phase 0.9 pi, and the rotated images 5pi/6 and
@@ -1183,6 +1239,30 @@ class TestSaddleSplit:
         assert diff <= 1e-13 * abs(adaptive.value)
         assert diff <= split.abs_error_estimate + adaptive.abs_error_estimate
 
+    def test_split_matches_newtons_branch_on_the_whole_band(self):
+        # A seeded sample of the band where no rung serves, the RAY_TOL band
+        # below the ray included, at |z| <= 20: the closed-form branch
+        # against Newton's, and neither declines.
+        rng = np.random.default_rng(29)
+        checked = 0
+        for k in range(3000):
+            radius = 10.0 ** rng.uniform(0.0, math.log10(scorerlib.engine._SADDLE_MAX_RADIUS))
+            if k % 4 == 0:
+                offset = RAY_TOL * rng.uniform(-1.0, 1.0)
+            else:
+                offset = 10.0 ** rng.uniform(-13.0, math.log10(0.3))
+            z = cmath.rect(radius, 2.0 * _PI / 3.0 + offset)
+            if _laplace_rung(z) is not None:
+                continue
+            checked += 1
+            s, oracle = _saddle_sum(z), _newton_saddle_sum(z)
+            assert s is not None and oracle is not None
+            value, bar = oracle
+            diff = abs(s.value - value)
+            assert diff <= 2e-15 * abs(value)
+            assert diff <= s.abs_error_estimate + bar
+        assert checked >= 2000
+
     def test_error_bar_is_the_model_at_the_other_saddle(self):
         engine = scorerlib.engine
         for z in (cmath.rect(2.6, 2.0 * _PI / 3.0 + 0.1), cmath.rect(12.0, 2.0 * _PI / 3.0)):
@@ -1193,11 +1273,12 @@ class TestSaddleSplit:
                                                          rel=1e-12)
             assert (s.n_evaluations, s.converged) == (96, True)
 
-    def test_unconverged_newton_falls_back_to_the_adaptive_contour(self, monkeypatch):
-        # Two Newton steps leave residuals near 1e-3: no value from the
-        # split, the adaptive contour instead.
+    def test_a_root_that_misses_its_cubic_falls_back_to_the_adaptive_contour(self, monkeypatch):
+        # With no residual allowed, some node misses its cubic: no value
+        # from the split, the adaptive contour instead.
         z = cmath.rect(5.0, 2.0 * _PI / 3.0 + 0.02)
-        monkeypatch.setattr(scorerlib.engine, "_SADDLE_NEWTON_STEPS", 2)
+        assert _saddle_sum(z) is not None
+        monkeypatch.setattr(scorerlib.engine, "_SADDLE_RESIDUAL", 0.0)
         assert _saddle_sum(z) is None
         res = hi(z)
         assert (res.method, res.converged) == ("hi_path_u", True)

@@ -49,7 +49,8 @@ in there) to the cap, and prints:
 * the largest decay that keeps every point within its bar, the engine's
   beside it;
 * how many cells the split serves (no rung, ``|z|`` between the series
-  disc and the cap) and how many of them its Newton check declines;
+  disc and the cap) and how many of them it declines because some node's
+  root misses its cubic (``engine._SADDLE_RESIDUAL``);
 * the worst ``log(err) - log(bar)`` over those cells.
 
 It exits 1 if any point either rule serves exceeds its bar, if a constant
