@@ -6,7 +6,8 @@ non-oscillating Laplace form of Ai everywhere else in the principal sector
 ``|ph z| <= 2*pi/3`` (see :func:`_ai_laguerre`), and a
 one-step three-solution rotation identity that connects the principal
 sector to the rest of the plane.  Bi beyond the series disc combines two
-principal-sector Ai values (route ``rotation_pair``, two rule evaluations):
+principal-sector Ai values (route ``rotation_pair``), as Ai does beyond
+``2*pi/3`` (route ``rotation``, from the pair of Bi's second formula):
 
 * on ``0 < ph z <= 2*pi/3``, ``Bi = i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3})``
   (DLMF 9.2.11 with 9.2.10, the split of ACM TOMS Algorithm 819), where
@@ -21,11 +22,14 @@ principal-sector Ai values (route ``rotation_pair``, two rule evaluations):
   evaluation serves both and Bi(x) comes out exactly real, where the first
   formula would leave a rounding residue in its imaginary part.
 
-The rotations call the rule directly on their principal-sector arguments.
-Ai's series, rule and rotation and Bi's formulas are conjugate-symmetric
-by construction, so neither function folds the lower half-plane.  Every
-evaluation returns a :class:`~scorerlib.contour.ScorerResult` that carries
-the derivative alongside the value.
+The two arguments of each formula have ``zeta = (2/3) z**1.5`` of opposite
+signs, so off the real axis one paired rule pass sums both of their rules
+(see :func:`_ai_laguerre`); each argument keeps the rule sized to it and
+its own count.  Ai's series, rule and rotation and Bi's formulas are
+conjugate-symmetric by construction, so neither function folds the lower
+half-plane.  Every evaluation returns a
+:class:`~scorerlib.contour.ScorerResult` that carries the derivative
+alongside the value.
 
 The series/rule seam sits at ``SERIES_RADIUS``; pushing the series much
 further loses digits to cancellation on and near the positive real axis,
@@ -196,20 +200,21 @@ def _folded(nodes: np.ndarray, weights: np.ndarray, j: int) -> tuple:
     return tilt * nodes, turned * tilt ** (5.0 / 6.0), turned * nodes * tilt ** (11.0 / 6.0)
 
 
-def _rules(family: tuple, reaches: tuple, conjugate: bool = False) -> tuple:
-    """Rows ``(reach, cos, sin, n, nodes, w0, w1)`` of :func:`_ai_laguerre`,
-    smallest rule first: rule ``(nodes, weights, j)`` of ``family`` serves
-    where ``rho**2 = cos (|zeta| + cos Re zeta + sin |Im zeta|)``, with
-    ``cos`` and ``sin`` of its path angle ``j pi/16``, reaches its entry of
-    ``reaches``; the last rule serves wherever no other does.  With
+def _rules(family: tuple, reaches: tuple, start: int, conjugate: bool = False) -> tuple:
+    """Rows ``(reach, cos, sin, n, nodes, w0, w1, key)`` of
+    :func:`_ai_laguerre`, smallest rule first: rule ``(nodes, weights, j)``
+    of ``family`` serves where ``rho**2 = cos (|zeta| + cos Re zeta + sin
+    |Im zeta|)``, with ``cos`` and ``sin`` of its path angle ``j pi/16``,
+    reaches its entry of ``reaches``; the last rule serves wherever no other
+    does.  ``key`` numbers the rows from ``start``, for ``_PAIRED``.  With
     ``conjugate`` the tables are conjugated, for the lower half-plane."""
     rows = []
-    for (nodes, weights, j), k in zip(family, reaches + (-math.inf,)):
+    for key, ((nodes, weights, j), k) in enumerate(zip(family, reaches + (-math.inf,)), start):
         c, s = math.cos(j * math.pi / 16.0), math.sin(j * math.pi / 16.0)
         tables = _folded(nodes, weights, j)
         if conjugate:
             tables = tuple(t.conjugate() for t in tables)
-        rows.append((k / c, c, s, nodes.size, *tables))
+        rows.append((k / c, c, s, nodes.size, *tables, key))
     return tuple(rows)
 
 
@@ -231,14 +236,48 @@ _AI_RIGHT = _rules(
     ((_NODES_6, _WEIGHTS_6, 0), (_NODES_8, _WEIGHTS_8, 0), (_NODES_12, _WEIGHTS_12, 0),
      (_NODES_16, _WEIGHTS_16, 0), (_NODES_20, _WEIGHTS_20, 0), (_NODES_40, _WEIGHTS_40, 0)),
     (32.0, 17.5, 9.2, 5.5, 4.5),
+    0,
 )
 _AI_TILTED = (
     (_NODES_6, _WEIGHTS_6, 0), (_NODES_8, _WEIGHTS_8, 1), (_NODES_12, _WEIGHTS_12, 2),
     (_NODES_16, _WEIGHTS_16, 3), (_NODES_20, _WEIGHTS_20, 3), (_NODES_40, _WEIGHTS_40, 4),
 )
 _AI_LEFT_REACHES = (16.5, 10.2, 5.9, 3.4, 2.6)
-_AI_UPPER = _rules(_AI_TILTED, _AI_LEFT_REACHES)
-_AI_LOWER = _rules(_AI_TILTED, _AI_LEFT_REACHES, conjugate=True)
+_AI_UPPER = _rules(_AI_TILTED, _AI_LEFT_REACHES, len(_AI_RIGHT))
+_AI_LOWER = _rules(_AI_TILTED, _AI_LEFT_REACHES, 2 * len(_AI_RIGHT), conjugate=True)
+
+
+def _half(row: tuple, first: bool) -> np.ndarray:
+    """``row``'s half of a paired table, ``(5, n)``: as the first rule, its
+    nodes and its weights of ``I`` and ``dI/dzeta`` in the rows 1 and 3; as
+    the second, its nodes negated and its weights in the rows 2 and 4;
+    zeros elsewhere."""
+    half = np.zeros((5, row[3]), complex)
+    k = 1 if first else 2
+    half[0] = row[4] if first else -row[4]
+    half[k], half[k + 2] = row[5], row[6]
+    return half
+
+
+def _paired_tables() -> dict:
+    """The nodes and the ``(2, n_a + n_b)`` block weights of ``I`` and of
+    ``dI/dzeta`` of one pass that sums a rule of ``_AI_RIGHT`` at ``zeta``
+    and one of ``_AI_UPPER`` or ``_AI_LOWER`` at ``-zeta``, by the keys of
+    their two rows: with the second rule's nodes negated,
+    ``q = 2 + nodes/zeta`` holds both arguments' ``q``.  One
+    ``(5, n_a + n_b)`` array holds the three tables of a pair."""
+    seconds = [(row[7], _half(row, False)) for row in _AI_UPPER + _AI_LOWER]
+    tables = {}
+    for row in _AI_RIGHT:
+        first = _half(row, True)
+        for key, second in seconds:
+            table = np.concatenate((first, second), axis=1)
+            tables[row[7], key] = table[0], table[1:3], table[3:5]
+    return tables
+
+
+_PAIRED = _paired_tables()
+
 #: The relative truncation bar added to the rounding bar of every rule
 #: evaluation, and the error of Ai and Ai' the reaches are fitted to: the
 #: tilted rules' rounding alone reaches 9e-16.
@@ -330,22 +369,11 @@ def _maclaurin(z: complex, c0: float, c1: float) -> ScorerResult:
     )
 
 
-def _ai_laguerre(z: complex) -> ScorerResult:
-    """Ai and Ai' from the non-oscillating Laplace form, by a rule sized to
-    its argument.
-
-    ``Ai(z) = exp(-zeta) zeta**(-1/6) / (sqrt(pi) 48**(1/6) Gamma(5/6)) * I``
-    with ``zeta = (2/3) z**1.5`` and
-    ``I = int_0^inf exp(-t) t**(-1/6) (2 + t/zeta)**(-1/6) dt``; one rule
-    sums ``I`` and, on the same nodes, ``dI/dzeta``.  Valid for
-    ``|ph z| <= 2*pi/3`` and ``|z| > SERIES_RADIUS``, in either half-plane
-    (it is exactly conjugate-symmetric).  The rule is the first row of
-    ``_AI_RIGHT`` (``Re zeta >= 0``) or of ``_AI_UPPER`` or ``_AI_LOWER``
-    (by the sign of ``ph zeta``) whose ``rho**2`` reaches its constant; on
-    ``Re zeta < 0`` its path turns by its angle away from the singularity
-    at ``t = -2 zeta`` (see :func:`_folded`).  ``n_evaluations`` is the
-    rule's node count, and the bar adds ``_TRUNCATION_BAR`` relative.
-    """
+def _ai_point(z: complex) -> tuple | None:
+    """``(zeta, modulus, phase, n, nodes, w0, w1, key)`` of
+    :func:`_ai_laguerre` at ``z``: its ``zeta`` and the row of the rule
+    sized to it, or None where Ai and Ai' underflow to 0 beyond
+    ``_ZETA_CAP``."""
     # From atan2, not the phase of zeta, which wraps to -pi on the 2*pi/3 ray.
     phase = 1.5 * math.atan2(z.imag, z.real)
     try:
@@ -357,12 +385,11 @@ def _ai_laguerre(z: complex) -> ScorerResult:
         # to 0; the rule's zeta * zeta would overflow into a NaN derivative.
         # 1.5 * atan2 rounds to pi/2 on both sides of the pi/3 ray, on which
         # no double lies: there the side is decided exactly.  Either way
-        # |Re zeta| is far beyond the exponent range.  The zero counts the
-        # smallest rule, which serves every |zeta| that large.
+        # |Re zeta| is far beyond the exponent range.
         if abs(phase) == _HALF_PI and Fraction(z.imag) ** 2 >= 3 * Fraction(z.real) ** 2:
             raise OverflowError(f"Ai: exp(-zeta) overflows at z = {z!r}")
         if abs(phase) <= _HALF_PI:
-            return ScorerResult(0j, "integral", _UNDERFLOW_BAR, _AI_RIGHT[0][3], True, 0j)
+            return None
         if modulus == math.inf:
             raise OverflowError(f"Ai: zeta = (2/3) z**1.5 overflows at |z| = {abs(z):.3g}")
     zeta = cmath.rect(modulus, phase)
@@ -371,13 +398,17 @@ def _ai_laguerre(z: complex) -> ScorerResult:
     # the phase passes pi, and the path stays on its side of the singularity.
     rules = _AI_RIGHT if x >= 0.0 else _AI_UPPER if phase > 0.0 else _AI_LOWER
     y = abs(zeta.imag)
-    for reach, c, s, n, nodes, w0, w1 in rules:
+    for reach, c, s, n, nodes, w0, w1, key in rules:
         if modulus + c * x + s * y >= reach:
             break
-    q = 2.0 + nodes / zeta
-    g = np.power(q, -1.0 / 6.0)
-    s0 = complex(g.dot(w0))
-    s1 = complex((g / q).dot(w1))
+    return zeta, modulus, phase, n, nodes, w0, w1, key
+
+
+def _ai_result(z: complex, zeta: complex, modulus: float, phase: float, n: int,
+               s0: complex, s1: complex) -> ScorerResult:
+    """Ai and Ai' at ``z`` from the sums ``s0`` of ``I`` and ``s1`` of
+    ``dI/dzeta`` by its rule of ``n`` nodes (``zeta``, its ``modulus`` and
+    ``phase`` are :func:`_ai_point`'s)."""
     # exp(-zeta) zeta**(-1/6) as one exponential.
     try:
         pref = _LAPLACE_NORM * cmath.exp(
@@ -390,26 +421,82 @@ def _ai_laguerre(z: complex) -> ScorerResult:
     # The rounding of exp(-zeta) dominates: the relative error of zeta
     # becomes an absolute error of the exponent.  The coefficient of |zeta|
     # also covers a rotated argument z e^{+-2 pi i/3}, whose rounding moves
-    # zeta by 1.5 |zeta| times its relative error.
+    # zeta by 1.5 |zeta| times its relative error, and the argument at
+    # Re zeta < 0 of a paired pass, whose q takes its partner's -zeta, within
+    # 1.4e-15 relative of its own.
     err = (_EPS * (6.0 * modulus + 8.0) + _TRUNCATION_BAR) * abs(value)
     if err < _UNDERFLOW_BAR:  # gradual underflow: absolute roundings dominate
         err = _UNDERFLOW_BAR
     return ScorerResult(value, "integral", err, n, True, pref * cmath.sqrt(z) * ds)
 
 
+def _ai_laguerre(
+    z: complex, partner: complex | None = None
+) -> ScorerResult | tuple[ScorerResult, ScorerResult]:
+    """Ai and Ai' at ``z``, and at ``partner`` if given, from the
+    non-oscillating Laplace form, each by a rule sized to its own argument.
+
+    ``Ai(z) = exp(-zeta) zeta**(-1/6) / (sqrt(pi) 48**(1/6) Gamma(5/6)) * I``
+    with ``zeta = (2/3) z**1.5`` and
+    ``I = int_0^inf exp(-t) t**(-1/6) (2 + t/zeta)**(-1/6) dt``; one rule
+    sums ``I`` and, on the same nodes, ``dI/dzeta``.  Valid for
+    ``|ph z| <= 2*pi/3`` and ``|z| > SERIES_RADIUS``, in either half-plane
+    (it is exactly conjugate-symmetric).  The rule is the first row of
+    ``_AI_RIGHT`` (``Re zeta >= 0``) or of ``_AI_UPPER`` or ``_AI_LOWER``
+    (by the sign of ``ph zeta``) whose ``rho**2`` reaches its constant; on
+    ``Re zeta < 0`` its path turns by its angle away from the singularity
+    at ``t = -2 zeta`` (see :func:`_folded`).  ``n_evaluations`` is the
+    rule's node count, and the bar adds ``_TRUNCATION_BAR`` relative.
+
+    A ``partner`` is ``z e^{+-2 pi i/3}`` with ``zeta`` the negative of
+    ``z``'s, both arguments in the sector: one pass then sums both rules on
+    ``_PAIRED``'s tables, with one division by the ``zeta`` of the argument
+    on the side ``Re zeta >= 0``, one power and one product per sum.  The
+    pass does not depend on the order of the arguments, so at conjugate
+    arguments it is the conjugate pass.  Each argument keeps its own rule,
+    prefactor, bar, derivative and count.  Where both arguments lie on the
+    same side of ``Re zeta = 0`` (on the rays ``|ph| = pi/3``, within
+    rounding) or one lies beyond ``_ZETA_CAP``, two one-argument passes
+    serve.  Returns the result at ``z``, or with a ``partner`` the results
+    at ``z`` and at ``partner``.
+    """
+    a = _ai_point(z)
+    if partner is None:
+        if a is None:  # the zero counts the smallest rule, which serves there
+            return ScorerResult(0j, "integral", _UNDERFLOW_BAR, _AI_RIGHT[0][3], True, 0j)
+        zeta, modulus, phase, n, nodes, w0, w1, _ = a
+        q = 2.0 + nodes / zeta
+        g = np.power(q, -1.0 / 6.0)
+        s0 = complex(g.dot(w0))
+        s1 = complex((g / q).dot(w1))
+        return _ai_result(z, zeta, modulus, phase, n, s0, s1)
+    b = _ai_point(partner)
+    if a is None or b is None or (a[0].real >= 0.0) == (b[0].real >= 0.0):
+        return _ai_laguerre(z), _ai_laguerre(partner)
+    first, second = (a, b) if a[0].real >= 0.0 else (b, a)
+    nodes, w0, w1 = _PAIRED[first[7], second[7]]
+    q = 2.0 + nodes / first[0]
+    g = np.power(q, -1.0 / 6.0)
+    s0, s1 = w0.dot(g).tolist(), w1.dot(g / q).tolist()
+    if first is b:
+        s0.reverse()
+        s1.reverse()
+    return (_ai_result(z, *a[:4], s0[0], s1[0]),
+            _ai_result(partner, *b[:4], s0[1], s1[1]))
+
+
 def _ai_rotated_pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
-    """Ai at ``z e^{2 pi i/3}`` and at ``z e^{-2 pi i/3}``, both by the rule,
-    for ``z`` beyond the series disc with both arguments in the principal
-    sector.  On the real axis they are exact conjugates: one rule
+    """Ai at ``z e^{2 pi i/3}`` and at ``z e^{-2 pi i/3}``, by one paired
+    rule pass, for ``z`` beyond the series disc with both arguments in the
+    principal sector.  On the real axis they are exact conjugates: one rule
     evaluation serves both and is counted once."""
+    if z.imag:
+        return _ai_laguerre(z * _ROT_PLUS, z * _ROT_MINUS)
     a_plus = _ai_laguerre(z * _ROT_PLUS)
-    if z.imag == 0.0:
-        a_minus = ScorerResult(
-            a_plus.value.conjugate(), a_plus.method, a_plus.abs_error_estimate,
-            0, a_plus.converged, a_plus.derivative.conjugate(),
-        )
-    else:
-        a_minus = _ai_laguerre(z * _ROT_MINUS)
+    a_minus = ScorerResult(
+        a_plus.value.conjugate(), a_plus.method, a_plus.abs_error_estimate,
+        0, a_plus.converged, a_plus.derivative.conjugate(),
+    )
     return a_plus, a_minus
 
 
@@ -465,8 +552,7 @@ def _bi_info(z: complex) -> ScorerResult:
         i, rot, c1, c5 = 1j, _ROT_MINUS, _ROT1.conjugate(), _ROT5.conjugate()
     else:
         i, rot, c1, c5 = 1j.conjugate(), _ROT_PLUS, _ROT1, _ROT5
-    a = _ai_laguerre(z)
-    a_rot = _ai_laguerre(z * rot)
+    a, a_rot = _ai_laguerre(z, z * rot)
     deriv = i * a.derivative + 2.0 * c5 * a_rot.derivative
     return combine("rotation_pair", [(i, a), (2.0 * c1, a_rot)], deriv)
 

@@ -114,15 +114,16 @@ _SERIES_ROWS = tuple(
 )
 
 
-def _series_scorer(z: complex, c0: float, c1: float, c2: float) -> tuple[complex, float]:
-    """Sum ``w = sum c_k z**k`` where ``(k+2)(k+1) c_{k+2} = c_{k-1}``.
+#: The seeds ``(c0, c1, c2)`` of Gi and Hi in :func:`_series_scorer`.
+_GI_SEEDS = (GI_AT_ZERO, GI_DERIV_AT_ZERO, -0.5 / _PI)
+_HI_SEEDS = (HI_AT_ZERO, HI_DERIV_AT_ZERO, 0.5 / _PI)
 
-    The seeds fix the solution of ``w'' - z w = 2*c2`` with value ``c0`` and
-    slope ``c1`` at the origin; the three residue classes of ``k`` recur
-    independently and are summed in Horner form in ``z**3``.  Returns the
-    sum and a rounding-error estimate, 4 eps times the sum of the term
-    magnitudes (the same sums at ``|z|``).
-    """
+
+def _series_sums(z: complex) -> tuple:
+    """The three residue classes of ``k`` of the series of
+    :func:`_series_scorer`, summed in Horner form in ``z**3``, and the same
+    sums at ``|z|``: ``(z, p, q, t, r, p_abs, q_abs, t_abs)``, ``r = |z|``.
+    The sums do not depend on the seeds, so one pass serves Gi and Hi."""
     z3 = z * z * z
     r = abs(z)
     r3 = r * r * r
@@ -135,9 +136,22 @@ def _series_scorer(z: complex, c0: float, c1: float, c2: float) -> tuple[complex
         p_abs = p_abs * r3 + a
         q_abs = q_abs * r3 + b
         t_abs = t_abs * r3 + c
+    return z, p, q, t, r, p_abs, q_abs, t_abs
+
+
+def _series_scorer(sums: tuple, c0: float, c1: float, c2: float) -> ScorerResult:
+    """Sum ``w = sum c_k z**k`` where ``(k+2)(k+1) c_{k+2} = c_{k-1}`` from
+    :func:`_series_sums`' ``sums`` at ``z``.
+
+    The seeds fix the solution of ``w'' - z w = 2*c2`` with value ``c0`` and
+    slope ``c1`` at the origin; the three residue classes of ``k`` recur
+    independently.  The error bar is 4 eps times the sum of the term
+    magnitudes (the same sums at ``|z|``).
+    """
+    z, p, q, t, r, p_abs, q_abs, t_abs = sums
     total = c0 * p + c1 * (z * q) + c2 * (z * z * t)
     term_abs = abs(c0) * p_abs + abs(c1) * r * q_abs + abs(c2) * r * r * t_abs
-    return total, 4.0 * _EPS * term_abs
+    return ScorerResult(total, "series", 4.0 * _EPS * term_abs, 0)
 
 
 def _check_series_radius(z: complex) -> None:
@@ -150,15 +164,13 @@ def _check_series_radius(z: complex) -> None:
 def gi_series(z: complex) -> ScorerResult:
     """Gi by Maclaurin series; requires ``|z| <= 2.5``."""
     _check_series_radius(z)
-    value, err = _series_scorer(z, GI_AT_ZERO, GI_DERIV_AT_ZERO, -0.5 / _PI)
-    return ScorerResult(value, "series", err, 0)
+    return _series_scorer(_series_sums(z), *_GI_SEEDS)
 
 
 def hi_series(z: complex) -> ScorerResult:
     """Hi by Maclaurin series; requires ``|z| <= 2.5``."""
     _check_series_radius(z)
-    value, err = _series_scorer(z, HI_AT_ZERO, HI_DERIV_AT_ZERO, 0.5 / _PI)
-    return ScorerResult(value, "series", err, 0)
+    return _series_scorer(_series_sums(z), *_HI_SEEDS)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +1023,11 @@ def _single(z: complex, fn: str) -> ScorerResult:
 
 
 def _pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
-    """Gi and Hi at ``z`` (closed upper half-plane), sharing the sector Hi."""
+    """Gi and Hi at ``z`` (closed upper half-plane), sharing the series' sums
+    or the sector Hi."""
+    if abs(z) <= _SERIES_RADIUS:
+        sums = _series_sums(z)
+        return _series_scorer(sums, *_GI_SEEDS), _series_scorer(sums, *_HI_SEEDS)
     g, h = _gated(z, "gi"), _gated(z, "hi")
     if g is not None and h is not None:
         return g, h

@@ -430,7 +430,7 @@ class TestLaguerreRule:
         # Turning the path does not change int_0^inf exp(-t) t**(k - 1/6) dt
         # = Gamma(k + 5/6): the folded weights of I (k = 0) and of dI/dzeta
         # (k = 1) sum to it up to the rule's error on exp(-i s tan).
-        for _, _, _, n, nodes, w0, w1 in getattr(airy, rules):
+        for _, _, _, n, nodes, w0, w1, _ in getattr(airy, rules):
             assert n == nodes.size
             assert complex(w0.sum()) == pytest.approx(math.gamma(5.0 / 6.0), rel=1e-15)
             assert complex(w1.sum()) == pytest.approx(math.gamma(11.0 / 6.0), rel=1e-13)
@@ -438,7 +438,7 @@ class TestLaguerreRule:
     def test_the_lower_tables_are_the_upper_ones_conjugated(self):
         for upper, lower in zip(airy._AI_UPPER, airy._AI_LOWER, strict=True):
             assert upper[:4] == lower[:4]
-            for a, b in zip(upper[4:], lower[4:]):
+            for a, b in zip(upper[4:7], lower[4:7]):
                 assert np.array_equal(a.conjugate(), b)
 
 
@@ -642,6 +642,129 @@ class TestConjugateSymmetry:
             assert below.value == above.value
             assert below.derivative == above.derivative
             assert below.method == above.method
+
+
+def _one_argument_rule(z: complex) -> airy.ScorerResult:
+    """Ai and Ai' at ``z`` by one rule pass on ``z`` alone: the
+    one-argument Laplace sum written out on its own, an independent oracle
+    of the paired pass (``|zeta|`` below ``_ZETA_CAP``)."""
+    phase = 1.5 * math.atan2(z.imag, z.real)
+    modulus = (2.0 / 3.0) * abs(z) ** 1.5
+    zeta = cmath.rect(modulus, phase)
+    x, y = zeta.real, abs(zeta.imag)
+    rules = airy._AI_RIGHT if x >= 0.0 else airy._AI_UPPER if phase > 0.0 else airy._AI_LOWER
+    for reach, c, s, n, nodes, w0, w1, _ in rules:
+        if modulus + c * x + s * y >= reach:
+            break
+    q = 2.0 + nodes / zeta
+    g = np.power(q, -1.0 / 6.0)
+    s0, s1 = complex(g.dot(w0)), complex((g / q).dot(w1))
+    pref = airy._LAPLACE_NORM * cmath.exp(
+        complex(-zeta.real - math.log(modulus) / 6.0, -zeta.imag - phase / 6.0))
+    value = pref * s0
+    ds = s1 / (6.0 * zeta * zeta) - (1.0 + 1.0 / (6.0 * zeta)) * s0
+    err = max((airy._EPS * (6.0 * modulus + 8.0) + airy._TRUNCATION_BAR) * abs(value),
+              airy._UNDERFLOW_BAR)
+    return airy.ScorerResult(value, "integral", err, n, True, pref * cmath.sqrt(z) * ds)
+
+
+def _paired_draws() -> list[complex]:
+    """2000 seeded points with 3.5 < |z| <= 1e4 over every phase, and the
+    edges where a pair's rules or its formula change: within 2e-15 of the
+    rotation edge, within 1e-15 of the pi/3 ray (where Re zeta changes
+    sign), on the rays +-2*pi/3 and next to the negative real axis; each edge
+    on both sides of the real axis."""
+    rng = np.random.default_rng(20261030)
+    draws = [cmath.rect(math.exp(rng.uniform(math.log(3.5), math.log(1e4))),
+                        rng.uniform(-math.pi, math.pi)) for _ in range(2000)]
+    edges = [airy._ROTATION_EDGE + k * 5e-16 for k in range(-4, 5)]
+    edges += [math.pi / 3.0 + k * 2.5e-16 for k in range(-4, 5)]
+    edges += [2.0 * math.pi / 3.0, math.pi - 1e-15, math.pi - 1e-9]
+    for r in (3.5 * (1.0 + 1e-12), 3.6, 5.0, 9.0, 30.0, 200.0, 1e3, 1e4):
+        draws += [cmath.rect(r, sign * phase) for phase in edges for sign in (1.0, -1.0)]
+    return draws
+
+
+class TestPairedRule:
+    """Bi's two formulas and Ai's rotation take both of their Ai values from
+    one rule pass."""
+
+    def test_tables_are_the_two_rules_side_by_side(self):
+        rows = airy._AI_RIGHT + airy._AI_UPPER + airy._AI_LOWER
+        assert [row[7] for row in rows] == list(range(len(rows)))
+        left = airy._AI_UPPER + airy._AI_LOWER
+        assert len(airy._PAIRED) == len(airy._AI_RIGHT) * len(left)
+        for a in airy._AI_RIGHT:
+            for b in left:
+                nodes, w0, w1 = airy._PAIRED[a[7], b[7]]
+                na = a[3]
+                assert np.array_equal(nodes, np.concatenate((a[4], -b[4])))
+                for w, k in ((w0, 5), (w1, 6)):
+                    assert w.shape == (2, na + b[3]) and w.flags.c_contiguous
+                    assert np.array_equal(w[0, :na], a[k]) and not w[0, na:].any()
+                    assert np.array_equal(w[1, na:], b[k]) and not w[1, :na].any()
+
+    def test_paired_pass_matches_two_one_argument_passes(self, monkeypatch):
+        # Every pair the dispatchers form, against the oracle at each of its
+        # two arguments: the same rule, each value within the sum of both
+        # bars and each finite derivative within the same relative bars; a
+        # one-argument pass equals the oracle bit for bit.  Where a pass
+        # overflows, the oracle overflows at one of its arguments.
+        rule = airy._ai_laguerre
+        calls = []
+
+        def recording(z, partner=None):
+            args = (z,) if partner is None else (z, partner)
+            try:
+                out = rule(z, partner)
+            except OverflowError:
+                calls.append((args, None))
+                raise
+            calls.append((args, (out,) if partner is None else out))
+            return out
+
+        monkeypatch.setattr(airy, "_ai_laguerre", recording)
+        for z in _paired_draws():
+            for fn in (ai_complex, bi_complex):
+                try:
+                    fn(z)
+                except OverflowError:
+                    pass
+        pairs = 0
+        for args, results in calls:
+            if results is None:
+                with pytest.raises(OverflowError):
+                    for w in args:
+                        _one_argument_rule(w)
+                continue
+            pairs += len(args) == 2
+            for w, res in zip(args, results, strict=True):
+                ref = _one_argument_rule(w)
+                if len(args) == 1:
+                    assert res == ref
+                    continue
+                assert (res.method, res.n_evaluations, res.converged) == (
+                    "integral", ref.n_evaluations, True)
+                bar = res.abs_error_estimate + ref.abs_error_estimate
+                assert abs(res.value - ref.value) <= bar
+                if ref.value and ref.derivative and cmath.isfinite(ref.derivative):
+                    assert (abs(res.derivative - ref.derivative) / abs(ref.derivative)
+                            <= bar / abs(ref.value))
+        assert pairs > 1500
+
+    def test_conjugate_symmetry_is_exact_on_the_draws(self):
+        # The pass at conj z is the conjugate of the pass at z: it divides by
+        # zeta of the argument with Re zeta >= 0, whichever argument comes
+        # first.  A value that overflows must overflow on both sides.
+        for z in _paired_draws():
+            for fn in (ai_complex, bi_complex):
+                try:
+                    upper = fn(z)
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        fn(z.conjugate())
+                    continue
+                _assert_reflected(upper, fn(z.conjugate()))
 
 
 class TestScipyCrossSweep:

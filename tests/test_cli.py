@@ -204,11 +204,13 @@ class TestEvalCommand:
         assert payload["method"] == "integral"
 
     def test_airy_non_convergence_exits_2(self, monkeypatch, capsys):
-        rule = scorerlib.airy._ai_laguerre
+        # Every Ai route's rule results, of one argument or of a paired pass,
+        # are built by _ai_result.
+        result = scorerlib.airy._ai_result
         monkeypatch.setattr(
             scorerlib.airy,
-            "_ai_laguerre",
-            lambda z: dataclasses.replace(rule(z), converged=False),
+            "_ai_result",
+            lambda *args: dataclasses.replace(result(*args), converged=False),
         )
         assert main(["eval", "--fn", "ai", "--re", "5", "--im", "0"]) == 2
         capsys.readouterr()

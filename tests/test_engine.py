@@ -717,12 +717,13 @@ class TestDispatchBoundaries:
 
 class TestEngineObject:
     @pytest.mark.parametrize("lower", [False, True])
-    @pytest.mark.parametrize("radius", [5.0, 20.0])
+    @pytest.mark.parametrize("radius", [1.0, 2.4, 5.0, 20.0])
     @pytest.mark.parametrize(
         "phase",
         [0.0, 0.05, _PI / 3.0, 2.0 * _PI / 3.0 - 0.05, 2.0 * _PI / 3.0, _PI],
     )
     def test_pair_shares_work_and_matches_singles(self, phase, radius, lower):
+        # Inside the series disc (1.0, 2.4) one Horner pass serves both.
         z = cmath.rect(radius, phase)
         if lower:
             z = z.conjugate()
@@ -731,6 +732,7 @@ class TestEngineObject:
             assert pair_result.value == single.value
             assert pair_result.method == single.method
             assert pair_result.n_evaluations == single.n_evaluations
+            assert pair_result.abs_error_estimate == single.abs_error_estimate
 
     def test_every_route_is_reached(self):
         # 2pi/3 + 0.02 splits Hi's contour at its saddle at |z| = 5 (rho
@@ -764,13 +766,14 @@ class TestEngineObject:
             gi_hi_pair(bad)
 
     def test_airy_non_convergence_is_reported(self, monkeypatch):
-        # Make the Airy rule report non-convergence: every route that adds
-        # an Ai or Bi term from it must report it.
-        rule = scorerlib.airy._ai_laguerre
+        # Make every Airy rule result, of one argument or of a paired pass,
+        # report non-convergence: every route that adds an Ai or Bi term
+        # from the rule must report it.
+        result = scorerlib.airy._ai_result
         monkeypatch.setattr(
             scorerlib.airy,
-            "_ai_laguerre",
-            lambda z: dataclasses.replace(rule(z), converged=False),
+            "_ai_result",
+            lambda *args: dataclasses.replace(result(*args), converged=False),
         )
         assert not ai_complex(5.0).converged
         assert not bi_complex(5.0).converged

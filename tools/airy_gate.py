@@ -22,11 +22,16 @@ A reference is kept only where mpmath at 30 and at 45 digits agree to
   engine's constant beside it;
 * per rule size, how many points the shipped gate serves with it, and the
   worst ratio of Ai's error to its bar and the worst relative error of Ai'
-  there (where 1e-290 < |Ai| < 1e290: the fit covers the rest).
+  there (where 1e-290 < |Ai| < 1e290: the fit covers the rest);
+* the worst ratio of Ai's error to its bar over the same points when each
+  is summed in one paired pass with ``z e^{-2 pi i/3}``
+  (``_ai_laguerre(z e^{-2 pi i/3}, z)``, as Bi's formula below the axis
+  pairs them): where ``Re zeta < 0`` the point is the pass's second
+  argument, whose ``q`` is formed from its partner's negated ``zeta``.
 
 It exits 1 if an engine constant lies below what the data need or if any
-point's Ai error exceeds its bar.  Run from the root of a checkout (needs
-mpmath, which the library does not; about 20 s)::
+point's Ai error exceeds its bar, alone or paired.  Run from the root of a
+checkout (needs mpmath, which the library does not; about 20 s)::
 
     python3 tools/airy_gate.py
 """
@@ -112,7 +117,7 @@ def reference(z: complex) -> tuple | None:
 
 def _errors(zeta: complex, row: tuple, ref: tuple) -> float:
     """The larger relative error of ``I`` and of ``ds`` by ``row``'s rule."""
-    nodes, w0, w1 = row[4:]
+    nodes, w0, w1 = row[4:7]
     q = 2.0 + nodes / zeta
     g = np.power(q, -1.0 / 6.0)
     s0, s1 = complex(g.dot(w0)), complex((g / q).dot(w1))
@@ -125,6 +130,7 @@ def main() -> int:
     grid = points()
     need = {}  # (list name, row index) -> largest rho**2 where the rule misses
     served = {}  # size -> [count, worst bar ratio, worst Ai' error]
+    paired_worst = 0.0  # the worst bar ratio in a paired pass
     dropped = underflow = 0
     for z in grid:
         ref = reference(z)
@@ -143,6 +149,8 @@ def main() -> int:
             continue
         result = airy._ai_laguerre(z)
         ratio = abs(result.value - ref[0]) / result.abs_error_estimate
+        _, paired = airy._ai_laguerre(z * airy._ROT_MINUS, z)
+        paired_worst = max(paired_worst, abs(paired.value - ref[0]) / paired.abs_error_estimate)
         deriv = abs(result.derivative - ref[1]) / abs(ref[1])
         entry = served.setdefault(result.n_evaluations, [0, 0.0, 0.0])
         entry[0] += 1
@@ -164,6 +172,8 @@ def main() -> int:
         print(f"{n:2d} nodes serve {count} points: worst Ai error {ratio:.3f} of its bar, "
               f"worst relative Ai' error {deriv:.2g}")
         failed = failed or ratio > 1.0
+    print(f"in a paired pass with z e^(-2 pi i/3): worst Ai error {paired_worst:.3f} of its bar")
+    failed = failed or paired_worst > 1.0
     print("FAIL" if failed else "PASS")
     return 1 if failed else 0
 
