@@ -11,7 +11,11 @@ Subcommands
     against the stored 8-digit reference values, plus the large-argument
     expansion column for the two outer radii.
 ``arc``
-    Sample a function along a circular arc and emit a CSV table.
+    Sample a function along a circular arc and emit a CSV table.  A Gi or
+    Hi sweep routes each conjugate pair of its samples once: a sample whose
+    point is the exact conjugate of an earlier one's, or repeats it, is
+    folded from that result (over -pi..pi in 9 samples, 5 of the 9 points
+    are routed).  The output is that of one evaluation per sample.
 ``selftest``
     Run the library's invariant battery and report per-property pass/fail.
 ``bench``
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -331,10 +336,18 @@ def _cmd_arc(args: argparse.Namespace) -> int:
     lines = ["phase,re_value,im_value"]
     all_converged = True
     step = (args.stop - args.start) / (args.samples - 1)
-    for k in range(args.samples):
-        phase = args.stop if k == args.samples - 1 else args.start + k * step
-        z = _z_from_polar(args.radius, phase)
-        result = _evaluate(args.fn, z)
+    phases, sampled = itertools.tee(
+        args.stop if k == args.samples - 1 else args.start + k * step
+        for k in range(args.samples)
+    )
+    points = (_z_from_polar(args.radius, phase) for phase in sampled)
+    # Gi and Hi route each conjugate pair of the sweep once; Ai and Bi are
+    # conjugate-symmetric by construction and have no fold to share.
+    if args.fn in ("gi", "hi"):
+        results = _engine._sweep(points, args.fn)
+    else:
+        results = (_evaluate(args.fn, z) for z in points)
+    for phase, result in zip(phases, results):
         all_converged = all_converged and result.converged
         lines.append(
             f"{phase:.15e},{result.value.real:.15e},{result.value.imag:.15e}"

@@ -44,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -1055,11 +1056,12 @@ def _settled(z: complex, r: ScorerResult) -> ScorerResult:
 def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
     """``fn`` ("gi", "hi", or "pair" for both) at any finite ``z``.
 
-    The package's one fold of the lower half-plane, by :func:`_settled`
-    (Ai and Bi are symmetric by construction; the only other conjugated
-    result is ``airy._ai_rotated_pair``'s on the real axis, which shares
-    one rule evaluation): the router sees the closed upper half-plane
-    only, so below it ``fn`` is evaluated at ``conj z`` and each result is
+    The package's one fold of the lower half-plane is :func:`_settled`,
+    called here and by :func:`_sweep` (Ai and Bi are symmetric by
+    construction; the only other conjugated result is
+    ``airy._ai_rotated_pair``'s on the real axis, which shares one rule
+    evaluation): the router sees the closed upper half-plane only, so
+    below it ``fn`` is evaluated at ``conj z`` and each result is
     conjugated back and tagged ``conjugate``; ``abs`` also folds
     a negative-zero imaginary part, which would put the negative real axis
     at phase ``-pi``.  On the real axis, where Gi and Hi are real, a value
@@ -1071,6 +1073,31 @@ def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
         g, h = _pair(up)
         return _settled(z, g), _settled(z, h)
     return (_settled(z, _single(up, fn)),)
+
+
+def _sweep(points: Iterable[complex], fn: str) -> Iterator[ScorerResult]:
+    """Yield ``fn`` ("gi" or "hi") at each point of the iterable ``points``
+    in turn, each result equal to :func:`_evaluate`'s, routing each
+    distinct upper-half-plane point once: a point whose
+    ``complex(z.real, abs(z.imag))`` an earlier point already routed (its
+    conjugate, or the point again) is folded by :func:`_settled` from that
+    earlier :func:`_single` result.
+
+    The memo keys on the sign of the real part as well, because ``0.0``
+    and ``-0.0`` are equal as dict keys; the imaginary part, from ``abs``,
+    is never ``-0.0``.  So it never merges two points that the router sees
+    as different numbers.  It holds one result per distinct point until the
+    sweep ends; the points are read one at a time, as results are taken.
+    """
+    routed = {}
+    for z in points:
+        z = _contour.require_finite(z)
+        up = complex(z.real, abs(z.imag))
+        key = (up, math.copysign(1.0, up.real))
+        r = routed.get(key)
+        if r is None:
+            r = routed[key] = _single(up, fn)
+        yield _settled(z, r)
 
 
 def gi(z: complex) -> ScorerResult:

@@ -6,11 +6,14 @@ import cmath
 import dataclasses
 import json
 import math
+import random
 import re
 
 import pytest
 
 import scorerlib.airy
+import scorerlib.cli
+import scorerlib.engine
 from scorerlib.cli import (
     _build_parser,
     _hi_by_quadrature,
@@ -405,6 +408,96 @@ class TestArcCommand:
                    "--out", str(target)])
         assert rc == 1
         capsys.readouterr()
+
+
+def _arc_oracle(fn: str, radius: float, start: float, stop: float, samples: int) -> str:
+    """The ``arc`` CSV with each sample evaluated on its own."""
+    evaluate = {"gi": gi, "hi": hi, "ai": scorerlib.airy._ai_info,
+                "bi": scorerlib.airy._bi_info}[fn]
+    step = (stop - start) / (samples - 1)
+    lines = ["phase,re_value,im_value"]
+    for k in range(samples):
+        phase = stop if k == samples - 1 else start + k * step
+        value = evaluate(_z_from_polar(radius, phase)).value
+        lines.append(f"{phase:.15e},{value.real:.15e},{value.imag:.15e}")
+    return "\n".join(lines) + "\n"
+
+
+def _arc_radii(n: int) -> list[float]:
+    """Seeded radii, one log-uniform in each of ``n`` equal cells of
+    0.3 <= r <= 60: the series disc, the rotations, the descent rules and
+    the large-argument expansion."""
+    rng = random.Random(31)
+    low, high = math.log10(0.3), math.log10(60.0)
+    return [10.0 ** (low + (k + rng.random()) * (high - low) / n) for k in range(n)]
+
+
+class TestArcSweep:
+    @pytest.mark.parametrize("fn", ["gi", "hi", "ai", "bi"])
+    @pytest.mark.parametrize("start,stop", [("-pi", "pi"), ("-2pi/3", "2pi/3"),
+                                            ("0", "pi"), ("pi", "-pi")])
+    def test_csv_matches_one_evaluation_per_sample(self, fn, start, stop, tmp_path):
+        out = tmp_path / "arc.csv"
+        for radius in _arc_radii(8):
+            for samples in (9, 12, 13):
+                rc = main(["arc", "--fn", fn, f"--radius={radius!r}", f"--start={start}",
+                           f"--stop={stop}", f"--samples={samples}", "--out", str(out)])
+                assert rc == 0
+                want = _arc_oracle(fn, radius, parse_phase(start), parse_phase(stop), samples)
+                assert out.read_bytes() == want.encode(), (radius, samples)
+
+    @staticmethod
+    def _routed(monkeypatch) -> list[complex]:
+        """The points the router is asked for, outside its own nested calls."""
+        single = scorerlib.engine._single
+        routed, depth = [], [0]
+
+        def counted(z, fn):
+            if not depth[0]:
+                routed.append(z)
+            depth[0] += 1
+            try:
+                return single(z, fn)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(scorerlib.engine, "_single", counted)
+        return routed
+
+    @pytest.mark.parametrize("fn", ["gi", "hi"])
+    @pytest.mark.parametrize("radius", ["1", "7", "30"])
+    @pytest.mark.parametrize("start,stop,calls", [("-pi", "pi", 5), ("0", "pi", 9)])
+    def test_routes_each_conjugate_pair_once(self, monkeypatch, capsys, fn, radius,
+                                             start, stop, calls):
+        routed = self._routed(monkeypatch)
+        rc = main(["arc", "--fn", fn, "--radius", radius, "--start", start, "--stop", stop,
+                   "--samples", "9"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
+        assert len(routed) == calls
+
+    def test_makes_each_point_as_it_evaluates_it(self, monkeypatch, capsys):
+        routed = self._routed(monkeypatch)
+        polar = scorerlib.cli._z_from_polar
+        made, made_before_routing = [], []
+
+        def counted(radius, phase):
+            if not routed:
+                made_before_routing.append(phase)
+            made.append(phase)
+            return polar(radius, phase)
+
+        monkeypatch.setattr(scorerlib.cli, "_z_from_polar", counted)
+        assert main(["arc", "--fn", "gi", "--radius", "4", "--samples", "9"]) == 0
+        capsys.readouterr()
+        assert (len(made_before_routing), len(made), len(routed)) == (1, 9, 9)
+
+    @pytest.mark.parametrize("fn", ["gi", "hi", "ai", "bi"])
+    def test_a_non_finite_point_writes_nothing(self, fn, tmp_path, capsys):
+        out = tmp_path / "arc.csv"
+        assert main(["arc", "--fn", fn, "--radius", "inf", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "scorerlib: evaluation requires finite z\n"
+        assert not out.exists()
 
 
 class TestGoldenTableCommand:

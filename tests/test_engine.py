@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +44,7 @@ from scorerlib.engine import (
     _saddle_distance,
     _saddle_height,
     _saddle_sum,
+    _sweep,
 )
 
 _PI = math.pi
@@ -636,6 +638,66 @@ class TestConjugateSymmetry:
             z = complex(x, 0.0)
             for res in (gi(z), hi(z), *gi_hi_pair(z)):
                 assert res.value.imag == 0.0
+
+
+def _sweep_points() -> list[complex]:
+    """Seeded points in both half-planes with their conjugates, repeats and
+    the real axis, signed zeros included."""
+    rng = np.random.default_rng(31)
+    points = []
+    for _ in range(60):
+        z = cmath.rect(10.0 ** rng.uniform(math.log10(0.3), math.log10(60.0)),
+                       rng.uniform(-_PI, _PI))
+        points += [z, z.conjugate()] if rng.uniform() < 0.5 else [z]
+    for x in (-20.0, -3.0, 0.0, 1.5, 7.0, 16.0):
+        points += [complex(x, 0.0), complex(x, -0.0)]
+    points += [complex(-0.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 3.0),
+               complex(0.0, -3.0), complex(-0.0, -3.0)]
+    points += points[:25]
+    rng.shuffle(points)
+    return points
+
+
+class TestSweep:
+    @pytest.mark.parametrize("fn,single", [("gi", gi), ("hi", hi)])
+    def test_each_result_is_the_single_call(self, fn, single):
+        points = _sweep_points()
+        swept = list(_sweep(points, fn))
+        assert len(swept) == len(points)
+        for z, got in zip(points, swept):
+            want = single(z)
+            assert got.value.real == want.value.real, z
+            assert got.value.imag == want.value.imag, z
+            assert (got.method, got.abs_error_estimate, got.n_evaluations, got.converged) == (
+                want.method, want.abs_error_estimate, want.n_evaluations, want.converged), z
+
+    def test_routes_each_upper_half_plane_point_once(self, monkeypatch):
+        single = scorerlib.engine._single
+        routed = []
+
+        def counted(z, fn):
+            routed.append(z)
+            return single(z, fn)
+
+        monkeypatch.setattr(scorerlib.engine, "_single", counted)
+        points = [1 + 1j, 1 - 1j, 1 + 1j, complex(-2.0, 0.0), complex(-2.0, -0.0),
+                  complex(0.0, 2.0), complex(-0.0, 2.0), complex(-0.0, -2.0)]
+        list(_sweep(points, "hi"))
+        # 0.0 and -0.0 are equal dict keys, but the memo keeps them apart.
+        assert routed == [1 + 1j, -2 + 0j, 2j, complex(-0.0, 2.0)]
+        assert [math.copysign(1.0, z.real) for z in routed[2:]] == [1.0, -1.0]
+
+    def test_reads_points_as_results_are_taken(self):
+        def points():
+            yield from (2 + 1j, 2 - 1j, -5 + 0j)
+            raise AssertionError("a point was read before its result was taken")
+
+        taken = list(itertools.islice(_sweep(points(), "gi"), 3))
+        assert taken[1].method == "conjugate"
+
+    def test_a_non_finite_point_raises(self):
+        with pytest.raises(DomainError):
+            list(_sweep([1 + 1j, complex(math.inf, 0.0)], "gi"))
 
 
 class TestUpperHalfPlaneContract:

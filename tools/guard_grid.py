@@ -49,7 +49,9 @@ whose value moved, ``bar`` and ``bar'`` the two sides'
 sum of both bars.
 
 ``--against`` then runs each command of ``CLI_COMMANDS`` (``scorerlib
-eval`` in its three formats, ``arc`` to stdout, ``table41``, ``selftest``,
+eval`` in its three formats, ``arc`` to stdout over 0..pi and over three
+sweeps symmetric about the real axis, where Gi and Hi fold each exact
+conjugate pair of samples from one routed result, ``table41``, ``selftest``,
 ``bench`` on its default grid and on ``--phases 0.4pi,0.6pi,pi``, and an
 infinite ``eval`` radius, a NaN ``bench`` radius, a NaN ``bench`` phase and
 an infinite ``eval`` phase, all rejected) in
@@ -117,6 +119,10 @@ CLI_COMMANDS = (
     ("eval", "--fn", "hi", "--r", "3", "--phase", "5pi/6", "--format", "csv"),
     ("eval", "--fn", "ai", "--re", "5", "--im", "-1", "--format", "json"),
     ("arc", "--fn", "hi", "--radius", "4", "--samples", "13"),
+    ("arc", "--fn", "gi", "--radius", "7", "--start", "-pi", "--stop", "pi", "--samples", "9"),
+    ("arc", "--fn", "hi", "--radius", "3", "--start", "-pi", "--stop", "pi", "--samples", "13"),
+    ("arc", "--fn", "ai", "--radius", "5", "--start", "-2pi/3", "--stop", "2pi/3",
+     "--samples", "11"),
     ("table41",),
     ("selftest",),
     ("bench",),
