@@ -7,9 +7,9 @@ series near the origin, non-oscillating descent-contour quadrature in the
 middle range, rotation connections between sectors, and large-argument
 expansions once they are certifiably accurate.
 
-The top level is the evaluator.  The paper's integral representations,
-series and expansions, which cross-check it, are public in
-``scorerlib.engine``; the adaptive integrator is in ``scorerlib.quadrature``.
+The top level is the evaluator.  ``scorerlib.integrals`` holds the paper's
+adaptive representations that cross-check it, ``scorerlib.engine`` the series
+and expansions, and ``scorerlib.quadrature`` the adaptive integrator.
 
 >>> from scorerlib import gi, hi
 >>> hi(-1.0).value.real

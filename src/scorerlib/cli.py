@@ -41,6 +41,7 @@ import numpy as np
 
 from . import airy as _airy
 from . import engine as _engine
+from . import integrals as _integrals
 from .contour import RAY_TOL, DomainError
 from .quadrature import NonFiniteIntegrandError, integrate_piecewise, integrate_semi_infinite
 
@@ -280,7 +281,7 @@ def _golden_rows(asymptotic: bool):
         table, slack = _ASYMPTOTIC_REFERENCE, 1.0
         evaluate = functools.partial(_engine.hi_asymptotic, n_terms=3)
     else:
-        table, slack, evaluate = _QUADRATURE_REFERENCE, 0.5, _engine.hi_integral_principal
+        table, slack, evaluate = _QUADRATURE_REFERENCE, 0.5, _integrals.hi_integral_principal
     for (radius, label), (ref_re, ref_im) in table.items():
         result = evaluate(_z_from_polar(radius, parse_phase(label)))
         checks = [("Re", result.value.real, ref_re)]
@@ -413,11 +414,11 @@ def _selftest_checks() -> list[tuple[str, str]]:
                 g, h = (r.value for r in _engine.gi_hi_pair(z))
                 if radius > 2.0:
                     if k == 0:
-                        g = _engine.gi_real_positive(radius).value
+                        g = _integrals.gi_real_positive(radius).value
                     elif k < 8:
-                        g = _engine.gi_integral(z).value
+                        g = _integrals.gi_integral(z).value
                     else:
-                        h = _engine.hi_integral_principal(z).value
+                        h = _integrals.hi_integral_principal(z).value
                 b = _airy.bi_complex(z).value
                 scale = max(abs(g), abs(h), abs(b))
                 worst = max(worst, abs(g + h - b) / scale)
@@ -433,7 +434,7 @@ def _selftest_checks() -> list[tuple[str, str]]:
             for frac in (0.35, 0.45, 0.55, 0.62):
                 z = _z_from_polar(radius, frac * math.pi)
                 lhs = _engine.hi(z).value
-                rhs = _engine.hi_integral_upper(z).value
+                rhs = _integrals.hi_integral_upper(z).value
                 worst = max(worst, abs(lhs - rhs) / abs(lhs))
         return "" if worst <= 1e-9 else f"connection residual {worst:.2e}"
 
@@ -446,10 +447,10 @@ def _selftest_checks() -> list[tuple[str, str]]:
             for frac in (0.08, 0.2, 0.3):
                 z = _z_from_polar(radius, frac * math.pi)
                 a = _engine.gi(z).value
-                b = _engine.gi_integral(z).value
+                b = _integrals.gi_integral(z).value
                 worst = max(worst, abs(a - b) / abs(b))
             on_axis = _engine.gi(complex(radius, 0.0)).value
-            direct = _engine.gi_real_positive(radius).value
+            direct = _integrals.gi_real_positive(radius).value
             worst = max(worst, abs(on_axis - direct) / abs(direct))
         return "" if worst <= 1e-9 else f"rotation residual {worst:.2e}"
 
@@ -461,17 +462,17 @@ def _selftest_checks() -> list[tuple[str, str]]:
 
     def check_cross_routes() -> str:
         z = _z_from_polar(10.0, parse_phase("5pi/6"))
-        a = _engine.hi_integral_principal(z).value
-        b = _engine.hi_integral_v_form(z).value
+        a = _integrals.hi_integral_principal(z).value
+        b = _integrals.hi_integral_v_form(z).value
         if abs(a - b) > 1e-9 * abs(a):
             return f"u-form vs v-form disagree: {abs(a - b) / abs(a):.2e}"
         z = complex(0.0, 2.0)
-        a = _engine.hi_integral_upper(z).value
+        a = _integrals.hi_integral_upper(z).value
         b = _engine.hi(z).value
         if abs(a - b) > 1e-9 * abs(a):
             return f"valley vs routed hi disagree: {abs(a - b) / abs(a):.2e}"
         z = complex(1.0, 0.2)
-        a = _engine.gi_integral(z).value
+        a = _integrals.gi_integral(z).value
         b = _engine.gi(z).value
         if abs(a - b) > 1e-9 * abs(a):
             return f"contour vs routed gi disagree: {abs(a - b) / abs(a):.2e}"
@@ -541,8 +542,8 @@ def _hi_by_quadrature(z: complex) -> _engine.ScorerResult:
     if ph < math.pi / 3.0:
         return _engine.hi(z)
     if ph < 2.0 * math.pi / 3.0 - RAY_TOL:
-        return _engine.hi_integral_upper(z)
-    return _engine.hi_integral_principal(z)
+        return _integrals.hi_integral_upper(z)
+    return _integrals.hi_integral_principal(z)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -49,9 +49,12 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import airy as _airy
-from . import contour as _contour
-from .contour import RAY_TOL, ScorerResult, combine
-from .quadrature import integrate_piecewise
+from . import integrals as _integrals
+from .contour import RAY_TOL, DomainError, ScorerResult, combine, require_finite
+
+# Not used here: the name stays because perfbench's tracer and ``micro()``
+# patch ``engine.integrate_piecewise`` and stop when it is missing.
+from .quadrature import integrate_piecewise  # noqa: F401
 
 __all__ = [
     "GI_AT_ZERO",
@@ -62,14 +65,9 @@ __all__ = [
     "gi",
     "gi_asymptotic",
     "gi_hi_pair",
-    "gi_integral",
-    "gi_real_positive",
     "gi_series",
     "hi",
     "hi_asymptotic",
-    "hi_integral_principal",
-    "hi_integral_upper",
-    "hi_integral_v_form",
     "hi_series",
 ]
 
@@ -81,7 +79,6 @@ _ROT_UP = cmath.exp(2j * _PI / 3)
 _ROT_DOWN = cmath.exp(-2j * _PI / 3)
 #: The Airy coefficient 2 e^{-i pi/6} of the Hi rotation connection.
 _TWO_ROT_SIXTH = 2.0 * cmath.exp(-1j * _PI / 6.0)
-_EXP_CLIP = 745.0
 
 # Values at the origin: Gi(0) = Bi(0)/3 = 1/(3**(7/6) Gamma(2/3)),
 # Gi'(0) = Bi'(0)/3 = 1/(3**(5/6) Gamma(1/3)), and Hi takes twice each.
@@ -156,10 +153,8 @@ def _series_scorer(sums: tuple, c0: float, c1: float, c2: float) -> ScorerResult
 
 
 def _check_series_radius(z: complex) -> None:
-    if abs(z) > _SERIES_RADIUS:
-        raise _contour.DomainError(
-            f"series requires |z| <= {_SERIES_RADIUS} (cancellation beyond)"
-        )
+    if not abs(z) <= _SERIES_RADIUS:  # a NaN |z| fails too
+        raise DomainError(f"series requires finite |z| <= {_SERIES_RADIUS} (cancellation beyond)")
 
 
 def gi_series(z: complex) -> ScorerResult:
@@ -200,6 +195,9 @@ def _neglected_exponential(r: float, theta: float, kind: str) -> float:
 
 
 def _asymptotic_core(z: complex, kind: str, n_terms: int | None) -> ScorerResult:
+    r = abs(z)
+    if not 0.0 < r < math.inf:
+        raise DomainError("large-argument expansion requires finite nonzero z")
     # 1/z cubed underflows harmlessly where z cubed would overflow.
     w = 1.0 / z
     inv3 = w * w * w
@@ -226,7 +224,7 @@ def _asymptotic_core(z: complex, kind: str, n_terms: int | None) -> ScorerResult
     rel_trunc = min(smallest, coeff * abs(power))
     # Twice the calibrated neglected part and 8 eps of rounding leave the
     # bar a margin on the Stokes ray, where the switched-on term is largest.
-    neglected = _neglected_exponential(abs(z), abs(cmath.phase(z)), kind)
+    neglected = _neglected_exponential(r, abs(cmath.phase(z)), kind)
     err = abs(value) * (rel_trunc + 8.0 * _EPS + 2.0 * neglected)
     return ScorerResult(value, "asymptotic", err, 0)
 
@@ -265,194 +263,6 @@ def _asymptotic_eligible(z: complex, kind: str) -> bool:
     if (theta < _PI / 3.0) if kind == "hi" else (theta > _PI / 3.0):
         return False
     return _neglected_exponential(r, theta, kind) <= 0.1 * _TARGET_REL_ACCURACY
-
-
-# ---------------------------------------------------------------------------
-# Contour-integral representations
-
-
-def _masked_exp(decay: np.ndarray, factor: np.ndarray | complex) -> np.ndarray:
-    """``exp(-decay) * factor`` with overflowed lanes forced to zero.
-
-    Lanes where ``decay`` exceeds the double-precision exponent range would
-    evaluate ``0 * factor``; the product skips them, so that spurious
-    infinities or NaNs in ``factor`` there neither contaminate the panel
-    nor raise floating-point warnings.  A NaN ``decay`` stays NaN.
-    """
-    out = np.zeros(np.shape(decay), dtype=complex)
-    kept = ~(decay > _EXP_CLIP)
-    np.multiply(np.exp(-np.minimum(decay, _EXP_CLIP)), factor, out=out, where=kept)
-    return out
-
-
-def hi_integral_principal(z: complex) -> ScorerResult:
-    """Hi by quadrature of the growing kernel on its descent contour.
-
-    Valid for ``phase(z)`` in ``[2*pi/3, pi]``; like every integral
-    representation here it takes ``z`` in the closed upper half-plane only
-    and raises :class:`~scorerlib.contour.DomainError` below it (``gi`` and
-    ``hi`` serve the lower half-plane by conjugation).  Within
-    :data:`~scorerlib.contour.RAY_TOL` of the ray at ``2*pi/3`` the contour
-    is the ray's: a straight run into the saddle followed by a hyperbolic
-    branch; elsewhere, the negative real axis included, a single smooth
-    level line through the origin.
-    """
-    x, y = z.real, z.imag
-    ph = math.atan2(y, x)
-    if ph < _TWO_THIRDS_PI - RAY_TOL or z == 0:
-        raise _contour.DomainError(
-            "hi_integral_principal requires the phase of z in [2*pi/3, pi]"
-        )
-
-    if ph <= _TWO_THIRDS_PI + RAY_TOL:
-        # The ray's contour at the same x serves z = x + i (y_ray + shift),
-        # y_ray = -sqrt(3) x: the true y enters the decay, and the phase
-        # exp(i shift u), which the ray's level line does not cancel, enters
-        # the Jacobian.
-        shift = y + math.sqrt(3.0) * x
-        # In w = u / (2 u0) the slope corner at the saddle u0 sits at s = 1/3
-        # of the mapped variable s = w / (1 + w), and bisection keeps it at
-        # 1/3 or 2/3 of its panel, where the Gauss and Kronrod rules both see
-        # the jump; no split at the corner, so the ray stays the costliest
-        # direction.
-        scale = 2.0 * math.sqrt(-x / 2.0)
-
-        def f(w: np.ndarray) -> np.ndarray:
-            u = scale * w
-            v, dv = _contour.stokes_path(u, x)
-            dt_dw = scale * (1.0 + 1j * dv) * np.exp(1j * shift * u)
-            return _masked_exp(_contour.hi_decay(u, v, x, y), dt_dw)
-
-    else:
-
-        def f(u: np.ndarray) -> np.ndarray:
-            v = _contour.hi_path_v_of_u(u, x, y)
-            h = _contour.hi_jacobian_u(u, v, x, y)
-            return _masked_exp(_contour.hi_decay(u, v, x, y), h)
-
-    qr = integrate_piecewise([(f, 0.0, math.inf)])
-    return combine("hi_path_u", [(1.0 / _PI, qr)])
-
-
-def hi_integral_v_form(z: complex) -> ScorerResult:
-    """Hi by the height-parameterized form of the descent contour.
-
-    The contour is written as two ``u(v)`` branches meeting at the fold
-    point; the substitution ``v = v1 - w**2`` removes the inverse
-    square-root behavior of the Jacobian at the fold.  Valid for ``z`` in
-    the upper half-plane strictly between the ray at ``2*pi/3`` and the
-    negative real axis; primarily an independent cross-check of
-    :func:`hi_integral_principal`.
-    """
-    x, y = z.real, z.imag
-    v1, _ = _contour.hi_branch_point(x, y)
-
-    def make(branch: str):
-        # The near branch runs away from the fold as w grows, the far branch
-        # is traversed toward it; orientation gives the far piece a minus.
-        out_sign = 2.0 if branch == "near" else -2.0
-
-        def f(w: np.ndarray) -> np.ndarray:
-            v = v1 - w * w
-            u, h = _contour.hi_path_u_of_v(v, x, y, branch)
-            return _masked_exp(_contour.hi_decay(u, v, x, y), out_sign * w * h)
-
-        return f
-
-    w_max = math.sqrt(v1)
-    qr = integrate_piecewise([(make("near"), 0.0, w_max), (make("far"), 0.0, w_max)])
-    return combine("hi_path_v", [(1.0 / _PI, qr)])
-
-
-def _gi_integrand(x: float, y: float):
-    """The oscillatory kernel on its descent contour ``v = v_Gi(u)`` at
-    ``z = x + iy``: ``exp(-gi_decay) dt/du``.
-
-    Turned by ``i`` the same contour is the growing kernel's left-valley
-    contour: with ``u_Hi(v) = -v_Gi(v)`` the two exponents agree and
-    ``dt_Hi/dv = i dt_Gi/du``, so this integrand times ``i`` is the Hi
-    integrand in the height ``v``.
-    """
-
-    def f(u: np.ndarray) -> np.ndarray:
-        v = _contour.gi_path_v_of_u(u, x, y)
-        g = _contour.gi_jacobian_u(u, v, x, y)
-        return _masked_exp(_contour.gi_decay(u, v, x, y), g)
-
-    return f
-
-
-def hi_integral_upper(z: complex) -> ScorerResult:
-    """Hi by the left-valley contour plus one recessive Airy term.
-
-    For ``phase(z)`` in ``[pi/3, 2*pi/3]`` (upper half-plane only) the
-    descent contour from the origin drains into the left valley; the
-    missing saddle contribution is exactly twice a rotated (recessive) Ai
-    value.  The contour is :func:`gi_integral`'s, turned by ``i``.  An
-    integrable Jacobian kink at the height of the fold is handled by
-    splitting the range there.  The router never takes it: it is the
-    independent check of the routed Hi on this sector, which takes the
-    rotation connection of :func:`_hi_from_rotated`, and the contour that
-    the CLI's quadrature benchmark measures on this sector.
-    """
-    x, y = z.real, z.imag
-    ph = math.atan2(y, x)
-    if ph < _PI / 3.0 or ph > _TWO_THIRDS_PI + RAY_TOL:
-        raise _contour.DomainError(
-            "hi_integral_upper requires phase(z) between pi/3 and 2*pi/3"
-        )
-    f = _gi_integrand(x, y)
-    if x < 0.0:
-        v_star = math.sqrt(-1.5 * x)
-        pieces = [(f, 0.0, v_star), (f, v_star, math.inf)]
-    else:
-        pieces = [(f, 0.0, math.inf)]
-    ai = _airy._ai_info(z * _ROT_DOWN)
-    return combine(
-        "hi_path_upper", [(1j / _PI, integrate_piecewise(pieces)), (_TWO_ROT_SIXTH, ai)]
-    )
-
-
-def gi_integral(z: complex) -> ScorerResult:
-    """Gi by quadrature of the oscillatory kernel on its descent contour,
-    plus ``i Ai(z)``.
-
-    Valid for ``0 < phase(z) <= 2*pi/3`` (upper half-plane only); the cost
-    grows as the phase approaches 0 or ``2*pi/3``, where the contour runs
-    close to its saddle, and within a few :data:`~scorerlib.contour.RAY_TOL`
-    below ``2*pi/3`` (2e-12 for ``|z| <= 3.3``) the quadrature does not
-    converge.  The router rotates Hi onto ``[2*pi/3, pi]`` instead.
-    """
-    x, y = z.real, z.imag
-    if y == 0.0:
-        raise _contour.DomainError(
-            "gi_integral requires z off the real axis; use gi_real_positive"
-        )
-    qr = integrate_piecewise([(_gi_integrand(x, y), 0.0, math.inf)])
-    return combine("gi_path_u", [(-1j / _PI, qr), (1j, _airy._ai_info(z))])
-
-
-def gi_real_positive(x: float) -> ScorerResult:
-    """Gi on the nonnegative real axis by two monotone real integrals.
-
-    The oscillatory kernel's contour runs straight up to height ``sqrt(x)``
-    and then along a descending ridge; both legs reduce to real integrands
-    with no oscillation.  The router rotates Hi onto the Stokes ray instead
-    (:func:`_gi_from_rotated`); this independent representation is the
-    oracle that ``selftest`` checks the rotations against on the axis.
-    """
-    if x < 0.0:
-        raise _contour.DomainError("gi_real_positive requires x >= 0")
-    sx = math.sqrt(x)
-
-    def f_rise(v: np.ndarray) -> np.ndarray:
-        return np.exp(-x * v + v**3 / 3.0) + 0.0j
-
-    def f_ridge(v: np.ndarray) -> np.ndarray:
-        return _masked_exp((8.0 / 3.0) * v**3 - 2.0 * x * v, 1.0 + 0.0j)
-
-    qr = integrate_piecewise([(f_rise, 0.0, sx), (f_ridge, sx, math.inf)])
-    return combine("gi_real_axis", [(1.0 / _PI, qr)])
 
 
 # ---------------------------------------------------------------------------
@@ -702,16 +512,6 @@ def _saddle_geometry(z: complex) -> tuple[float, float, float]:
     return r, rho, (2.0 / 3.0) * r * math.sqrt(r) * abs(math.cos(1.5 * theta))
 
 
-def _saddle_distance(z: complex) -> float:
-    """``rho`` of :func:`_saddle_geometry`."""
-    return _saddle_geometry(z)[1]
-
-
-def _saddle_height(z: complex) -> float:
-    """``Re sigma*`` of :func:`_saddle_geometry`."""
-    return _saddle_geometry(z)[2]
-
-
 def _laplace_rung(z: complex) -> tuple[_Rung, float] | None:
     """The smallest rung whose truncation bar ``exp(-exponent)``, with
     ``exponent = decay rho + 0.8 Re sigma*``, meets ``exp(-_LAPLACE_REACH)``
@@ -942,11 +742,11 @@ def _saddle_sum(z: complex) -> ScorerResult | None:
 
 
 def _hi_contour(z: complex) -> ScorerResult:
-    """Hi on the descent contour of :func:`hi_integral_principal`,
+    """Hi on the descent contour of ``integrals.hi_integral_principal``,
     ``Hi(z) = S(z) / pi``: by the Laplace rule (``hi_laplace``) where
     :func:`_laplace_rung` finds a rung; elsewhere, next to the Stokes ray,
     split at the saddle (``hi_saddle``, :func:`_saddle_sum`, 96
-    evaluations) up to ``|z| = _SADDLE_MAX_RADIUS``; and by adaptive
+    evaluations) up to ``|z| = _SADDLE_MAX_RADIUS``; and by that adaptive
     quadrature where neither serves (or a root of the split misses its
     cubic)."""
     chosen = _laplace_rung(z)
@@ -954,7 +754,7 @@ def _hi_contour(z: complex) -> ScorerResult:
         return combine("hi_laplace", [(1.0 / _PI, _laplace_sum(z, *chosen))])
     split = _saddle_sum(z) if abs(z) <= _SADDLE_MAX_RADIUS else None
     if split is None:
-        return hi_integral_principal(z)
+        return _integrals.hi_integral_principal(z)
     return combine("hi_saddle", [(1.0 / _PI, split)])
 
 
@@ -1067,7 +867,7 @@ def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
     at phase ``-pi``.  On the real axis, where Gi and Hi are real, a value
     keeps its real part only: a rotation leaves a residue of rounding.
     """
-    z = _contour.require_finite(z)
+    z = require_finite(z)
     up = complex(z.real, abs(z.imag))
     if fn == "pair":
         g, h = _pair(up)
@@ -1091,7 +891,7 @@ def _sweep(points: Iterable[complex], fn: str) -> Iterator[ScorerResult]:
     """
     routed = {}
     for z in points:
-        z = _contour.require_finite(z)
+        z = require_finite(z)
         up = complex(z.real, abs(z.imag))
         key = (up, math.copysign(1.0, up.real))
         r = routed.get(key)
@@ -1113,5 +913,4 @@ def hi(z: complex) -> ScorerResult:
 def gi_hi_pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
     """Evaluate Gi(z) and Hi(z) together, sharing the expensive parts: one
     sector Hi serves both, through ``Gi + Hi = Bi`` or the two rotations."""
-    g, h = _evaluate(z, "pair")
-    return g, h
+    return _evaluate(z, "pair")

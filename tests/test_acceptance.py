@@ -19,30 +19,30 @@ from scorerlib.cli import (
     main,
     parse_phase,
 )
-from scorerlib.contour import (
-    gi_decay,
-    gi_jacobian_u,
-    gi_path_v_of_u,
-    hi_branch_point,
-    hi_decay,
-    hi_path_u_of_v,
-    hi_path_v_of_u,
-    stokes_path,
-)
 from scorerlib.engine import (
     GI_AT_ZERO,
     HI_AT_ZERO,
     gi,
     gi_asymptotic,
     gi_hi_pair,
-    gi_integral,
-    gi_real_positive,
     gi_series,
     hi,
     hi_asymptotic,
+)
+from scorerlib.integrals import (
+    gi_decay,
+    gi_integral,
+    gi_jacobian_u,
+    gi_path_v_of_u,
+    gi_real_positive,
+    hi_branch_point,
+    hi_decay,
     hi_integral_principal,
     hi_integral_upper,
     hi_integral_v_form,
+    hi_path_u_of_v,
+    hi_path_v_of_u,
+    stokes_path,
 )
 
 _PI = math.pi

@@ -1,4 +1,5 @@
-"""Tests for the descent-path geometry: level lines, Jacobians, classification."""
+"""Tests for the descent-path geometry of ``scorerlib.integrals`` (level lines, Jacobians,
+classification) and for the shared result type of ``scorerlib.contour``."""
 
 from __future__ import annotations
 
@@ -10,23 +11,22 @@ import numpy as np
 import pytest
 
 import scorerlib
-from scorerlib import contour, engine, quadrature
-from scorerlib.contour import (
-    RAY_TOL,
-    DomainError,
-    ScorerResult,
-    combine,
+from scorerlib import engine, integrals, quadrature
+from scorerlib.contour import RAY_TOL, DomainError, ScorerResult, combine
+from scorerlib.engine import hi
+from scorerlib.integrals import (
     gi_decay,
     gi_jacobian_u,
     gi_path_v_of_u,
     hi_branch_point,
     hi_decay,
+    hi_integral_principal,
+    hi_integral_v_form,
     hi_jacobian_u,
     hi_path_u_of_v,
     hi_path_v_of_u,
     stokes_path,
 )
-from scorerlib.engine import hi, hi_integral_principal, hi_integral_v_form
 from scorerlib.quadrature import integrate_piecewise, integrate_semi_infinite
 
 _SQRT3 = math.sqrt(3.0)
@@ -311,7 +311,7 @@ class TestPathClassification:
             calls.append(x)
             return stokes_path(u, x)
 
-        monkeypatch.setattr(contour, "stokes_path", spy)
+        monkeypatch.setattr(integrals, "stokes_path", spy)
         return calls
 
     def test_interior_point(self, stokes_calls):

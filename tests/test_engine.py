@@ -23,14 +23,9 @@ from scorerlib.engine import (
     gi,
     gi_asymptotic,
     gi_hi_pair,
-    gi_integral,
-    gi_real_positive,
     gi_series,
     hi,
     hi_asymptotic,
-    hi_integral_principal,
-    hi_integral_upper,
-    hi_integral_v_form,
     hi_series,
 )
 from scorerlib.engine import (
@@ -41,10 +36,16 @@ from scorerlib.engine import (
     _laplace_rung,
     _laplace_slopes,
     _laplace_sum,
-    _saddle_distance,
-    _saddle_height,
+    _saddle_geometry,
     _saddle_sum,
     _sweep,
+)
+from scorerlib.integrals import (
+    gi_integral,
+    gi_real_positive,
+    hi_integral_principal,
+    hi_integral_upper,
+    hi_integral_v_form,
 )
 
 _PI = math.pi
@@ -717,6 +718,25 @@ class TestUpperHalfPlaneContract:
         with pytest.raises(DomainError):
             fn(z.conjugate())
 
+    @pytest.mark.parametrize(
+        "fn",
+        [gi_series, hi_series, gi_asymptotic, hi_asymptotic, hi_integral_principal,
+         hi_integral_v_form, hi_integral_upper, gi_integral, gi_real_positive],
+    )
+    @pytest.mark.parametrize(
+        "z", [math.nan, complex(math.nan, 1.0), complex(1.0, math.nan), math.inf]
+    )
+    def test_public_pieces_reject_a_non_finite_argument(self, fn, z):
+        # No NaN with converged=True, no 0 for Gi(inf) and no error of the
+        # integrand: the domain error that gi and hi raise there.
+        with pytest.raises(DomainError):
+            fn(z)
+
+    @pytest.mark.parametrize("fn", [gi_asymptotic, hi_asymptotic])
+    def test_expansions_reject_the_origin(self, fn):
+        with pytest.raises(DomainError):
+            fn(0j)
+
 
 class TestDispatchBoundaries:
     def test_series_contour_seam(self):
@@ -958,7 +978,7 @@ _KEPT = {60: 32, 240: 65, 960: 131}
 def _radius_at_rho(rho: float, phase: float) -> float:
     """The radius on the ray ``phase`` where the saddle distance is ``rho``
     (it grows like ``|z|**0.75``)."""
-    return (rho / _saddle_distance(cmath.rect(1.0, phase))) ** (4.0 / 3.0)
+    return (rho / _saddle_geometry(cmath.rect(1.0, phase))[1]) ** (4.0 / 3.0)
 
 
 def _model_rung(z: complex) -> int | None:
@@ -1082,9 +1102,9 @@ class TestLaplaceGate:
         # rung.
         r = _radius_at_rho(_LAPLACE_MIN_RHO, phase)
         below, above = cmath.rect(r * (1 - 1e-9), phase), cmath.rect(r * (1 + 1e-9), phase)
-        assert _saddle_distance(below) < _LAPLACE_MIN_RHO <= _saddle_distance(above)
-        top = _LAPLACE_RUNGS[-1]
-        assert top.decay * _saddle_distance(below) + 0.8 * _saddle_height(below) >= _LAPLACE_REACH
+        _, rho, height = _saddle_geometry(below)
+        assert rho < _LAPLACE_MIN_RHO <= _saddle_geometry(above)[1]
+        assert _LAPLACE_RUNGS[-1].decay * rho + 0.8 * height >= _LAPLACE_REACH
         assert _laplace_rung(below) is None
         assert _cell(fn, below).method == "hi_saddle"
         assert _cell(fn, above).method == "hi_laplace"
@@ -1113,9 +1133,10 @@ class TestLaplaceGate:
                 rung, exponent = chosen
                 k = _LAPLACE_RUNGS.index(rung)
                 assert exponent >= _LAPLACE_REACH
-                assert exponent == rung.decay * _saddle_distance(z) + 0.8 * _saddle_height(z)
+                _, rho, height = _saddle_geometry(z)
+                assert exponent == rung.decay * rho + 0.8 * height
                 for smaller in _LAPLACE_RUNGS[:k]:
-                    assert smaller.decay * _saddle_distance(z) + 0.8 * _saddle_height(z) < _LAPLACE_REACH
+                    assert smaller.decay * rho + 0.8 * height < _LAPLACE_REACH
                 assert _KEPT[rung.n] == rung.nodes.size == _KEPT[_model_rung(z)]
                 seen.add(rung.n)
                 s = _laplace_sum(z, rung, exponent)
@@ -1149,20 +1170,20 @@ class TestLaplaceGate:
         assert _laplace_rung(cmath.rect(1.0000001e100, _PI / 2.0)) is None
 
     def test_saddle_distance_vanishes_where_a_contour_meets_its_saddle(self):
-        assert _saddle_distance(cmath.rect(50.0, 2.0 * _PI / 3.0)) < 1e-12
-        assert _saddle_distance(complex(50.0, 0.0)) == 0.0
+        assert _saddle_geometry(cmath.rect(50.0, 2.0 * _PI / 3.0))[1] < 1e-12
+        assert _saddle_geometry(complex(50.0, 0.0))[1] == 0.0
         # On the negative axis 3 theta / 4 = 3 pi / 4: cos and sin tie.
         expected = math.sqrt(2.0 / 3.0) * 9**0.75 * math.sqrt(0.5)
-        assert _saddle_distance(-9.0 + 0j) == pytest.approx(expected)
+        assert _saddle_geometry(-9.0 + 0j)[1] == pytest.approx(expected)
 
     @pytest.mark.parametrize("phase", [0.1, 1.0, _PI / 3.0, 2.0, 2.0 * _PI / 3.0, 2.5, _PI])
     def test_saddle_height_is_the_real_part_of_the_nearer_saddle_value(self, phase):
         # Re sigma* = (2/3)|z|**1.5 - 2 rho**2: 0 on the negative axis, all
         # of (2/3)|z|**1.5 on the Stokes ray, where rho = 0.
         z = cmath.rect(9.0, phase)
-        rho = _saddle_distance(z)
-        assert _saddle_height(z) == pytest.approx(18.0 - 2.0 * rho * rho, abs=1e-12)
-        assert _saddle_height(-9.0 + 0j) < 1e-14
+        _, rho, height = _saddle_geometry(z)
+        assert height == pytest.approx(18.0 - 2.0 * rho * rho, abs=1e-12)
+        assert _saddle_geometry(-9.0 + 0j)[2] < 1e-14
 
     @pytest.mark.parametrize("rho", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("fn,phase", _GATED_RAYS)

@@ -260,7 +260,7 @@ class TestGenerationKernel:
 
     Every batch kind is covered: all panels finite, all in mapped tails, and
     a mix (the finite piece plus mapped tail of one integrand that
-    ``engine.hi_integral_upper`` hands over, next to a second integrand).
+    ``integrals.hi_integral_upper`` hands over, next to a second integrand).
     """
 
     @staticmethod
@@ -321,7 +321,7 @@ class TestGenerationKernel:
 
     @staticmethod
     def _batches():
-        from scorerlib.engine import _gi_integrand
+        from scorerlib.integrals import _gi_integrand
 
         z = 6.0 * np.exp(1.9j)
         valley = _gi_integrand(z.real, z.imag)

@@ -16,7 +16,8 @@ size on six rays and of the phase pi/3 where it turns its path
 with ``+0.0`` and ``-0.0`` imaginary parts, both signs of the real part.
 
 The same fields are dumped for the five adaptive-quadrature
-representations of ``scorerlib.engine``, which the router never takes:
+representations of ``scorerlib.integrals`` (of ``scorerlib.engine`` in a
+checkout that predates that module), which the router never takes:
 ``hi_integral_principal``, ``hi_integral_v_form``, ``hi_integral_upper``
 and ``gi_integral`` at every point of the closed upper half-plane
 (imaginary part ``+0.0`` or above; a point outside a representation's
@@ -192,18 +193,30 @@ def dump() -> dict[str, dict]:
     """``{"<function> <z>": fields}`` over the grid, for the scorerlib on
     ``sys.path``."""
     import scorerlib
-    from scorerlib import engine
 
+    oracle = _representations_module()
     out = {}
     for z in points():
         for name in FUNCTIONS:
             _record(out, name, getattr(scorerlib, name), z)
         if math.copysign(1.0, z.imag) > 0.0:
             for name in REPRESENTATIONS:
-                _record(out, name, getattr(engine, name), z)
+                _record(out, name, getattr(oracle, name), z)
     for r in RADII:
-        _record(out, "gi_real_positive", engine.gi_real_positive, r)
+        _record(out, "gi_real_positive", oracle.gi_real_positive, r)
     return out
+
+
+def _representations_module():
+    """``scorerlib.integrals``, or ``scorerlib.engine`` in a checkout from
+    before the representations moved there, so that ``--against`` such a
+    checkout still compares them field by field."""
+    import importlib
+    import importlib.util
+
+    if importlib.util.find_spec("scorerlib.integrals") is None:
+        return importlib.import_module("scorerlib.engine")
+    return importlib.import_module("scorerlib.integrals")
 
 
 def _start(src: Path, *argv: str) -> subprocess.Popen:

@@ -118,16 +118,15 @@ def _edge(phase: float, reached) -> float | None:
 
 
 def _exponent(z: complex, rung) -> float:
-    return rung.decay * engine._saddle_distance(z) + engine._LAPLACE_HEIGHT_DECAY * (
-        engine._saddle_height(z)
-    )
+    _, rho, height = engine._saddle_geometry(z)
+    return rung.decay * rho + engine._LAPLACE_HEIGHT_DECAY * height
 
 
 def points() -> list[complex]:
     out = []
     for phase in PHASES:
         radii = list(RADII)
-        edges = [_edge(phase, lambda z: engine._saddle_distance(z) >= engine._LAPLACE_MIN_RHO)]
+        edges = [_edge(phase, lambda z: engine._saddle_geometry(z)[1] >= engine._LAPLACE_MIN_RHO)]
         edges += [_edge(phase, lambda z, g=g: _exponent(z, g) >= engine._LAPLACE_REACH)
                   for g in engine._LAPLACE_RUNGS]
         for r in edges:
@@ -178,9 +177,9 @@ def laplace_check() -> bool:
 
     # Fit over every rung at every point above the floor with a truncation
     # error clearly above rounding.
-    fit = [(math.sqrt(g.n) * engine._saddle_distance(z), engine._saddle_height(z), err)
+    fit = [(math.sqrt(g.n) * engine._saddle_geometry(z)[1], engine._saddle_geometry(z)[2], err)
            for z, g, _, err in rows
-           if err > 100.0 * EPS and engine._saddle_distance(z) >= floor]
+           if err > 100.0 * EPS and engine._saddle_geometry(z)[1] >= floor]
     x = np.array([[-p, -h] for p, h, _ in fit])
     y = np.log([err for _, _, err in fit])
     (a, b), *_ = np.linalg.lstsq(x, y, rcond=None)
@@ -190,19 +189,19 @@ def laplace_check() -> bool:
 
     # The largest constants that keep every accepted rung within its bar.
     accepted = [(z, g, err) for z, g, e, err in rows
-                if e >= reach and engine._saddle_distance(z) >= floor and err > 8.0 * EPS]
-    a_max = min((-math.log(err - 8.0 * EPS) - b0 * engine._saddle_height(z))
-                / (g.decay / a0 * engine._saddle_distance(z)) for z, g, err in accepted)
-    b_max = min(((-math.log(err - 8.0 * EPS) - g.decay * engine._saddle_distance(z))
-                 / engine._saddle_height(z)) for z, g, err in accepted
-                if engine._saddle_height(z) > 0.0)
+                if e >= reach and engine._saddle_geometry(z)[1] >= floor and err > 8.0 * EPS]
+    a_max = min((-math.log(err - 8.0 * EPS) - b0 * engine._saddle_geometry(z)[2])
+                / (g.decay / a0 * engine._saddle_geometry(z)[1]) for z, g, err in accepted)
+    b_max = min(((-math.log(err - 8.0 * EPS) - g.decay * engine._saddle_geometry(z)[1])
+                 / engine._saddle_geometry(z)[2]) for z, g, err in accepted
+                if engine._saddle_geometry(z)[2] > 0.0)
     print(f"rho decay: engine {a0:.2f}, the data allow {a_max:.2f}")
     print(f"height decay: engine {b0:.2f}, the data allow {b_max:.2f}")
 
     # The floor: below it the gate would take the first rung that reaches.
     below, misses = 0, []
     for z, g, e, err in rows:
-        rho = engine._saddle_distance(z)
+        rho = engine._saddle_geometry(z)[1]
         first = next((h for h in engine._LAPLACE_RUNGS if _exponent(z, h) >= reach), None)
         if g is first and rho < floor:
             below += 1

@@ -94,9 +94,9 @@ def edge_points() -> list[complex]:
     for ph in PHASE_EDGES:
         out += [cmath.rect(r, p) for r in EDGE_PHASE_RADII for p in _sides(ph)]
     for ph in LAPLACE_PHASES:
-        tests = [lambda z: engine._saddle_distance(z) >= engine._LAPLACE_MIN_RHO]
-        tests += [lambda z, g=g: g.decay * engine._saddle_distance(z)
-                  + engine._LAPLACE_HEIGHT_DECAY * engine._saddle_height(z)
+        tests = [lambda z: engine._saddle_geometry(z)[1] >= engine._LAPLACE_MIN_RHO]
+        tests += [lambda z, g=g: g.decay * engine._saddle_geometry(z)[1]
+                  + engine._LAPLACE_HEIGHT_DECAY * engine._saddle_geometry(z)[2]
                   >= engine._LAPLACE_REACH for g in engine._LAPLACE_RUNGS]
         for reached in tests:
             r = _bisect(ph, reached)
