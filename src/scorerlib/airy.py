@@ -28,8 +28,10 @@ signs, so off the real axis one paired rule pass sums both of their rules
 its own count.  Ai's series, rule and rotation and Bi's formulas are
 conjugate-symmetric by construction, so neither function folds the lower
 half-plane.  Every evaluation returns a
-:class:`~scorerlib.contour.ScorerResult` that carries the derivative
-alongside the value.
+:class:`~scorerlib.contour.ScorerResult`.  The public :func:`ai_complex`
+and :func:`bi_complex` carry the derivative alongside the value; the
+private dispatchers ``_ai_info`` and ``_bi_info``, which Gi's and Hi's Airy
+terms and the CLI call, form the derivative only when asked for it.
 
 The series/rule seam sits at ``SERIES_RADIUS``; pushing the series much
 further loses digits to cancellation on and near the positive real axis,
@@ -340,32 +342,44 @@ def _airy_rows(n_terms: int) -> tuple[tuple[float, float, float, float], ...]:
 _AIRY_ROWS = _airy_rows(_SERIES_TERMS)
 
 
-def _maclaurin(z: complex, c0: float, c1: float) -> ScorerResult:
+def _maclaurin(z: complex, c0: float, c1: float, derivative: bool = False) -> ScorerResult:
     """The Airy solution with value ``c0`` and slope ``c1`` at the origin,
-    and its derivative, from the Maclaurin series in Horner form.
+    and with ``derivative`` its derivative, from the Maclaurin series in
+    Horner form.
 
     It is ``c0 f + c1 g`` (see :func:`_airy_rows`).  The error bar is
     4 eps times the sum of the term magnitudes of f and g, which is the
-    series at ``|z|``, times ``max(|c0|, |c1|)``.
+    series at ``|z|``, times ``max(|c0|, |c1|)``.  A value-only pass sums
+    neither ``f'`` nor ``g'``; both passes sum the value alike.
     """
     z3 = z * z * z
     r = abs(z)
     r3 = r * r * r
-    f = g = fp = gp = 0j
+    f = g = 0j
     f_abs = g_abs = 0.0
-    for a, b, ap, bp in _AIRY_ROWS:
-        f = f * z3 + a
-        g = g * z3 + b
-        fp = fp * z3 + ap
-        gp = gp * z3 + bp
-        f_abs = f_abs * r3 + a
-        g_abs = g_abs * r3 + b
+    if derivative:
+        fp = gp = 0j
+        for a, b, ap, bp in _AIRY_ROWS:
+            f = f * z3 + a
+            g = g * z3 + b
+            fp = fp * z3 + ap
+            gp = gp * z3 + bp
+            f_abs = f_abs * r3 + a
+            g_abs = g_abs * r3 + b
+        deriv = c0 * (z * z * fp) + c1 * gp
+    else:
+        for a, b, _, _ in _AIRY_ROWS:
+            f = f * z3 + a
+            g = g * z3 + b
+            f_abs = f_abs * r3 + a
+            g_abs = g_abs * r3 + b
+        deriv = None
     return ScorerResult(
         c0 * f + c1 * (z * g),
         "series",
         4.0 * _EPS * (f_abs + r * g_abs) * max(abs(c0), abs(c1)),
         0,
-        derivative=c0 * (z * z * fp) + c1 * gp,
+        derivative=deriv,
     )
 
 
@@ -405,9 +419,10 @@ def _ai_point(z: complex) -> tuple | None:
 
 
 def _ai_result(z: complex, zeta: complex, modulus: float, phase: float, n: int,
-               s0: complex, s1: complex) -> ScorerResult:
-    """Ai and Ai' at ``z`` from the sums ``s0`` of ``I`` and ``s1`` of
-    ``dI/dzeta`` by its rule of ``n`` nodes (``zeta``, its ``modulus`` and
+               s0: complex, s1: complex | None) -> ScorerResult:
+    """Ai at ``z`` from the sum ``s0`` of ``I`` by its rule of ``n`` nodes,
+    and Ai' from the sum ``s1`` of ``dI/dzeta`` on the same nodes, or no
+    derivative where ``s1`` is None (``zeta``, its ``modulus`` and
     ``phase`` are :func:`_ai_point`'s)."""
     # exp(-zeta) zeta**(-1/6) as one exponential.
     try:
@@ -417,7 +432,6 @@ def _ai_result(z: complex, zeta: complex, modulus: float, phase: float, n: int,
     except OverflowError:
         raise OverflowError(f"Ai: exp(-zeta) overflows at z = {z!r}") from None
     value = pref * s0
-    ds = s1 / (6.0 * zeta * zeta) - (1.0 + 1.0 / (6.0 * zeta)) * s0
     # The rounding of exp(-zeta) dominates: the relative error of zeta
     # becomes an absolute error of the exponent.  The coefficient of |zeta|
     # also covers a rotated argument z e^{+-2 pi i/3}, whose rounding moves
@@ -427,19 +441,25 @@ def _ai_result(z: complex, zeta: complex, modulus: float, phase: float, n: int,
     err = (_EPS * (6.0 * modulus + 8.0) + _TRUNCATION_BAR) * abs(value)
     if err < _UNDERFLOW_BAR:  # gradual underflow: absolute roundings dominate
         err = _UNDERFLOW_BAR
+    if s1 is None:
+        return ScorerResult(value, "integral", err, n)
+    ds = s1 / (6.0 * zeta * zeta) - (1.0 + 1.0 / (6.0 * zeta)) * s0
     return ScorerResult(value, "integral", err, n, True, pref * cmath.sqrt(z) * ds)
 
 
 def _ai_laguerre(
-    z: complex, partner: complex | None = None
+    z: complex, partner: complex | None = None, derivative: bool = False
 ) -> ScorerResult | tuple[ScorerResult, ScorerResult]:
-    """Ai and Ai' at ``z``, and at ``partner`` if given, from the
-    non-oscillating Laplace form, each by a rule sized to its own argument.
+    """Ai at ``z``, and at ``partner`` if given, from the non-oscillating
+    Laplace form, each by a rule sized to its own argument; with
+    ``derivative`` also Ai'.
 
     ``Ai(z) = exp(-zeta) zeta**(-1/6) / (sqrt(pi) 48**(1/6) Gamma(5/6)) * I``
     with ``zeta = (2/3) z**1.5`` and
     ``I = int_0^inf exp(-t) t**(-1/6) (2 + t/zeta)**(-1/6) dt``; one rule
-    sums ``I`` and, on the same nodes, ``dI/dzeta``.  Valid for
+    sums ``I`` and, with ``derivative``, on the same nodes ``dI/dzeta``.
+    A value-only pass forms no ``g / q`` and makes no second product, and
+    its results carry no derivative.  Valid for
     ``|ph z| <= 2*pi/3`` and ``|z| > SERIES_RADIUS``, in either half-plane
     (it is exactly conjugate-symmetric).  The rule is the first row of
     ``_AI_RIGHT`` (``Re zeta >= 0``) or of ``_AI_UPPER`` or ``_AI_LOWER``
@@ -463,21 +483,23 @@ def _ai_laguerre(
     a = _ai_point(z)
     if partner is None:
         if a is None:  # the zero counts the smallest rule, which serves there
-            return ScorerResult(0j, "integral", _UNDERFLOW_BAR, _AI_RIGHT[0][3], True, 0j)
+            return ScorerResult(0j, "integral", _UNDERFLOW_BAR, _AI_RIGHT[0][3], True,
+                                0j if derivative else None)
         zeta, modulus, phase, n, nodes, w0, w1, _ = a
         q = 2.0 + nodes / zeta
         g = np.power(q, -1.0 / 6.0)
         s0 = complex(g.dot(w0))
-        s1 = complex((g / q).dot(w1))
+        s1 = complex((g / q).dot(w1)) if derivative else None
         return _ai_result(z, zeta, modulus, phase, n, s0, s1)
     b = _ai_point(partner)
     if a is None or b is None or (a[0].real >= 0.0) == (b[0].real >= 0.0):
-        return _ai_laguerre(z), _ai_laguerre(partner)
+        return _ai_laguerre(z, None, derivative), _ai_laguerre(partner, None, derivative)
     first, second = (a, b) if a[0].real >= 0.0 else (b, a)
     nodes, w0, w1 = _PAIRED[first[7], second[7]]
     q = 2.0 + nodes / first[0]
     g = np.power(q, -1.0 / 6.0)
-    s0, s1 = w0.dot(g).tolist(), w1.dot(g / q).tolist()
+    s0 = w0.dot(g).tolist()
+    s1 = w1.dot(g / q).tolist() if derivative else [None, None]
     if first is b:
         s0.reverse()
         s1.reverse()
@@ -485,33 +507,45 @@ def _ai_laguerre(
             _ai_result(partner, *b[:4], s0[1], s1[1]))
 
 
-def _ai_rotated_pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
-    """Ai at ``z e^{2 pi i/3}`` and at ``z e^{-2 pi i/3}``, by one paired
-    rule pass, for ``z`` beyond the series disc with both arguments in the
-    principal sector.  On the real axis they are exact conjugates: one rule
-    evaluation serves both and is counted once."""
+def _ai_rotated_pair(z: complex, derivative: bool = False) -> tuple[ScorerResult, ScorerResult]:
+    """Ai at ``z e^{2 pi i/3}`` and at ``z e^{-2 pi i/3}``, with
+    ``derivative`` also Ai', by one paired rule pass, for ``z`` beyond the
+    series disc with both arguments in the principal sector.  On the real
+    axis they are exact conjugates: one rule evaluation serves both and is
+    counted once."""
     if z.imag:
-        return _ai_laguerre(z * _ROT_PLUS, z * _ROT_MINUS)
-    a_plus = _ai_laguerre(z * _ROT_PLUS)
+        return _ai_laguerre(z * _ROT_PLUS, z * _ROT_MINUS, derivative)
+    a_plus = _ai_laguerre(z * _ROT_PLUS, None, derivative)
     a_minus = ScorerResult(
         a_plus.value.conjugate(), a_plus.method, a_plus.abs_error_estimate,
-        0, a_plus.converged, a_plus.derivative.conjugate(),
+        0, a_plus.converged, a_plus.derivative.conjugate() if derivative else None,
     )
     return a_plus, a_minus
 
 
-def _ai_info(z: complex) -> ScorerResult:
-    """Dispatch Ai by region."""
+# ``derivative`` is an ordinary parameter, passed by position within this
+# module: in CPython 3.11 a function with a keyword-only parameter costs about
+# 20 ns more on every call, and a keyword argument as much again.  Over the
+# two or three calls of a dispatch that cost 0.8% of the airy benchmark's
+# calls per second on a 2-vCPU x86-64 host.
+def _ai_info(z: complex, derivative: bool = False) -> ScorerResult:
+    """Dispatch Ai by region; Ai' as ``derivative`` only where asked for.
+
+    A value-only pass (the default, which Gi, Hi and the CLI take) forms no
+    derivative anywhere and returns ``derivative=None``; its value, route,
+    bar and count are those of the pass with the derivative, bit for bit.
+    """
     z = require_finite(z)
     if abs(z) <= SERIES_RADIUS:
-        return _maclaurin(z, AI_ZERO, AIP_ZERO)
+        return _maclaurin(z, AI_ZERO, AIP_ZERO, derivative)
     # abs: the lower half-plane, and the negative axis with a -0.0 imaginary part.
     if abs(cmath.phase(z)) > _ROTATION_EDGE:
         # One rotation lands both arguments inside the principal sector.
-        a_plus, a_minus = _ai_rotated_pair(z)
-        deriv = -_ROT_PLUS * a_minus.derivative - _ROT_MINUS * a_plus.derivative
+        a_plus, a_minus = _ai_rotated_pair(z, derivative)
+        deriv = (-_ROT_PLUS * a_minus.derivative - _ROT_MINUS * a_plus.derivative
+                 if derivative else None)
         return combine("rotation", [(-_ROT_MINUS, a_minus), (-_ROT_PLUS, a_plus)], deriv)
-    return _ai_laguerre(z)
+    return _ai_laguerre(z, None, derivative)
 
 
 def ai_complex(z: complex) -> ScorerResult:
@@ -524,26 +558,30 @@ def ai_complex(z: complex) -> ScorerResult:
     ``OverflowError`` where a value, its derivative or an intermediate
     leaves the double range.  Near the top of that range Ai', about
     ``sqrt(z)`` times Ai, overflows first, into NaN parts; the check sits
-    here, not in the dispatcher, because Gi's rotation uses the finite Ai.
-    Ai' carries no error bar: ``abs_error_estimate`` bounds the value only.
+    here, not in the dispatcher, whose value-only pass (Gi's and Hi's Airy
+    terms) forms no derivative and keeps the finite Ai.  Ai' carries no
+    error bar: ``abs_error_estimate`` bounds the value only.
     """
-    result = _ai_info(z)
+    result = _ai_info(z, derivative=True)
     if not cmath.isfinite(result.derivative):
         raise OverflowError(f"Ai: the derivative overflows at z = {z!r}")
     return result
 
 
-def _bi_info(z: complex) -> ScorerResult:
+def _bi_info(z: complex, derivative: bool = False) -> ScorerResult:
     """Dispatch Bi by region: two principal-sector Ai values beyond the
-    series disc."""
+    series disc.  As for :func:`_ai_info`, Bi' is formed only with
+    ``derivative``; the value-only pass returns ``derivative=None`` and the
+    same value, route, bar and count."""
     z = require_finite(z)
     if abs(z) <= SERIES_RADIUS:
-        return _maclaurin(z, BI_ZERO, BIP_ZERO)
+        return _maclaurin(z, BI_ZERO, BIP_ZERO, derivative)
     if z.imag == 0.0 or abs(cmath.phase(z)) > _ROTATION_EDGE:
         # e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3}):
         # exact conjugate terms on the real axis, so Bi(x) stays real.
-        a_plus, a_minus = _ai_rotated_pair(z)
-        deriv = _ROT5 * a_plus.derivative + _ROT5.conjugate() * a_minus.derivative
+        a_plus, a_minus = _ai_rotated_pair(z, derivative)
+        deriv = (_ROT5 * a_plus.derivative + _ROT5.conjugate() * a_minus.derivative
+                 if derivative else None)
         return combine("rotation_pair", [(_ROT1, a_plus), (_ROT1.conjugate(), a_minus)], deriv)
     # i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3}) on 0 < ph z <= 2 pi/3, where
     # z e^{2 pi i/3} would leave the sector; below the axis its conjugate, by
@@ -552,8 +590,8 @@ def _bi_info(z: complex) -> ScorerResult:
         i, rot, c1, c5 = 1j, _ROT_MINUS, _ROT1.conjugate(), _ROT5.conjugate()
     else:
         i, rot, c1, c5 = 1j.conjugate(), _ROT_PLUS, _ROT1, _ROT5
-    a, a_rot = _ai_laguerre(z, z * rot)
-    deriv = i * a.derivative + 2.0 * c5 * a_rot.derivative
+    a, a_rot = _ai_laguerre(z, z * rot, derivative)
+    deriv = i * a.derivative + 2.0 * c5 * a_rot.derivative if derivative else None
     return combine("rotation_pair", [(i, a), (2.0 * c1, a_rot)], deriv)
 
 
@@ -565,7 +603,7 @@ def bi_complex(z: complex) -> ScorerResult:
     leaves the double range (Bi' first, as for :func:`ai_complex`).  Bi'
     carries no error bar: ``abs_error_estimate`` bounds the value only.
     """
-    result = _bi_info(z)
+    result = _bi_info(z, derivative=True)
     if not cmath.isfinite(result.derivative):
         raise OverflowError(f"Bi: the derivative overflows at z = {z!r}")
     return result

@@ -76,8 +76,10 @@ class ScorerResult:
     converged : bool
         False when some contributing quadrature missed its tolerance.
     derivative : complex or None
-        The first derivative where the route computes one (Ai and Bi),
-        else None.
+        The first derivative where the route computes one: Ai and Bi from
+        ``ai_complex`` and ``bi_complex``.  None for Gi and Hi and for a
+        value-only Airy pass (the private dispatchers' default, which the
+        Airy terms of Gi and Hi take), which forms no derivative.
     """
 
     value: complex

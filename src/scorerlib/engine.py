@@ -194,10 +194,49 @@ def _neglected_exponential(r: float, theta: float, kind: str) -> float:
     return _SQRT_PI * r**0.75 * math.exp(min(exponent, 709.0))
 
 
+def _truncated_sum(inv3: complex, n_terms: int) -> tuple[complex, float]:
+    """The bracket ``1 + corrections`` of the large-argument expansions with
+    exactly ``n_terms`` corrections, and its relative truncation bar.
+
+    The bar is the optimal cut's (the corrections while they decrease, at
+    most ``_ASYMPTOTIC_MAX_TERMS``, as :func:`_asymptotic_core` sums them
+    without ``n_terms``) plus the magnitude of every correction between
+    that cut and ``n_terms``: those omitted before the cut, or those added
+    after it.  Raises ``ValueError`` where the sum is not finite: from the
+    80th correction on the coefficient overflows.
+    """
+    power = inv3
+    coeff = 2.0
+    total = 1.0 + 0.0j
+    smallest = math.inf
+    between = 0.0
+    cut_bar = None
+    s = 0
+    while s < n_terms or cut_bar is None:
+        term = coeff * power
+        size = abs(term)
+        if cut_bar is None and (s == _ASYMPTOTIC_MAX_TERMS or size >= smallest):
+            cut_bar = min(smallest, coeff * abs(power))
+        elif cut_bar is None and size < smallest:
+            smallest = size
+        if s < n_terms:
+            total += term
+        if (s < n_terms) != (cut_bar is None):
+            between += size
+        coeff *= (3 * s + 4) * (3 * s + 5)
+        power *= inv3
+        s += 1
+    if not cmath.isfinite(total):
+        raise ValueError(f"large-argument expansion with {n_terms} terms is not finite")
+    return total, cut_bar + between
+
+
 def _asymptotic_core(z: complex, kind: str, n_terms: int | None) -> ScorerResult:
     r = abs(z)
     if not 0.0 < r < math.inf:
         raise DomainError("large-argument expansion requires finite nonzero z")
+    if n_terms is not None and n_terms < 0:
+        raise ValueError(f"n_terms must be nonnegative, got {n_terms}")
     # 1/z cubed underflows harmlessly where z cubed would overflow.
     w = 1.0 / z
     inv3 = w * w * w
@@ -207,21 +246,25 @@ def _asymptotic_core(z: complex, kind: str, n_terms: int | None) -> ScorerResult
             RuntimeWarning,
             stacklevel=3,
         )
-    power = inv3
-    coeff = 2.0
-    total = 1.0 + 0.0j
-    smallest = math.inf
-    limit = _ASYMPTOTIC_MAX_TERMS if n_terms is None else n_terms
-    for s in range(limit):
-        term = coeff * power
-        if n_terms is None and abs(term) >= smallest:
-            break
-        total += term
-        smallest = min(smallest, abs(term))
-        coeff *= (3 * s + 4) * (3 * s + 5)
-        power *= inv3
+    if n_terms is None:
+        power = inv3
+        coeff = 2.0
+        total = 1.0 + 0.0j
+        smallest = math.inf
+        for s in range(_ASYMPTOTIC_MAX_TERMS):
+            term = coeff * power
+            size = abs(term)
+            if size >= smallest:
+                break
+            total += term
+            if size < smallest:  # not for a NaN term, as min() skipped it
+                smallest = size
+            coeff *= (3 * s + 4) * (3 * s + 5)
+            power *= inv3
+        rel_trunc = min(smallest, coeff * abs(power))
+    else:
+        total, rel_trunc = _truncated_sum(inv3, n_terms)
     value = (-1.0 if kind == "hi" else 1.0) / (_PI * z) * total
-    rel_trunc = min(smallest, coeff * abs(power))
     # Twice the calibrated neglected part and 8 eps of rounding leave the
     # bar a margin on the Stokes ray, where the switched-on term is largest.
     neglected = _neglected_exponential(r, abs(cmath.phase(z)), kind)
@@ -235,8 +278,12 @@ def hi_asymptotic(z: complex, n_terms: int | None = None) -> ScorerResult:
     Valid for phases of ``z`` between ``pi/3`` and ``pi`` in absolute value
     and large ``|z|``.  ``n_terms`` fixes the number of correction terms
     (``n_terms=3`` keeps contributions through ``1/z**10``); ``None``
-    truncates optimally at the smallest term.  The error estimate includes
-    the omitted exponentially small contribution.
+    truncates optimally at the smallest term, or after
+    ``_ASYMPTOTIC_MAX_TERMS`` corrections.  The error estimate includes the omitted
+    exponentially small contribution; with ``n_terms`` it also covers every
+    correction between ``n_terms`` and the optimal cut (see
+    :func:`_truncated_sum`).  Raises ``ValueError`` for a negative
+    ``n_terms`` or a sum that is not finite.
     """
     return _asymptotic_core(z, "hi", n_terms)
 
@@ -244,8 +291,9 @@ def hi_asymptotic(z: complex, n_terms: int | None = None) -> ScorerResult:
 def gi_asymptotic(z: complex, n_terms: int | None = None) -> ScorerResult:
     """Gi by its large-argument expansion ``+(1/(pi z)) (1 + corrections)``.
 
-    Valid for ``|phase(z)| < pi/3`` and large ``|z|``; the bracket is the
-    same as in the Hi expansion.
+    Valid for ``|phase(z)| < pi/3`` and large ``|z|``; the bracket, its
+    ``n_terms``, its error estimate and its errors are the same as in the
+    Hi expansion.
     """
     return _asymptotic_core(z, "gi", n_terms)
 

@@ -386,8 +386,14 @@ def gi_real_positive(x: float) -> ScorerResult:
     with no oscillation.  The router rotates Hi onto the Stokes ray instead
     (``engine._gi_from_rotated``); this independent representation is the
     oracle that ``selftest`` checks the rotations against on the axis.
+    A complex ``x`` with a zero imaginary part counts as real; raises
+    :class:`~scorerlib.contour.DomainError` for any other complex, a
+    negative or a non-finite ``x``.
     """
-    require_finite(x)
+    z = require_finite(x)
+    if z.imag:
+        raise DomainError("gi_real_positive requires a real x")
+    x = z.real
     if x < 0.0:
         raise DomainError("gi_real_positive requires x >= 0")
     sx = math.sqrt(x)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -265,7 +266,7 @@ class TestMaclaurinTable:
         value_terms += [c * z ** (3 * m + 1) for m, c in enumerate(b)]
         deriv_terms = [3 * m * c * z ** (3 * m - 1) for m, c in enumerate(a) if m]
         deriv_terms += [(3 * m + 1) * c * z ** (3 * m) for m, c in enumerate(b)]
-        res = airy._maclaurin(z, AI_ZERO, AIP_ZERO)
+        res = airy._maclaurin(z, AI_ZERO, AIP_ZERO, derivative=True)
         for got, terms in ((res.value, value_terms), (res.derivative, deriv_terms)):
             assert abs(got - sum(terms)) <= 8.0 * _EPS * sum(abs(t) for t in terms)
 
@@ -274,8 +275,8 @@ class TestMethodSeams:
     @pytest.mark.parametrize("radius", [SERIES_RADIUS])
     def test_dispatch_switches_continuously_at_the_seam(self, radius):
         z = radius * cmath.exp(0.4j)
-        info_in = _ai_info(z * 0.999999)
-        info_out = _ai_info(z * 1.000001)
+        info_in = _ai_info(z * 0.999999, derivative=True)
+        info_out = _ai_info(z * 1.000001, derivative=True)
         assert info_in.method != info_out.method
         # The two evaluations sit at distinct points; bound their difference
         # by first-order variation so a seam jump would stand out.
@@ -620,9 +621,9 @@ class TestConjugateSymmetry:
         calls = []
         dispatch = airy._bi_info
 
-        def counting(w):
+        def counting(w, derivative=False):
             calls.append(w)
-            return dispatch(w)
+            return dispatch(w, derivative)
 
         monkeypatch.setattr(airy, "_bi_info", counting)
         bi_complex(z)
@@ -713,10 +714,10 @@ class TestPairedRule:
         rule = airy._ai_laguerre
         calls = []
 
-        def recording(z, partner=None):
+        def recording(z, partner=None, derivative=False):
             args = (z,) if partner is None else (z, partner)
             try:
-                out = rule(z, partner)
+                out = rule(z, partner, derivative)
             except OverflowError:
                 calls.append((args, None))
                 raise
@@ -765,6 +766,50 @@ class TestPairedRule:
                         fn(z.conjugate())
                     continue
                 _assert_reflected(upper, fn(z.conjugate()))
+
+
+class TestValueOnlyPass:
+    """The private dispatchers form Ai' and Bi' only with ``derivative``."""
+
+    @staticmethod
+    def _draws() -> list[complex]:
+        """The paired draws, seeded points of the series disc and points
+        where Ai underflows to 0, on both sides of the real axis."""
+        rng = np.random.default_rng(20261021)
+        draws = _paired_draws()
+        draws += [cmath.rect(rng.uniform(0.0, SERIES_RADIUS), rng.uniform(-math.pi, math.pi))
+                  for _ in range(200)]
+        draws += [complex(x, sign * 0.0) for x in (-9.0, -3.6, -2.0, 0.0, 2.0, 3.6, 9.0)
+                  for sign in (1.0, -1.0)]
+        draws += [cmath.rect(1e200, sign * 0.3) for sign in (1.0, -1.0)]
+        return draws
+
+    @pytest.mark.parametrize("dispatch", [_ai_info, _bi_info])
+    def test_value_only_pass_is_the_derivative_pass_without_it(self, dispatch):
+        # Value, route, bar, count and convergence bit for bit, and no
+        # derivative; where one pass overflows, so does the other.
+        for z in self._draws():
+            try:
+                full = dispatch(z, derivative=True)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    dispatch(z)
+                continue
+            assert full.derivative is not None
+            assert dispatch(z) == dataclasses.replace(full, derivative=None)
+
+    def test_public_functions_ask_for_the_derivative(self, monkeypatch):
+        asked = []
+        for name in ("_ai_info", "_bi_info"):
+            def spy(z, derivative=False, _dispatch=getattr(airy, name)):
+                asked.append(derivative)
+                return _dispatch(z, derivative)
+
+            monkeypatch.setattr(airy, name, spy)
+        for z in (2.0 + 1j, 5.0, cmath.rect(6.0, 2.5), cmath.rect(6.0, -1.0)):
+            assert ai_complex(z).derivative is not None
+            assert bi_complex(z).derivative is not None
+        assert asked == [True] * 8
 
 
 class TestScipyCrossSweep:

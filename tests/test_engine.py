@@ -476,6 +476,54 @@ class TestAsymptotics:
         ref = 455641153.5163291  # frozen at z = 10; just confirm growth route
         assert hi(10 + 0j).value.real == pytest.approx(ref, rel=5e-12)
 
+    @pytest.mark.parametrize(
+        "fn,z,n_terms",
+        [
+            # Before the optimal cut the omitted tail exceeds its first term:
+            # once 6.06e-11 relative against a bar of 5.93e-11, and 2.00e-9
+            # against 1.90e-9.
+            (gi_asymptotic, 20 + 1j, 3),
+            (hi_asymptotic, cmath.rect(15.0, 2.0), 3),
+            (gi_asymptotic, 20 + 1j, 0),
+            (hi_asymptotic, cmath.rect(15.0, 2.0), 1),
+            # Past it the terms added after the smallest: once 1.3e7 relative
+            # against a bar of the smallest term.
+            (hi_asymptotic, cmath.rect(15.0, 2.0), 12),
+            (hi_asymptotic, cmath.rect(15.0, 2.0), 60),
+            (gi_asymptotic, 20 + 1j, 30),
+        ],
+    )
+    def test_explicit_truncation_bar_covers_the_optimal_value(self, fn, z, n_terms):
+        optimal = fn(z)
+        res = fn(z, n_terms=n_terms)
+        assert cmath.isfinite(res.value) and math.isfinite(res.abs_error_estimate)
+        bars = res.abs_error_estimate + optimal.abs_error_estimate
+        assert abs(res.value - optimal.value) <= bars
+
+    @pytest.mark.parametrize(
+        "fn,z",
+        [(gi_asymptotic, 20 + 1j), (hi_asymptotic, cmath.rect(15.0, 2.0)), (hi_asymptotic, -40 + 3j)],
+    )
+    def test_explicit_truncation_at_the_optimal_cut_is_the_router_sum(self, fn, z):
+        # Some count reproduces the optimal truncation bit for bit, bar
+        # included: at the cut nothing lies between the two.
+        optimal = fn(z)
+        matches = [n for n in range(scorerlib.engine._ASYMPTOTIC_MAX_TERMS + 1)
+                   if fn(z, n_terms=n) == optimal]
+        assert len(matches) == 1
+
+    @pytest.mark.parametrize("fn", [gi_asymptotic, hi_asymptotic])
+    def test_negative_term_count_is_rejected(self, fn):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(cmath.rect(20.0, 0.1 if fn is gi_asymptotic else 2.0), n_terms=-1)
+
+    @pytest.mark.parametrize("n_terms", [80, 200])
+    def test_a_sum_that_overflows_is_rejected(self, n_terms):
+        # From 80 terms on the coefficients overflow here: once inf+nanj
+        # with converged=True.
+        with pytest.raises(ValueError, match="not finite"):
+            hi_asymptotic(cmath.rect(15.0, 2.0), n_terms=n_terms)
+
 
 class TestCrossRepresentationAgreement:
     def test_principal_contour_vs_folded_form(self):
@@ -736,6 +784,95 @@ class TestUpperHalfPlaneContract:
     def test_expansions_reject_the_origin(self, fn):
         with pytest.raises(DomainError):
             fn(0j)
+
+    def test_gi_real_positive_takes_a_complex_with_zero_imaginary_part(self):
+        # Once a TypeError from comparing a complex with 0.0, even at 2+0j.
+        for x in (2 + 0j, complex(2.0, -0.0), 0j):
+            assert gi_real_positive(x) == gi_real_positive(x.real)
+        for z in (2 + 1j, 3j, 2 - 1e-300j, -1 + 0j):
+            with pytest.raises(DomainError):
+                gi_real_positive(z)
+
+
+def _airy_term_points() -> list[complex]:
+    """Seeded points of every route of Gi and Hi that adds an Airy term:
+    ``gi_rotation``, ``hi_rotation`` and ``bi_identity`` beyond the series
+    disc (2.5 < |z| <= 40), the band 2.5 < |z| <= 3.5 where the Ai term is
+    Ai's series, and |z| >= 15, where the rotated Hi is the expansion; in
+    both half-planes and on the real axis."""
+    rng = np.random.default_rng(20261021)
+    radii = [math.exp(rng.uniform(math.log(2.6), math.log(40.0))) for _ in range(120)]
+    radii += [rng.uniform(2.6, _AI_SERIES_RADIUS) for _ in range(40)]
+    radii += [rng.uniform(15.0, 40.0) for _ in range(40)]
+    points = [cmath.rect(r, rng.uniform(-_PI, _PI)) for r in radii]
+    points += [complex(sign * r, 0.0) for r in (2.7, 3.2, 6.0, 16.0) for sign in (1.0, -1.0)]
+    return points
+
+
+def _rebuilt(z: complex, fn: str) -> ScorerResult:
+    """``fn`` ("gi" or "hi") at ``z`` rebuilt by ``engine.combine`` from the
+    Airy passes that form the derivative, route by route."""
+    engine = scorerlib.engine
+    up = complex(z.real, abs(z.imag))
+    r = engine._gated(up, fn)
+    if r is None and cmath.phase(up) < 2.0 * _PI / 3.0 - RAY_TOL:
+        inner = hi(up * _ROT_UP)
+        if fn == "gi":
+            ai = scorerlib.airy._ai_info(up, derivative=True)
+            r = engine.combine("gi_rotation", [(-_ROT_UP, inner), (1j, ai)])
+        else:
+            ai = scorerlib.airy._ai_info(up * _ROT_DOWN, derivative=True)
+            r = engine.combine("hi_rotation", [(_ROT_UP, inner), (engine._TWO_ROT_SIXTH, ai)])
+    elif r is None and fn == "gi":
+        h = engine._gated(up, "hi")
+        h = engine._hi_contour(up) if h is None else h
+        bi = scorerlib.airy._bi_info(up, derivative=True)
+        r = engine.combine("bi_identity", [(1.0, bi), (-1.0, h)])
+    elif r is None:
+        r = engine._hi_contour(up)
+    return engine._settled(z, r)
+
+
+class TestAiryTermsAreValuesOnly:
+    """Gi's and Hi's Airy terms are value-only passes of the dispatchers."""
+
+    def test_no_route_forms_an_airy_derivative(self, monkeypatch):
+        airy = scorerlib.airy
+        formed = []
+        for name in ("_ai_result", "_maclaurin"):
+            def spy(*args, _built=getattr(airy, name), **kwargs):
+                out = _built(*args, **kwargs)
+                formed.append(out.derivative)
+                return out
+
+            monkeypatch.setattr(airy, name, spy)
+        built = 0
+        for z in _airy_term_points():
+            formed.clear()
+            gi(z)
+            hi(z)
+            gi_hi_pair(z)
+            assert set(formed) <= {None}
+            built += len(formed)
+        assert built > 500
+        formed.clear()
+        ai_complex(3.0 + 1j)
+        bi_complex(cmath.rect(6.0, 1.0))
+        assert len(formed) == 3 and None not in formed
+
+    def test_results_match_the_derivative_passes_field_by_field(self):
+        engine = scorerlib.engine
+        routes, inner_routes = set(), set()
+        for z in _airy_term_points():
+            g, h = gi(z), hi(z)
+            assert g == _rebuilt(z, "gi") and h == _rebuilt(z, "hi")
+            assert gi_hi_pair(z) == (g, h)
+            up = complex(z.real, abs(z.imag))
+            routes.update(engine._single(up, fn).method for fn in ("gi", "hi"))
+            if abs(z) >= 15.0:
+                inner_routes.add(hi(up * _ROT_UP).method)
+        assert {"gi_rotation", "hi_rotation", "bi_identity"} <= routes
+        assert "asymptotic" in inner_routes
 
 
 class TestDispatchBoundaries:
