@@ -50,7 +50,9 @@ import numpy as np
 
 from . import airy as _airy
 from . import integrals as _integrals
+from .airy import _ROT_MINUS, _ROT_PLUS
 from .contour import RAY_TOL, DomainError, ScorerResult, combine, require_finite
+from .integrals import _TWO_ROT_SIXTH
 
 # Not used here: the name stays because perfbench's tracer and ``micro()``
 # patch ``engine.integrate_piecewise`` and stop when it is missing.
@@ -75,10 +77,6 @@ _EPS = float(np.finfo(float).eps)
 _PI = math.pi
 _TWO_THIRDS_PI = 2.0 * _PI / 3.0
 _SQRT_PI = math.sqrt(_PI)
-_ROT_UP = cmath.exp(2j * _PI / 3)
-_ROT_DOWN = cmath.exp(-2j * _PI / 3)
-#: The Airy coefficient 2 e^{-i pi/6} of the Hi rotation connection.
-_TWO_ROT_SIXTH = 2.0 * cmath.exp(-1j * _PI / 6.0)
 
 # Values at the origin: Gi(0) = Bi(0)/3 = 1/(3**(7/6) Gamma(2/3)),
 # Gi'(0) = Bi'(0)/3 = 1/(3**(5/6) Gamma(1/3)), and Hi takes twice each.
@@ -194,82 +192,74 @@ def _neglected_exponential(r: float, theta: float, kind: str) -> float:
     return _SQRT_PI * r**0.75 * math.exp(min(exponent, 709.0))
 
 
-def _truncated_sum(inv3: complex, n_terms: int) -> tuple[complex, float]:
-    """The bracket ``1 + corrections`` of the large-argument expansions with
-    exactly ``n_terms`` corrections, and its relative truncation bar.
+def _asymptotic(z: complex, kind: str, neglected: float,
+                n_terms: int | None = None) -> ScorerResult:
+    """``kind`` ("gi" or "hi") at ``z`` by its large-argument expansion,
+    given :func:`_neglected_exponential` there, unchecked.
 
-    The bar is the optimal cut's (the corrections while they decrease, at
-    most ``_ASYMPTOTIC_MAX_TERMS``, as :func:`_asymptotic_core` sums them
-    without ``n_terms``) plus the magnitude of every correction between
-    that cut and ``n_terms``: those omitted before the cut, or those added
-    after it.  Raises ``ValueError`` where the sum is not finite: from the
-    80th correction on the coefficient overflows.
+    The loop sums the corrections while they decrease, at most
+    ``_ASYMPTOTIC_MAX_TERMS``: the optimal cut.  With ``n_terms`` a plain
+    pass sums exactly that many instead, and the bar adds to the cut's the
+    magnitude of every correction between ``n_terms`` and the cut.
     """
+    # 1/z cubed underflows harmlessly where z cubed would overflow.
+    w = 1.0 / z
+    inv3 = w * w * w
     power = inv3
     coeff = 2.0
     total = 1.0 + 0.0j
     smallest = math.inf
-    between = 0.0
-    cut_bar = None
-    s = 0
-    while s < n_terms or cut_bar is None:
+    cut = _ASYMPTOTIC_MAX_TERMS
+    for s in range(_ASYMPTOTIC_MAX_TERMS):
         term = coeff * power
         size = abs(term)
-        if cut_bar is None and (s == _ASYMPTOTIC_MAX_TERMS or size >= smallest):
-            cut_bar = min(smallest, coeff * abs(power))
-        elif cut_bar is None and size < smallest:
+        if size >= smallest:
+            cut = s
+            break
+        total += term
+        if size < smallest:  # not for a NaN term, as min() skipped it
             smallest = size
-        if s < n_terms:
-            total += term
-        if (s < n_terms) != (cut_bar is None):
-            between += size
         coeff *= (3 * s + 4) * (3 * s + 5)
         power *= inv3
-        s += 1
-    if not cmath.isfinite(total):
-        raise ValueError(f"large-argument expansion with {n_terms} terms is not finite")
-    return total, cut_bar + between
+    rel_trunc = min(smallest, coeff * abs(power))
+    if n_terms is not None:
+        power, coeff, total, between = inv3, 2.0, 1.0 + 0.0j, 0.0
+        for s in range(max(n_terms, cut)):
+            term = coeff * power
+            if s < n_terms:
+                total += term
+            if s >= n_terms or s >= cut:
+                between += abs(term)
+            coeff *= (3 * s + 4) * (3 * s + 5)
+            power *= inv3
+        rel_trunc += between
+    value = (-1.0 if kind == "hi" else 1.0) / (_PI * z) * total
+    # Twice the calibrated neglected part and 8 eps of rounding leave the
+    # bar a margin on the Stokes ray, where the switched-on term is largest.
+    err = abs(value) * (rel_trunc + 8.0 * _EPS + 2.0 * neglected)
+    return ScorerResult(value, "asymptotic", err, 0)
 
 
 def _asymptotic_core(z: complex, kind: str, n_terms: int | None) -> ScorerResult:
+    """:func:`_asymptotic` with the public expansions' checks."""
     r = abs(z)
     if not 0.0 < r < math.inf:
         raise DomainError("large-argument expansion requires finite nonzero z")
     if n_terms is not None and n_terms < 0:
         raise ValueError(f"n_terms must be nonnegative, got {n_terms}")
-    # 1/z cubed underflows harmlessly where z cubed would overflow.
     w = 1.0 / z
-    inv3 = w * w * w
-    if 20.0 * abs(inv3) >= 1.0:
+    if 20.0 * abs(w * w * w) >= 1.0:
         warnings.warn(
             "large-argument expansion diverges from the first term at this |z|",
             RuntimeWarning,
             stacklevel=3,
         )
-    if n_terms is None:
-        power = inv3
-        coeff = 2.0
-        total = 1.0 + 0.0j
-        smallest = math.inf
-        for s in range(_ASYMPTOTIC_MAX_TERMS):
-            term = coeff * power
-            size = abs(term)
-            if size >= smallest:
-                break
-            total += term
-            if size < smallest:  # not for a NaN term, as min() skipped it
-                smallest = size
-            coeff *= (3 * s + 4) * (3 * s + 5)
-            power *= inv3
-        rel_trunc = min(smallest, coeff * abs(power))
-    else:
-        total, rel_trunc = _truncated_sum(inv3, n_terms)
-    value = (-1.0 if kind == "hi" else 1.0) / (_PI * z) * total
-    # Twice the calibrated neglected part and 8 eps of rounding leave the
-    # bar a margin on the Stokes ray, where the switched-on term is largest.
-    neglected = _neglected_exponential(r, abs(cmath.phase(z)), kind)
-    err = abs(value) * (rel_trunc + 8.0 * _EPS + 2.0 * neglected)
-    return ScorerResult(value, "asymptotic", err, 0)
+    result = _asymptotic(z, kind, _neglected_exponential(r, abs(cmath.phase(z)), kind), n_terms)
+    # An infinite bar is an answer (outside the expansion's sector); a NaN
+    # one, or a value that is not finite, is not.
+    if not cmath.isfinite(result.value) or math.isnan(result.abs_error_estimate):
+        raise ValueError(f"large-argument expansion with n_terms={n_terms} is not finite at {z}")
+    return result
 
 
 def hi_asymptotic(z: complex, n_terms: int | None = None) -> ScorerResult:
@@ -282,8 +272,9 @@ def hi_asymptotic(z: complex, n_terms: int | None = None) -> ScorerResult:
     ``_ASYMPTOTIC_MAX_TERMS`` corrections.  The error estimate includes the omitted
     exponentially small contribution; with ``n_terms`` it also covers every
     correction between ``n_terms`` and the optimal cut (see
-    :func:`_truncated_sum`).  Raises ``ValueError`` for a negative
-    ``n_terms`` or a sum that is not finite.
+    :func:`_asymptotic`).  Raises ``ValueError`` for a negative
+    ``n_terms``, and for a value that is not finite or an estimate that is
+    NaN (from the 80th correction on, or at a tiny ``|z|``).
     """
     return _asymptotic_core(z, "hi", n_terms)
 
@@ -296,21 +287,6 @@ def gi_asymptotic(z: complex, n_terms: int | None = None) -> ScorerResult:
     Hi expansion.
     """
     return _asymptotic_core(z, "gi", n_terms)
-
-
-def _asymptotic_eligible(z: complex, kind: str) -> bool:
-    """Gate: the radius, the expansion's sector, and the neglected
-    exponentially small contribution (:func:`_neglected_exponential`) below
-    a tenth of the accuracy target.  The smallest term needs no test: from
-    ``_ASYMPTOTIC_RADIUS`` on, the sixth correction ``b_5 r**-18`` (8.3e-12
-    at r = 15) is already below that tenth."""
-    r = abs(z)
-    if r < _ASYMPTOTIC_RADIUS:
-        return False
-    theta = abs(cmath.phase(z))
-    if (theta < _PI / 3.0) if kind == "hi" else (theta > _PI / 3.0):
-        return False
-    return _neglected_exponential(r, theta, kind) <= 0.1 * _TARGET_REL_ACCURACY
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +797,8 @@ def _hi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
     shortcut) and Hi is algebraic; the Airy term is recessive above
     ``pi/3`` and dominant below, so nothing cancels.
     """
-    ai = _airy._ai_info(z * _ROT_DOWN)
-    return combine("hi_rotation", [(_ROT_UP, inner), (_TWO_ROT_SIXTH, ai)])
+    ai = _airy._ai_info(z * _ROT_MINUS)
+    return combine("hi_rotation", [(_ROT_PLUS, inner), (_TWO_ROT_SIXTH, ai)])
 
 
 def _gi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
@@ -832,7 +808,7 @@ def _gi_from_rotated(z: complex, inner: ScorerResult) -> ScorerResult:
     ``Bi(z) = i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2i pi/3})``.  On
     ``0 <= ph z < 2*pi/3`` ``inner`` is algebraic and ``i Ai(z)``
     recessive below ``pi/3``, dominant above: nothing cancels."""
-    return combine("gi_rotation", [(-_ROT_UP, inner), (1j, _airy._ai_info(z))])
+    return combine("gi_rotation", [(-_ROT_PLUS, inner), (1j, _airy._ai_info(z))])
 
 
 def _bi_complement(z: complex, h: ScorerResult) -> ScorerResult:
@@ -848,13 +824,29 @@ def _bi_complement(z: complex, h: ScorerResult) -> ScorerResult:
 
 def _gated(z: complex, fn: str) -> ScorerResult | None:
     """``fn`` ("gi" or "hi") at ``z`` by the series for ``|z| <= 2.5``, by
-    the large-argument expansion where :func:`_asymptotic_eligible` admits
-    it, and otherwise None."""
-    if abs(z) <= _SERIES_RADIUS:
-        return gi_series(z) if fn == "gi" else hi_series(z)
-    if _asymptotic_eligible(z, fn):
-        return gi_asymptotic(z) if fn == "gi" else hi_asymptotic(z)
-    return None
+    the large-argument expansion where its gate admits it, and otherwise
+    None; the only place that admits either, so neither repeats its public
+    checks.
+
+    The expansion's gate is the radius, its sector, and the neglected
+    exponentially small contribution (:func:`_neglected_exponential`, which
+    the error bar reuses) below a tenth of the accuracy target.  The
+    smallest term needs no test: from ``_ASYMPTOTIC_RADIUS`` on, the sixth
+    correction ``b_5 r**-18`` (8.3e-12 at r = 15) is already below that
+    tenth.
+    """
+    r = abs(z)
+    if r <= _SERIES_RADIUS:
+        return _series_scorer(_series_sums(z), *(_GI_SEEDS if fn == "gi" else _HI_SEEDS))
+    if r < _ASYMPTOTIC_RADIUS:
+        return None
+    theta = abs(cmath.phase(z))
+    if (theta < _PI / 3.0) if fn == "hi" else (theta > _PI / 3.0):
+        return None
+    neglected = _neglected_exponential(r, theta, fn)
+    if not neglected <= 0.1 * _TARGET_REL_ACCURACY:
+        return None
+    return _asymptotic(z, fn, neglected)
 
 
 def _single(z: complex, fn: str) -> ScorerResult:
@@ -863,7 +855,7 @@ def _single(z: complex, fn: str) -> ScorerResult:
     if result is not None:
         return result
     if cmath.phase(z) < _TWO_THIRDS_PI - RAY_TOL:
-        inner = hi(z * _ROT_UP)
+        inner = hi(z * _ROT_PLUS)
         return _gi_from_rotated(z, inner) if fn == "gi" else _hi_from_rotated(z, inner)
     if fn == "hi":
         return _hi_contour(z)
@@ -881,7 +873,7 @@ def _pair(z: complex) -> tuple[ScorerResult, ScorerResult]:
     if g is not None and h is not None:
         return g, h
     if cmath.phase(z) < _TWO_THIRDS_PI - RAY_TOL:
-        inner = hi(z * _ROT_UP)
+        inner = hi(z * _ROT_PLUS)
         return (_gi_from_rotated(z, inner) if g is None else g,
                 _hi_from_rotated(z, inner) if h is None else h)
     if h is None:

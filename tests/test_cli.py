@@ -523,14 +523,14 @@ class TestGoldenTableCommand:
 def _wrong_gi_rotation(z, inner):
     # The connection's i Ai(z) entered as -i Ai(z).
     e = scorerlib.engine
-    return e.combine("gi_rotation", [(-e._ROT_UP, inner), (-1j, e._airy._ai_info(z))])
+    return e.combine("gi_rotation", [(-e._ROT_PLUS, inner), (-1j, e._airy._ai_info(z))])
 
 
 def _wrong_hi_rotation(z, inner):
     # The connection's 2 e^{-i pi/6} entered with the wrong sign.
     e = scorerlib.engine
-    ai = e._airy._ai_info(z * e._ROT_DOWN)
-    return e.combine("hi_rotation", [(e._ROT_UP, inner), (-e._TWO_ROT_SIXTH, ai)])
+    ai = e._airy._ai_info(z * e._ROT_MINUS)
+    return e.combine("hi_rotation", [(e._ROT_PLUS, inner), (-e._TWO_ROT_SIXTH, ai)])
 
 
 class TestSelftestCommand:

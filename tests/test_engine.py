@@ -512,6 +512,19 @@ class TestAsymptotics:
                    if fn(z, n_terms=n) == optimal]
         assert len(matches) == 1
 
+    @pytest.mark.parametrize(
+        "fn,z,cut",
+        [(hi_asymptotic, 6.0 * cmath.exp(2.9j), 5), (gi_asymptotic, 5 + 0.5j, 4),
+         (hi_asymptotic, -4 + 1j, 3)],
+    )
+    def test_explicit_truncation_reuses_a_cut_below_the_term_budget(self, fn, z, cut):
+        # The corrections turn before _ASYMPTOTIC_MAX_TERMS: only the count
+        # at the turn reproduces the optimal truncation, bar included.
+        optimal = fn(z)
+        matches = [n for n in range(scorerlib.engine._ASYMPTOTIC_MAX_TERMS + 1)
+                   if fn(z, n_terms=n) == optimal]
+        assert matches == [cut]
+
     @pytest.mark.parametrize("fn", [gi_asymptotic, hi_asymptotic])
     def test_negative_term_count_is_rejected(self, fn):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -523,6 +536,19 @@ class TestAsymptotics:
         # with converged=True.
         with pytest.raises(ValueError, match="not finite"):
             hi_asymptotic(cmath.rect(15.0, 2.0), n_terms=n_terms)
+
+    @pytest.mark.parametrize("fn", [gi_asymptotic, hi_asymptotic])
+    @pytest.mark.parametrize(
+        "z,n_terms",
+        [(1e-320j, None), (1e-200 + 1e-200j, None), (5e-324 + 0j, None),
+         (1e-110 * (1 + 1j), None), (1e-200 + 1e-200j, 0)],
+    )
+    @pytest.mark.filterwarnings("ignore:large-argument expansion diverges")
+    def test_a_tiny_argument_is_rejected(self, fn, z, n_terms):
+        # 1/z or its cube overflows: once NaN or infinite parts, or a NaN
+        # bar beside a finite value, with converged=True.
+        with pytest.raises(ValueError, match="not finite"):
+            fn(z, n_terms=n_terms)
 
 
 class TestCrossRepresentationAgreement:
@@ -873,6 +899,60 @@ class TestAiryTermsAreValuesOnly:
                 inner_routes.add(hi(up * _ROT_UP).method)
         assert {"gi_rotation", "hi_rotation", "bi_identity"} <= routes
         assert "asymptotic" in inner_routes
+
+
+def _gated_points() -> list[complex]:
+    """Seeded points where the gates of ``engine._gated`` serve Gi or Hi:
+    15 <= |z| <= 60 at every phase, where an expansion serves one or both
+    (and the inner Hi of a rotation), the real axis there, and the series
+    disc."""
+    rng = np.random.default_rng(20261022)
+    points = [cmath.rect(rng.uniform(15.0, 60.0), rng.uniform(-_PI, _PI)) for _ in range(160)]
+    points += [complex(sign * r, 0.0) for r in (15.0, 24.0, 55.0) for sign in (1.0, -1.0)]
+    points += [cmath.rect(rng.uniform(0.0, 2.5), rng.uniform(-_PI, _PI)) for _ in range(20)]
+    return points
+
+
+class TestGatesDecideOnce:
+    """``engine._gated`` admits the series and the expansions, each
+    quantity computed once, without the public entries' checks."""
+
+    def test_each_expansion_bounds_its_neglected_part_once(self, monkeypatch):
+        engine = scorerlib.engine
+        bounds, per_call = [], []
+
+        def bound(*args, _bound=engine._neglected_exponential):
+            bounds.append(args)
+            return _bound(*args)
+
+        def gated(z, fn, _gated=engine._gated):
+            before = len(bounds)
+            out = _gated(z, fn)
+            per_call.append((out is not None and out.method == "asymptotic", len(bounds) - before))
+            return out
+
+        monkeypatch.setattr(engine, "_neglected_exponential", bound)
+        monkeypatch.setattr(engine, "_gated", gated)
+        for z in _gated_points():
+            gi(z)
+            hi(z)
+            gi_hi_pair(z)
+        expansions = [n for taken, n in per_call if taken]
+        assert len(expansions) > 300 and set(expansions) == {1}
+        assert max(n for _, n in per_call) == 1
+        assert len(bounds) == sum(n for _, n in per_call)
+
+    def test_the_router_enters_no_public_representation(self, monkeypatch):
+        engine = scorerlib.engine
+        for name in ("gi_series", "hi_series", "gi_asymptotic", "hi_asymptotic"):
+            def refused(*args, _name=name, **kwargs):
+                raise AssertionError(f"the router called {_name}")
+
+            monkeypatch.setattr(engine, name, refused)
+        routes = set()
+        for z in _gated_points():
+            routes.update(r.method for r in (gi(z), hi(z), *gi_hi_pair(z)))
+        assert {"series", "asymptotic", "conjugate"} <= routes
 
 
 class TestDispatchBoundaries:

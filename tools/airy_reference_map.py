@@ -38,7 +38,7 @@ The tables, all from mpmath:
   large-argument gate: radii 15 (1 -+ 1e-9), 20 and 35 on the rays pi/3 -+
   1e-9 and pi, and 0.01 to each side of the phase where the gate opens for
   each function at the radius (at 15 for the radius inside it), found by
-  bisection on ``engine._asymptotic_eligible``;
+  bisection on the gate of ``engine._gated``;
 * ``ROTATION_POINTS``: Gi and Hi at 2*pi/3 - d for d in
   ``ROTATION_OFFSETS`` and at the phases ``ROTATION_PHASES``, at the
   radii ``ROTATION_RADII``, where both are rotation connections;
@@ -276,14 +276,15 @@ def ladder_points() -> list[tuple[str, complex]]:
 
 
 def _gate_flip(r: float, kind: str) -> float:
-    """The phase in (0, pi) where ``engine._asymptotic_eligible`` flips for
-    ``kind`` at radius ``r`` (Gi's expansion serves the phases below it,
-    Hi's those above); the radius must be one where the gate opens."""
+    """The phase in (0, pi) where the expansion's gate in ``engine._gated``
+    flips for ``kind`` at radius ``r`` (Gi's expansion serves the phases
+    below it, Hi's those above); the radius must be one where the gate
+    opens, at least ``engine._ASYMPTOTIC_RADIUS``."""
     lo, hi = 0.0, math.pi
     served_above = kind == "hi"
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if engine._asymptotic_eligible(cmath.rect(r, mid), kind) == served_above:
+        if (engine._gated(cmath.rect(r, mid), kind) is not None) == served_above:
             hi = mid
         else:
             lo = mid

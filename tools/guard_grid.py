@@ -23,6 +23,10 @@ and ``gi_integral`` at every point of the closed upper half-plane
 (imaginary part ``+0.0`` or above; a point outside a representation's
 sector records its exception), and ``gi_real_positive`` at the positive
 real radii.  So a change to the adaptive driver is guarded bit for bit too.
+The public large-argument expansions ``gi_asymptotic`` and
+``hi_asymptotic`` are dumped at every point with ``|z| >= 10`` for each
+count of ``ASYMPTOTIC_COUNTS``, under ``"<name>[<n_terms>]"``, their
+divergence warning silenced.
 
 Run from the root of a checkout (a dump reads its ``src/`` unless
 ``PYTHONPATH`` is set)::
@@ -68,12 +72,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import difflib
+import functools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -113,6 +119,10 @@ TURN_RADII = (4.0, 6.0, 9.0, 15.0)
 FUNCTIONS = ("gi", "hi", "gi_hi_pair", "ai_complex", "bi_complex")
 #: The adaptive-quadrature representations, dumped on the upper half-plane.
 REPRESENTATIONS = ("hi_integral_principal", "hi_integral_v_form", "hi_integral_upper", "gi_integral")
+#: The ``n_terms`` of the expansions' dump: the optimal cut (None), and
+#: explicit counts on both sides of it.
+ASYMPTOTIC_COUNTS = (None, 0, 1, 3, 12)
+ASYMPTOTIC_MIN_RADIUS = 10.0
 
 #: The CLI commands ``--against`` runs in both checkouts.
 CLI_COMMANDS = (
@@ -193,6 +203,7 @@ def dump() -> dict[str, dict]:
     """``{"<function> <z>": fields}`` over the grid, for the scorerlib on
     ``sys.path``."""
     import scorerlib
+    from scorerlib import engine
 
     oracle = _representations_module()
     out = {}
@@ -202,6 +213,13 @@ def dump() -> dict[str, dict]:
         if math.copysign(1.0, z.imag) > 0.0:
             for name in REPRESENTATIONS:
                 _record(out, name, getattr(oracle, name), z)
+        if abs(z) >= ASYMPTOTIC_MIN_RADIUS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for name in ("gi_asymptotic", "hi_asymptotic"):
+                    for n in ASYMPTOTIC_COUNTS:
+                        fn = functools.partial(getattr(engine, name), n_terms=n)
+                        _record(out, f"{name}[{n}]", fn, z)
     for r in RADII:
         _record(out, "gi_real_positive", oracle.gi_real_positive, r)
     return out
