@@ -3,13 +3,14 @@
 The package evaluates the two standard particular solutions of the
 inhomogeneous Airy equation ``w'' - z w = -+ 1/pi`` in double precision by
 routing each argument to a numerically stable representation: Maclaurin
-series near the origin, non-oscillating descent-contour quadrature in the
-middle range, rotation connections between sectors, and large-argument
-expansions once they are certifiably accurate.
+series near the origin, fixed Gauss-Laguerre rules on non-oscillating
+integrals in the middle range, rotation connections between sectors, and
+large-argument expansions once they are certifiably accurate.
 
-The top level is the evaluator.  ``scorerlib.integrals`` holds the paper's
-adaptive representations that cross-check it, ``scorerlib.engine`` the series
-and expansions, and ``scorerlib.quadrature`` the adaptive integrator.
+The top level is the evaluator.  ``scorerlib.engine`` holds the router and
+its fixed rules, ``scorerlib.integrals`` the paper's adaptive
+representations that cross-check it, and ``scorerlib.quadrature`` the
+adaptive integrator.
 
 >>> from scorerlib import gi, hi
 >>> hi(-1.0).value.real

@@ -18,16 +18,16 @@ principal-sector Ai values (route ``rotation_pair``), as Ai does beyond
 * beyond ``2*pi/3`` and on the real axis,
   ``Bi = e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3})``.
   Nothing cancels, because the two terms carry conjugate-direction
-  exponentials; on the axis they are exact conjugates, so one rule
-  evaluation serves both and Bi(x) comes out exactly real, where the first
-  formula would leave a rounding residue in its imaginary part.
+  exponentials; on the axis they are exact conjugates, so Bi(x) comes out
+  exactly real, where the first formula would leave a rounding residue in
+  its imaginary part.
 
-The two arguments of each formula have ``zeta = (2/3) z**1.5`` of opposite
-signs, so off the real axis one paired rule pass sums both of their rules
-(see :func:`_ai_laguerre`); each argument keeps the rule sized to it and
-its own count.  Ai's series, rule and rotation and Bi's formulas are
-conjugate-symmetric by construction, so neither function folds the lower
-half-plane.  Every evaluation returns a
+:func:`_ai_pair` takes each formula's two Ai values, one rule evaluation
+serving both: one paired pass where their ``zeta = (2/3) z**1.5`` have
+opposite signs, each argument keeping its own rule and count, and one pass
+counted once where they are exact conjugates.  Ai's series, rule and
+rotation and Bi's formulas are conjugate-symmetric by construction, so
+neither function folds the lower half-plane.  Every evaluation returns a
 :class:`~scorerlib.contour.ScorerResult`.  The public :func:`ai_complex`
 and :func:`bi_complex` carry the derivative alongside the value; the
 private dispatchers ``_ai_info`` and ``_bi_info``, which Gi's and Hi's Airy
@@ -82,6 +82,9 @@ _ROT_MINUS = cmath.exp(-2j * math.pi / 3)
 #: Bi's coefficients e^{i pi/6} and, for its derivative, e^{5 pi i/6}.
 _ROT1 = cmath.exp(1j * math.pi / 6)
 _ROT5 = cmath.exp(5j * math.pi / 6)
+#: 2 e^{-i pi/6}: Bi's coefficient of Ai(z e^{-2 pi i/3}) on 0 < ph z <= 2*pi/3,
+#: and the Airy coefficient of the Hi rotation connection.
+_TWO_ROT_SIXTH = 2.0 * _ROT1.conjugate()
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 #: Beyond this |ph z| Ai rotates and Bi takes its conjugate-pair formula, so
 #: that no rule argument of Ai(z) or Bi(z) leaves the principal sector.
@@ -249,32 +252,20 @@ _AI_UPPER = _rules(_AI_TILTED, _AI_LEFT_REACHES, len(_AI_RIGHT))
 _AI_LOWER = _rules(_AI_TILTED, _AI_LEFT_REACHES, 2 * len(_AI_RIGHT), conjugate=True)
 
 
-def _half(row: tuple, first: bool) -> np.ndarray:
-    """``row``'s half of a paired table, ``(5, n)``: as the first rule, its
-    nodes and its weights of ``I`` and ``dI/dzeta`` in the rows 1 and 3; as
-    the second, its nodes negated and its weights in the rows 2 and 4;
-    zeros elsewhere."""
-    half = np.zeros((5, row[3]), complex)
-    k = 1 if first else 2
-    half[0] = row[4] if first else -row[4]
-    half[k], half[k + 2] = row[5], row[6]
-    return half
-
-
 def _paired_tables() -> dict:
-    """The nodes and the ``(2, n_a + n_b)`` block weights of ``I`` and of
-    ``dI/dzeta`` of one pass that sums a rule of ``_AI_RIGHT`` at ``zeta``
-    and one of ``_AI_UPPER`` or ``_AI_LOWER`` at ``-zeta``, by the keys of
-    their two rows: with the second rule's nodes negated,
-    ``q = 2 + nodes/zeta`` holds both arguments' ``q``.  One
-    ``(5, n_a + n_b)`` array holds the three tables of a pair."""
-    seconds = [(row[7], _half(row, False)) for row in _AI_UPPER + _AI_LOWER]
+    """The tables ``(nodes, w0, w1)`` of one pass that sums a rule of
+    ``_AI_RIGHT`` at ``zeta`` and one of ``_AI_UPPER`` or ``_AI_LOWER`` at
+    ``-zeta``, by the keys of their two rows: the first rule's nodes and
+    the second's negated, so that ``q = 2 + nodes/zeta`` holds both
+    arguments' ``q``, and the ``(2, n_a + n_b)`` block weights of ``I`` and
+    of ``dI/dzeta``, the first rule's in row 0 and the second's in row 1."""
     tables = {}
-    for row in _AI_RIGHT:
-        first = _half(row, True)
-        for key, second in seconds:
-            table = np.concatenate((first, second), axis=1)
-            tables[row[7], key] = table[0], table[1:3], table[3:5]
+    for a in _AI_RIGHT:
+        for b in _AI_UPPER + _AI_LOWER:
+            w = np.zeros((2, 2, a[3] + b[3]), complex)
+            w[:, 0, :a[3]] = a[5], a[6]
+            w[:, 1, a[3]:] = b[5], b[6]
+            tables[a[7], b[7]] = np.concatenate((a[4], -b[4])).astype(complex), w[0], w[1]
     return tables
 
 
@@ -447,19 +438,16 @@ def _ai_result(z: complex, zeta: complex, modulus: float, phase: float, n: int,
     return ScorerResult(value, "integral", err, n, True, pref * cmath.sqrt(z) * ds)
 
 
-def _ai_laguerre(
-    z: complex, partner: complex | None = None, derivative: bool = False
-) -> ScorerResult | tuple[ScorerResult, ScorerResult]:
-    """Ai at ``z``, and at ``partner`` if given, from the non-oscillating
-    Laplace form, each by a rule sized to its own argument; with
-    ``derivative`` also Ai'.
+def _ai_laguerre(z: complex, derivative: bool = False) -> ScorerResult:
+    """Ai at ``z`` from the non-oscillating Laplace form, by a rule sized to
+    ``z``; with ``derivative`` also Ai'.
 
     ``Ai(z) = exp(-zeta) zeta**(-1/6) / (sqrt(pi) 48**(1/6) Gamma(5/6)) * I``
     with ``zeta = (2/3) z**1.5`` and
     ``I = int_0^inf exp(-t) t**(-1/6) (2 + t/zeta)**(-1/6) dt``; one rule
     sums ``I`` and, with ``derivative``, on the same nodes ``dI/dzeta``.
     A value-only pass forms no ``g / q`` and makes no second product, and
-    its results carry no derivative.  Valid for
+    its result carries no derivative.  Valid for
     ``|ph z| <= 2*pi/3`` and ``|z| > SERIES_RADIUS``, in either half-plane
     (it is exactly conjugate-symmetric).  The rule is the first row of
     ``_AI_RIGHT`` (``Re zeta >= 0``) or of ``_AI_UPPER`` or ``_AI_LOWER``
@@ -467,33 +455,45 @@ def _ai_laguerre(
     ``Re zeta < 0`` its path turns by its angle away from the singularity
     at ``t = -2 zeta`` (see :func:`_folded`).  ``n_evaluations`` is the
     rule's node count, and the bar adds ``_TRUNCATION_BAR`` relative.
-
-    A ``partner`` is ``z e^{+-2 pi i/3}`` with ``zeta`` the negative of
-    ``z``'s, both arguments in the sector: one pass then sums both rules on
-    ``_PAIRED``'s tables, with one division by the ``zeta`` of the argument
-    on the side ``Re zeta >= 0``, one power and one product per sum.  The
-    pass does not depend on the order of the arguments, so at conjugate
-    arguments it is the conjugate pass.  Each argument keeps its own rule,
-    prefactor, bar, derivative and count.  Where both arguments lie on the
-    same side of ``Re zeta = 0`` (on the rays ``|ph| = pi/3``, within
-    rounding) or one lies beyond ``_ZETA_CAP``, two one-argument passes
-    serve.  Returns the result at ``z``, or with a ``partner`` the results
-    at ``z`` and at ``partner``.
     """
     a = _ai_point(z)
-    if partner is None:
-        if a is None:  # the zero counts the smallest rule, which serves there
-            return ScorerResult(0j, "integral", _UNDERFLOW_BAR, _AI_RIGHT[0][3], True,
-                                0j if derivative else None)
-        zeta, modulus, phase, n, nodes, w0, w1, _ = a
-        q = 2.0 + nodes / zeta
-        g = np.power(q, -1.0 / 6.0)
-        s0 = complex(g.dot(w0))
-        s1 = complex((g / q).dot(w1)) if derivative else None
-        return _ai_result(z, zeta, modulus, phase, n, s0, s1)
-    b = _ai_point(partner)
+    if a is None:  # the zero counts the smallest rule, which serves there
+        return ScorerResult(0j, "integral", _UNDERFLOW_BAR, _AI_RIGHT[0][3], True,
+                            0j if derivative else None)
+    zeta, modulus, phase, n, nodes, w0, w1, _ = a
+    q = 2.0 + nodes / zeta
+    g = np.power(q, -1.0 / 6.0)
+    s0 = complex(g.dot(w0))
+    s1 = complex((g / q).dot(w1)) if derivative else None
+    return _ai_result(z, zeta, modulus, phase, n, s0, s1)
+
+
+def _ai_pair(
+    z: complex, partner: complex, derivative: bool = False
+) -> tuple[ScorerResult, ScorerResult]:
+    """Ai at ``z`` and at ``partner``, both in the principal sector beyond
+    the series disc, each by the rule sized to it as in
+    :func:`_ai_laguerre`; with ``derivative`` also Ai'.  The two arguments
+    alone decide how one rule evaluation serves both:
+
+    * ``Re zeta`` of opposite signs: one pass sums both rules on
+      ``_PAIRED``'s tables, with one division by the ``zeta`` on the side
+      ``Re zeta >= 0``, one power and one product per sum.  It does not
+      depend on the order of the arguments, so at conjugate arguments it is
+      the conjugate pass.  Each keeps its own rule, bar, derivative and count;
+    * exact conjugates (every rotated pair of a real argument; their
+      ``zeta`` are conjugates, on one side): one pass at ``z``, and its
+      conjugate, the pass at ``partner`` bit for bit, counts nothing;
+    * otherwise (one side of ``Re zeta = 0``, near ``|ph| = pi/3`` within
+      rounding, or beyond ``_ZETA_CAP``): two one-argument passes.
+    """
+    a, b = _ai_point(z), _ai_point(partner)
     if a is None or b is None or (a[0].real >= 0.0) == (b[0].real >= 0.0):
-        return _ai_laguerre(z, None, derivative), _ai_laguerre(partner, None, derivative)
+        first = _ai_laguerre(z, derivative)
+        if partner != z.conjugate():
+            return first, _ai_laguerre(partner, derivative)
+        return first, ScorerResult(first.value.conjugate(), "integral", first.abs_error_estimate,
+                                   0, True, first.derivative.conjugate() if derivative else None)
     first, second = (a, b) if a[0].real >= 0.0 else (b, a)
     nodes, w0, w1 = _PAIRED[first[7], second[7]]
     q = 2.0 + nodes / first[0]
@@ -505,22 +505,6 @@ def _ai_laguerre(
         s1.reverse()
     return (_ai_result(z, *a[:4], s0[0], s1[0]),
             _ai_result(partner, *b[:4], s0[1], s1[1]))
-
-
-def _ai_rotated_pair(z: complex, derivative: bool = False) -> tuple[ScorerResult, ScorerResult]:
-    """Ai at ``z e^{2 pi i/3}`` and at ``z e^{-2 pi i/3}``, with
-    ``derivative`` also Ai', by one paired rule pass, for ``z`` beyond the
-    series disc with both arguments in the principal sector.  On the real
-    axis they are exact conjugates: one rule evaluation serves both and is
-    counted once."""
-    if z.imag:
-        return _ai_laguerre(z * _ROT_PLUS, z * _ROT_MINUS, derivative)
-    a_plus = _ai_laguerre(z * _ROT_PLUS, None, derivative)
-    a_minus = ScorerResult(
-        a_plus.value.conjugate(), a_plus.method, a_plus.abs_error_estimate,
-        0, a_plus.converged, a_plus.derivative.conjugate() if derivative else None,
-    )
-    return a_plus, a_minus
 
 
 # ``derivative`` is an ordinary parameter, passed by position within this
@@ -541,11 +525,11 @@ def _ai_info(z: complex, derivative: bool = False) -> ScorerResult:
     # abs: the lower half-plane, and the negative axis with a -0.0 imaginary part.
     if abs(cmath.phase(z)) > _ROTATION_EDGE:
         # One rotation lands both arguments inside the principal sector.
-        a_plus, a_minus = _ai_rotated_pair(z, derivative)
+        a_plus, a_minus = _ai_pair(z * _ROT_PLUS, z * _ROT_MINUS, derivative)
         deriv = (-_ROT_PLUS * a_minus.derivative - _ROT_MINUS * a_plus.derivative
                  if derivative else None)
         return combine("rotation", [(-_ROT_MINUS, a_minus), (-_ROT_PLUS, a_plus)], deriv)
-    return _ai_laguerre(z, None, derivative)
+    return _ai_laguerre(z, derivative)
 
 
 def ai_complex(z: complex) -> ScorerResult:
@@ -579,7 +563,7 @@ def _bi_info(z: complex, derivative: bool = False) -> ScorerResult:
     if z.imag == 0.0 or abs(cmath.phase(z)) > _ROTATION_EDGE:
         # e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3}):
         # exact conjugate terms on the real axis, so Bi(x) stays real.
-        a_plus, a_minus = _ai_rotated_pair(z, derivative)
+        a_plus, a_minus = _ai_pair(z * _ROT_PLUS, z * _ROT_MINUS, derivative)
         deriv = (_ROT5 * a_plus.derivative + _ROT5.conjugate() * a_minus.derivative
                  if derivative else None)
         return combine("rotation_pair", [(_ROT1, a_plus), (_ROT1.conjugate(), a_minus)], deriv)
@@ -587,12 +571,12 @@ def _bi_info(z: complex, derivative: bool = False) -> ScorerResult:
     # z e^{2 pi i/3} would leave the sector; below the axis its conjugate, by
     # the conjugate constants (1j.conjugate(): -1j has the real part -0.0).
     if z.imag > 0.0:
-        i, rot, c1, c5 = 1j, _ROT_MINUS, _ROT1.conjugate(), _ROT5.conjugate()
+        i, rot, c2, c5 = 1j, _ROT_MINUS, _TWO_ROT_SIXTH, _ROT5.conjugate()
     else:
-        i, rot, c1, c5 = 1j.conjugate(), _ROT_PLUS, _ROT1, _ROT5
-    a, a_rot = _ai_laguerre(z, z * rot, derivative)
+        i, rot, c2, c5 = 1j.conjugate(), _ROT_PLUS, _TWO_ROT_SIXTH.conjugate(), _ROT5
+    a, a_rot = _ai_pair(z, z * rot, derivative)
     deriv = i * a.derivative + 2.0 * c5 * a_rot.derivative if derivative else None
-    return combine("rotation_pair", [(i, a), (2.0 * c1, a_rot)], deriv)
+    return combine("rotation_pair", [(i, a), (c2, a_rot)], deriv)
 
 
 def bi_complex(z: complex) -> ScorerResult:

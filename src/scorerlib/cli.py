@@ -389,15 +389,18 @@ def _selftest_checks() -> list[tuple[str, str]]:
         return "" if worst < 1e-13 else f"origin residual {worst:.2e}"
 
     def check_conjugate() -> str:
+        # Exact: parts equal as numbers (so +-0 pass), the same bar, cost and convergence.
         for radius in (0.7, 1.5, 4.0, 12.0):
             for phase in (0.3, 1.1, 2.0, 2.9):
                 z = _z_from_polar(radius, phase)
                 for fn in (_engine.gi, _engine.hi, _airy.ai_complex, _airy.bi_complex):
                     upper, lower = fn(z), fn(z.conjugate())
-                    for u, w in ((upper.value, lower.value),
-                                 (upper.derivative, lower.derivative)):
-                        if u is not None and abs(w - u.conjugate()) > 1e-14 * abs(u):
-                            return f"conjugate symmetry broken at {z}"
+                    d = upper.derivative
+                    if (lower.value, lower.derivative, lower.abs_error_estimate,
+                            lower.n_evaluations, lower.converged) != (
+                            upper.value.conjugate(), d if d is None else d.conjugate(),
+                            upper.abs_error_estimate, upper.n_evaluations, upper.converged):
+                        return f"conjugate symmetry broken at {z}"
         return ""
 
     def check_sum_identity() -> str:

@@ -71,8 +71,8 @@ class ScorerResult:
         Laplace rule (32, 65 or 131, by rung), the 96 nodes of each saddle
         split and the node count of each Airy rule evaluation (6 to 25,
         the rule sized to its argument; a paired pass counts both of its
-        rules, and one evaluation serves the two conjugate rotated
-        arguments of Ai(-x) and Bi(x) on the real axis).
+        rules, and one evaluation serves two Airy arguments that are
+        exact conjugates, wherever they occur, counted once).
     converged : bool
         False when some contributing quadrature missed its tolerance.
     derivative : complex or None

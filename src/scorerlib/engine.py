@@ -50,9 +50,8 @@ import numpy as np
 
 from . import airy as _airy
 from . import integrals as _integrals
-from .airy import _ROT_MINUS, _ROT_PLUS
+from .airy import _ROT_MINUS, _ROT_PLUS, _TWO_ROT_SIXTH
 from .contour import RAY_TOL, DomainError, ScorerResult, combine, require_finite
-from .integrals import _TWO_ROT_SIXTH
 
 # Not used here: the name stays because perfbench's tracer and ``micro()``
 # patch ``engine.integrate_piecewise`` and stop when it is missing.
@@ -233,10 +232,17 @@ def _asymptotic(z: complex, kind: str, neglected: float,
             coeff *= (3 * s + 4) * (3 * s + 5)
             power *= inv3
         rel_trunc += between
-    value = (-1.0 if kind == "hi" else 1.0) / (_PI * z) * total
+    sign = -1.0 if kind == "hi" else 1.0
+    value = sign / (_PI * z) * total
+    if (not value or not cmath.isfinite(value)) and abs(z) > 1.0:
+        # pi z overflows (off the axis inside the division, as 1/z does) though
+        # 1/(pi z) is subnormal: an eighth of both stays below DBL_MAX.
+        value = 0.125 * sign / (0.125 * _PI * z) * total
     # Twice the calibrated neglected part and 8 eps of rounding leave the
     # bar a margin on the Stokes ray, where the switched-on term is largest.
     err = abs(value) * (rel_trunc + 8.0 * _EPS + 2.0 * neglected)
+    if err < _airy._UNDERFLOW_BAR:  # a subnormal value: its roundings are absolute
+        err = _airy._UNDERFLOW_BAR
     return ScorerResult(value, "asymptotic", err, 0)
 
 
@@ -898,9 +904,9 @@ def _evaluate(z: complex, fn: str) -> tuple[ScorerResult, ...]:
 
     The package's one fold of the lower half-plane is :func:`_settled`,
     called here and by :func:`_sweep` (Ai and Bi are symmetric by
-    construction; the only other conjugated result is
-    ``airy._ai_rotated_pair``'s on the real axis, which shares one rule
-    evaluation): the router sees the closed upper half-plane only, so
+    construction; the only other conjugated result is ``airy._ai_pair``'s
+    at two exact-conjugate arguments, which share one rule evaluation):
+    the router sees the closed upper half-plane only, so
     below it ``fn`` is evaluated at ``conj z`` and each result is
     conjugated back and tagged ``conjugate``; ``abs`` also folds
     a negative-zero imaginary part, which would put the negative real axis

@@ -14,7 +14,6 @@ representations, they take the closed upper half-plane only.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -44,8 +43,6 @@ _SQRT3 = math.sqrt(3.0)
 _EPS = float(np.finfo(float).eps)
 _PI = math.pi
 _TWO_THIRDS_PI = 2.0 * _PI / 3.0
-#: The Airy coefficient 2 e^{-i pi/6} of the Hi rotation connection.
-_TWO_ROT_SIXTH = 2.0 * cmath.exp(-1j * _PI / 6.0)
 _EXP_CLIP = 745.0
 
 
@@ -356,7 +353,7 @@ def hi_integral_upper(z: complex) -> ScorerResult:
         pieces = [(f, 0.0, math.inf)]
     ai = _airy._ai_info(z * _airy._ROT_MINUS)
     return combine(
-        "hi_path_upper", [(1j / _PI, integrate_piecewise(pieces)), (_TWO_ROT_SIXTH, ai)]
+        "hi_path_upper", [(1j / _PI, integrate_piecewise(pieces)), (_airy._TWO_ROT_SIXTH, ai)]
     )
 
 

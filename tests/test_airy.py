@@ -326,13 +326,16 @@ class TestRouting:
         assert set(sizes) <= {row[3] for row in airy._AI_RIGHT}
         # Bi is two rule evaluations on 0 < |ph z| <= 2*pi/3, where
         # Ai(z e^{2 pi i/3}) would have cost two more through a rotation,
-        # and beyond 2*pi/3.
-        rot = cmath.exp(2j * math.pi / 3.0)
+        # and beyond 2*pi/3; one where its two arguments are exact
+        # conjugates, as z e^{-2 pi i/3} rounds to conj z at r = 80 on pi/3.
         for r in (3.6, 9.0, 80.0):
             for ph in (1e-9, 0.5, math.pi / 3.0, 2.0 * math.pi / 3.0, 2.5, 3.0):
                 z = cmath.rect(r, ph)
-                pair = (z, z / rot) if ph <= 2.0 * math.pi / 3.0 else (z * rot, z / rot)
-                cost = sum(_ai_laguerre(w).n_evaluations for w in pair)
+                a, b = ((z, z * airy._ROT_MINUS) if ph <= 2.0 * math.pi / 3.0
+                        else (z * airy._ROT_PLUS, z * airy._ROT_MINUS))
+                cost = _ai_laguerre(a).n_evaluations
+                if b != a.conjugate():
+                    cost += _ai_laguerre(b).n_evaluations
                 assert _bi_info(z).n_evaluations == cost
                 assert _bi_info(z.conjugate()).n_evaluations == cost
 
@@ -711,20 +714,23 @@ class TestPairedRule:
         # bars and each finite derivative within the same relative bars; a
         # one-argument pass equals the oracle bit for bit.  Where a pass
         # overflows, the oracle overflows at one of its arguments.
-        rule = airy._ai_laguerre
+        # The partner of an exact-conjugate pair takes its argument's
+        # evaluation and counts none.
         calls = []
 
-        def recording(z, partner=None, derivative=False):
-            args = (z,) if partner is None else (z, partner)
-            try:
-                out = rule(z, partner, derivative)
-            except OverflowError:
-                calls.append((args, None))
-                raise
-            calls.append((args, (out,) if partner is None else out))
-            return out
+        def spy(rule, n_args):
+            def recording(*args):
+                try:
+                    out = rule(*args)
+                except OverflowError:
+                    calls.append((args[:n_args], None))
+                    raise
+                calls.append((args[:n_args], (out,) if n_args == 1 else out))
+                return out
+            return recording
 
-        monkeypatch.setattr(airy, "_ai_laguerre", recording)
+        monkeypatch.setattr(airy, "_ai_laguerre", spy(airy._ai_laguerre, 1))
+        monkeypatch.setattr(airy, "_ai_pair", spy(airy._ai_pair, 2))
         for z in _paired_draws():
             for fn in (ai_complex, bi_complex):
                 try:
@@ -739,19 +745,40 @@ class TestPairedRule:
                         _one_argument_rule(w)
                 continue
             pairs += len(args) == 2
-            for w, res in zip(args, results, strict=True):
+            for k, (w, res) in enumerate(zip(args, results, strict=True)):
                 ref = _one_argument_rule(w)
                 if len(args) == 1:
                     assert res == ref
                     continue
+                shared = k == 1 and w == args[0].conjugate()
                 assert (res.method, res.n_evaluations, res.converged) == (
-                    "integral", ref.n_evaluations, True)
+                    "integral", 0 if shared else ref.n_evaluations, True)
                 bar = res.abs_error_estimate + ref.abs_error_estimate
                 assert abs(res.value - ref.value) <= bar
                 if ref.value and ref.derivative and cmath.isfinite(ref.derivative):
                     assert (abs(res.derivative - ref.derivative) / abs(ref.derivative)
                             <= bar / abs(ref.value))
         assert pairs > 1500
+
+    @pytest.mark.parametrize(
+        "z",
+        [x * airy._ROT_PLUS for x in (3.6, -3.6, 20.0, -20.0)]
+        + [complex(40.00000000000001, 69.28203230275508)],
+    )
+    def test_exact_conjugates_share_one_evaluation(self, z):
+        # The rotated pair of a real argument, and r = 80 on pi/3, where
+        # z e^{-2 pi i/3} rounds to conj z: the partner's result is the
+        # one-argument pass at conj z bit for bit, at no cost.
+        first, second = airy._ai_pair(z, z.conjugate(), True)
+        assert first == _ai_laguerre(z, True)
+        assert second == dataclasses.replace(_ai_laguerre(z.conjugate(), True), n_evaluations=0)
+
+    def test_bi_formula_shares_where_its_arguments_are_conjugates(self):
+        # i Ai(z) + 2 e^{-i pi/6} Ai(z e^{-2 pi i/3}) costs one rule there.
+        z = complex(40.00000000000001, 69.28203230275508)
+        assert z * airy._ROT_MINUS == z.conjugate()
+        for w in (z, z.conjugate()):
+            assert bi_complex(w).n_evaluations == _ai_laguerre(w).n_evaluations
 
     def test_conjugate_symmetry_is_exact_on_the_draws(self):
         # The pass at conj z is the conjugate of the pass at z: it divides by

@@ -557,6 +557,22 @@ class TestSelftestCommand:
         outcomes = dict(_selftest_checks())
         assert outcomes["sum_identity"].startswith("sum identity residual")
 
+    def test_conjugate_check_sees_one_ulp(self, monkeypatch):
+        # The library's symmetry is exact, so the check is too: Gi below
+        # the axis one ulp off in its real part fails it.
+        routed = scorerlib.engine.gi
+
+        def nudged(z):
+            res = routed(z)
+            if z.imag < 0.0:
+                v = res.value
+                res = dataclasses.replace(
+                    res, value=complex(math.nextafter(v.real, math.inf), v.imag))
+            return res
+
+        monkeypatch.setattr(scorerlib.engine, "gi", nudged)
+        assert dict(_selftest_checks())["conjugate_symmetry"].startswith("conjugate symmetry")
+
     @pytest.mark.parametrize(
         "helper,wrong,check",
         [

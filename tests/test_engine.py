@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -403,6 +404,35 @@ class TestAsymptotics:
         assert cmath.isfinite(res.value)
         assert math.isfinite(res.abs_error_estimate)
         assert _rel(res.value - leading, leading) < 1e-15
+
+    @pytest.mark.parametrize(
+        "kind,z",
+        [
+            ("gi", 5.8e307 + 0j),
+            ("gi", 1e308 + 0j),
+            ("gi", 1.7e308 + 0j),
+            ("gi", 1.7976931348623157e308 + 0j),
+            ("hi", -1e308 + 0j),
+            ("hi", cmath.rect(1e308, 1.5)),
+            ("gi", cmath.rect(1e308, 0.5)),
+            ("gi", complex(5.46665987310466e307, 1.6910360630376144e307)),
+            ("gi", complex(1e308, 1e308)),
+        ],
+    )
+    def test_subnormal_value_survives_the_top_of_the_range(self, kind, z):
+        # pi z overflows here (on the axis beyond DBL_MAX/pi, off it earlier
+        # inside the complex division), though 1/(pi z) is a subnormal
+        # number; the corrections underflow to 0.  Each value against an
+        # exact rational 1/(pi z), pi taken as math.pi, within its bar.
+        x, y, pi = Fraction(z.real), Fraction(z.imag), Fraction(_PI)
+        sign = -1 if kind == "hi" else 1
+        exact = (sign * x / (pi * (x * x + y * y)), -sign * y / (pi * (x * x + y * y)))
+        routed, expansion = (gi, gi_asymptotic) if kind == "gi" else (hi, hi_asymptotic)
+        for w, ref in ((z, exact), (z.conjugate(), (exact[0], -exact[1]))):
+            for res in (routed(w), expansion(w)):
+                assert res.value and res.method in ("asymptotic", "conjugate")
+                miss = [Fraction(part) - r for part, r in zip((res.value.real, res.value.imag), ref)]
+                assert miss[0] ** 2 + miss[1] ** 2 <= Fraction(res.abs_error_estimate) ** 2
 
     def test_three_term_truncation_error_shrinks_with_radius(self):
         # Same direction, growing radius: the truncated tail must shrink.

@@ -24,10 +24,12 @@ A reference is kept only where mpmath at 30 and at 45 digits agree to
   worst ratio of Ai's error to its bar and the worst relative error of Ai'
   there (where 1e-290 < |Ai| < 1e290: the fit covers the rest);
 * the worst ratio of Ai's error to its bar over the same points when each
-  is summed in one paired pass with ``z e^{-2 pi i/3}``
-  (``_ai_laguerre(z e^{-2 pi i/3}, z)``, as Bi's formula below the axis
-  pairs them): where ``Re zeta < 0`` the point is the pass's second
-  argument, whose ``q`` is formed from its partner's negated ``zeta``.
+  is the partner of ``z e^{-2 pi i/3}`` in ``_ai_pair(z e^{-2 pi i/3}, z)``,
+  as Bi's formula below the axis pairs them: where ``Re zeta < 0`` one
+  paired pass forms the point's ``q`` from its partner's negated ``zeta``,
+  and where the two arguments are exact conjugates (on the ray pi/3, where
+  the rotation may round to ``conj z``) the point takes the conjugate of
+  its partner's evaluation.
 
 It exits 1 if an engine constant lies below what the data need or if any
 point's Ai error exceeds its bar, alone or paired.  Run from the root of a
@@ -147,9 +149,9 @@ def main() -> int:
         if not 1e-290 < abs(ref[0]) < 1e290:  # Ai under- or overflows: no bar to compare
             underflow += 1
             continue
-        result = airy._ai_laguerre(z)
+        result = airy._ai_laguerre(z, True)
         ratio = abs(result.value - ref[0]) / result.abs_error_estimate
-        _, paired = airy._ai_laguerre(z * airy._ROT_MINUS, z)
+        _, paired = airy._ai_pair(z * airy._ROT_MINUS, z)
         paired_worst = max(paired_worst, abs(paired.value - ref[0]) / paired.abs_error_estimate)
         deriv = abs(result.derivative - ref[1]) / abs(ref[1])
         entry = served.setdefault(result.n_evaluations, [0, 0.0, 0.0])

@@ -14,7 +14,11 @@ tests:
   floor ``rho = 0.15`` and each rung's bar are reached;
 * the radii where Ai's rule changes size (``switch_radii`` of
   ``tools/airy_gate.py``) on rays through both of its lists of rules;
-  Gi and Bi there evaluate Ai at the same argument.
+  Gi and Bi there evaluate Ai at the same argument;
+* the top of the double range: ``DBL_MAX/pi`` ``-+ 1e-9`` (relative) and
+  ``1e308`` on the rays ``ph z = 0`` and ``+-0.3``, where ``pi z``
+  overflows and Gi is its expansion's subnormal ``1/(pi z)``; Hi, Ai and Bi
+  there overflow or underflow as their true values do.
 
 Functions: ``gi``, ``hi``, both results of ``gi_hi_pair``, ``ai_complex``
 and ``bi_complex``.  References come from ``perfbench/oracle.py``: its
@@ -65,6 +69,10 @@ LAPLACE_PHASES = (2.0 * math.pi / 3.0 + 0.05, 0.75 * math.pi, 0.9 * math.pi, mat
 #: Rays (ph z) through Ai's two lists of rules: ph zeta = 1.5 ph z below
 #: and above pi/2.
 AI_PHASES = (0.5, 1.0, 1.2, 1.6, 1.9, 2.0 * math.pi / 3.0)
+#: Radii and rays at the top of the double range.
+TOP_RADII = (sys.float_info.max / math.pi * (1.0 - 1e-9),
+             sys.float_info.max / math.pi * (1.0 + 1e-9), 1e308)
+TOP_PHASES = (0.0, 0.3)
 
 
 def _sides(r: float) -> list[float]:
@@ -104,6 +112,7 @@ def edge_points() -> list[complex]:
                 out += [cmath.rect(s, ph) for s in _sides(r)]
     for ph in AI_PHASES:
         out += [cmath.rect(x, ph) for r in switch_radii(ph) for x in _sides(r)]
+    out += [cmath.rect(r, ph) for r in TOP_RADII for ph in TOP_PHASES]
     return _both(out)
 
 
